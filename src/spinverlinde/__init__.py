@@ -33,9 +33,9 @@ from .fusion import (
     verlinde_trig_oracle,
 )
 from .heisenberg import (
-    GaussianIntegerMatrix,
     HeisenbergElement,
     HeisenbergGroup,
+    MonomialMatrix,
     TwistedAlgebraElement,
     heisenberg_rep,
     orthogonality_check,
@@ -73,7 +73,6 @@ __all__ = [
     "EnumerationCapError",
     "F2Vector",
     "FusionRing",
-    "GaussianIntegerMatrix",
     "GradedDimension",
     "HeisenbergElement",
     "HeisenbergGroup",
@@ -82,6 +81,7 @@ __all__ = [
     "Lattice",
     "LatticeMismatchError",
     "LevelValue",
+    "MonomialMatrix",
     "PrecisionCeilingError",
     "QuadraticRefinement",
     "SymplecticF2Space",

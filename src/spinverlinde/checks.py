@@ -18,8 +18,8 @@ from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
 from .f2 import F2Vector, SymplecticF2Space
 from .fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from .heisenberg import (
-    GaussianIntegerMatrix,
     HeisenbergGroup,
+    MonomialMatrix,
     heisenberg_rep,
     orthogonality_check,
     projection,
@@ -386,7 +386,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         results.append(_result(f"heisenberg commutator pairing g={g}", commutator))
         center = (
             heisenberg_rep(group.central_generator)
-            == GaussianIntegerMatrix.identity(n).times_i()
+            == MonomialMatrix.identity(n).times_i()
         )
         results.append(_result(f"central generator acts by i g={g}", center))
         off_center = all(reps[el].trace() == (0, 0) for el in elements if not el.vector.is_zero)
@@ -396,8 +396,8 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             for t in range(4)
         )
         results.append(_result(f"heisenberg traces g={g}", off_center and central_traces))
-        distinct = {(r.real.tobytes(), r.imag.tobytes()) for r in reps.values()}
-        results.append(_result(f"heisenberg rep faithful g={g}", len(distinct) == len(elements)))
+        faithful = len(set(reps.values())) == len(elements)
+        results.append(_result(f"heisenberg rep faithful g={g}", faithful))
     return results
 
 

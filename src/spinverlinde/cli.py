@@ -1,9 +1,8 @@
 """Command-line surface: dimension tables, identity suites, level conversions.
 
 Exit codes are a stable contract: 0 success, 1 identity or certification
-failure, 2 usage error.  Sweep cells may be evaluated concurrently with
-``--jobs``; results are always gathered and sorted before emission, so
-output ordering is deterministic regardless of the parallelism degree.
+failure, 2 usage error.  Sweep cells are evaluated in order, genus-major,
+so output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .checks import SUITES, CheckResult, run_suite
@@ -115,7 +113,9 @@ def _default_ceiling() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_PRECISION_CEILING
+        raise argparse.ArgumentTypeError(
+            f"{PRECISION_CEILING_ENV} must be an integer, got {raw!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +168,21 @@ def _check_dicts(results: list[CheckResult]) -> list[dict]:
     return [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
 
 
-def _map_cells(cells, worker, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(cell) for cell in cells]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_verlinde(args) -> int:
     cells = [(g, k) for g in args.genus for k in args.level]
+    ceiling = args.precision_ceiling
+    if ceiling is None:
+        ceiling = _default_ceiling()
 
     def worker(cell):
         g, k = cell
         dim = verlinde_dim(g, k)
         try:
-            certificate = verlinde_trig_oracle(g, k, args.precision_bits, args.precision_ceiling)
+            certificate = verlinde_trig_oracle(g, k, args.precision_bits, ceiling)
             width = float(certificate.width)
             certified = certificate.value == dim and certificate.width < Fraction(1, 2)
             details = f"trace {dim}, oracle {certificate.value}"
@@ -197,7 +193,7 @@ def _cmd_verlinde(args) -> int:
             {"name": f"certified (g={g}, k={k})", "passed": certified, "details": details},
         )
 
-    outcomes = _map_cells(cells, worker, args.jobs)
+    outcomes = [worker(cell) for cell in cells]
     rows = [row for row, _ in outcomes]
     checks = [check for _, check in outcomes]
     payload = {
@@ -262,7 +258,7 @@ def _cmd_spin_dims(args) -> int:
         }
         return rows, check
 
-    outcomes = _map_cells(cells, worker, args.jobs)
+    outcomes = [worker(cell) for cell in cells]
     rows = [row for cell_rows, _ in outcomes for row in cell_rows]
     checks = [check for _, check in outcomes]
     payload = {
@@ -396,7 +392,6 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep evaluation degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verl.add_argument("--genus", type=_parse_int_range, required=True)
     p_verl.add_argument("--level", type=_parse_int_range, required=True, help="SU2 levels k")
     p_verl.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
-    p_verl.add_argument("--precision-ceiling", type=int, default=_default_ceiling())
+    p_verl.add_argument("--precision-ceiling", type=int, default=None)
     _add_common(p_verl)
 
     p_spin = sub.add_parser("spin-dims", help="graded spin dimension table")

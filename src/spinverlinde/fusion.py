@@ -205,18 +205,21 @@ class CertifiedInteger:
         return self.value
 
 
-def _endpoint_fraction(endpoint: tuple) -> Fraction:
-    # mpmath raw endpoint: (sign, mantissa, exponent, bit count), value = +/- man * 2^exp
+def _endpoint_fraction(endpoint: tuple) -> Fraction | None:
+    """The exact value of an mpmath raw endpoint, or None if it is +/-inf or NaN."""
+    # mpmath raw endpoint: (sign, mantissa, exponent, bit count), value = +/- man * 2^exp;
+    # zero is (0, 0, 0, 0), the non-finite specials have mantissa 0 and a non-zero exponent
     sign, man, exp, _ = endpoint
     if man == 0:
-        return Fraction(0)
+        return None if exp else Fraction(0)
     value = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -value if sign else value
 
 
 def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
     """Run ``evaluate(ctx)`` in interval arithmetic, doubling precision until
-    the enclosure has width < 1/2, then return the unique enclosed integer."""
+    the enclosure is finite with width < 1/2, then return the unique enclosed
+    integer."""
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
     if precision_ceiling < precision_bits:
@@ -231,7 +234,8 @@ def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) 
         lo_raw, hi_raw = enclosure._mpi_
         lower = _endpoint_fraction(lo_raw)
         upper = _endpoint_fraction(hi_raw)
-        if upper - lower < Fraction(1, 2):
+        finite = lower is not None and upper is not None
+        if finite and upper - lower < Fraction(1, 2):
             candidate = math.ceil(lower)
             if candidate > upper:
                 raise CertificationError(
@@ -239,8 +243,9 @@ def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) 
                 )
             return CertifiedInteger(candidate, lower, upper, prec)
         if prec >= precision_ceiling:
+            width = float(upper - lower) if finite else math.inf
             raise PrecisionCeilingError(
-                f"{label}: interval width {float(upper - lower)} still >= 1/2 "
+                f"{label}: interval width {width} still >= 1/2 "
                 f"at the precision ceiling {precision_ceiling} bits"
             )
         prec = min(2 * prec, precision_ceiling)

@@ -11,7 +11,7 @@ exact rationals.
 
 The *Heisenberg group* is the central extension of GF(2)^{2g} by Z/4 with
 the honest projective cocycle, acting on functions GF(2)^g -> C through
-monomial matrices over the Gaussian integers.  Each model is verified
+monomial matrices whose entries are powers of i.  Each model is verified
 internally; no identification between them is claimed.
 """
 
@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
-
-import numpy as np
 
 from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
 from .spin import QuadraticRefinement, lift_sign
@@ -290,81 +288,70 @@ class HeisenbergGroup:
                 yield HeisenbergElement(t, vector)
 
 
-class GaussianIntegerMatrix:
-    """An exact matrix over Z[i], held as a pair of integer arrays."""
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^phase as (real, imaginary)
 
-    __slots__ = ("real", "imag")
 
-    def __init__(self, real, imag):
-        self.real = np.asarray(real, dtype=np.int64)
-        self.imag = np.asarray(imag, dtype=np.int64)
-        if self.real.shape != self.imag.shape or self.real.ndim != 2:
-            raise ValueError("real and imaginary parts must be square arrays of equal shape")
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """An exact n x n matrix with a single non-zero entry per row, a power of i.
+
+    Row x holds i^phases[x] in column columns[x]; phases are reduced mod 4,
+    so equal matrices compare and hash equal.
+    """
+
+    columns: tuple[int, ...]
+    phases: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.phases):
+            raise ValueError("columns and phases must have one entry per row")
+        if not set(self.phases) <= {0, 1, 2, 3}:
+            raise ValueError("phases must be reduced mod 4")
 
     @classmethod
-    def identity(cls, n: int) -> "GaussianIntegerMatrix":
-        return cls(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
+    def identity(cls, n: int) -> "MonomialMatrix":
+        return cls(tuple(range(n)), (0,) * n)
 
-    @classmethod
-    def scalar(cls, n: int, real: int, imag: int) -> "GaussianIntegerMatrix":
-        eye = np.eye(n, dtype=np.int64)
-        return cls(real * eye, imag * eye)
+    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        # row x of self picks row columns[x] of other
+        columns, phases = other.columns, other.phases
+        return MonomialMatrix(
+            tuple(columns[c] for c in self.columns),
+            tuple((t + phases[c]) & 3 for c, t in zip(self.columns, self.phases)),
+        )
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.real.shape
+    def __neg__(self) -> "MonomialMatrix":
+        return MonomialMatrix(self.columns, tuple((t + 2) & 3 for t in self.phases))
 
-    def __matmul__(self, other: "GaussianIntegerMatrix") -> "GaussianIntegerMatrix":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return GaussianIntegerMatrix(a @ c - b @ d, a @ d + b @ c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianIntegerMatrix):
-            return NotImplemented
-        return np.array_equal(self.real, other.real) and np.array_equal(self.imag, other.imag)
-
-    def __neg__(self) -> "GaussianIntegerMatrix":
-        return GaussianIntegerMatrix(-self.real, -self.imag)
-
-    def times_i(self) -> "GaussianIntegerMatrix":
-        return GaussianIntegerMatrix(-self.imag, self.real)
+    def times_i(self) -> "MonomialMatrix":
+        return MonomialMatrix(self.columns, tuple((t + 1) & 3 for t in self.phases))
 
     def trace(self) -> tuple[int, int]:
-        """Trace as a Gaussian integer (real part, imaginary part)."""
-        return int(self.real.trace()), int(self.imag.trace())
-
-    def __repr__(self) -> str:
-        return f"GaussianIntegerMatrix(shape={self.shape})"
+        """Trace as a Gaussian integer (real part, imaginary part), from the fixed points."""
+        fixed = [_UNITS[t] for x, (c, t) in enumerate(zip(self.columns, self.phases)) if c == x]
+        return sum(re for re, _ in fixed), sum(im for _, im in fixed)
 
 
 def heisenberg_rep(
     h: HeisenbergElement, representation_cap: int = DEFAULT_REPRESENTATION_CAP
-) -> GaussianIntegerMatrix:
+) -> MonomialMatrix:
     """The 2^g-dimensional monomial representation of a Heisenberg element.
 
     On functions f : GF(2)^g -> C the vector part acts by
-    (W(a, b) f)(x) = (-1)^{b . x} f(x + a) and the central generator by i.
-    The assignment is an exact group homomorphism into matrices with
-    entries in {0, +/-1, +/-i}.
+    (W(a, b) f)(x) = (-1)^{b . x} f(x + a) and the central generator by i,
+    so row x has the entry i^{t + 2 (b . x)} in column x + a.  The
+    assignment is an exact group homomorphism into monomial matrices with
+    entries in {+/-1, +/-i}.
     """
     genus = h.vector.dim // 2
     if genus > representation_cap:
         raise ValueError(
             f"genus {genus} exceeds the representation cap {representation_cap}"
         )
-    n = 1 << genus
+    xs = range(1 << genus)
     a_bits = _a_part(h.vector)
     b_bits = _b_part(h.vector)
-    xs = np.arange(n, dtype=np.int64)
-    signs = 1 - 2 * (np.bitwise_count(xs & b_bits).astype(np.int64) & 1)
-    base = np.zeros((n, n), dtype=np.int64)
-    base[xs, xs ^ a_bits] = signs
-    zero = np.zeros((n, n), dtype=np.int64)
-    t = h.central % 4
-    if t == 0:
-        return GaussianIntegerMatrix(base, zero)
-    if t == 1:
-        return GaussianIntegerMatrix(zero, base)
-    if t == 2:
-        return GaussianIntegerMatrix(-base, zero)
-    return GaussianIntegerMatrix(zero, -base)
+    return MonomialMatrix(
+        tuple(x ^ a_bits for x in xs),
+        tuple((h.central + 2 * (x & b_bits).bit_count()) & 3 for x in xs),
+    )

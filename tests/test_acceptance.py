@@ -24,8 +24,8 @@ from spinverlinde.fusion import (
     verlinde_trig_oracle,
 )
 from spinverlinde.heisenberg import (
-    GaussianIntegerMatrix,
     HeisenbergGroup,
+    MonomialMatrix,
     heisenberg_rep,
     orthogonality_check,
     projection,
@@ -188,7 +188,7 @@ def test_criterion_10_heisenberg_model():
                         assert product == -reverse
                     else:
                         assert product == reverse
-            assert reps[group.central_generator] == GaussianIntegerMatrix.identity(n).times_i()
+            assert reps[group.central_generator] == MonomialMatrix.identity(n).times_i()
             for el in elements:
                 if el.vector.is_zero:
                     assert reps[el].trace() == [(n, 0), (0, n), (-n, 0), (0, -n)][el.central]

@@ -48,12 +48,10 @@ class TestVerlindeCommand:
         _, payload, _ = run_json(capsys, "verlinde", "--genus", "1..2", "--level", "0..3")
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_parallel_output_deterministic(self, capsys):
-        _, serial, _ = run_json(capsys, "verlinde", "--genus", "1..3", "--level", "0..5")
-        _, parallel, _ = run_json(
-            capsys, "verlinde", "--genus", "1..3", "--level", "0..5", "--jobs", "4"
-        )
-        assert serial["rows"] == parallel["rows"]
+    def test_jobs_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verlinde", "--genus", "2", "--level", "1", "--jobs", "2"])
+        assert excinfo.value.code == 2
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -86,6 +84,18 @@ class TestVerlindeCommand:
         )
         assert code == 0
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_malformed_precision_ceiling_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verlinde", "--genus", "2", "--level", "1"])
+        assert excinfo.value.code == 2
+        assert "SPINVERLINDE_PRECISION_CEILING" in capsys.readouterr().err
+        # an explicit --precision-ceiling does not read the variable
+        code, _, _ = run_cli(
+            capsys, "verlinde", "--genus", "2", "--level", "1", "--precision-ceiling", "256"
+        )
+        assert code == 0
 
 
 class TestSpinDimsCommand:

@@ -5,6 +5,7 @@ import pytest
 from spinverlinde.fusion import (
     CertificationError,
     PrecisionCeilingError,
+    _certify,
     fusion_matrices,
     mat_identity,
     mat_mul,
@@ -200,6 +201,20 @@ class TestOracles:
         certified = verlinde_trig_oracle(20, 200)
         assert certified.precision_bits <= 4096
         assert certified.width < Fraction(1, 2)
+
+    def test_unbounded_enclosure_never_certifies(self):
+        # [-inf, +inf] is not tight at any precision; it must not read as [0, 0]
+        with pytest.raises(PrecisionCeilingError, match="inf"):
+            _certify(lambda ctx: ctx.mpf([float("-inf"), float("inf")]), 128, 512, "probe")
+        with pytest.raises(PrecisionCeilingError):
+            _certify(lambda ctx: ctx.mpf([0, float("inf")]), 128, 512, "probe")
+
+    def test_non_finite_enclosure_triggers_doubling(self):
+        def evaluate(ctx):
+            return ctx.mpf(5) if ctx.prec >= 512 else ctx.mpf([float("nan"), float("nan")])
+
+        certified = _certify(evaluate, 128, 4096, "probe")
+        assert (certified.value, certified.precision_bits) == (5, 512)
 
     def test_ceiling_error_is_certification_error(self):
         assert issubclass(PrecisionCeilingError, CertificationError)

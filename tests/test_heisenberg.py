@@ -2,14 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.heisenberg import (
-    GaussianIntegerMatrix,
     HeisenbergElement,
     HeisenbergGroup,
+    MonomialMatrix,
     TwistedAlgebraElement,
     heisenberg_rep,
     orthogonality_check,
@@ -17,6 +16,26 @@ from spinverlinde.heisenberg import (
     trace_functional,
 )
 from spinverlinde.spin import QuadraticRefinement
+
+# dense oracle: a monomial matrix expanded to n x n exact Gaussian integers (re, im)
+POWERS_OF_I = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def dense(m):
+    n = len(m.columns)
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for x in range(n):
+        rows[x][m.columns[x]] = POWERS_OF_I[m.phases[x]]
+    return rows
+
+
+def dense_mul(a, b):
+    def dot(row, col):
+        re = sum(p * r - q * s for (p, q), (r, s) in zip(row, col))
+        im = sum(p * s + q * r for (p, q), (r, s) in zip(row, col))
+        return re, im
+
+    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 @pytest.fixture
@@ -250,15 +269,14 @@ class TestHeisenbergRep:
     def test_swap_and_diagonal_generators(self):
         group = HeisenbergGroup(1)
         rep_a = heisenberg_rep(group.from_vector(group.space.basis_a(1)))
-        assert np.array_equal(rep_a.real, [[0, 1], [1, 0]])
-        assert not rep_a.imag.any()
+        assert dense(rep_a) == [[(0, 0), (1, 0)], [(1, 0), (0, 0)]]
         rep_b = heisenberg_rep(group.from_vector(group.space.basis_b(1)))
-        assert np.array_equal(rep_b.real, [[1, 0], [0, -1]])
+        assert dense(rep_b) == [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]]
 
     def test_center_acts_by_i(self):
         for g in (1, 2, 3):
             group = HeisenbergGroup(g)
-            assert heisenberg_rep(group.central_generator) == GaussianIntegerMatrix.identity(
+            assert heisenberg_rep(group.central_generator) == MonomialMatrix.identity(
                 1 << g
             ).times_i()
 
@@ -270,6 +288,34 @@ class TestHeisenbergRep:
         for x in elements:
             for y in elements:
                 assert reps[x] @ reps[y] == reps[x * y]
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_product_matches_dense_oracle_exhaustive(self, g):
+        group = HeisenbergGroup(g)
+        elements = list(group.elements())
+        reps = {el: heisenberg_rep(el) for el in elements}
+        for x in elements:
+            for y in elements:
+                product = dense(reps[x] @ reps[y])
+                assert product == dense_mul(dense(reps[x]), dense(reps[y]))
+                assert product == dense(reps[x * y])
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_unary_operations_and_trace_match_dense_oracle(self, g):
+        group = HeisenbergGroup(g)
+        n = 1 << g
+
+        def scalar(unit):
+            return [[unit if r == c else (0, 0) for c in range(n)] for r in range(n)]
+
+        minus_one, i = scalar((-1, 0)), scalar((0, 1))
+        assert dense(MonomialMatrix.identity(n)) == scalar((1, 0))
+        for el in group.elements():
+            rep = heisenberg_rep(el)
+            assert dense(-rep) == dense_mul(minus_one, dense(rep))
+            assert dense(rep.times_i()) == dense_mul(i, dense(rep))
+            diagonal = [dense(rep)[x][x] for x in range(n)]
+            assert rep.trace() == (sum(re for re, _ in diagonal), sum(im for _, im in diagonal))
 
     def test_homomorphism_sampled_genus_three(self):
         rng = random.Random(3)
@@ -307,23 +353,28 @@ class TestHeisenbergRep:
     @pytest.mark.parametrize("g", [1, 2])
     def test_faithful(self, g):
         group = HeisenbergGroup(g)
-        seen = set()
-        for el in group.elements():
-            rep = heisenberg_rep(el)
-            seen.add((rep.real.tobytes(), rep.imag.tobytes()))
+        seen = {
+            tuple(map(tuple, dense(heisenberg_rep(el)))) for el in group.elements()
+        }
         assert len(seen) == group.order
 
     def test_entries_are_gaussian_units(self):
         group = HeisenbergGroup(2)
         for el in group.elements():
-            rep = heisenberg_rep(el)
-            entries = set(zip(rep.real.ravel().tolist(), rep.imag.ravel().tolist()))
-            assert entries <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+            for row in dense(heisenberg_rep(el)):
+                assert set(row) <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+                assert sum(entry != (0, 0) for entry in row) == 1
 
     def test_representation_cap(self):
         group = HeisenbergGroup(4)
         with pytest.raises(ValueError, match="cap"):
             heisenberg_rep(group.identity, representation_cap=3)
+
+    def test_monomial_matrix_validated(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            MonomialMatrix((0, 1), (0,))
+        with pytest.raises(ValueError, match="mod 4"):
+            MonomialMatrix((0,), (4,))
 
     def test_central_part_validated(self):
         space = SymplecticF2Space(1)
