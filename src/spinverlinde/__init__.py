@@ -1,6 +1,6 @@
 """Exact dimension theory of spin-refined surface state spaces.
 
-Verlinde-type dimensions evaluated exactly as fusion-matrix traces and
+Verlinde-type dimensions evaluated exactly from csc power sums and
 certified by an arbitrary-precision interval oracle; Arf-invariant
 combinatorics of spin structures as quadratic refinements over GF(2);
 the graded spin dimension formulas and their refinement identities; the
@@ -24,9 +24,7 @@ from .f2 import DEFAULT_ENUMERATION_CAP, EnumerationCapError, F2Vector, Symplect
 from .fusion import (
     CertificationError,
     CertifiedInteger,
-    FusionRing,
     PrecisionCeilingError,
-    fusion_matrices,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -66,13 +64,12 @@ from .spin import QuadraticRefinement, arf_gauss_sum, count_by_arf, lift_sign, q
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
     "CertificationError",
     "CertifiedInteger",
     "CorrespondenceTable",
+    "DEFAULT_ENUMERATION_CAP",
     "EnumerationCapError",
     "F2Vector",
-    "FusionRing",
     "GradedDimension",
     "HeisenbergElement",
     "HeisenbergGroup",
@@ -99,7 +96,6 @@ __all__ = [
     "correspondence_table",
     "count_by_arf",
     "dims_via_traces",
-    "fusion_matrices",
     "grading_parity",
     "heisenberg_rep",
     "lift_sign",

@@ -2,9 +2,9 @@
 
 Each suite returns a list of CheckResult records; a suite passes when all
 of its records do.  The suites deliberately recompute quantities along
-independent routes (brute-force enumeration against closed forms, trace
-paths against interval-certified trigonometric sums) rather than trusting
-the primary implementation.
+independent routes (brute-force enumeration against closed forms, the
+exact power-sum dimensions against interval-certified trigonometric sums)
+rather than trusting the primary implementation.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# fusion traces against the interval oracle
+# exact dimensions against the interval oracle
 
 
 def check_verlinde(

@@ -19,6 +19,7 @@ from .checks import SUITES, CheckResult, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
+    _level_p,
     bm_even_dim,
     bm_odd_dim,
     sum_over_spin,
@@ -46,6 +47,9 @@ from .spin import count_by_arf
 
 PRECISION_CEILING_ENV = "SPINVERLINDE_PRECISION_CEILING"
 
+#: Most values one integer-range option may list; a larger sweep is a usage error.
+MAX_RANGE_VALUES = 100_000
+
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -64,7 +68,16 @@ def _parse_int_range(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"malformed range {atom!r}") from None
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"empty range {atom!r}")
+            # checked before the range is built, so a huge range allocates nothing
+            if hi - lo >= MAX_RANGE_VALUES:
+                raise argparse.ArgumentTypeError(
+                    f"range {atom!r} has {hi - lo + 1} values, more than {MAX_RANGE_VALUES}"
+                )
             values.update(range(lo, hi + 1))
+            if len(values) > MAX_RANGE_VALUES:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} lists more than {MAX_RANGE_VALUES} values"
+                )
         else:
             try:
                 values.add(int(atom))
@@ -158,8 +171,13 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         _emit_text(payload, buffer)
         rendered = buffer.getvalue()
     if out:
-        with open(out, "w") as handle:
-            handle.write(rendered)
+        try:
+            with open(out, "w") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot write --out {out!r}: {exc.strerror}"
+            ) from None
     else:
         sys.stdout.write(rendered)
 
@@ -206,25 +224,15 @@ def _cmd_verlinde(args) -> int:
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILURE
 
 
-def _cmd_spin_dims(args) -> int:
+def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
     extrapolated_convention = args.convention != "bm"
     if args.p is not None:
         levels = args.p
     else:
-        levels = []
-        for k in args.so3_level:
-            if args.convention == "bm":
-                if k < 1 or k % 2 == 0:
-                    raise argparse.ArgumentTypeError(
-                        f"convention 'bm' pairs only positive odd SO3 levels, got {k}"
-                    )
-                levels.append(4 * (k + 1))
-            else:
-                if k < 0 or k % 2:
-                    raise argparse.ArgumentTypeError(
-                        f"convention 'corollary' pairs only non-negative even SO3 levels, got {k}"
-                    )
-                levels.append(4 * (k + 2))
+        try:
+            levels = [_level_p(k, args.convention) for k in args.so3_level]
+        except ValueError as exc:
+            parser.error(str(exc))
     cells = [(g, p) for g in args.genus for p in sorted(set(levels))]
 
     def worker(cell):
@@ -450,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spin-dims":
             if (args.p is None) == (args.so3_level is None):
                 parser.error("provide exactly one of --p or --so3-level")
-            return _cmd_spin_dims(args)
+            return _cmd_spin_dims(args, parser)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "levels":

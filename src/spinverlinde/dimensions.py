@@ -127,6 +127,23 @@ def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> 
     )
 
 
+def _level_p(k: int, convention: str) -> int:
+    """The level p an integer level k is paired with under ``convention``.
+
+    "bm": k positive and odd, p = 4(k+1); "corollary": k non-negative and
+    even, p = 4(k+2).
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    if convention == "bm":
+        if k % 2 == 0 or k < 1:
+            raise ValueError(f"convention 'bm' pairs only positive odd levels, got k={k}")
+        return 4 * (k + 1)
+    if k % 2 or k < 0:
+        raise ValueError(f"convention 'corollary' pairs only non-negative even levels, got k={k}")
+    return 4 * (k + 2)
+
+
 def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, int]:
     """Resolve (base_even, base_odd, correction_base) for an integer level k.
 
@@ -137,18 +154,12 @@ def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, i
       levels 2k and p, correction base p/4 = k+1.
     - "corollary": k even, level p = 4(k+2); bases at levels 2k+2 and p,
       correction base k+2.
+
+    Under either reading the bases are the dimensions at levels p/2 - 2
+    and p, and the correction base is p/4.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if convention == "bm":
-        if k % 2 == 0 or k < 1:
-            raise ValueError(f"convention 'bm' pairs only positive odd levels, got k={k}")
-        p = 4 * (k + 1)
-        return verlinde_dim(g, 2 * k), twisted_dim(g, p), k + 1
-    if k % 2 or k < 0:
-        raise ValueError(f"convention 'corollary' pairs only non-negative even levels, got k={k}")
-    p = 4 * (k + 2)
-    return verlinde_dim(g, 2 * k + 2), twisted_dim(g, p), k + 2
+    p = _level_p(k, convention)
+    return verlinde_dim(g, p // 2 - 2), twisted_dim(g, p), p // 4
 
 
 def corollary_dims(

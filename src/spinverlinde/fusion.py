@@ -1,4 +1,4 @@
-"""Exact Verlinde-type dimensions from fusion-matrix traces.
+"""Exact Verlinde-type dimensions from csc power sums.
 
 The genus-g dimension formula
 
@@ -9,12 +9,14 @@ and its twisted, alternating-sign analogue
     dim'(g, p) = (p/4)^{g-1} * sum_{j=1}^{p/2-1} (-1)^{j+1} sin(2 pi j / p)^{2-2g}
 
 are real trigonometric sums with integer values.  This module evaluates
-them exactly as traces over the level-k fusion ring: with N_a the
-truncated Clebsch-Gordan matrices and H = sum_a N_a N_a^T the handle
-element, dim(g, k) = tr H^{g-1} and dim'(g, 2(k+2)) = tr N_k H^{g-1}.
-The trace reformulation is certified against the trigonometric sums by
-an arbitrary-precision interval oracle: the sum is enclosed in an
-interval of width < 1/2, which pins a unique integer.
+them exactly through the power sums p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n),
+which a rational recurrence gives in O(m^2) steps independently of the
+level (Zagier, "Elementary aspects of the Verlinde formula", 1996).  The
+same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
+the tests keep that trace as an oracle.  Every value is certified
+against the trigonometric sums by an arbitrary-precision interval
+oracle: the sum is enclosed in an interval of width < 1/2, which pins a
+unique integer.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from mpmath.ctx_iv import MPIntervalContext
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CEILING = 4096
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 class CertificationError(ArithmeticError):
     """The interval oracle could not certify a unique integer value."""
@@ -41,141 +41,63 @@ class PrecisionCeilingError(CertificationError):
 
 
 # ---------------------------------------------------------------------------
-# fusion ring
-
-
-def _clebsch_gordan_matrix(k: int, a: int) -> Matrix:
-    n = k + 1
-    rows = []
-    for b in range(n):
-        row = [0] * n
-        # c runs over |a-b| .. min(a+b, 2k-a-b) in steps of 2
-        lo, hi = abs(a - b), min(a + b, 2 * k - a - b)
-        if lo <= hi:
-            count = (hi - lo) // 2 + 1
-            row[lo : hi + 1 : 2] = [1] * count
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-class FusionRing:
-    """Truncated Clebsch-Gordan fusion data at level k.
-
-    ``matrices[a]`` is the (k+1) x (k+1) matrix of the label a acting by
-    fusion product; N_0 is the identity, every N_a is a symmetric 0/1
-    matrix, all N_a commute, and N_k permutes the labels b -> k - b.
-    """
-
-    def __init__(self, level: int):
-        if level < 0:
-            raise ValueError(f"level must be a non-negative integer, got {level}")
-        self.level = level
-        self.size = level + 1
-        self.matrices: tuple[Matrix, ...] = tuple(
-            _clebsch_gordan_matrix(level, a) for a in range(self.size)
-        )
-        self._handle: Matrix | None = None
-
-    @property
-    def handle_matrix(self) -> Matrix:
-        """The handle element H = sum_a N_a N_a^T, with exact integer entries.
-
-        Since every N_a is symmetric and a -> N_a is a ring homomorphism,
-        sum_a N_a^2 = sum_c (#{a : c in a x a}) N_c, and c lies in a x a
-        exactly for even c with c/2 <= a <= k - c/2, i.e. k - c + 1 labels.
-        This collapses the sum of matrix squares to O(n^2) per label; the
-        literal definition is kept as the test oracle.
-        """
-        if self._handle is None:
-            acc = [[0] * self.size for _ in range(self.size)]
-            for c in range(0, self.size, 2):
-                multiplicity = self.level - c + 1
-                n_c = self.matrices[c]
-                for i in range(self.size):
-                    acc_i = acc[i]
-                    row = n_c[i]
-                    for j in range(self.size):
-                        if row[j]:
-                            acc_i[j] += multiplicity
-            self._handle = tuple(tuple(r) for r in acc)
-        return self._handle
-
-    def __repr__(self) -> str:
-        return f"FusionRing(level={self.level})"
-
-
-@lru_cache(maxsize=None)
-def fusion_matrices(k: int) -> FusionRing:
-    """The level-k fusion ring (cached; rings are immutable)."""
-    return FusionRing(k)
-
-
-# ---------------------------------------------------------------------------
-# dense arbitrary-precision matrix helpers
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_pow(m: Matrix, exponent: int) -> Matrix:
-    """Matrix power by repeated squaring; entries are Python big ints."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    result = mat_identity(len(m))
-    base = m
-    e = exponent
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
-def mat_trace(m: Matrix) -> int:
-    return sum(m[i][i] for i in range(len(m)))
-
-
-# ---------------------------------------------------------------------------
 # exact dimension values
+
+
+def _csc_power_sum(m: int, n: int) -> Fraction:
+    """p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n), exactly, in O(m^2) steps.
+
+    With s = sin^2 z, prod_j (1 - s csc^2(pi j / n)) = (sin nz / (n sin z))^2
+    and sin nz / (n sin z) = 2F1((1+n)/2, (1-n)/2; 3/2; s) = sum_r c_r s^r
+    (DLMF 15.4), so p_m(n) = -2 q_m with q_i = i [s^i] log 2F1.  The q_i
+    follow from the c_r by the Newton recurrence i c_i = sum_r q_r c_{i-r}.
+    """
+    if m == 0:
+        return Fraction(n - 1)
+    c = [Fraction(1)]
+    for r in range(m):
+        c.append(c[r] * ((2 * r + 1) ** 2 - n * n) / (2 * (2 * r + 3) * (r + 1)))
+    q = [Fraction(0)]
+    for i in range(1, m + 1):
+        q.append(i * c[i] - sum(q[r] * c[i - r] for r in range(1, i)))
+    return -2 * q[m]
+
+
+def _integral(value: Fraction, label: str) -> int:
+    if value.denominator != 1:
+        raise ArithmeticError(f"{label}: power-sum value {value} is not an integer")
+    return value.numerator
 
 
 @lru_cache(maxsize=None)
 def verlinde_dim(g: int, k: int) -> int:
-    """Genus-g dimension at level k, as the exact trace tr H^{g-1}."""
+    """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    if g == 1:
-        # tr H^0 is the trace of the (k+1)-dimensional identity
-        return k + 1
-    ring = fusion_matrices(k)
-    return mat_trace(mat_pow(ring.handle_matrix, g - 1))
+    n = k + 2
+    value = Fraction(n, 2) ** (g - 1) * _csc_power_sum(g - 1, n)
+    return _integral(value, f"verlinde_dim(g={g}, k={k})")
 
 
 @lru_cache(maxsize=None)
 def twisted_dim(g: int, p: int) -> int:
-    """Twisted genus-g dimension at even level p >= 4, as tr N_k H^{g-1}, k = p/2 - 2."""
+    """Twisted genus-g dimension at even level p >= 4, from the csc power sums at n = p/2.
+
+    The alternating sum over j is the full sum p_m(n) minus twice its
+    even-j part, which is p_m(n/2) for even n and, by j -> n - j, half the
+    full sum for odd n.
+    """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"twisted dimension needs an even level p >= 4, got {p}")
-    k = p // 2 - 2
-    ring = fusion_matrices(k)
-    return mat_trace(mat_mul(ring.matrices[k], mat_pow(ring.handle_matrix, g - 1)))
+    m, n = g - 1, p // 2
+    full = _csc_power_sum(m, n)
+    even_part = _csc_power_sum(m, n // 2) if n % 2 == 0 else full / 2
+    value = Fraction(p, 4) ** m * (full - 2 * even_part)
+    return _integral(value, f"twisted_dim(g={g}, p={p})")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from spinverlinde.dimensions import (
 )
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import (
-    fusion_matrices,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -45,7 +44,6 @@ GRID_LEVELS = (8, 16, 24, 32)
 def _cold_caches():
     verlinde_dim.cache_clear()
     twisted_dim.cache_clear()
-    fusion_matrices.cache_clear()
 
 
 def test_criterion_01_verlinde_values():

@@ -1,0 +1,68 @@
+"""The public names of the package are a contract: changing them means
+changing this list on purpose."""
+
+import spinverlinde
+
+PUBLIC_API = [
+    "CertificationError",
+    "CertifiedInteger",
+    "CorrespondenceTable",
+    "DEFAULT_ENUMERATION_CAP",
+    "EnumerationCapError",
+    "F2Vector",
+    "GradedDimension",
+    "HeisenbergElement",
+    "HeisenbergGroup",
+    "IdentityViolationError",
+    "IntegralityError",
+    "Lattice",
+    "LatticeMismatchError",
+    "LevelValue",
+    "MonomialMatrix",
+    "PrecisionCeilingError",
+    "QuadraticRefinement",
+    "SymplecticF2Space",
+    "TwistedAlgebraElement",
+    "arf_gauss_sum",
+    "beta_pullback",
+    "bhmv_from_su2",
+    "bhmv_level",
+    "bm_even_dim",
+    "bm_from_so3",
+    "bm_level",
+    "bm_odd_dim",
+    "corollary_bases",
+    "corollary_dims",
+    "correspondence_table",
+    "count_by_arf",
+    "dims_via_traces",
+    "grading_parity",
+    "heisenberg_rep",
+    "lift_sign",
+    "metaplectic_shift",
+    "orthogonality_check",
+    "projection",
+    "q3_sign",
+    "so3_from_bm",
+    "so3_from_su2",
+    "so3_level",
+    "spin_cs_dims",
+    "su2_from_bhmv",
+    "su2_level",
+    "sum_over_spin",
+    "trace_functional",
+    "twisted_dim",
+    "twisted_trig_oracle",
+    "verlinde_dim",
+    "verlinde_trig_oracle",
+]
+
+
+def test_all_is_the_pinned_sorted_list():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert spinverlinde.__all__ == PUBLIC_API
+
+
+def test_every_public_name_resolves():
+    for name in spinverlinde.__all__:
+        assert hasattr(spinverlinde, name), name

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spinverlinde import cli
 from spinverlinde.cli import main
 
 
@@ -44,6 +45,20 @@ class TestVerlindeCommand:
             main(["verlinde", "--genus", "2", "--level", "4..1"])
         assert excinfo.value.code == 2
 
+    def test_oversized_range_is_usage_error(self, capsys, monkeypatch):
+        # the cap must reject the range before it is built; should it ever
+        # stop doing so, this stand-in fails the test instead of allocating
+        def bounded_range(*args):
+            values = range(*args)
+            assert len(values) <= cli.MAX_RANGE_VALUES, "range built before the cap check"
+            return values
+
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verlinde", "--genus", "2", "--level", f"0..{10**12}"])
+        assert excinfo.value.code == 2
+        assert f"0..{10**12}" in capsys.readouterr().err
+
     def test_json_round_trips(self, capsys):
         _, payload, _ = run_json(capsys, "verlinde", "--genus", "1..2", "--level", "0..3")
         assert json.loads(json.dumps(payload)) == payload
@@ -70,6 +85,14 @@ class TestVerlindeCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["command"] == "verlinde"
+
+    def test_unwritable_out_file_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["levels", "--su2", "2", "--out", str(target)])
+        assert excinfo.value.code == 2
+        assert str(target) in capsys.readouterr().err
+        assert not target.exists()
 
     def test_precision_ceiling_env_var(self, capsys, monkeypatch):
         # a ceiling too low for this cell turns certification failure into exit 1

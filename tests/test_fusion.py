@@ -1,17 +1,13 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from spinverlinde import fusion
 from spinverlinde.fusion import (
     CertificationError,
     PrecisionCeilingError,
     _certify,
-    fusion_matrices,
-    mat_identity,
-    mat_mul,
-    mat_pow,
-    mat_trace,
-    mat_transpose,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -19,7 +15,7 @@ from spinverlinde.fusion import (
 )
 
 # frozen reference values computed from the trigonometric sums at 200-bit
-# precision, independently of the fusion-trace path
+# precision, independently of the exact path
 VERLINDE_G2 = {1: 4, 2: 10, 3: 20, 4: 35, 5: 56, 6: 84, 7: 120, 8: 165}
 VERLINDE_MISC = {(3, 1): 8, (3, 2): 36, (3, 6): 1680, (4, 2): 136, (5, 2): 528}
 TWISTED = {
@@ -35,70 +31,115 @@ TWISTED = {
 }
 
 
+# ---------------------------------------------------------------------------
+# literal fusion-trace oracle: dim(g, k) = tr H^{g-1}, dim'(g, 2(k+2)) = tr N_k H^{g-1}
+
+
+def _mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def _transpose(m):
+    return tuple(zip(*m))
+
+
+def _trace(m):
+    return sum(m[i][i] for i in range(len(m)))
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@cache
+def fusion_ring(k):
+    """(N_0, ..., N_k) by the truncated Clebsch-Gordan rule, and H = sum_a N_a N_a^T."""
+    n = k + 1
+    # c lies in a x b iff |a-b| <= c <= min(a+b, 2k-a-b) and c = a+b mod 2
+    matrices = tuple(
+        tuple(
+            tuple(
+                int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b - c) % 2 == 0)
+                for c in range(n)
+            )
+            for b in range(n)
+        )
+        for a in range(n)
+    )
+    squares = [_mul(n_a, _transpose(n_a)) for n_a in matrices]
+    handle = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*squares))
+    return matrices, handle
+
+
+@cache
+def handle_power(k, e):
+    """H^e at level k, by plain repeated products."""
+    _, handle = fusion_ring(k)
+    return _identity(k + 1) if e == 0 else _mul(handle_power(k, e - 1), handle)
+
+
+def trace_dim(g, k):
+    return _trace(handle_power(k, g - 1))
+
+
+def twisted_trace_dim(g, k):
+    matrices, _ = fusion_ring(k)
+    return _trace(_mul(matrices[k], handle_power(k, g - 1)))
+
+
 class TestFusionRing:
     def test_level_zero(self):
-        ring = fusion_matrices(0)
-        assert ring.matrices == (((1,),),)
+        matrices, _ = fusion_ring(0)
+        assert matrices == (((1,),),)
 
     def test_level_one(self):
-        ring = fusion_matrices(1)
-        assert ring.matrices[1] == ((0, 1), (1, 0))
+        matrices, _ = fusion_ring(1)
+        assert matrices[1] == ((0, 1), (1, 0))
 
     def test_level_two(self):
-        ring = fusion_matrices(2)
-        assert ring.matrices[1] == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+        matrices, _ = fusion_ring(2)
+        assert matrices[1] == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
     @pytest.mark.parametrize("k", range(0, 9))
     def test_ring_invariants(self, k):
-        ring = fusion_matrices(k)
-        n = ring.size
-        assert ring.matrices[0] == mat_identity(n)
-        for n_a in ring.matrices:
-            assert n_a == mat_transpose(n_a)
+        matrices, _ = fusion_ring(k)
+        n = k + 1
+        assert matrices[0] == _identity(n)
+        for n_a in matrices:
+            assert n_a == _transpose(n_a)
             assert all(entry in (0, 1) for row in n_a for entry in row)
-        for n_a in ring.matrices:
-            for n_b in ring.matrices:
-                assert mat_mul(n_a, n_b) == mat_mul(n_b, n_a)
+        for n_a in matrices:
+            for n_b in matrices:
+                assert _mul(n_a, n_b) == _mul(n_b, n_a)
         # the top label acts as the permutation b -> k - b
-        top = ring.matrices[k]
+        top = matrices[k]
         assert all(
             top[b][c] == (1 if c == k - b else 0) for b in range(n) for c in range(n)
         )
 
     @pytest.mark.parametrize("k", range(0, 13))
     def test_handle_matrix_equals_literal_definition(self, k):
-        ring = fusion_matrices(k)
-        n = ring.size
-        literal = [[0] * n for _ in range(n)]
-        for n_a in ring.matrices:
-            square = mat_mul(n_a, mat_transpose(n_a))
-            for i in range(n):
-                for j in range(n):
-                    literal[i][j] += square[i][j]
-        assert tuple(tuple(row) for row in literal) == ring.handle_matrix
+        # a -> N_a is a ring homomorphism into symmetric matrices, so
+        # sum_a N_a N_a^T collapses to sum_c (k - c + 1) N_c over even c
+        matrices, handle = fusion_ring(k)
+        n = k + 1
+        collapsed = tuple(
+            tuple(sum((k - c + 1) * matrices[c][i][j] for c in range(0, n, 2)) for j in range(n))
+            for i in range(n)
+        )
+        assert handle == collapsed
 
     def test_handle_commutes_with_fusion_matrices(self):
-        ring = fusion_matrices(6)
-        h = ring.handle_matrix
-        for n_a in ring.matrices:
-            assert mat_mul(h, n_a) == mat_mul(n_a, h)
+        matrices, handle = fusion_ring(6)
+        for n_a in matrices:
+            assert _mul(handle, n_a) == _mul(n_a, handle)
 
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            fusion_matrices(-1)
-
-
-class TestMatrixHelpers:
-    def test_pow_by_squaring(self):
-        m = ((1, 1), (1, 0))
-        assert mat_pow(m, 0) == mat_identity(2)
-        assert mat_pow(m, 1) == m
-        assert mat_pow(m, 10) == ((89, 55), (55, 34))  # Fibonacci
-        with pytest.raises(ValueError):
-            mat_pow(m, -1)
-
-    def test_trace(self):
-        assert mat_trace(((3, 0, 1), (0, 4, 0), (1, 0, 3))) == 10
+    @pytest.mark.parametrize("g", range(1, 6))
+    @pytest.mark.parametrize("k", range(0, 13))
+    def test_series_equals_literal_trace(self, g, k):
+        assert verlinde_dim(g, k) == trace_dim(g, k)
+        assert twisted_dim(g, 2 * (k + 2)) == twisted_trace_dim(g, k)
 
 
 class TestVerlindeDim:
@@ -116,9 +157,16 @@ class TestVerlindeDim:
 
     def test_genus_three_level_one_via_handle(self):
         # H = 2I at level 1, so tr H^2 = 8
-        ring = fusion_matrices(1)
-        assert ring.handle_matrix == ((2, 0), (0, 2))
+        _, handle = fusion_ring(1)
+        assert handle == ((2, 0), (0, 2))
         assert verlinde_dim(3, 1) == 8
+
+    def test_non_integral_series_value_raises(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_csc_power_sum", lambda m, n: Fraction(1, 3))
+        with pytest.raises(ArithmeticError, match=r"verlinde_dim\(g=2, k=1\)"):
+            verlinde_dim.__wrapped__(2, 1)
+        with pytest.raises(ArithmeticError, match=r"twisted_dim\(g=2, p=8\)"):
+            twisted_dim.__wrapped__(2, 8)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,99 @@
+"""Property tests past the enumeration cap, and exact dimensions against the
+interval oracles at sampled cells of the certified envelope g <= 20, k <= 512.
+
+Hypothesis runs derandomized and without its example database, so every
+run draws the same cases and stores no failing examples between runs.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spinverlinde.f2 import SymplecticF2Space
+from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from spinverlinde.spin import QuadraticRefinement, lift_sign
+
+MAX_GENUS = 64
+
+deterministic = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def spaces(draw, min_genus=1, max_genus=MAX_GENUS):
+    return SymplecticF2Space(draw(st.integers(min_genus, max_genus)))
+
+
+@st.composite
+def vectors(draw, space):
+    return space.vector(draw(st.integers(0, (1 << space.dimension) - 1)))
+
+
+@st.composite
+def refinements(draw, space):
+    return QuadraticRefinement(space, draw(st.integers(0, (1 << space.dimension) - 1)))
+
+
+@st.composite
+def space_with(draw, n_vectors):
+    """A space of random genus, one refinement of it and ``n_vectors`` vectors in it."""
+    space = draw(spaces())
+    return space, draw(refinements(space)), [draw(vectors(space)) for _ in range(n_vectors)]
+
+
+@deterministic
+@given(space_with(3))
+def test_pairing_bilinear_alternating_symmetric(case):
+    space, _, (v, w, x) = case
+    assert space.pair(v + w, x) == space.pair(v, x) ^ space.pair(w, x)
+    assert space.pair(v, v) == 0
+    assert space.pair(v, w) == space.pair(w, v)
+
+
+@deterministic
+@given(space_with(2))
+def test_refinement_law(case):
+    space, q, (v, w) = case
+    assert q(v + w) == q(v) ^ q(w) ^ space.pair(v, w)
+
+
+@deterministic
+@given(st.data())
+def test_arf_additive_under_orthogonal_sum(data):
+    first = data.draw(spaces(max_genus=MAX_GENUS // 2))
+    second = data.draw(spaces(max_genus=MAX_GENUS - first.genus))
+    q1, q2 = data.draw(refinements(first)), data.draw(refinements(second))
+    total = SymplecticF2Space(first.genus + second.genus)
+    shift = first.dimension
+    q = QuadraticRefinement(total, q1.basis_values | (q2.basis_values << shift))
+    v1, v2 = data.draw(vectors(first)), data.draw(vectors(second))
+    # q restricts to q1 and q2 on the two orthogonal summands
+    assert q(total.vector(v1.bits | (v2.bits << shift))) == q1(v1) ^ q2(v2)
+    assert q.arf() == q1.arf() ^ q2.arf()
+
+
+@deterministic
+@given(space_with(2))
+def test_arf_difference_is_quadratic(case):
+    space, sigma, (z, w) = case
+
+    def difference(u):
+        return sigma.shift(u).arf() ^ sigma.arf()
+
+    assert difference(z + w) == difference(z) ^ difference(w) ^ space.pair(z, w)
+
+
+@deterministic
+@given(space_with(1), st.integers(0, 1), st.integers(0, 1))
+def test_lift_sign_follows_the_refinement(case, w2_bundle, w2_rho):
+    # arf(sigma + z) - arf(sigma) = sigma(z), so the lifted sign is
+    # (-1)^{w2_bundle + w2_rho sigma(z)}
+    _, sigma, (z,) = case
+    assert lift_sign(sigma, z, w2_bundle, w2_rho) == (-1) ** (w2_bundle + w2_rho * sigma(z))
+
+
+@settings(deterministic, max_examples=8)
+@given(st.integers(1, 20), st.integers(0, 512))
+@example(20, 512)
+def test_exact_dimensions_equal_interval_oracles(g, k):
+    assert verlinde_dim(g, k) == verlinde_trig_oracle(g, k).value
+    p = 2 * (k + 2)
+    assert twisted_dim(g, p) == twisted_trig_oracle(g, p).value
