@@ -10,9 +10,10 @@ rather than trusting the primary implementation.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
 from .f2 import F2Vector, SymplecticF2Space
@@ -231,20 +232,39 @@ def check_twisted(
 # projection algebra
 
 
+def _first_failure(cases: Iterable, holds: Callable[[Any], bool]) -> tuple[int, Any]:
+    """Run holds over the cases in order: how many ran, and the first that failed (or None)."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(case):
+            return checked, case
+    return checked, None
+
+
 def check_projections(max_genus: int = 3) -> list[CheckResult]:
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
-        idempotent = all(projection(s) * projection(s) == projection(s) for s in refinements)
-        results.append(_result(f"projections idempotent g={g}", idempotent))
-        orthogonal = all(
-            orthogonality_check(sigma, ell)
-            for sigma in refinements
-            for ell in space.vectors()
-            if not ell.is_zero
+        checked, failure = _first_failure(
+            refinements, lambda sigma: projection(sigma) * projection(sigma) == projection(sigma)
         )
-        results.append(_result(f"projections orthogonal g={g}", orthogonal))
+        details = f"{checked} squares P_sigma P_sigma"
+        if failure is not None:
+            details += f"; first counterexample sigma mask {failure.basis_values}"
+        results.append(_result(f"projections idempotent g={g}", failure is None, details))
+        nonzero = [ell for ell in space.vectors() if not ell.is_zero]
+        checked, failure = _first_failure(
+            itertools.product(refinements, nonzero), lambda pair: orthogonality_check(*pair)
+        )
+        details = f"{checked} products P_(sigma+ell) P_sigma"
+        if failure is not None:
+            sigma, ell = failure
+            details += (
+                f"; first counterexample (sigma mask, ell mask) = ({sigma.basis_values}, {ell.bits})"
+            )
+        results.append(_result(f"projections orthogonal g={g}", failure is None, details))
     return results
 
 
@@ -264,7 +284,7 @@ def check_trace_decomposition(
                     _result(
                         f"sum of projection traces g={g} base={base} lambda={lam}",
                         total == base,
-                        f"total {total}",
+                        f"total {total} over {len(refinements)} spin structures",
                     )
                 )
     return results

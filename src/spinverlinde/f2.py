@@ -148,12 +148,16 @@ class SymplecticF2Space:
         self._check_member(w)
         return (v.bits & self.dual_bits(w)).bit_count() & 1
 
-    def vectors(self) -> Iterator[F2Vector]:
-        """All 2^{2g} vectors, in increasing bit-mask (lexicographic) order."""
+    def _check_enumeration_cap(self) -> None:
+        """Refuse anything that walks or stores all 2^{2g} vectors above the cap."""
         if self.genus > self.enumeration_cap:
             raise EnumerationCapError(
                 f"genus {self.genus} exceeds enumeration cap {self.enumeration_cap}"
             )
+
+    def vectors(self) -> Iterator[F2Vector]:
+        """All 2^{2g} vectors, in increasing bit-mask (lexicographic) order."""
+        self._check_enumeration_cap()
         dim = self.dimension
         for mask in range(1 << dim):
             yield F2Vector(mask, dim)

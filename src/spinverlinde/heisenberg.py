@@ -6,8 +6,8 @@ The *twisted group algebra* realizes the lifted actions [Z] relative to a
 reference spin structure sigma: composition is the sign-free rule
 [Z'] . [Z] = [Z' + Z], while moving the reference by ell multiplies the
 [Z] symbol by (-1)^{<Z, ell>}.  Averaging all symbols yields projections
-P_sigma that are idempotent and mutually orthogonal; all coefficients are
-exact rationals.
+P_sigma that are idempotent and mutually orthogonal.  Elements are exact integer
+vectors over one denominator; products run through the fast Walsh-Hadamard transform.
 
 The *Heisenberg group* is the central extension of GF(2)^{2g} by Z/4 with
 the honest projective cocycle, acting on functions GF(2)^g -> C through
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterator
 
 from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
@@ -35,24 +36,52 @@ _Scalar = (int, Fraction)
 # twisted group algebra
 
 
-class TwistedAlgebraElement:
-    """A finite rational combination of symbols [Z] over a reference spin structure."""
+def _walsh_hadamard(values: list[int]) -> list[int]:
+    """Unnormalized Walsh-Hadamard transform of values, in place; applied twice it scales by n.
 
-    __slots__ = ("spin", "coeffs")
+    Each of the log2(n) stages sends entries i, i + n/2 to 2i, 2i + 1, rotating the index bits once.
+    """
+    half = len(values) >> 1
+    for _ in range(half.bit_length()):
+        left, right = values[:half], values[half:]
+        values[0::2] = map(add, left, right)
+        values[1::2] = map(sub, left, right)
+    return values
+
+
+class TwistedAlgebraElement:
+    """A rational combination of symbols [Z] over a reference spin structure.
+
+    The coefficient of [Z] is numerators[Z.bits] / denominator, one positive
+    denominator for all, in lowest terms so that equal elements store equal tuples.
+    """
+
+    __slots__ = ("spin", "numerators", "denominator")
 
     def __init__(self, spin: QuadraticRefinement, coeffs: dict[int, Fraction] | None = None):
-        self.spin = spin
+        spin.space._check_enumeration_cap()
         size = 1 << spin.space.dimension
-        clean: dict[int, Fraction] = {}
-        for mask, value in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for mask, value in coeffs.items():
             if not 0 <= mask < size:
                 raise ValueError(f"support mask {mask} outside the {size} group elements")
             if not isinstance(value, _Scalar):
                 raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
-            value = Fraction(value)
-            if value:
-                clean[mask] = value
-        self.coeffs = clean
+        # over the lcm of the reduced denominators the vector is already in lowest terms
+        denominator = math.lcm(*(Fraction(value).denominator for value in coeffs.values()))
+        numerators = [0] * size
+        for mask, value in coeffs.items():
+            numerators[mask] = int(value * denominator)
+        self.spin, self.numerators, self.denominator = spin, tuple(numerators), denominator
+
+    @classmethod
+    def _reduced(cls, spin: QuadraticRefinement, numerators, denominator: int) -> "TwistedAlgebraElement":
+        """The element numerators / denominator, brought to lowest terms."""
+        common = math.gcd(denominator, *numerators)
+        element = cls.__new__(cls)
+        element.spin, element.denominator = spin, denominator // common
+        element.numerators = tuple(n // common for n in numerators)
+        return element
 
     @classmethod
     def symbol(cls, spin: QuadraticRefinement, z: F2Vector, coefficient=1) -> "TwistedAlgebraElement":
@@ -64,16 +93,22 @@ class TwistedAlgebraElement:
     def zero(cls, spin: QuadraticRefinement) -> "TwistedAlgebraElement":
         return cls(spin, {})
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The non-zero coefficients by mask."""
+        return {m: Fraction(n, self.denominator) for m, n in enumerate(self.numerators) if n}
+
     def coefficient(self, z: F2Vector) -> Fraction:
-        return self.coeffs.get(z.bits, Fraction(0))
+        self.spin.space._check_member(z)
+        return Fraction(self.numerators[z.bits], self.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.numerators)
 
     def support(self) -> list[F2Vector]:
         dim = self.spin.space.dimension
-        return [F2Vector(mask, dim) for mask in sorted(self.coeffs)]
+        return [F2Vector(mask, dim) for mask, n in enumerate(self.numerators) if n]
 
     def _require_same_spin(self, other: "TwistedAlgebraElement") -> None:
         if self.spin != other.spin:
@@ -82,17 +117,18 @@ class TwistedAlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedAlgebraElement):
             return NotImplemented
-        return self.spin == other.spin and self.coeffs == other.coeffs
+        same_scale = self.spin == other.spin and self.denominator == other.denominator
+        return same_scale and self.numerators == other.numerators
 
     def __add__(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
         self._require_same_spin(other)
-        total = dict(self.coeffs)
-        for mask, value in other.coeffs.items():
-            total[mask] = total.get(mask, Fraction(0)) + value
-        return TwistedAlgebraElement(self.spin, total)
+        denominator = math.lcm(self.denominator, other.denominator)
+        left, right = denominator // self.denominator, denominator // other.denominator
+        numerators = [left * a + right * b for a, b in zip(self.numerators, other.numerators)]
+        return self._reduced(self.spin, numerators, denominator)
 
     def __neg__(self) -> "TwistedAlgebraElement":
-        return TwistedAlgebraElement(self.spin, {m: -v for m, v in self.coeffs.items()})
+        return self._reduced(self.spin, [-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
         return self + (-other)
@@ -102,36 +138,24 @@ class TwistedAlgebraElement:
             return self._convolve(other)
         if isinstance(other, _Scalar):
             scalar = Fraction(other)
-            return TwistedAlgebraElement(self.spin, {m: v * scalar for m, v in self.coeffs.items()})
+            numerators = [n * scalar.numerator for n in self.numerators]
+            return self._reduced(self.spin, numerators, self.denominator * scalar.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _Scalar):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only ever reached with a scalar on the left
 
     def _convolve(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
         """Group-algebra product under [Z'] . [Z] = [Z' + Z], extended bilinearly.
 
-        Runs on integer numerators over a common denominator; exercised
-        4000+ times in the exhaustive orthogonality sweeps, so the inner
-        loop stays allocation-light.
+        That is the XOR convolution of the numerator vectors: a pointwise
+        product between Walsh-Hadamard transforms, whose inverse divides by 2^{2g}.
         """
         self._require_same_spin(other)
-        left_den = math.lcm(*(v.denominator for v in self.coeffs.values())) if self.coeffs else 1
-        right_den = math.lcm(*(v.denominator for v in other.coeffs.values())) if other.coeffs else 1
-        left = [(m, v.numerator * (left_den // v.denominator)) for m, v in self.coeffs.items()]
-        right = [(m, v.numerator * (right_den // v.denominator)) for m, v in other.coeffs.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for m1, n1 in left:
-            for m2, n2 in right:
-                key = m1 ^ m2
-                acc[key] = get(key, 0) + n1 * n2
-        denominator = left_den * right_den
-        return TwistedAlgebraElement(
-            self.spin, {m: Fraction(n, denominator) for m, n in acc.items() if n}
-        )
+        left = _walsh_hadamard(list(self.numerators))
+        right = _walsh_hadamard(list(other.numerators))
+        product = _walsh_hadamard(list(map(mul, left, right)))
+        denominator = self.denominator * other.denominator * len(product)
+        return self._reduced(self.spin, product, denominator)
 
     def rebase(self, ell: F2Vector) -> "TwistedAlgebraElement":
         """Rewrite over the reference moved by ell: [Z] picks up (-1)^{<Z, ell>}.
@@ -139,21 +163,15 @@ class TwistedAlgebraElement:
         An element expressed over sigma + ell becomes the same element
         expressed over sigma; rebasing twice by the same ell is the identity.
         """
-        space = self.spin.space
-        space._check_member(ell)
-        dual = space.dual_bits(ell)
-        moved = self.spin.shift(ell)
-        return TwistedAlgebraElement(
-            moved,
-            {m: (-v if (m & dual).bit_count() & 1 else v) for m, v in self.coeffs.items()},
-        )
+        dual = self.spin.space.dual_bits(ell)
+        numerators = [-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(self.numerators)]
+        return self._reduced(self.spin.shift(ell), numerators, self.denominator)
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
         dim = self.spin.space.dimension
-        parts = [f"{v}*[{F2Vector(m, dim)}]" for m, v in sorted(self.coeffs.items())]
-        return " + ".join(parts)
+        return " + ".join(f"{v}*[{F2Vector(m, dim)}]" for m, v in self.coeffs.items())
 
 
 def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
@@ -163,23 +181,19 @@ def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
     the composition rule: the convolution square of the full sum carries
     a factor 2^{2g}, so a 1/2^g weight would not square to itself.
     """
-    dim = sigma.space.dimension
-    weight = Fraction(1, 1 << dim)
-    return TwistedAlgebraElement(sigma, {mask: weight for mask in range(1 << dim)})
+    sigma.space._check_enumeration_cap()
+    size = 1 << sigma.space.dimension
+    return TwistedAlgebraElement._reduced(sigma, (1,) * size, size)
 
 
 def orthogonality_check(sigma: QuadraticRefinement, ell: F2Vector) -> bool:
     """Whether P_{sigma + ell} . P_sigma vanishes identically, computed symbolically."""
     if ell.is_zero:
         raise ValueError("ell must be a non-trivial class")
-    shifted_projection = projection(sigma.shift(ell))
-    product = shifted_projection.rebase(ell) * projection(sigma)
-    return product.is_zero
+    return (projection(sigma.shift(ell)).rebase(ell) * projection(sigma)).is_zero
 
 
-def trace_functional(
-    x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w2: int
-) -> Fraction:
+def trace_functional(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w2: int) -> Fraction:
     """Linear trace of a twisted-algebra element.
 
     [0] traces to the base dimension; a non-trivial [Z] traces to its
@@ -187,32 +201,22 @@ def trace_functional(
     """
     space = x.spin.space
     weight = (lambda_rho + 1) ** (space.genus - 1)
-    total = Fraction(0)
-    for mask, value in x.coeffs.items():
-        if mask == 0:
-            total += value * base_dim
-        else:
-            z = F2Vector(mask, space.dimension)
-            total += value * (lift_sign(x.spin, z, w2, 1) * weight)
-    return total
+    total = x.numerators[0] * base_dim
+    for mask, n in enumerate(x.numerators[1:], start=1):
+        if n:
+            total += n * lift_sign(x.spin, F2Vector(mask, space.dimension), w2, 1) * weight
+    return Fraction(total, x.denominator)
 
 
 # ---------------------------------------------------------------------------
 # Heisenberg group and its monomial representation
 
 
-def _a_part(v: F2Vector) -> int:
-    """The a-coordinates of v compressed to a g-bit mask."""
+def _compressed_part(v: F2Vector, offset: int) -> int:
+    """The a-coordinates (offset 0) or b-coordinates (offset 1) of v as a g-bit mask."""
     bits = 0
     for i in range(v.dim // 2):
-        bits |= ((v.bits >> (2 * i)) & 1) << i
-    return bits
-
-
-def _b_part(v: F2Vector) -> int:
-    bits = 0
-    for i in range(v.dim // 2):
-        bits |= ((v.bits >> (2 * i + 1)) & 1) << i
+        bits |= ((v.bits >> (2 * i + offset)) & 1) << i
     return bits
 
 
@@ -246,9 +250,7 @@ class HeisenbergElement:
         if self.vector.dim != other.vector.dim:
             raise ValueError("dimension mismatch between Heisenberg elements")
         twist = 2 * _polarized_cocycle(self.vector, other.vector)
-        return HeisenbergElement(
-            (self.central + other.central + twist) % 4, self.vector + other.vector
-        )
+        return HeisenbergElement((self.central + other.central + twist) % 4, self.vector + other.vector)
 
     def inverse(self) -> "HeisenbergElement":
         # (t, v)^-1 = (-t - 2 c(v, v), v)
@@ -345,12 +347,10 @@ def heisenberg_rep(
     """
     genus = h.vector.dim // 2
     if genus > representation_cap:
-        raise ValueError(
-            f"genus {genus} exceeds the representation cap {representation_cap}"
-        )
+        raise ValueError(f"genus {genus} exceeds the representation cap {representation_cap}")
     xs = range(1 << genus)
-    a_bits = _a_part(h.vector)
-    b_bits = _b_part(h.vector)
+    a_bits = _compressed_part(h.vector, 0)
+    b_bits = _compressed_part(h.vector, 1)
     return MonomialMatrix(
         tuple(x ^ a_bits for x in xs),
         tuple((h.central + 2 * (x & b_bits).bit_count()) & 3 for x in xs),

@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from spinverlinde.f2 import SymplecticF2Space
+from spinverlinde import checks
+from spinverlinde.f2 import EnumerationCapError, SymplecticF2Space
 from spinverlinde.heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -36,6 +39,22 @@ def dense_mul(a, b):
         return re, im
 
     return [[dot(row, col) for col in zip(*b)] for row in a]
+
+
+
+# literal oracle for the group-algebra product: the XOR convolution of two
+# {mask: Fraction} coefficient dicts, accumulated entry by entry
+def convolve_oracle(left, right):
+    product = {}
+    for m1, v1 in left.items():
+        for m2, v2 in right.items():
+            product[m1 ^ m2] = product.get(m1 ^ m2, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    return {mask: value for mask, value in product.items() if value}
+
+
+def assert_lowest_terms(x):
+    assert x.denominator > 0
+    assert math.gcd(x.denominator, *x.numerators) == 1
 
 
 @pytest.fixture
@@ -119,6 +138,88 @@ class TestAlgebraElements:
             assert (x * y) * z == x * (y * z)
             assert x * y == y * x
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_product_matches_literal_convolution_exhaustive(self, g):
+        space = SymplecticF2Space(g)
+        sigma = QuadraticRefinement.canonical(space, 1)
+        coefficients = {
+            v.bits: Fraction((-1) ** v.bits * (v.bits + 1), v.bits % 3 + 1) for v in space.vectors()
+        }
+        for v, w in itertools.product(space.vectors(), repeat=2):
+            x = TwistedAlgebraElement.symbol(sigma, v, coefficients[v.bits])
+            y = TwistedAlgebraElement.symbol(sigma, w, coefficients[w.bits])
+            expected = convolve_oracle({v.bits: coefficients[v.bits]}, {w.bits: coefficients[w.bits]})
+            product = x * y
+            assert product.coeffs == expected
+            assert product == TwistedAlgebraElement(sigma, expected)
+            assert_lowest_terms(product)
+
+    def test_product_matches_literal_convolution_random_genus_three(self):
+        rng = random.Random(2024)
+        space = SymplecticF2Space(3)
+        sigma = QuadraticRefinement.canonical(space, 0)
+        raw = [
+            {
+                rng.randrange(64): Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+                for _ in range(rng.randrange(1, 65))
+            }
+            for _ in range(50)
+        ]
+        elements = [TwistedAlgebraElement(sigma, coeffs) for coeffs in raw]
+        for i, x in enumerate(elements):
+            j = (i + 1) % len(elements)
+            product = x * elements[j]
+            expected = convolve_oracle(raw[i], raw[j])
+            assert product.coeffs == expected
+            assert product == TwistedAlgebraElement(sigma, expected)
+            assert_lowest_terms(product)
+
+    def test_difference_with_itself_and_zero_scalar_normalise(self):
+        space = SymplecticF2Space(2)
+        sigma = QuadraticRefinement.canonical(space, 0)
+        x = TwistedAlgebraElement(sigma, {3: Fraction(-7, 6), 9: Fraction(5, 4)})
+        zero = TwistedAlgebraElement.zero(sigma)
+        assert x - x == zero
+        assert (x - x).denominator == 1
+        scaled = 0 * x
+        assert scaled == zero and scaled.is_zero
+        assert scaled.denominator == 1 and not any(scaled.numerators)
+        assert x * 0 == zero
+
+    def test_coeffs_is_read_only_view_in_lowest_terms(self, g1):
+        _, sigma = g1
+        x = TwistedAlgebraElement(sigma, {1: Fraction(2, 4), 2: 3, 3: 0})
+        assert x.coeffs == {1: Fraction(1, 2), 2: Fraction(3)}
+        assert (x.numerators, x.denominator) == ((0, 1, 6, 0), 2)
+        with pytest.raises(AttributeError):
+            x.coeffs = {}
+
+    def test_dense_element_beyond_enumeration_cap_fails_before_allocating(self):
+        space = SymplecticF2Space(20)
+        sigma = QuadraticRefinement.canonical(space, 0)
+        builders = (
+            lambda: TwistedAlgebraElement.symbol(sigma, space.zero),
+            lambda: TwistedAlgebraElement.zero(sigma),
+            lambda: TwistedAlgebraElement(sigma, {0: 1}),
+            lambda: projection(sigma),
+        )
+        tracemalloc.start()
+        try:
+            for build in builders:
+                with pytest.raises(EnumerationCapError, match="enumeration cap"):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2^40 entries would be terabytes; the guard fires first
+        assert peak < 1 << 20
+
+    def test_dense_element_honours_a_lowered_cap(self):
+        space = SymplecticF2Space(2, enumeration_cap=1)
+        sigma = QuadraticRefinement.canonical(space, 0)
+        with pytest.raises(EnumerationCapError):
+            TwistedAlgebraElement.zero(sigma)
+
 
 class TestRebase:
     def test_identity_symbol_fixed(self, g1):
@@ -178,10 +279,55 @@ class TestProjections:
                 if not ell.is_zero:
                     assert orthogonality_check(sigma, ell)
 
+    def test_idempotent_all_spins_genus_four(self):
+        space = SymplecticF2Space(4)
+        refinements = list(QuadraticRefinement.all_refinements(space))
+        assert len(refinements) == 256
+        for sigma in refinements:
+            p = projection(sigma)
+            assert p * p == p
+
+    @pytest.mark.parametrize("arf_value", [0, 1])
+    def test_orthogonality_genus_four_against_every_shift(self, arf_value):
+        space = SymplecticF2Space(4)
+        sigma = QuadraticRefinement.canonical(space, arf_value)
+        shifts = [ell for ell in space.vectors() if not ell.is_zero]
+        assert len(shifts) == 255
+        for ell in shifts:
+            assert orthogonality_check(sigma, ell)
+
     def test_trivial_shift_rejected(self, g1):
         space, sigma = g1
         with pytest.raises(ValueError, match="non-trivial"):
             orthogonality_check(sigma, space.zero)
+
+
+class TestProjectionChecks:
+    def test_details_count_every_case(self):
+        details = {r.name: r.details for r in checks.check_projections(max_genus=2)}
+        assert details["projections idempotent g=2"] == "16 squares P_sigma P_sigma"
+        assert details["projections orthogonal g=2"] == "240 products P_(sigma+ell) P_sigma"
+
+    def test_first_counterexample_reported(self, monkeypatch):
+        def broken(sigma, ell):
+            return (sigma.basis_values, ell.bits) != (5, 3)
+
+        monkeypatch.setattr(checks, "orthogonality_check", broken)
+        results = {r.name: r for r in checks.check_projections(max_genus=2)}
+        record = results["projections orthogonal g=2"]
+        # sigma mask 5 comes after five refinements of 15 shifts each, then ell masks 1, 2, 3
+        assert not record.passed
+        assert record.details == (
+            "78 products P_(sigma+ell) P_sigma; first counterexample (sigma mask, ell mask) = (5, 3)"
+        )
+        assert results["projections orthogonal g=1"].passed
+
+    def test_trace_decomposition_reports_spin_structures(self):
+        results = checks.check_trace_decomposition(max_genus=2, base_dims=(10,), lambdas=(1,))
+        assert [r.details for r in results] == [
+            "total 10 over 4 spin structures",
+            "total 10 over 16 spin structures",
+        ]
 
 
 class TestTraceFunctional:
