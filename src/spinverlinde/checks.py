@@ -195,13 +195,13 @@ def check_verlinde(
     results = []
     for g in genera:
         for k in su2_levels:
-            trace_value = verlinde_dim(g, k)
+            series_value = verlinde_dim(g, k)
             certified = verlinde_trig_oracle(g, k)
             results.append(
                 _result(
                     f"verlinde trace = oracle (g={g}, k={k})",
-                    trace_value == certified.value and certified.width < Fraction(1, 2),
-                    f"trace {trace_value}, oracle {certified.value}",
+                    series_value == certified.value and certified.width < Fraction(1, 2),
+                    f"series {series_value}, oracle {certified.value}",
                 )
             )
     return results
@@ -216,13 +216,13 @@ def check_twisted(
     results = []
     for g in genera:
         for p in levels_p:
-            trace_value = twisted_dim(g, p)
+            series_value = twisted_dim(g, p)
             certified = twisted_trig_oracle(g, p)
             results.append(
                 _result(
                     f"twisted trace = oracle (g={g}, p={p})",
-                    trace_value == certified.value and certified.width < Fraction(1, 2),
-                    f"trace {trace_value}, oracle {certified.value}",
+                    series_value == certified.value and certified.width < Fraction(1, 2),
+                    f"series {series_value}, oracle {certified.value}",
                 )
             )
     return results

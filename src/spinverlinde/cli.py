@@ -201,13 +201,13 @@ def _cmd_verlinde(args) -> int:
         dim = verlinde_dim(g, k)
         try:
             certificate = verlinde_trig_oracle(g, k, args.precision_bits, ceiling)
-            width = float(certificate.width)
+            width, bits = float(certificate.width), certificate.precision_bits
             certified = certificate.value == dim and certificate.width < Fraction(1, 2)
-            details = f"trace {dim}, oracle {certificate.value}"
+            details = f"series {dim}, oracle {certificate.value}"
         except CertificationError as exc:
-            width, certified, details = float("nan"), False, str(exc)
+            width, bits, certified, details = float("nan"), None, False, str(exc)
         return (
-            {"g": g, "k": k, "dim": dim, "oracle_interval_width": width},
+            {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits},
             {"name": f"certified (g={g}, k={k})", "passed": certified, "details": details},
         )
 

@@ -22,11 +22,8 @@ class EnumerationCapError(ValueError):
 
 
 def _a_positions_mask(genus: int) -> int:
-    # bits 0, 2, 4, ... up to 2g-2: the a-coordinate positions
-    mask = 0
-    for i in range(genus):
-        mask |= 1 << (2 * i)
-    return mask
+    # bits 0, 2, 4, ... up to 2g-2: the a-coordinate positions, 0b0101... = (4^g - 1) / 3
+    return ((1 << 2 * genus) - 1) // 3
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,19 @@ them exactly through the power sums p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n),
 which a rational recurrence gives in O(m^2) steps independently of the
 level (Zagier, "Elementary aspects of the Verlinde formula", 1996).  The
 same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
-the tests keep that trace as an oracle.  Every value is certified
-against the trigonometric sums by an arbitrary-precision interval
-oracle: the sum is enclosed in an interval of width < 1/2, which pins a
-unique integer.
+the tests keep that trace as an oracle.
+
+Every value is certified against the trigonometric sums by an
+arbitrary-precision interval oracle: the sum is enclosed in an interval
+of width < 1/2, which pins a unique integer, doubling the precision until
+it does.  Both sums run over csc^2(pi j / n) for 1 <= j < n, with n = k+2
+and n = p/2, and csc^2 is symmetric under j -> n - j.  The oracle
+therefore encloses csc^2(pi j / n) only for 1 <= j <= n/2, each pair j,
+n - j folded into one weight, and keeps these enclosures in a bounded
+cache keyed by (n, precision).  Every genus and both oracles at the same
+n share them, and one interval context is reused per precision.  The
+tests keep the unfolded sum, with a fresh sine per term, as the oracle's
+own oracle.
 """
 
 from __future__ import annotations
@@ -138,6 +147,34 @@ def _endpoint_fraction(endpoint: tuple) -> Fraction | None:
     return -value if sign else value
 
 
+@lru_cache(maxsize=32)
+def _interval_context(prec: int) -> MPIntervalContext:
+    """The interval-arithmetic context at ``prec`` bits, built once per precision.
+
+    The context is shared by every caller at that precision, so no caller
+    may change its ``prec``.
+    """
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+@lru_cache(maxsize=256)
+def _csc_square_enclosures(n: int, prec: int) -> tuple:
+    """((weight, csc^2(pi j / n)) for 1 <= j <= n/2), enclosed at ``prec`` bits.
+
+    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
+    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
+    Summing weight * csc2^m over the result gives p_m(n) with half the sines.
+    The cache keeps the enclosures of a few hundred (n, precision) pairs, so
+    every genus of a level sweep reuses them.
+    """
+    ctx = _interval_context(prec)
+    return tuple(
+        (1 if 2 * j == n else 2, 1 / ctx.sin(ctx.pi * j / n) ** 2) for j in range(1, n // 2 + 1)
+    )
+
+
 def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
     """Run ``evaluate(ctx)`` in interval arithmetic, doubling precision until
     the enclosure is finite with width < 1/2, then return the unique enclosed
@@ -150,9 +187,7 @@ def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) 
         )
     prec = precision_bits
     while True:
-        ctx = MPIntervalContext()
-        ctx.prec = prec
-        enclosure = evaluate(ctx)
+        enclosure = evaluate(_interval_context(prec))
         lo_raw, hi_raw = enclosure._mpi_
         lower = _endpoint_fraction(lo_raw)
         upper = _endpoint_fraction(hi_raw)
@@ -184,15 +219,13 @@ def verlinde_trig_oracle(
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
+    n = k + 2
 
     def evaluate(ctx):
-        exponent = 2 - 2 * g
-        denominator = ctx.mpf(k + 2)
-        total = ctx.mpf(0)
-        for j in range(1, k + 2):
-            total += ctx.sin(ctx.pi * j / denominator) ** exponent
+        enclosures = _csc_square_enclosures(n, ctx.prec)
+        total = sum(weight * csc2 ** (g - 1) for weight, csc2 in enclosures)
         # exact rational prefactor ((k+2)/2)^{g-1}
-        return total * ctx.mpf((k + 2) ** (g - 1)) / ctx.mpf(2 ** (g - 1))
+        return total * ctx.mpf(n ** (g - 1)) / ctx.mpf(2 ** (g - 1))
 
     return _certify(evaluate, precision_bits, precision_ceiling, f"verlinde(g={g}, k={k})")
 
@@ -203,19 +236,28 @@ def twisted_trig_oracle(
     precision_bits: int = DEFAULT_PRECISION_BITS,
     precision_ceiling: int = DEFAULT_PRECISION_CEILING,
 ) -> CertifiedInteger:
-    """Certified evaluation of the alternating twisted dimension sum at even level p."""
+    """Certified evaluation of the alternating twisted dimension sum at even level p.
+
+    With n = p/2, sin(2 pi j / p) = sin(pi j / n), so the sum is
+    sum_{j=1}^{n-1} (-1)^{j+1} csc^{2m}(pi j / n) over the same terms as the
+    Verlinde sum at level n - 2.  A folded term of weight 2 stands for j and
+    n - j, whose signs are (-1)^{j+1} and (-1)^{n-j+1} = (-1)^n (-1)^{j+1}:
+    their sum, the signed weight, is 2 (-1)^{j+1} for even n and 0 for odd
+    n, where the pair cancels.  A term of weight 1 is j alone.  Hence
+    signed weight = (-1)^{j+1} + (weight - 1) (-1)^{n-j+1}, for every n.
+    """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"twisted oracle needs an even level p >= 4, got {p}")
+    n = p // 2
 
     def evaluate(ctx):
-        exponent = 2 - 2 * g
-        denominator = ctx.mpf(p)
-        total = ctx.mpf(0)
-        for j in range(1, p // 2):
-            term = ctx.sin(2 * ctx.pi * j / denominator) ** exponent
-            total = total + term if j % 2 else total - term
+        enclosures = _csc_square_enclosures(n, ctx.prec)
+        total = sum(
+            ((-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)) * csc2 ** (g - 1)
+            for j, (weight, csc2) in enumerate(enclosures, start=1)
+        )
         # exact rational prefactor (p/4)^{g-1}
         return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
 

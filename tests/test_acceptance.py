@@ -17,6 +17,8 @@ from spinverlinde.dimensions import (
 )
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import (
+    _csc_square_enclosures,
+    _interval_context,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -44,6 +46,8 @@ GRID_LEVELS = (8, 16, 24, 32)
 def _cold_caches():
     verlinde_dim.cache_clear()
     twisted_dim.cache_clear()
+    _csc_square_enclosures.cache_clear()
+    _interval_context.cache_clear()
 
 
 def test_criterion_01_verlinde_values():

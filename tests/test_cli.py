@@ -20,6 +20,14 @@ def run_json(capsys, *argv):
 
 
 class TestVerlindeCommand:
+    def test_text_table_has_precision_column(self, capsys):
+        code, out, _ = run_cli(capsys, "verlinde", "--genus", "2", "--level", "2")
+        assert code == 0
+        header, row = out.splitlines()[:2]
+        assert header.split()[-1] == "oracle_precision_bits"
+        assert row.split()[-1] == "128"
+        assert "series 10, oracle 10" in out
+
     def test_table_contains_expected_cell(self, capsys):
         code, payload, _ = run_json(capsys, "verlinde", "--genus", "2", "--level", "1..4")
         assert code == 0
@@ -32,7 +40,7 @@ class TestVerlindeCommand:
         code, payload, _ = run_json(capsys, "verlinde", "--genus", "1", "--level", "5")
         assert code == 0
         assert payload["rows"] == [
-            {"g": 1, "k": 5, "dim": 6, "oracle_interval_width": 0.0}
+            {"g": 1, "k": 5, "dim": 6, "oracle_interval_width": 0.0, "oracle_precision_bits": 128}
         ]
 
     def test_malformed_range_is_usage_error(self, capsys):
@@ -75,6 +83,7 @@ class TestVerlindeCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["dim"] == "10"
+        assert rows[0]["oracle_precision_bits"] == "128"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -107,6 +116,8 @@ class TestVerlindeCommand:
         )
         assert code == 0
         assert all(c["passed"] for c in payload["checks"])
+        # the doublings show in the row: the cell certifies above its 64-bit start
+        assert payload["rows"][0]["oracle_precision_bits"] > 64
 
     def test_malformed_precision_ceiling_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", "abc")

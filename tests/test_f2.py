@@ -1,6 +1,12 @@
 import pytest
 
-from spinverlinde.f2 import DEFAULT_ENUMERATION_CAP, EnumerationCapError, F2Vector, SymplecticF2Space
+from spinverlinde.f2 import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    F2Vector,
+    SymplecticF2Space,
+    _a_positions_mask,
+)
 
 
 def brute_character_sum(space, b):
@@ -9,6 +15,13 @@ def brute_character_sum(space, b):
 
 
 class TestPairing:
+    def test_a_positions_mask_closed_form(self):
+        for g in range(0, 65):
+            mask = 0
+            for i in range(g):
+                mask |= 1 << (2 * i)
+            assert _a_positions_mask(g) == mask
+
     def test_defining_basis_relation(self):
         space = SymplecticF2Space(1)
         assert space.pair(space.basis_a(1), space.basis_b(1)) == 1

@@ -8,6 +8,8 @@ from spinverlinde.fusion import (
     CertificationError,
     PrecisionCeilingError,
     _certify,
+    _csc_square_enclosures,
+    _interval_context,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -86,6 +88,34 @@ def trace_dim(g, k):
 def twisted_trace_dim(g, k):
     matrices, _ = fusion_ring(k)
     return _trace(_mul(matrices[k], handle_power(k, g - 1)))
+
+
+# ---------------------------------------------------------------------------
+# unfolded interval oracle: the literal sums, one fresh interval sine per term
+# and no reuse across cells; the production oracle folds j <-> n - j and caches
+
+
+def unfolded_verlinde_oracle(g, k, precision_bits=128):
+    def evaluate(ctx):
+        denominator = ctx.mpf(k + 2)
+        total = ctx.mpf(0)
+        for j in range(1, k + 2):
+            total += ctx.sin(ctx.pi * j / denominator) ** (2 - 2 * g)
+        return total * ctx.mpf((k + 2) ** (g - 1)) / ctx.mpf(2 ** (g - 1))
+
+    return _certify(evaluate, precision_bits, 4096, f"unfolded verlinde(g={g}, k={k})")
+
+
+def unfolded_twisted_oracle(g, p, precision_bits=128):
+    def evaluate(ctx):
+        denominator = ctx.mpf(p)
+        total = ctx.mpf(0)
+        for j in range(1, p // 2):
+            term = ctx.sin(2 * ctx.pi * j / denominator) ** (2 - 2 * g)
+            total = total + term if j % 2 else total - term
+        return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
+
+    return _certify(evaluate, precision_bits, 4096, f"unfolded twisted(g={g}, p={p})")
 
 
 class TestFusionRing:
@@ -266,6 +296,42 @@ class TestOracles:
 
     def test_ceiling_error_is_certification_error(self):
         assert issubclass(PrecisionCeilingError, CertificationError)
+
+    @pytest.mark.parametrize("g", [*range(1, 9), 24])
+    def test_folded_equals_unfolded_oracle(self, g):
+        # odd k gives odd n = p/2, where the twisted fold cancels every pair
+        for k in range(0, 49) if g <= 8 else (0, 1, 2, 7, 23, 31, 48):
+            for folded, unfolded in (
+                (verlinde_trig_oracle(g, k), unfolded_verlinde_oracle(g, k)),
+                (twisted_trig_oracle(g, 2 * (k + 2)), unfolded_twisted_oracle(g, 2 * (k + 2))),
+            ):
+                assert folded.value == unfolded.value
+                assert folded.width < Fraction(1, 2)
+                assert folded.precision_bits <= unfolded.precision_bits
+
+    def test_fold_covers_each_term_once(self):
+        for n in range(2, 40):
+            enclosures = _csc_square_enclosures(n, 128)
+            assert len(enclosures) == n // 2
+            assert sum(weight for weight, _ in enclosures) == n - 1
+
+    def test_enclosures_not_reused_across_precisions(self):
+        assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128
+        certified = verlinde_trig_oracle(3, 10, 256)
+        assert certified.precision_bits == 256
+        assert certified.width < Fraction(1, 2**200)
+        coarse = _csc_square_enclosures(12, 128)
+        fine = _csc_square_enclosures(12, 256)
+        assert all(f.delta < c.delta for (_, c), (_, f) in zip(coarse, fine))
+
+    def test_caches_are_bounded(self):
+        assert _csc_square_enclosures.cache_info().maxsize is not None
+        assert _interval_context.cache_info().maxsize is not None
+
+    def test_genus_one_oracle_is_exact(self):
+        # csc2^0 = 1 exactly, so the sum of the fold weights is exact
+        for k in range(0, 65):
+            assert verlinde_trig_oracle(1, k).width == 0
 
     def test_low_precision_rejected(self):
         with pytest.raises(ValueError):
