@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .checks import SUITES, CheckResult, run_suite
+from .checks import SUITES, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
@@ -135,55 +135,46 @@ def _default_ceiling() -> int:
 # output emission
 
 
-def _emit_text(payload: dict, stream) -> None:
+def _emit_text(headers: list[str], payload: dict, stream) -> None:
     rows = payload["rows"]
     if rows:
-        headers = list(dict.fromkeys(key for row in rows for key in row))
-        widths = [
-            max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in headers
-        ]
-        stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-        for row in rows:
-            stream.write(
-                "  ".join(str(row.get(h, "")).ljust(w) for h, w in zip(headers, widths)).rstrip()
-                + "\n"
-            )
+        # a missing or None value is an empty cell, as in CSV
+        cells = [["" if row.get(h) is None else str(row[h]) for h in headers] for row in rows]
+        widths = [max(len(h), *(len(line[i]) for line in cells)) for i, h in enumerate(headers)]
+        for line in [headers, *cells]:
+            stream.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
     for check in payload["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         details = f"  {check['details']}" if check.get("details") else ""
         stream.write(f"[{status}] {check['name']}{details}\n")
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        rendered = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        rows = payload["rows"]
+def _emit(args, command: str, params: dict, rows: list[dict], checks: list[dict]) -> int:
+    """Write the payload in ``args.format`` to stdout or ``args.out``; return the exit code."""
+    payload = {"command": command, "params": params, "rows": rows, "checks": checks}
+    headers = list(dict.fromkeys(key for row in rows for key in row))
+    buffer = io.StringIO()
+    if args.format == "json":
+        buffer.write(json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
         if rows:
-            headers = list(dict.fromkeys(key for row in rows for key in row))
             writer = csv.DictWriter(buffer, fieldnames=headers, restval="")
             writer.writeheader()
             writer.writerows(rows)
-        rendered = buffer.getvalue()
     else:
-        buffer = io.StringIO()
-        _emit_text(payload, buffer)
-        rendered = buffer.getvalue()
-    if out:
+        _emit_text(headers, payload, buffer)
+    rendered = buffer.getvalue()
+    if args.out:
         try:
-            with open(out, "w") as handle:
+            with open(args.out, "w") as handle:
                 handle.write(rendered)
         except OSError as exc:
             raise argparse.ArgumentTypeError(
-                f"cannot write --out {out!r}: {exc.strerror}"
+                f"cannot write --out {args.out!r}: {exc.strerror}"
             ) from None
     else:
         sys.stdout.write(rendered)
-
-
-def _check_dicts(results: list[CheckResult]) -> list[dict]:
-    return [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -191,37 +182,26 @@ def _check_dicts(results: list[CheckResult]) -> list[dict]:
 
 
 def _cmd_verlinde(args) -> int:
-    cells = [(g, k) for g in args.genus for k in args.level]
     ceiling = args.precision_ceiling
     if ceiling is None:
         ceiling = _default_ceiling()
-
-    def worker(cell):
-        g, k = cell
-        dim = verlinde_dim(g, k)
-        try:
-            certificate = verlinde_trig_oracle(g, k, args.precision_bits, ceiling)
-            width, bits = float(certificate.width), certificate.precision_bits
-            certified = certificate.value == dim and certificate.width < Fraction(1, 2)
-            details = f"series {dim}, oracle {certificate.value}"
-        except CertificationError as exc:
-            width, bits, certified, details = float("nan"), None, False, str(exc)
-        return (
-            {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits},
-            {"name": f"certified (g={g}, k={k})", "passed": certified, "details": details},
-        )
-
-    outcomes = [worker(cell) for cell in cells]
-    rows = [row for row, _ in outcomes]
-    checks = [check for _, check in outcomes]
-    payload = {
-        "command": "verlinde",
-        "params": {"genus": args.genus, "level": args.level},
-        "rows": rows,
-        "checks": checks,
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILURE
+    rows, checks = [], []
+    for g in args.genus:
+        for k in args.level:
+            dim = verlinde_dim(g, k)
+            try:
+                certificate = verlinde_trig_oracle(g, k, args.precision_bits, ceiling)
+                width, bits = float(certificate.width), certificate.precision_bits
+                certified = certificate.value == dim and certificate.width < Fraction(1, 2)
+                details = f"series {dim}, oracle {certificate.value}"
+            except CertificationError as exc:
+                width, bits, certified, details = None, None, False, str(exc)
+            rows.append(
+                {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits}
+            )
+            checks.append({"name": f"certified (g={g}, k={k})", "passed": certified, "details": details})
+    params = {"genus": args.genus, "level": args.level}
+    return _emit(args, "verlinde", params, rows, checks)
 
 
 def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
@@ -233,55 +213,40 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
             levels = [_level_p(k, args.convention) for k in args.so3_level]
         except ValueError as exc:
             parser.error(str(exc))
-    cells = [(g, p) for g in args.genus for p in sorted(set(levels))]
-
-    def worker(cell):
-        g, p = cell
-        rows = []
+    levels = sorted(set(levels))
+    rows, checks = [], []
+    for g in args.genus:
         extrapolated = g == 1 or extrapolated_convention
-        for eps in args.arf:
-            row = {
-                "g": g,
-                "p": p,
-                "arf": eps,
-                "even": bm_even_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
-                "odd": bm_odd_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
-            }
+        for p in levels:
+            for eps in args.arf:
+                row = {
+                    "g": g,
+                    "p": p,
+                    "arf": eps,
+                    "even": bm_even_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
+                    "odd": bm_odd_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
+                }
+                if extrapolated:
+                    row["extrapolated"] = True
+                rows.append(row)
+            n_even, n_odd = count_by_arf(g)
+            even_total = sum_over_spin(g, p, allow_genus_one=args.allow_genus_one)
+            odd_total = n_even * bm_odd_dim(g, p, 0, allow_genus_one=args.allow_genus_one) + n_odd * bm_odd_dim(
+                g, p, 1, allow_genus_one=args.allow_genus_one
+            )
+            checksum = {"g": g, "p": p, "arf": "*", "even": even_total, "odd": odd_total}
             if extrapolated:
-                row["extrapolated"] = True
-            rows.append(row)
-        n_even, n_odd = count_by_arf(g)
-        even_total = sum_over_spin(g, p, allow_genus_one=args.allow_genus_one)
-        odd_total = n_even * bm_odd_dim(g, p, 0, allow_genus_one=args.allow_genus_one) + n_odd * bm_odd_dim(
-            g, p, 1, allow_genus_one=args.allow_genus_one
-        )
-        checksum = {"g": g, "p": p, "arf": "*", "even": even_total, "odd": odd_total}
-        if extrapolated:
-            checksum["extrapolated"] = True
-        rows.append(checksum)
-        check = {
-            "name": f"decomposition checksum (g={g}, p={p})",
-            "passed": even_total == verlinde_dim(g, p // 2 - 2),
-            "details": f"sum over spin structures {even_total} = unrefined dimension",
-        }
-        return rows, check
-
-    outcomes = [worker(cell) for cell in cells]
-    rows = [row for cell_rows, _ in outcomes for row in cell_rows]
-    checks = [check for _, check in outcomes]
-    payload = {
-        "command": "spin-dims",
-        "params": {
-            "genus": args.genus,
-            "p": sorted(set(levels)),
-            "arf": args.arf,
-            "convention": args.convention,
-        },
-        "rows": rows,
-        "checks": checks,
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILURE
+                checksum["extrapolated"] = True
+            rows.append(checksum)
+            checks.append(
+                {
+                    "name": f"decomposition checksum (g={g}, p={p})",
+                    "passed": even_total == verlinde_dim(g, p // 2 - 2),
+                    "details": f"sum over spin structures {even_total} = unrefined dimension",
+                }
+            )
+    params = {"genus": args.genus, "p": levels, "arf": args.arf, "convention": args.convention}
+    return _emit(args, "spin-dims", params, rows, checks)
 
 
 def _cmd_check(args) -> int:
@@ -301,14 +266,8 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    payload = {
-        "command": "check",
-        "params": {"suite": args.suite, **params},
-        "rows": [],
-        "checks": _check_dicts(results),
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
+    checks = [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
+    return _emit(args, "check", {"suite": args.suite, **params}, [], checks)
 
 
 _CONVERSIONS = {
@@ -330,20 +289,14 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
             for labels in table.rows()
         ]
         try:
-            performed = table.validate()
-            checks = [
-                {"name": "correspondence table internally validated", "passed": True,
-                 "details": f"{len(performed)} checks"},
-            ]
-            status = EXIT_OK
+            validated, details = True, f"{len(table.validate())} checks"
         except ValueError as exc:
-            checks = [{"name": "correspondence table internally validated", "passed": False,
-                       "details": str(exc)}]
-            status = EXIT_FAILURE
-        checks.append({"name": "erratum note", "passed": True, "details": table.erratum})
-        payload = {"command": "levels", "params": {"table": True}, "rows": rows, "checks": checks}
-        _emit(payload, args.format, args.out)
-        return status
+            validated, details = False, str(exc)
+        checks = [
+            {"name": "correspondence table internally validated", "passed": validated, "details": details},
+            {"name": "erratum note", "passed": True, "details": table.erratum},
+        ]
+        return _emit(args, "levels", {"table": True}, rows, checks)
 
     sources = [
         (Lattice.SO3, args.so3),
@@ -371,26 +324,19 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
                     f"no conversion from {level.lattice.value} to {target_lattice.value}"
                 )
             target = converter(level)
-    payload = {
-        "command": "levels",
-        "params": {
-            "from_lattice": lattice.value,
-            "from_value": value,
-            "shift": args.shift,
-            "to": target.lattice.value,
-        },
-        "rows": [
-            {
-                "from_lattice": lattice.value,
-                "from_value": value,
-                "to_lattice": target.lattice.value,
-                "to_value": target.value,
-            }
-        ],
-        "checks": [],
+    params = {
+        "from_lattice": lattice.value,
+        "from_value": value,
+        "shift": args.shift,
+        "to": target.lattice.value,
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
+    row = {
+        "from_lattice": lattice.value,
+        "from_value": value,
+        "to_lattice": target.lattice.value,
+        "to_value": target.value,
+    }
+    return _emit(args, "levels", params, [row], [])
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +407,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_spin_dims(args, parser)
         if args.command == "check":
             return _cmd_check(args)
-        if args.command == "levels":
-            return _cmd_levels(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_levels(args, parser)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except (IdentityViolationError, IntegralityError, CertificationError) as exc:
@@ -472,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ test: any non-exact division raises, it is never rounded away.
 
 The same numbers arise by averaging lifted [Z]-actions over the group of
 two-torsion classes (``dims_via_traces``), which this module computes
-both in closed form and termwise through the lift signs, insisting the
-two agree exactly.
+both in closed form and termwise as the trace of the averaging
+projection P_sigma, insisting the two agree exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .f2 import SymplecticF2Space
 from .fusion import twisted_dim, verlinde_dim
-from .spin import QuadraticRefinement, count_by_arf, lift_sign
+from .heisenberg import projection, trace_functional
+from .spin import QuadraticRefinement, count_by_arf
 
 #: Base-dimension bindings exposed for the shifted-level reading ("bm",
 #: the default: level p = 4(k+1) at odd k) and for the literal corollary
@@ -207,9 +208,10 @@ def dims_via_traces(
 ) -> int:
     """Dimension by averaging lifted [Z]-action traces over all two-torsion classes.
 
-    The [Z] = 0 trace is ``base_dim``; every other class contributes its
-    lift sign times (lambda_rho + 1)^{g-1}.  The termwise sum is computed
-    literally over the group and must match the closed form
+    The termwise sum is 2^{2g} times ``trace_functional`` of the averaging
+    projection P_sigma at the canonical refinement of Arf invariant eps:
+    [Z] = 0 traces to ``base_dim`` and every other class to its lift sign
+    times (lambda_rho + 1)^{g-1}.  It must match the closed form
 
         2^{-2g} (base_dim + (-1)^{w2} ((-1)^eps 2^g - 1) (lambda_rho + 1)^{g-1})
 
@@ -220,13 +222,9 @@ def dims_via_traces(
     _require_bit(eps, "eps", context)
     _require_bit(w2, "w2", context)
 
-    space = SymplecticF2Space(g)
-    sigma = QuadraticRefinement.canonical(space, eps)
-    weight = (lambda_rho + 1) ** (g - 1)
-    termwise = base_dim + weight * sum(
-        lift_sign(sigma, z, w2, 1) for z in space.vectors() if not z.is_zero
-    )
-    closed = base_dim + (-1) ** w2 * _correction(g, eps) * weight
+    sigma = QuadraticRefinement.canonical(SymplecticF2Space(g), eps)
+    termwise = trace_functional(projection(sigma), base_dim, lambda_rho, w2) * (1 << (2 * g))
+    closed = base_dim + (-1) ** w2 * _correction(g, eps) * (lambda_rho + 1) ** (g - 1)
     if termwise != closed:
         raise IdentityViolationError(
             f"{context}: termwise trace sum {termwise} != closed form {closed}"

@@ -124,9 +124,11 @@ def lift_sign(sigma: QuadraticRefinement, z: F2Vector, w2_bundle: int, w2_rho: i
     """Sign of the lifted [Z]-action on the Pfaffian line over a fixed point.
 
     (-1)^{w2_bundle + w2_rho * (arf(sigma + Z) - arf(sigma))}, the Arf
-    difference taken mod 2.
+    difference taken mod 2.  By Johnson's identity (D. Johnson, "Spin
+    structures and quadratic forms on surfaces", 1980)
+    arf(sigma + <Z, .>) - arf(sigma) = sigma(Z), so the sign is
+    (-1)^{w2_bundle + w2_rho * sigma(Z)}: one evaluation of the refinement.
     """
     if w2_bundle not in (0, 1) or w2_rho not in (0, 1):
         raise ValueError(f"w2 inputs must be bits, got {w2_bundle!r}, {w2_rho!r}")
-    arf_difference = sigma.shift(z).arf() ^ sigma.arf()
-    return 1 - 2 * ((w2_bundle + w2_rho * arf_difference) & 1)
+    return 1 - 2 * ((w2_bundle + w2_rho * sigma.evaluate(z)) & 1)

@@ -119,6 +119,35 @@ class TestVerlindeCommand:
         # the doublings show in the row: the cell certifies above its 64-bit start
         assert payload["rows"][0]["oracle_precision_bits"] > 64
 
+    # (1, 40) certifies at 64 bits, (30, 40) cannot: one row of each kind
+    FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40",
+                   "--precision-bits", "64", "--precision-ceiling", "64")
+
+    def test_failed_certification_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, *self.FAILED_CELL, "--format", "json")
+        assert code == 1
+        payload = json.loads(out, parse_constant=reject)
+        certified, failed = payload["rows"]
+        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == (0.0, 64)
+        assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == (None, None)
+        assert [c["passed"] for c in payload["checks"]] == [True, False]
+
+    def test_failed_certification_cells_are_empty(self, capsys):
+        code, out, _ = run_cli(capsys, *self.FAILED_CELL)
+        assert code == 1
+        header, certified, failed = out.splitlines()[:3]
+        assert header.split()[-2:] == ["oracle_interval_width", "oracle_precision_bits"]
+        assert certified.split()[-2:] == ["0.0", "64"]
+        assert failed.split() == ["30", "40", str(cli.verlinde_dim(30, 40))]
+        code, out, _ = run_cli(capsys, *self.FAILED_CELL, "--format", "csv")
+        assert code == 1
+        certified, failed = csv.DictReader(io.StringIO(out))
+        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == ("0.0", "64")
+        assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == ("", "")
+
     def test_malformed_precision_ceiling_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", "abc")
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@ import pytest
 
 from spinverlinde.dimensions import (
     GradedDimension,
+    IdentityViolationError,
     IntegralityError,
     bm_even_dim,
     bm_odd_dim,
@@ -11,6 +12,7 @@ from spinverlinde.dimensions import (
     spin_cs_dims,
     sum_over_spin,
 )
+from spinverlinde.f2 import EnumerationCapError
 from spinverlinde.fusion import twisted_dim, verlinde_dim
 from spinverlinde.spin import count_by_arf
 
@@ -157,6 +159,27 @@ class TestDimsViaTraces:
     def test_non_integral_raises(self):
         with pytest.raises(IntegralityError):
             dims_via_traces(2, 0, 11, 1, 0)
+
+    def test_termwise_disagreement_raises(self, monkeypatch):
+        # flip the lift sign of [a1] at the name trace_functional looks up; it
+        # moves the termwise sum by 2 (lambda + 1)^{g-1} = 4 off the closed form
+        import spinverlinde.heisenberg as heisenberg
+
+        honest = heisenberg.lift_sign
+
+        def one_sign_flipped(sigma, z, w2_bundle, w2_rho):
+            sign = honest(sigma, z, w2_bundle, w2_rho)
+            return -sign if z.bits == 1 else sign
+
+        monkeypatch.setattr(heisenberg, "lift_sign", one_sign_flipped)
+        with pytest.raises(IdentityViolationError, match="termwise trace sum 12 != closed form 16"):
+            dims_via_traces(2, 0, 10, 1, 0)
+
+    @pytest.mark.parametrize("g", [7, 10_000])
+    def test_enumeration_cap_raises(self, g):
+        # the cap is checked before the 2^{2g} projection vector is built
+        with pytest.raises(EnumerationCapError, match=f"genus {g} exceeds enumeration cap 6"):
+            dims_via_traces(g, 0, 1, 1, 0)
 
 
 class TestSumOverSpin:

@@ -84,10 +84,11 @@ def test_arf_difference_is_quadratic(case):
 @deterministic
 @given(space_with(1), st.integers(0, 1), st.integers(0, 1))
 def test_lift_sign_follows_the_refinement(case, w2_bundle, w2_rho):
-    # arf(sigma + z) - arf(sigma) = sigma(z), so the lifted sign is
-    # (-1)^{w2_bundle + w2_rho sigma(z)}
+    # lift_sign reads sigma(z); the expected side takes the shift-then-Arf
+    # route of the definition, so the two agree by Johnson's identity only
     _, sigma, (z,) = case
-    assert lift_sign(sigma, z, w2_bundle, w2_rho) == (-1) ** (w2_bundle + w2_rho * sigma(z))
+    arf_difference = sigma.shift(z).arf() ^ sigma.arf()
+    assert lift_sign(sigma, z, w2_bundle, w2_rho) == (-1) ** (w2_bundle + w2_rho * arf_difference)
 
 
 @settings(deterministic, max_examples=8)

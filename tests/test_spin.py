@@ -189,6 +189,30 @@ class TestSigns:
             total = sum(lift_sign(sigma, z, w2, 1) for z in vectors)
             assert total == (-1) ** (w2 + sigma.arf()) * 2**g
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_lift_sign_equals_the_shift_then_arf_route(self, g):
+        # the slow route of the definition, (-1)^{w2 + w2_rho (arf(sigma + Z) - arf(sigma))},
+        # for every sigma and Z
+        space = SymplecticF2Space(g)
+        vectors = list(space.vectors())
+        for sigma in QuadraticRefinement.all_refinements(space):
+            for z in vectors:
+                arf_difference = sigma.shift(z).arf() ^ sigma.arf()
+                for w2 in (0, 1):
+                    for w2_rho in (0, 1):
+                        expected = (-1) ** (w2 + w2_rho * arf_difference)
+                        assert lift_sign(sigma, z, w2, w2_rho) == expected
+
+    def test_lift_sign_rejects_bad_inputs(self):
+        space = SymplecticF2Space(2)
+        sigma = QuadraticRefinement(space, 0)
+        with pytest.raises(ValueError, match="must be bits"):
+            lift_sign(sigma, space.zero, 2, 1)
+        with pytest.raises(ValueError, match="must be bits"):
+            lift_sign(sigma, space.zero, 0, -1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            lift_sign(sigma, SymplecticF2Space(1).zero, 0, 1)
+
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_arf_difference_is_quadratic(self, g):
         # Z -> arf(sigma + Z) - arf(sigma) refines the pairing again
