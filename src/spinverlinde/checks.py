@@ -19,6 +19,7 @@ from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
 from .f2 import F2Vector, SymplecticF2Space
 from .fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from .heisenberg import (
+    HeisenbergElement,
     HeisenbergGroup,
     MonomialMatrix,
     heisenberg_rep,
@@ -52,35 +53,94 @@ def _result(name: str, passed: bool, details: str = "") -> CheckResult:
     return CheckResult(name, passed, details)
 
 
+def _masks(case: Any) -> str:
+    """A case by bit masks: vectors and refinements by their masks, Heisenberg elements as (t, mask)."""
+    if isinstance(case, tuple):
+        return "(" + ", ".join(map(_masks, case)) + ")"
+    if isinstance(case, F2Vector):
+        return str(case.bits)
+    if isinstance(case, QuadraticRefinement):
+        return str(case.basis_values)
+    if isinstance(case, HeisenbergElement):
+        return f"({case.central}, {case.vector.bits})"
+    return str(case)
+
+
+def _counted(
+    name: str, cases: Iterable, holds: Callable[[Any], bool], counted: str, labels: str
+) -> CheckResult:
+    """A record that passes when holds is true on every case.
+
+    The cases run in order and stop at the first failure.  The details give
+    the number run, named by ``counted``, and on failure the counterexample,
+    its parts named by ``labels``.
+    """
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(case):
+            details = f"{checked} {counted}; first counterexample {labels} = {_masks(case)}"
+            return _result(name, False, details)
+    return _result(name, True, f"{checked} {counted}")
+
+
+def _require_enumerable(max_genus: int) -> None:
+    """Raise the EnumerationCapError a sweep over genus 1..max_genus would reach, before it starts."""
+    for g in range(1, max_genus + 1):
+        SymplecticF2Space(g)._check_enumeration_cap()
+
+
 # ---------------------------------------------------------------------------
 # symplectic pairing and character sums
 
 
 def check_pairing(max_genus: int = 4) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     # full bilinearity sweeps are exhaustive only up to genus 3
     for g in range(1, min(max_genus, 3) + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
-        bilinear = all(
-            space.pair(v + w, x) == (space.pair(v, x) ^ space.pair(w, x))
-            for v in vectors
-            for w in vectors
-            for x in space.basis()
+        pair = space.pair
+
+        def bilinear(case):
+            v, w, x = case
+            return pair(v + w, x) == (pair(v, x) ^ pair(w, x))
+
+        results.append(
+            _counted(
+                f"pairing bilinear g={g}",
+                itertools.product(vectors, vectors, space.basis()),
+                bilinear,
+                "triples (v, w, basis x)",
+                "(v, w, x) masks",
+            )
         )
-        results.append(_result(f"pairing bilinear g={g}", bilinear))
-        alternating = all(space.pair(v, v) == 0 for v in vectors)
-        results.append(_result(f"pairing alternating g={g}", alternating))
-        symmetric = all(space.pair(v, w) == space.pair(w, v) for v in vectors for w in vectors)
-        results.append(_result(f"pairing symmetric g={g}", symmetric))
+        alternating = _counted(
+            f"pairing alternating g={g}", vectors, lambda v: pair(v, v) == 0, "vectors v", "v mask"
+        )
+        results.append(alternating)
+        results.append(
+            _counted(
+                f"pairing symmetric g={g}",
+                itertools.product(vectors, vectors),
+                lambda case: pair(case[0], case[1]) == pair(case[1], case[0]),
+                "pairs (v, w)",
+                "(v, w) masks",
+            )
+        )
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
-        nondegenerate = all(
-            any(space.pair(v, w) for w in space.basis())
-            for v in space.vectors()
-            if not v.is_zero
+        basis = space.basis()
+        results.append(
+            _counted(
+                f"pairing non-degenerate g={g}",
+                (v for v in space.vectors() if not v.is_zero),
+                lambda v: any(space.pair(v, w) for w in basis),
+                "non-zero vectors v",
+                "v mask",
+            )
         )
-        results.append(_result(f"pairing non-degenerate g={g}", nondegenerate))
     return results
 
 
@@ -90,6 +150,7 @@ def brute_character_sum(space: SymplecticF2Space, b: F2Vector) -> int:
 
 
 def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -110,27 +171,54 @@ def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_refinements(max_genus: int = 3) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
+        basis = space.basis()
         refinements = list(QuadraticRefinement.all_refinements(space))
-        law = all(
-            q(v + w) == (q(v) ^ q(w) ^ space.pair(v, w))
-            for q in refinements
-            for v in vectors
-            for w in space.basis()
+
+        def law(case):
+            q, v, w = case
+            return q(v + w) == (q(v) ^ q(w) ^ space.pair(v, w))
+
+        results.append(
+            _counted(
+                f"refinement law g={g}",
+                itertools.product(refinements, vectors, basis),
+                law,
+                "triples (q, v, basis w)",
+                "(q, v, w) masks",
+            )
         )
-        results.append(_result(f"refinement law g={g}", law))
         base = QuadraticRefinement.canonical(space, 0)
         orbit = {base.shift(ell).basis_values for ell in vectors}
         transitive = orbit == {q.basis_values for q in refinements}
-        involutive = all(q.shift(ell).shift(ell) == q for q in refinements for ell in space.basis())
-        results.append(
-            _result(f"shift is a free transitive torsor action g={g}", transitive and involutive)
+        name = f"shift is a free transitive torsor action g={g}"
+        involutive = _counted(
+            name,
+            itertools.product(refinements, basis),
+            lambda case: case[0].shift(case[1]).shift(case[1]) == case[0],
+            "double shifts (q, basis ell)",
+            "(q, ell) masks",
         )
-        arf_match = all(q.arf() == q.arf_by_counting() for q in refinements)
-        results.append(_result(f"arf closed form = zero counting g={g}", arf_match))
+        results.append(
+            _result(
+                name,
+                transitive and involutive.passed,
+                f"orbit of {len(orbit)} of {len(refinements)} refinements; {involutive.details}",
+            )
+        )
+        results.append(
+            _counted(
+                f"arf closed form = zero counting g={g}",
+                refinements,
+                lambda q: q.arf() == q.arf_by_counting(),
+                "refinements q",
+                "q mask",
+            )
+        )
     return results
 
 
@@ -160,28 +248,41 @@ def check_arf(max_genus: int = 4) -> list[CheckResult]:
 
 
 def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
         refinements = list(QuadraticRefinement.all_refinements(space))
         for w2 in (0, 1):
-            summed = all(
-                sum(lift_sign(sigma, z, w2, 1) for z in vectors)
-                == (-1) ** (w2 + sigma.arf()) * 2**g
-                for sigma in refinements
+            results.append(
+                _counted(
+                    f"lift sign sum identity g={g} w2={w2}",
+                    refinements,
+                    lambda sigma: sum(lift_sign(sigma, z, w2, 1) for z in vectors)
+                    == (-1) ** (w2 + sigma.arf()) * 2**g,
+                    f"spin structures sigma, each summed over {len(vectors)} classes",
+                    "sigma mask",
+                )
             )
-            results.append(_result(f"lift sign sum identity g={g} w2={w2}", summed))
-        quadratic = all(
-            (sigma.shift(z + w).arf() ^ sigma.arf())
-            == (sigma.shift(z).arf() ^ sigma.arf())
-            ^ (sigma.shift(w).arf() ^ sigma.arf())
-            ^ space.pair(z, w)
-            for sigma in refinements
-            for z in vectors
-            for w in space.basis()
+        # the shift-then-Arf route, independent of lift_sign: the table of
+        # d(z) = arf(sigma + z) - arf(sigma) over the masks of z, once per sigma
+        differences = [[sigma.shift(z).arf() ^ sigma.arf() for z in vectors] for sigma in refinements]
+
+        def quadratic(case):
+            sigma, z, w = case
+            d = differences[sigma.basis_values]
+            return d[(z + w).bits] == d[z.bits] ^ d[w.bits] ^ space.pair(z, w)
+
+        results.append(
+            _counted(
+                f"arf difference is a quadratic refinement g={g}",
+                itertools.product(refinements, vectors, space.basis()),
+                quadratic,
+                "triples (sigma, z, basis w)",
+                "(sigma, z, w) masks",
+            )
         )
-        results.append(_result(f"arf difference is a quadratic refinement g={g}", quadratic))
     return results
 
 
@@ -232,45 +333,38 @@ def check_twisted(
 # projection algebra
 
 
-def _first_failure(cases: Iterable, holds: Callable[[Any], bool]) -> tuple[int, Any]:
-    """Run holds over the cases in order: how many ran, and the first that failed (or None)."""
-    checked = 0
-    for case in cases:
-        checked += 1
-        if not holds(case):
-            return checked, case
-    return checked, None
-
-
 def check_projections(max_genus: int = 3) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
-        checked, failure = _first_failure(
-            refinements, lambda sigma: projection(sigma) * projection(sigma) == projection(sigma)
-        )
-        details = f"{checked} squares P_sigma P_sigma"
-        if failure is not None:
-            details += f"; first counterexample sigma mask {failure.basis_values}"
-        results.append(_result(f"projections idempotent g={g}", failure is None, details))
-        nonzero = [ell for ell in space.vectors() if not ell.is_zero]
-        checked, failure = _first_failure(
-            itertools.product(refinements, nonzero), lambda pair: orthogonality_check(*pair)
-        )
-        details = f"{checked} products P_(sigma+ell) P_sigma"
-        if failure is not None:
-            sigma, ell = failure
-            details += (
-                f"; first counterexample (sigma mask, ell mask) = ({sigma.basis_values}, {ell.bits})"
+        results.append(
+            _counted(
+                f"projections idempotent g={g}",
+                refinements,
+                lambda sigma: projection(sigma) * projection(sigma) == projection(sigma),
+                "squares P_sigma P_sigma",
+                "sigma mask",
             )
-        results.append(_result(f"projections orthogonal g={g}", failure is None, details))
+        )
+        nonzero = [ell for ell in space.vectors() if not ell.is_zero]
+        results.append(
+            _counted(
+                f"projections orthogonal g={g}",
+                itertools.product(refinements, nonzero),
+                lambda case: orthogonality_check(*case),
+                "products P_(sigma+ell) P_sigma",
+                "(sigma mask, ell mask)",
+            )
+        )
     return results
 
 
 def check_trace_decomposition(
     max_genus: int = 3, base_dims: Sequence[int] = (10, 84), lambdas: Sequence[int] = (1, 3)
 ) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -386,38 +480,63 @@ def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
 
 
 def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
         elements = list(group.elements())
         reps = {el: heisenberg_rep(el) for el in elements}
         n = 1 << g
-        homomorphism = all(
-            reps[x] @ reps[y] == reps[x * y] for x in elements for y in elements
+        results.append(
+            _counted(
+                f"heisenberg rep is a homomorphism g={g}",
+                itertools.product(elements, elements),
+                lambda case: reps[case[0]] @ reps[case[1]] == reps[case[0] * case[1]],
+                "pairs (x, y)",
+                "(x, y) as (t, mask)",
+            )
         )
-        results.append(_result(f"heisenberg rep is a homomorphism g={g}", homomorphism))
         vector_elements = [el for el in elements if el.central == 0]
-        commutator = all(
-            reps[x] @ reps[y]
-            == (reps[y] @ reps[x] if group.space.pair(x.vector, y.vector) == 0 else -(reps[y] @ reps[x]))
-            for x in vector_elements
-            for y in vector_elements
+
+        def commutator(case):
+            x, y = case
+            xy, yx = reps[x] @ reps[y], reps[y] @ reps[x]
+            return xy == (yx if group.space.pair(x.vector, y.vector) == 0 else -yx)
+
+        results.append(
+            _counted(
+                f"heisenberg commutator pairing g={g}",
+                itertools.product(vector_elements, vector_elements),
+                commutator,
+                "pairs (x, y) of central part 0",
+                "(x, y) as (t, mask)",
+            )
         )
-        results.append(_result(f"heisenberg commutator pairing g={g}", commutator))
         center = (
             heisenberg_rep(group.central_generator)
             == MonomialMatrix.identity(n).times_i()
         )
         results.append(_result(f"central generator acts by i g={g}", center))
-        off_center = all(reps[el].trace() == (0, 0) for el in elements if not el.vector.is_zero)
-        central_traces = all(
-            heisenberg_rep(group.element(t, group.space.zero)).trace()
-            == [(n, 0), (0, n), (-n, 0), (0, -n)][t]
-            for t in range(4)
+        # i^t n on the center (t, 0), and 0 off it
+        central_traces = [(n, 0), (0, n), (-n, 0), (0, -n)]
+        results.append(
+            _counted(
+                f"heisenberg traces g={g}",
+                elements,
+                lambda el: reps[el].trace()
+                == (central_traces[el.central] if el.vector.is_zero else (0, 0)),
+                "elements",
+                "element (t, mask)",
+            )
         )
-        results.append(_result(f"heisenberg traces g={g}", off_center and central_traces))
-        faithful = len(set(reps.values())) == len(elements)
-        results.append(_result(f"heisenberg rep faithful g={g}", faithful))
+        distinct = len(set(reps.values()))
+        results.append(
+            _result(
+                f"heisenberg rep faithful g={g}",
+                distinct == len(elements),
+                f"{distinct} distinct matrices for {len(elements)} elements",
+            )
+        )
     return results
 
 

@@ -39,10 +39,18 @@ class F2Vector:
         if not 0 <= self.bits < (1 << self.dim):
             raise ValueError(f"bit mask {self.bits} out of range for dimension {self.dim}")
 
+    @classmethod
+    def _trusted(cls, bits: int, dim: int) -> "F2Vector":
+        """The vector (bits, dim) without validation, for values valid by construction."""
+        vector = object.__new__(cls)
+        fields = vector.__dict__
+        fields["bits"], fields["dim"] = bits, dim
+        return vector
+
     def __add__(self, other: "F2Vector") -> "F2Vector":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return F2Vector(self.bits ^ other.bits, self.dim)
+        return F2Vector._trusted(self.bits ^ other.bits, self.dim)
 
     __xor__ = __add__
 
@@ -88,6 +96,8 @@ class SymplecticF2Space:
     def __post_init__(self) -> None:
         if self.genus < 1:
             raise ValueError(f"genus must be a positive integer, got {self.genus}")
+        # read by every pairing and refinement evaluation; not a field, so eq and hash ignore it
+        object.__setattr__(self, "_a_mask", _a_positions_mask(self.genus))
 
     @property
     def dimension(self) -> int:
@@ -124,26 +134,31 @@ class SymplecticF2Space:
         return F2Vector(1 << (2 * (i - 1) + 1), self.dimension)
 
     def basis(self) -> tuple[F2Vector, ...]:
-        return tuple(F2Vector(1 << j, self.dimension) for j in range(self.dimension))
+        dim = self.dimension
+        return tuple(F2Vector._trusted(1 << j, dim) for j in range(dim))
 
     def _check_member(self, v: F2Vector) -> None:
-        if v.dim != self.dimension:
+        if v.dim != 2 * self.genus:
             raise ValueError(
                 f"dimension mismatch: vector has dimension {v.dim}, space has {self.dimension}"
             )
 
+    def _dual_mask(self, bits: int) -> int:
+        """dual_bits on a bare mask: pairing against basis vectors swaps each (a_i, b_i) pair of bits."""
+        a_mask = self._a_mask
+        return ((bits & a_mask) << 1) | ((bits >> 1) & a_mask)
+
     def dual_bits(self, v: F2Vector) -> int:
         """Bit mask of the linear functional <v, .>: position j holds <v, e_j>."""
         self._check_member(v)
-        a_mask = _a_positions_mask(self.genus)
-        # pairing against basis vectors swaps each (a_i, b_i) pair of bits
-        return ((v.bits & a_mask) << 1) | ((v.bits >> 1) & a_mask)
+        return self._dual_mask(v.bits)
 
     def pair(self, v: F2Vector, w: F2Vector) -> int:
         """The symplectic pairing <v, w> in {0, 1}."""
-        self._check_member(v)
-        self._check_member(w)
-        return (v.bits & self.dual_bits(w)).bit_count() & 1
+        if v.dim != 2 * self.genus or w.dim != 2 * self.genus:
+            self._check_member(v)
+            self._check_member(w)
+        return (v.bits & self._dual_mask(w.bits)).bit_count() & 1
 
     def _check_enumeration_cap(self) -> None:
         """Refuse anything that walks or stores all 2^{2g} vectors above the cap."""
@@ -157,7 +172,7 @@ class SymplecticF2Space:
         self._check_enumeration_cap()
         dim = self.dimension
         for mask in range(1 << dim):
-            yield F2Vector(mask, dim)
+            yield F2Vector._trusted(mask, dim)
 
     def character_sum(self, b: F2Vector) -> int:
         """Sum over all vectors l of (-1)^{<b, l>}.

@@ -24,7 +24,7 @@ from operator import add, mul, sub
 from typing import Iterator
 
 from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
-from .spin import QuadraticRefinement, lift_sign
+from .spin import QuadraticRefinement, _check_w2_bits, _lift_sign
 
 #: Largest genus for which the 2^g-dimensional representation is built.
 DEFAULT_REPRESENTATION_CAP = 10
@@ -75,13 +75,22 @@ class TwistedAlgebraElement:
         self.spin, self.numerators, self.denominator = spin, tuple(numerators), denominator
 
     @classmethod
+    def _trusted(
+        cls, spin: QuadraticRefinement, numerators: tuple[int, ...], denominator: int
+    ) -> "TwistedAlgebraElement":
+        """The element numerators / denominator, already in lowest terms, without validation."""
+        element = cls.__new__(cls)
+        element.spin, element.numerators, element.denominator = spin, numerators, denominator
+        return element
+
+    @classmethod
     def _reduced(cls, spin: QuadraticRefinement, numerators, denominator: int) -> "TwistedAlgebraElement":
         """The element numerators / denominator, brought to lowest terms."""
         common = math.gcd(denominator, *numerators)
-        element = cls.__new__(cls)
-        element.spin, element.denominator = spin, denominator // common
-        element.numerators = tuple(n // common for n in numerators)
-        return element
+        if common != 1:
+            denominator //= common
+            numerators = [n // common for n in numerators]
+        return cls._trusted(spin, tuple(numerators), denominator)
 
     @classmethod
     def symbol(cls, spin: QuadraticRefinement, z: F2Vector, coefficient=1) -> "TwistedAlgebraElement":
@@ -165,7 +174,8 @@ class TwistedAlgebraElement:
         """
         dual = self.spin.space.dual_bits(ell)
         numerators = [-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(self.numerators)]
-        return self._reduced(self.spin.shift(ell), numerators, self.denominator)
+        # sign flips keep the gcd, so the result is still in lowest terms
+        return self._trusted(self.spin.shift(ell), tuple(numerators), self.denominator)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -199,13 +209,12 @@ def trace_functional(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w
     [0] traces to the base dimension; a non-trivial [Z] traces to its
     lift sign times (lambda_rho + 1)^{g-1}.
     """
-    space = x.spin.space
-    weight = (lambda_rho + 1) ** (space.genus - 1)
-    total = x.numerators[0] * base_dim
-    for mask, n in enumerate(x.numerators[1:], start=1):
-        if n:
-            total += n * lift_sign(x.spin, F2Vector(mask, space.dimension), w2, 1) * weight
-    return Fraction(total, x.denominator)
+    terms = [(mask, n) for mask, n in enumerate(x.numerators[1:], start=1) if n]
+    if terms:
+        _check_w2_bits(w2, 1)
+    signed = sum(n * _lift_sign(x.spin, mask, w2, 1) for mask, n in terms)
+    weight = (lambda_rho + 1) ** (x.spin.space.genus - 1)
+    return Fraction(x.numerators[0] * base_dim + signed * weight, x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +255,21 @@ class HeisenbergElement:
         if not 0 <= self.central < 4:
             raise ValueError(f"central part must be reduced mod 4, got {self.central}")
 
+    @classmethod
+    def _trusted(cls, central: int, vector: F2Vector) -> "HeisenbergElement":
+        """The element (central, vector) without validation, for values valid by construction."""
+        element = object.__new__(cls)
+        fields = element.__dict__
+        fields["central"], fields["vector"] = central, vector
+        return element
+
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        if self.vector.dim != other.vector.dim:
+        v, w = self.vector, other.vector
+        if v.dim != w.dim:
             raise ValueError("dimension mismatch between Heisenberg elements")
-        twist = 2 * _polarized_cocycle(self.vector, other.vector)
-        return HeisenbergElement((self.central + other.central + twist) % 4, self.vector + other.vector)
+        twist = 2 * _polarized_cocycle(v, w)
+        vector = F2Vector._trusted(v.bits ^ w.bits, v.dim)
+        return HeisenbergElement._trusted((self.central + other.central + twist) & 3, vector)
 
     def inverse(self) -> "HeisenbergElement":
         # (t, v)^-1 = (-t - 2 c(v, v), v)
@@ -309,6 +328,17 @@ class MonomialMatrix:
             raise ValueError("columns and phases must have one entry per row")
         if not set(self.phases) <= {0, 1, 2, 3}:
             raise ValueError("phases must be reduced mod 4")
+        n = len(self.columns)
+        if n and not (0 <= min(self.columns) and max(self.columns) < n):
+            raise ValueError(f"columns must lie in range({n})")
+
+    @classmethod
+    def _trusted(cls, columns: tuple[int, ...], phases: tuple[int, ...]) -> "MonomialMatrix":
+        """The matrix (columns, phases) without validation, for values valid by construction."""
+        matrix = object.__new__(cls)
+        fields = matrix.__dict__
+        fields["columns"], fields["phases"] = columns, phases
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
@@ -317,16 +347,18 @@ class MonomialMatrix:
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         # row x of self picks row columns[x] of other
         columns, phases = other.columns, other.phases
-        return MonomialMatrix(
-            tuple(columns[c] for c in self.columns),
-            tuple((t + phases[c]) & 3 for c, t in zip(self.columns, self.phases)),
+        if len(columns) != len(self.columns):
+            raise ValueError(f"size mismatch: {len(self.columns)} x {len(columns)} monomial matrices")
+        return MonomialMatrix._trusted(
+            tuple([columns[c] for c in self.columns]),
+            tuple([(t + phases[c]) & 3 for c, t in zip(self.columns, self.phases)]),
         )
 
     def __neg__(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.columns, tuple((t + 2) & 3 for t in self.phases))
+        return MonomialMatrix._trusted(self.columns, tuple([(t + 2) & 3 for t in self.phases]))
 
     def times_i(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.columns, tuple((t + 1) & 3 for t in self.phases))
+        return MonomialMatrix._trusted(self.columns, tuple([(t + 1) & 3 for t in self.phases]))
 
     def trace(self) -> tuple[int, int]:
         """Trace as a Gaussian integer (real part, imaginary part), from the fixed points."""

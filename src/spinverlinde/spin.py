@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
+from .f2 import F2Vector, SymplecticF2Space
 
 
 @dataclass(frozen=True)
@@ -35,30 +35,42 @@ class QuadraticRefinement:
                 f"basis_values {self.basis_values} out of range for dimension {self.space.dimension}"
             )
 
-    def evaluate(self, v: F2Vector) -> int:
-        """q(v) in {0, 1}.
+    @classmethod
+    def _trusted(cls, space: SymplecticF2Space, basis_values: int) -> "QuadraticRefinement":
+        """The refinement (space, basis_values) without validation, for values valid by construction."""
+        refinement = object.__new__(cls)
+        fields = refinement.__dict__
+        fields["space"], fields["basis_values"] = space, basis_values
+        return refinement
+
+    def _value(self, bits: int) -> int:
+        """q on the bare mask of a vector of the space.
 
         Expanding v over the basis, the cross terms <e_i, e_j> contribute
         exactly one 1 per index i with both a_i and b_i present, so
         q(v) = sum of basis values on the support + #{i : a_i, b_i in v}.
         """
-        self.space._check_member(v)
-        a_mask = _a_positions_mask(self.space.genus)
-        linear = (self.basis_values & v.bits).bit_count()
-        cross = (v.bits & (v.bits >> 1) & a_mask).bit_count()
+        linear = (self.basis_values & bits).bit_count()
+        cross = (bits & (bits >> 1) & self.space._a_mask).bit_count()
         return (linear + cross) & 1
+
+    def evaluate(self, v: F2Vector) -> int:
+        """q(v) in {0, 1}."""
+        self.space._check_member(v)
+        return self._value(v.bits)
 
     __call__ = evaluate
 
     def shift(self, ell: F2Vector) -> "QuadraticRefinement":
         """The refinement q + <ell, .>, realizing the torsor action sigma -> sigma + ell."""
-        self.space._check_member(ell)
-        return QuadraticRefinement(self.space, self.basis_values ^ self.space.dual_bits(ell))
+        space = self.space
+        space._check_member(ell)
+        return QuadraticRefinement._trusted(space, self.basis_values ^ space._dual_mask(ell.bits))
 
     def arf(self) -> int:
         """The Arf invariant, as the closed form sum of q(a_i) q(b_i)."""
-        a_mask = _a_positions_mask(self.space.genus)
-        return (self.basis_values & (self.basis_values >> 1) & a_mask).bit_count() & 1
+        values = self.basis_values
+        return (values & (values >> 1) & self.space._a_mask).bit_count() & 1
 
     def arf_by_counting(self) -> int:
         """Arf invariant from the zero-counting definition; the independent oracle.
@@ -88,7 +100,7 @@ class QuadraticRefinement:
     def all_refinements(cls, space: SymplecticF2Space) -> Iterator["QuadraticRefinement"]:
         """All 2^{2g} refinements of the pairing, in basis-mask order."""
         for mask in range(1 << space.dimension):
-            yield cls(space, mask)
+            yield cls._trusted(space, mask)
 
 
 def count_by_arf(genus: int) -> tuple[int, int]:
@@ -129,6 +141,16 @@ def lift_sign(sigma: QuadraticRefinement, z: F2Vector, w2_bundle: int, w2_rho: i
     arf(sigma + <Z, .>) - arf(sigma) = sigma(Z), so the sign is
     (-1)^{w2_bundle + w2_rho * sigma(Z)}: one evaluation of the refinement.
     """
+    _check_w2_bits(w2_bundle, w2_rho)
+    sigma.space._check_member(z)
+    return _lift_sign(sigma, z.bits, w2_bundle, w2_rho)
+
+
+def _check_w2_bits(w2_bundle: int, w2_rho: int) -> None:
     if w2_bundle not in (0, 1) or w2_rho not in (0, 1):
         raise ValueError(f"w2 inputs must be bits, got {w2_bundle!r}, {w2_rho!r}")
-    return 1 - 2 * ((w2_bundle + w2_rho * sigma.evaluate(z)) & 1)
+
+
+def _lift_sign(sigma: QuadraticRefinement, bits: int, w2_bundle: int, w2_rho: int) -> int:
+    """lift_sign on the bare mask of a vector of sigma's space, for w2 inputs already checked."""
+    return 1 - 2 * ((w2_bundle + w2_rho * sigma._value(bits)) & 1)

@@ -1,0 +1,109 @@
+"""The check suites: enumeration-cap failures before any work, and counted details."""
+
+import pytest
+
+from spinverlinde import checks, cli
+from spinverlinde.f2 import EnumerationCapError, SymplecticF2Space
+from spinverlinde.heisenberg import HeisenbergElement
+from spinverlinde.spin import QuadraticRefinement
+
+# each enumerating suite, and a name its sweep calls once it has started work
+WORK = {
+    "pairing": (SymplecticF2Space, "pair"),
+    "charsum": (checks, "brute_character_sum"),
+    "refinement": (QuadraticRefinement, "all_refinements"),
+    "liftsign": (checks, "lift_sign"),
+    "projs": (checks, "projection"),
+    "tracedecomp": (checks, "trace_functional"),
+    "heisenberg": (checks, "heisenberg_rep"),
+}
+
+
+class TestCapBeforeWork:
+    @pytest.mark.parametrize("suite", sorted(WORK))
+    @pytest.mark.parametrize("max_genus", [7, 8, 10_000])
+    def test_cap_error_before_any_work(self, suite, max_genus, monkeypatch):
+        owner, name = WORK[suite]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{suite} started work before checking the cap")
+
+        monkeypatch.setattr(owner, name, no_work)
+        # the message names the first genus over the cap, as the sweep itself would
+        with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
+            checks.run_suite(suite, max_genus=max_genus)
+
+    @pytest.mark.parametrize("suite", ["heisenberg", "projs", "pairing"])
+    def test_cli_exit_code_and_message(self, suite, capsys):
+        assert cli.main(["check", suite, "--genus", "8"]) == 2
+        assert capsys.readouterr().err == "error: genus 7 exceeds enumeration cap 6\n"
+
+    def test_arf_suite_has_no_cap(self):
+        # it walks refinements only, never the vectors, and had no cap before
+        assert all(r.passed for r in checks.check_arf(max_genus=7))
+
+
+class TestCountedDetails:
+    def test_pairing_counts(self):
+        details = {r.name: r.details for r in checks.check_pairing(max_genus=2)}
+        assert details["pairing bilinear g=2"] == "1024 triples (v, w, basis x)"
+        assert details["pairing alternating g=2"] == "16 vectors v"
+        assert details["pairing symmetric g=2"] == "256 pairs (v, w)"
+        assert details["pairing non-degenerate g=2"] == "15 non-zero vectors v"
+
+    def test_refinement_counts(self):
+        details = {r.name: r.details for r in checks.check_refinements(max_genus=2)}
+        assert details["refinement law g=2"] == "1024 triples (q, v, basis w)"
+        assert details["shift is a free transitive torsor action g=2"] == (
+            "orbit of 16 of 16 refinements; 64 double shifts (q, basis ell)"
+        )
+        assert details["arf closed form = zero counting g=2"] == "16 refinements q"
+
+    def test_lift_sign_counts(self):
+        details = {r.name: r.details for r in checks.check_lift_signs(max_genus=2)}
+        assert details["lift sign sum identity g=2 w2=1"] == (
+            "16 spin structures sigma, each summed over 16 classes"
+        )
+        assert details["arf difference is a quadratic refinement g=2"] == (
+            "1024 triples (sigma, z, basis w)"
+        )
+
+    def test_heisenberg_counts(self):
+        details = {r.name: r.details for r in checks.check_heisenberg(max_genus=2)}
+        assert details["heisenberg rep is a homomorphism g=2"] == "4096 pairs (x, y)"
+        assert details["heisenberg commutator pairing g=2"] == "256 pairs (x, y) of central part 0"
+        assert details["heisenberg traces g=2"] == "64 elements"
+        assert details["heisenberg rep faithful g=2"] == "64 distinct matrices for 64 elements"
+
+    def test_lift_sign_counterexample(self, monkeypatch):
+        honest = checks.lift_sign
+
+        def flipped_at_sigma_two(sigma, z, w2_bundle, w2_rho):
+            sign = honest(sigma, z, w2_bundle, w2_rho)
+            return -sign if sigma.basis_values == 2 and z.bits == 1 else sign
+
+        monkeypatch.setattr(checks, "lift_sign", flipped_at_sigma_two)
+        record = checks.check_lift_signs(max_genus=1)[0]
+        assert record.name == "lift sign sum identity g=1 w2=0"
+        assert not record.passed
+        assert record.details == (
+            "3 spin structures sigma, each summed over 4 classes; first counterexample sigma mask = 2"
+        )
+
+    def test_heisenberg_counterexample(self, monkeypatch):
+        honest = HeisenbergElement.__mul__
+
+        def broken(x, y):
+            product = honest(x, y)
+            if (x.central, x.vector.bits, y.central, y.vector.bits) == (1, 1, 0, 2):
+                return HeisenbergElement((product.central + 1) % 4, product.vector)
+            return product
+
+        monkeypatch.setattr(HeisenbergElement, "__mul__", broken)
+        results = {r.name: r for r in checks.check_heisenberg(max_genus=1)}
+        record = results["heisenberg rep is a homomorphism g=1"]
+        # x = (1, a1) is element 5 and y = (0, b1) element 8 of 16, in (mask, t) order
+        assert not record.passed
+        assert record.details == (
+            "89 pairs (x, y); first counterexample (x, y) as (t, mask) = ((1, 1), (0, 2))"
+        )

@@ -165,13 +165,13 @@ class TestDimsViaTraces:
         # moves the termwise sum by 2 (lambda + 1)^{g-1} = 4 off the closed form
         import spinverlinde.heisenberg as heisenberg
 
-        honest = heisenberg.lift_sign
+        honest = heisenberg._lift_sign
 
-        def one_sign_flipped(sigma, z, w2_bundle, w2_rho):
-            sign = honest(sigma, z, w2_bundle, w2_rho)
-            return -sign if z.bits == 1 else sign
+        def one_sign_flipped(sigma, bits, w2_bundle, w2_rho):
+            sign = honest(sigma, bits, w2_bundle, w2_rho)
+            return -sign if bits == 1 else sign
 
-        monkeypatch.setattr(heisenberg, "lift_sign", one_sign_flipped)
+        monkeypatch.setattr(heisenberg, "_lift_sign", one_sign_flipped)
         with pytest.raises(IdentityViolationError, match="termwise trace sum 12 != closed form 16"):
             dims_via_traces(2, 0, 10, 1, 0)
 

@@ -70,6 +70,30 @@ def test_arf_additive_under_orthogonal_sum(data):
     assert q.arf() == q1.arf() ^ q2.arf()
 
 
+def literal_pair(g, v, w):
+    """sum_i a_i(v) b_i(w) + b_i(v) a_i(w) mod 2, from the coordinates a1, b1, ..., ag, bg."""
+    x, y = v.coordinates(), w.coordinates()
+    return sum(x[2 * i] * y[2 * i + 1] + x[2 * i + 1] * y[2 * i] for i in range(g)) % 2
+
+
+@deterministic
+@given(space_with(2))
+def test_bit_level_pairing_and_refinement_match_coordinate_formulas(case):
+    space, q, (v, ell) = case
+    g = space.genus
+    values = [(q.basis_values >> j) & 1 for j in range(2 * g)]
+    x = v.coordinates()
+    assert space.pair(v, ell) == literal_pair(g, v, ell)
+    # q(v) = sum_j q(e_j) v_j + sum_i a_i(v) b_i(v)
+    linear = sum(value * coord for value, coord in zip(values, x))
+    cross = sum(x[2 * i] * x[2 * i + 1] for i in range(g))
+    assert q.evaluate(v) == (linear + cross) % 2
+    # (q + <ell, .>)(e_j) = q(e_j) + <ell, e_j>
+    shifted = [value ^ literal_pair(g, ell, e) for value, e in zip(values, space.basis())]
+    assert q.shift(ell).basis_values == sum(bit << j for j, bit in enumerate(shifted))
+    assert q.arf() == sum(values[2 * i] * values[2 * i + 1] for i in range(g)) % 2
+
+
 @deterministic
 @given(space_with(2))
 def test_arf_difference_is_quadratic(case):
