@@ -154,15 +154,24 @@ def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
-        agree = all(
-            space.character_sum(b) == brute_character_sum(space, b) for b in space.vectors()
+        results.append(
+            _counted(
+                f"character sum closed form = brute force g={g}",
+                space.vectors(),
+                lambda b: space.character_sum(b) == brute_character_sum(space, b),
+                "vectors b",
+                "b mask",
+            )
         )
-        results.append(_result(f"character sum closed form = brute force g={g}", agree))
-        dichotomy = all(
-            space.character_sum(b) == ((1 << (2 * g)) if b.is_zero else 0)
-            for b in space.vectors()
+        results.append(
+            _counted(
+                f"character sum dichotomy g={g}",
+                space.vectors(),
+                lambda b: space.character_sum(b) == ((1 << (2 * g)) if b.is_zero else 0),
+                "vectors b",
+                "b mask",
+            )
         )
-        results.append(_result(f"character sum dichotomy g={g}", dichotomy))
     return results
 
 
@@ -223,6 +232,7 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_arf(max_genus: int = 4) -> list[CheckResult]:
+    _require_enumerable(max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -545,20 +555,31 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_levels(max_m: int = 50) -> list[CheckResult]:
-    results = []
-    consistent = all(
-        bm_from_so3(2 * m - 1).value == bhmv_from_su2(beta_pullback(2 * m - 1)).value
-        for m in range(1, max_m + 1)
-    )
-    results.append(_result(f"bm/so3/su2/bhmv consistency m<={max_m}", consistent))
-    round_trips = all(su2_from_bhmv(bhmv_from_su2(k)).value == k for k in range(0, 2 * max_m))
-    results.append(_result("bhmv round trips", round_trips))
-    shift_commutes = all(
-        beta_pullback(metaplectic_shift(so3_level(k))).value
-        == metaplectic_shift(beta_pullback(k)).value
-        for k in range(0, 20)
-    )
-    results.append(_result("metaplectic shift commutes with pullback", shift_commutes))
+    results = [
+        _counted(
+            f"bm/so3/su2/bhmv consistency m<={max_m}",
+            range(1, max_m + 1),
+            lambda m: bm_from_so3(2 * m - 1).value
+            == bhmv_from_su2(beta_pullback(2 * m - 1)).value,
+            "odd so3 levels 2m - 1",
+            "m",
+        ),
+        _counted(
+            "bhmv round trips",
+            range(0, 2 * max_m),
+            lambda k: su2_from_bhmv(bhmv_from_su2(k)).value == k,
+            "su2 levels k",
+            "k",
+        ),
+        _counted(
+            "metaplectic shift commutes with pullback",
+            range(0, 20),
+            lambda k: beta_pullback(metaplectic_shift(so3_level(k))).value
+            == metaplectic_shift(beta_pullback(k)).value,
+            "so3 levels k",
+            "k",
+        ),
+    ]
     table = correspondence_table()
     try:
         performed = table.validate()

@@ -23,9 +23,17 @@ and n = p/2, and csc^2 is symmetric under j -> n - j.  The oracle
 therefore encloses csc^2(pi j / n) only for 1 <= j <= n/2, each pair j,
 n - j folded into one weight, and keeps these enclosures in a bounded
 cache keyed by (n, precision).  Every genus and both oracles at the same
-n share them, and one interval context is reused per precision.  The
-tests keep the unfolded sum, with a fresh sine per term, as the oracle's
-own oracle.
+n share them.
+
+The oracle does its interval arithmetic on raw mpmath endpoint pairs, with
+the outward-rounded operations of ``mpmath.libmp.libmpi`` (the ones the
+interval context object dispatches to), so no context object is built per
+operation; the enclosures are bit-for-bit those of the context layer.
+Before the first attempt the Verlinde oracle skips every precision that
+cannot certify, judged by a float lower bound on the sum taken from its two
+largest terms, and fails at once when even the ceiling cannot.  The tests
+keep the context-object sum, and the unfolded sum with a fresh sine per
+term, as the oracle's own oracles.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_pow_int, mpi_shift, mpi_sin, mpi_sub
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CEILING = 4096
@@ -159,6 +169,11 @@ def _interval_context(prec: int) -> MPIntervalContext:
     return ctx
 
 
+def _int_interval(value: int, prec: int) -> tuple:
+    """The raw enclosure of an integer at ``prec`` bits, as the interval context converts it."""
+    return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
+
+
 @lru_cache(maxsize=256)
 def _csc_square_enclosures(n: int, prec: int) -> tuple:
     """((weight, csc^2(pi j / n)) for 1 <= j <= n/2), enclosed at ``prec`` bits.
@@ -167,24 +182,46 @@ def _csc_square_enclosures(n: int, prec: int) -> tuple:
     weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
     Summing weight * csc2^m over the result gives p_m(n) with half the sines.
     The cache keeps the enclosures of a few hundred (n, precision) pairs, so
-    every genus of a level sweep reuses them.
+    every genus of a level sweep reuses them.  Each enclosure is the raw
+    libmpi value of 1 / sin(pi * j / n)^2, wrapped as an interval-context
+    number (its raw pair is ``._mpi_``).
     """
-    ctx = _interval_context(prec)
-    return tuple(
-        (1 if 2 * j == n else 2, 1 / ctx.sin(ctx.pi * j / n) ** 2) for j in range(1, n // 2 + 1)
-    )
+    make_mpf = _interval_context(prec).make_mpf
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    size = _int_interval(n, prec)
+    enclosures = []
+    for j in range(1, n // 2 + 1):
+        angle = mpi_div(mpi_mul(pi, _int_interval(j, prec), prec), size, prec)
+        csc2 = mpi_div((fone, fone), mpi_pow_int(mpi_sin(angle, prec), 2, prec), prec)
+        enclosures.append((1 if 2 * j == n else 2, make_mpf(csc2)))
+    return tuple(enclosures)
 
 
-def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
-    """Run ``evaluate(ctx)`` in interval arithmetic, doubling precision until
-    the enclosure is finite with width < 1/2, then return the unique enclosed
-    integer."""
+def _check_precisions(precision_bits: int, precision_ceiling: int) -> None:
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
     if precision_ceiling < precision_bits:
         raise ValueError(
             f"precision ceiling {precision_ceiling} below starting precision {precision_bits}"
         )
+
+
+def _width_text(lower: Fraction | None, upper: Fraction | None) -> str:
+    """The enclosure width for a message: a float, or a power of two past the float range."""
+    if lower is None or upper is None:
+        return str(math.inf)
+    width = upper - lower
+    try:
+        return str(float(width))
+    except OverflowError:
+        return f"about 2^{width.numerator.bit_length() - width.denominator.bit_length()}"
+
+
+def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
+    """Run ``evaluate(ctx)`` in interval arithmetic, doubling precision until
+    the enclosure is finite with width < 1/2, then return the unique enclosed
+    integer."""
+    _check_precisions(precision_bits, precision_ceiling)
     prec = precision_bits
     while True:
         enclosure = evaluate(_interval_context(prec))
@@ -200,12 +237,38 @@ def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) 
                 )
             return CertifiedInteger(candidate, lower, upper, prec)
         if prec >= precision_ceiling:
-            width = float(upper - lower) if finite else math.inf
             raise PrecisionCeilingError(
-                f"{label}: interval width {width} still >= 1/2 "
+                f"{label}: interval width {_width_text(lower, upper)} still >= 1/2 "
                 f"at the precision ceiling {precision_ceiling} bits"
             )
         prec = min(2 * prec, precision_ceiling)
+
+
+def _first_useful_precision(
+    log2_lower_bound: float, precision_bits: int, precision_ceiling: int, label: str
+) -> int:
+    """The first precision of the doubling sequence that may certify a sum of at least 2^bound.
+
+    The oracle's enclosures have positive width, since they start from an
+    enclosure of pi and every step rounds outward.  A P-bit enclosure of
+    positive width around a value of at least 2^P is at least 1 wide: its
+    upper endpoint is at least 2^P, and the P-bit numbers from 2^P - 1 up
+    are at least 1 apart.  An attempt at P is therefore
+    skipped while log2_lower_bound > P + 2; the two extra bits absorb the
+    float error of the bound.  If the rule would skip the ceiling itself,
+    the oracle fails before any interval work.
+    """
+    _check_precisions(precision_bits, precision_ceiling)
+    prec = precision_bits
+    while log2_lower_bound > prec + 2:
+        if prec >= precision_ceiling:
+            raise PrecisionCeilingError(
+                f"{label}: the sum is at least 2^{log2_lower_bound:.1f}, so certifying it "
+                f"needs at least {math.ceil(log2_lower_bound - 2)} bits, "
+                f"above the precision ceiling {precision_ceiling} bits"
+            )
+        prec = min(2 * prec, precision_ceiling)
+    return prec
 
 
 def verlinde_trig_oracle(
@@ -219,15 +282,25 @@ def verlinde_trig_oracle(
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    n = k + 2
+    n, m = k + 2, g - 1
+    label = f"verlinde(g={g}, k={k})"
+    if n >= 3:
+        # log2 of the j = 1 and j = n - 1 terms, 2 (n/2)^m csc^{2m}(pi/n): all
+        # terms are positive, so this bounds the whole sum from below
+        bound = 1 + m * (math.log2(n / 2) - 2 * math.log2(math.sin(math.pi / n)))
+        precision_bits = _first_useful_precision(bound, precision_bits, precision_ceiling, label)
 
     def evaluate(ctx):
-        enclosures = _csc_square_enclosures(n, ctx.prec)
-        total = sum(weight * csc2 ** (g - 1) for weight, csc2 in enclosures)
-        # exact rational prefactor ((k+2)/2)^{g-1}
-        return total * ctx.mpf(n ** (g - 1)) / ctx.mpf(2 ** (g - 1))
+        prec = ctx.prec
+        total = (fzero, fzero)
+        for weight, csc2 in _csc_square_enclosures(n, prec):
+            term = mpi_pow_int(csc2._mpi_, m, prec)
+            # weight 2 is an exact shift
+            total = mpi_add(total, term if weight == 1 else mpi_shift(term, 1), prec)
+        # exact rational prefactor n^m / 2^m
+        return ctx.make_mpf(mpi_shift(mpi_mul(total, _int_interval(n**m, prec), prec), -m))
 
-    return _certify(evaluate, precision_bits, precision_ceiling, f"verlinde(g={g}, k={k})")
+    return _certify(evaluate, precision_bits, precision_ceiling, label)
 
 
 def twisted_trig_oracle(
@@ -245,20 +318,25 @@ def twisted_trig_oracle(
     their sum, the signed weight, is 2 (-1)^{j+1} for even n and 0 for odd
     n, where the pair cancels.  A term of weight 1 is j alone.  Hence
     signed weight = (-1)^{j+1} + (weight - 1) (-1)^{n-j+1}, for every n.
+    The alternating sum has no cheap positive lower bound, so the oracle
+    always starts at ``precision_bits``.
     """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"twisted oracle needs an even level p >= 4, got {p}")
-    n = p // 2
+    n, m = p // 2, g - 1
 
     def evaluate(ctx):
-        enclosures = _csc_square_enclosures(n, ctx.prec)
-        total = sum(
-            ((-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)) * csc2 ** (g - 1)
-            for j, (weight, csc2) in enumerate(enclosures, start=1)
-        )
-        # exact rational prefactor (p/4)^{g-1}
-        return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
+        prec = ctx.prec
+        total = (fzero, fzero)
+        for j, (weight, csc2) in enumerate(_csc_square_enclosures(n, prec), start=1):
+            signed = (-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)
+            # a cancelled pair adds nothing; a signed weight of +-2 is an exact shift
+            if signed:
+                term = mpi_shift(mpi_pow_int(csc2._mpi_, m, prec), abs(signed) - 1)
+                total = (mpi_add if signed > 0 else mpi_sub)(total, term, prec)
+        # exact rational prefactor p^m / 4^m
+        return ctx.make_mpf(mpi_shift(mpi_mul(total, _int_interval(p**m, prec), prec), -2 * m))
 
     return _certify(evaluate, precision_bits, precision_ceiling, f"twisted(g={g}, p={p})")

@@ -9,6 +9,7 @@ from spinverlinde.spin import QuadraticRefinement
 
 # each enumerating suite, and a name its sweep calls once it has started work
 WORK = {
+    "arf": (QuadraticRefinement, "all_refinements"),
     "pairing": (SymplecticF2Space, "pair"),
     "charsum": (checks, "brute_character_sum"),
     "refinement": (QuadraticRefinement, "all_refinements"),
@@ -33,14 +34,16 @@ class TestCapBeforeWork:
         with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
             checks.run_suite(suite, max_genus=max_genus)
 
-    @pytest.mark.parametrize("suite", ["heisenberg", "projs", "pairing"])
+    @pytest.mark.parametrize("suite", ["heisenberg", "projs", "pairing", "arf"])
     def test_cli_exit_code_and_message(self, suite, capsys):
         assert cli.main(["check", suite, "--genus", "8"]) == 2
         assert capsys.readouterr().err == "error: genus 7 exceeds enumeration cap 6\n"
 
-    def test_arf_suite_has_no_cap(self):
-        # it walks refinements only, never the vectors, and had no cap before
-        assert all(r.passed for r in checks.check_arf(max_genus=7))
+    def test_arf_suite_runs_up_to_the_cap(self, capsys):
+        # it walks the 2^{2g} refinements of each genus, 4x more per genus
+        assert all(r.passed for r in checks.check_arf(max_genus=6))
+        assert cli.main(["check", "arf", "--genus", "20"]) == 2
+        assert capsys.readouterr().err == "error: genus 7 exceeds enumeration cap 6\n"
 
 
 class TestCountedDetails:
@@ -58,6 +61,29 @@ class TestCountedDetails:
             "orbit of 16 of 16 refinements; 64 double shifts (q, basis ell)"
         )
         assert details["arf closed form = zero counting g=2"] == "16 refinements q"
+
+    def test_character_sum_counts(self):
+        details = {r.name: r.details for r in checks.check_character_sums(max_genus=2)}
+        assert details["character sum closed form = brute force g=2"] == "16 vectors b"
+        assert details["character sum dichotomy g=2"] == "16 vectors b"
+
+    def test_levels_counts(self):
+        details = {r.name: r.details for r in checks.check_levels(max_m=5)}
+        assert details["bm/so3/su2/bhmv consistency m<=5"] == "5 odd so3 levels 2m - 1"
+        assert details["bhmv round trips"] == "10 su2 levels k"
+        assert details["metaplectic shift commutes with pullback"] == "20 so3 levels k"
+
+    def test_character_sum_counterexample(self, monkeypatch):
+        honest = checks.brute_character_sum
+
+        def off_at_mask_three(space, b):
+            return honest(space, b) + (b.bits == 3)
+
+        monkeypatch.setattr(checks, "brute_character_sum", off_at_mask_three)
+        record = checks.check_character_sums(max_genus=1)[0]
+        assert record.name == "character sum closed form = brute force g=1"
+        assert not record.passed
+        assert record.details == "4 vectors b; first counterexample b mask = 3"
 
     def test_lift_sign_counts(self):
         details = {r.name: r.details for r in checks.check_lift_signs(max_genus=2)}

@@ -134,6 +134,8 @@ class TestVerlindeCommand:
         assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == (0.0, 64)
         assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == (None, None)
         assert [c["passed"] for c in payload["checks"]] == [True, False]
+        # (30, 40) fails before any interval work, naming the bits it needs
+        assert "needs at least 344 bits, above the precision ceiling 64" in payload["checks"][1]["details"]
 
     def test_failed_certification_cells_are_empty(self, capsys):
         code, out, _ = run_cli(capsys, *self.FAILED_CELL)

@@ -5,6 +5,7 @@ import pytest
 
 from spinverlinde import fusion
 from spinverlinde.fusion import (
+    DEFAULT_PRECISION_BITS,
     CertificationError,
     PrecisionCeilingError,
     _certify,
@@ -116,6 +117,49 @@ def unfolded_twisted_oracle(g, p, precision_bits=128):
         return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
 
     return _certify(evaluate, precision_bits, 4096, f"unfolded twisted(g={g}, p={p})")
+
+
+# ---------------------------------------------------------------------------
+# context-object oracle: the folded sums as the interval context evaluates
+# them, one ivmpf operator at a time; the production oracle runs the same
+# libmpi operations on raw endpoint pairs and must agree bit for bit
+
+
+@cache
+def context_enclosures(n, prec):
+    ctx = _interval_context(prec)
+    return tuple(
+        (1 if 2 * j == n else 2, 1 / ctx.sin(ctx.pi * j / n) ** 2) for j in range(1, n // 2 + 1)
+    )
+
+
+def context_verlinde_evaluate(g, k):
+    n = k + 2
+
+    def evaluate(ctx):
+        enclosures = context_enclosures(n, ctx.prec)
+        total = sum(weight * csc2 ** (g - 1) for weight, csc2 in enclosures)
+        return total * ctx.mpf(n ** (g - 1)) / ctx.mpf(2 ** (g - 1))
+
+    return evaluate
+
+
+def context_twisted_evaluate(g, p):
+    n = p // 2
+
+    def evaluate(ctx):
+        enclosures = context_enclosures(n, ctx.prec)
+        total = sum(
+            ((-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)) * csc2 ** (g - 1)
+            for j, (weight, csc2) in enumerate(enclosures, start=1)
+        )
+        return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
+
+    return evaluate
+
+
+def certificate(certified):
+    return certified.lower, certified.upper, certified.precision_bits
 
 
 class TestFusionRing:
@@ -336,3 +380,68 @@ class TestOracles:
     def test_low_precision_rejected(self):
         with pytest.raises(ValueError):
             verlinde_trig_oracle(2, 2, 32)
+
+
+class TestRawIntervalOracle:
+    @pytest.mark.parametrize("prec", [64, 128, 256, 512])
+    def test_enclosures_equal_context_objects(self, prec):
+        for n in range(2, 51):
+            raw = [(weight, csc2._mpi_) for weight, csc2 in _csc_square_enclosures(n, prec)]
+            assert raw == [(weight, csc2._mpi_) for weight, csc2 in context_enclosures(n, prec)]
+
+    @pytest.mark.parametrize("g", [*range(1, 9), 24])
+    def test_certificates_equal_context_objects(self, g):
+        # the context-object route tries every precision from 128 bits up,
+        # so equal precisions also show that no certifying precision is skipped
+        for k in range(0, 49):
+            p = 2 * (k + 2)
+            reference = _certify(context_verlinde_evaluate(g, k), 128, 4096, "context verlinde")
+            assert certificate(verlinde_trig_oracle(g, k)) == certificate(reference)
+            reference = _certify(context_twisted_evaluate(g, p), 128, 4096, "context twisted")
+            assert certificate(twisted_trig_oracle(g, p)) == certificate(reference)
+
+    def test_skipped_precisions_cannot_certify(self, monkeypatch):
+        honest = fusion._certify
+        starts = []
+
+        def recording(evaluate, precision_bits, precision_ceiling, label):
+            starts.append(precision_bits)
+            return honest(evaluate, precision_bits, precision_ceiling, label)
+
+        monkeypatch.setattr(fusion, "_certify", recording)
+        skipped = 0
+        for g in (2, 5, 9, 12, 17, 24, 33, 48, 64, 90, 120):
+            for k in (1, 2, 5, 16, 40, 100):
+                starts.clear()
+                certified = verlinde_trig_oracle(g, k)
+                (start,) = starts
+                assert certified.precision_bits >= start
+                prec = DEFAULT_PRECISION_BITS
+                while prec < start:
+                    with pytest.raises(PrecisionCeilingError):
+                        honest(context_verlinde_evaluate(g, k), prec, prec, "skipped")
+                    prec *= 2
+                    skipped += 1
+        assert skipped > 0
+
+    def test_ceiling_fails_fast_before_interval_work(self):
+        before = _csc_square_enclosures.cache_info()
+        with pytest.raises(
+            PrecisionCeilingError, match=r"needs at least 4738 bits, above the precision ceiling 4096"
+        ):
+            verlinde_trig_oracle(400, 40)
+        after = _csc_square_enclosures.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        # a 3553-bit value still fits under the default ceiling
+        assert verlinde_trig_oracle(300, 40).precision_bits == 4096
+
+    def test_invalid_precisions_rejected_before_the_skip(self):
+        with pytest.raises(ValueError):
+            verlinde_trig_oracle(400, 40, 32)
+        with pytest.raises(ValueError):
+            verlinde_trig_oracle(400, 40, 256, 128)
+
+    def test_width_past_the_float_range_is_reported(self):
+        # the twisted sum has no skip rule; its width here exceeds any float
+        with pytest.raises(PrecisionCeilingError, match=r"interval width about 2\^1086 still"):
+            twisted_trig_oracle(97, 84, 64, 64)
