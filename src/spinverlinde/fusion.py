@@ -9,11 +9,24 @@ and its twisted, alternating-sign analogue
     dim'(g, p) = (p/4)^{g-1} * sum_{j=1}^{p/2-1} (-1)^{j+1} sin(2 pi j / p)^{2-2g}
 
 are real trigonometric sums with integer values.  This module evaluates
-them exactly through the power sums p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n),
-which a rational recurrence gives in O(m^2) steps independently of the
-level (Zagier, "Elementary aspects of the Verlinde formula", 1996).  The
-same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
-the tests keep that trace as an oracle.
+them exactly through the power sums p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n)
+(Zagier, "Elementary aspects of the Verlinde formula", 1996).  With
+s = sin^2 z, sin nz / (n sin z) = sum_r c_r s^r is a hypergeometric series
+whose log has the coefficients -p_i(n) / (2i), so a Newton recurrence gives
+p_1(n), ..., p_m(n) in one pass of O(m^2) steps, whatever the level.  One
+table per n holds them, grows on demand and is shared by every genus; the
+twisted sum reads the tables at n = p/2 and p/4.  The table runs in integers
+only, on the scaled roots: with scale mu = n for odd n and mu = 2n for even
+n, C_r = mu^r c_r are integers, and so are P_i = mu^i p_i(n), which the
+recurrence P_i = -2 i C_i - sum_{r<i} C_r P_{i-r} builds from them.  For odd n,
+sin nz / sin z = U_{n-1}(cos z) is an integer polynomial in s with constant
+term n, so C_r = n^{r-1} a_r.  For even n it is cos z times such a
+polynomial, and the s^a coefficient of cos z = (1 - s)^{1/2} has a
+denominator dividing 2^{2a-1}, which (2n)^r / n supplies for a <= r (n is
+even).  (mu = n fails for even n, first at n = 6, r = 2.)  A runtime guard
+raises ``ArithmeticError`` should a division ever be inexact.  The same
+numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1}; the tests
+keep that trace and the rational recurrence as oracles.
 
 Every value is certified against the trigonometric sums by an
 arbitrary-precision interval oracle: the sum is enclosed in an interval
@@ -42,6 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
@@ -63,29 +77,78 @@ class PrecisionCeilingError(CertificationError):
 # exact dimension values
 
 
-def _csc_power_sum(m: int, n: int) -> Fraction:
-    """p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n), exactly, in O(m^2) steps.
+def _extend_power_sums(n: int, scale: int, coefficients: tuple, sums: tuple, m: int) -> tuple:
+    """(C_0..C_m, P_0..P_m) at n, grown from a shorter prefix of both.
 
-    With s = sin^2 z, prod_j (1 - s csc^2(pi j / n)) = (sin nz / (n sin z))^2
-    and sin nz / (n sin z) = 2F1((1+n)/2, (1-n)/2; 3/2; s) = sum_r c_r s^r
-    (DLMF 15.4), so p_m(n) = -2 q_m with q_i = i [s^i] log 2F1.  The q_i
-    follow from the c_r by the Newton recurrence i c_i = sum_r q_r c_{i-r}.
+    C_r = scale^r c_r are the scaled coefficients of
+    sin nz / (n sin z) = sum_r c_r s^r, and P_i = scale^i p_i(n) the scaled
+    power sums, from the Newton recurrence P_i = -2 i C_i - sum_{r<i} C_r P_{i-r}.
     """
-    if m == 0:
-        return Fraction(n - 1)
-    c = [Fraction(1)]
-    for r in range(m):
-        c.append(c[r] * ((2 * r + 1) ** 2 - n * n) / (2 * (2 * r + 3) * (r + 1)))
-    q = [Fraction(0)]
-    for i in range(1, m + 1):
-        q.append(i * c[i] - sum(q[r] * c[i - r] for r in range(1, i)))
-    return -2 * q[m]
+    c, p = list(coefficients), list(sums)
+    for i in range(len(p), m + 1):
+        r = i - 1
+        numerator = scale * c[r] * ((2 * r + 1) ** 2 - n * n)
+        denominator = 2 * (2 * r + 3) * (r + 1)
+        coefficient, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise ArithmeticError(
+                f"csc power sums at n={n}: scaled coefficient C_r at r={i} is "
+                f"{numerator}/{denominator}, not an integer"
+            )
+        c.append(coefficient)
+        p.append(-2 * i * coefficient - sum(map(mul, c[1:i], p[i - 1 : 0 : -1])))
+    return tuple(c), tuple(p)
 
 
-def _integral(value: Fraction, label: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{label}: power-sum value {value} is not an integer")
-    return value.numerator
+class _PowerSumTable:
+    """The scaled csc power sums P_i = scale^i p_i(n), i = 0, 1, ..., at one n.
+
+    The table grows on demand and every genus reads it.  A growth builds new
+    tuples and stores them in one assignment, so a concurrent reader sees
+    either the old prefix or the new one, never a half-grown table.
+    """
+
+    __slots__ = ("n", "scale", "_rows")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.scale = n if n % 2 else 2 * n
+        # (C_0..C_t, P_0..P_t), with p_0(n) = n - 1
+        self._rows = ((1,), (n - 1,))
+
+    def scaled_sum(self, m: int) -> int:
+        rows = self._rows
+        if m >= len(rows[1]):
+            rows = self._rows = _extend_power_sums(self.n, self.scale, *rows, m)
+        return rows[1][m]
+
+
+@lru_cache(maxsize=128)
+def _power_sum_table(n: int) -> _PowerSumTable:
+    """The table at n that every genus shares.
+
+    The cache holds 128 tables, more than the distinct n of any CLI
+    workload grid (the verlinde sweep reaches 49, spin-dims 24).  A table
+    up to m holds O(m^2 log n) bits: about 3 KB at m = 23 and n <= 130, and
+    300 KB for the table behind verlinde_dim(400, 100) (n = 102, m = 399;
+    sys.getsizeof of both tuples and their integers).
+    """
+    return _PowerSumTable(n)
+
+
+def _scaled_power_sum(m: int, n: int) -> int:
+    """scale^m p_m(n), with scale = n for odd n and 2n for even n."""
+    return _power_sum_table(n).scaled_sum(m)
+
+
+def _integral(numerator: int, shift: int, label: str) -> int:
+    """numerator / 2^shift, which must be an integer."""
+    value, remainder = divmod(numerator, 1 << shift)
+    if remainder:
+        raise ArithmeticError(
+            f"{label}: power-sum value {Fraction(numerator, 1 << shift)} is not an integer"
+        )
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +158,10 @@ def verlinde_dim(g: int, k: int) -> int:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    n = k + 2
-    value = Fraction(n, 2) ** (g - 1) * _csc_power_sum(g - 1, n)
-    return _integral(value, f"verlinde_dim(g={g}, k={k})")
+    m, n = g - 1, k + 2
+    # (n/2)^m p_m(n) = (n / (2 scale))^m P_m(n): P_m(n) / 2^m for odd n, / 4^m for even n
+    shift = m if n % 2 else 2 * m
+    return _integral(_scaled_power_sum(m, n), shift, f"verlinde_dim(g={g}, k={k})")
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +169,22 @@ def twisted_dim(g: int, p: int) -> int:
     """Twisted genus-g dimension at even level p >= 4, from the csc power sums at n = p/2.
 
     The alternating sum over j is the full sum p_m(n) minus twice its
-    even-j part, which is p_m(n/2) for even n and, by j -> n - j, half the
-    full sum for odd n.
+    even-j part.  For odd n the part is half the full sum (j -> n - j swaps
+    the parities), so the value is 0.  For even n it is p_m(h), h = n/2.
     """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"twisted dimension needs an even level p >= 4, got {p}")
     m, n = g - 1, p // 2
-    full = _csc_power_sum(m, n)
-    even_part = _csc_power_sum(m, n // 2) if n % 2 == 0 else full / 2
-    value = Fraction(p, 4) ** m * (full - 2 * even_part)
-    return _integral(value, f"twisted_dim(g={g}, p={p})")
+    if n % 2:
+        return 0
+    h = n // 2
+    # (n/2)^m (p_m(n) - 2 p_m(h)) = (P_m(n) - 2 (2n / scale_h)^m P_m(h)) / 4^m,
+    # where 2n / scale_h is 4 for odd h and 2 for even h
+    ratio_bits = 2 * m if h % 2 else m
+    numerator = _scaled_power_sum(m, n) - (_scaled_power_sum(m, h) << (ratio_bits + 1))
+    return _integral(numerator, 2 * m, f"twisted_dim(g={g}, p={p})")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import (
     _csc_square_enclosures,
     _interval_context,
+    _power_sum_table,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -48,6 +49,7 @@ def _cold_caches():
     twisted_dim.cache_clear()
     _csc_square_enclosures.cache_clear()
     _interval_context.cache_clear()
+    _power_sum_table.cache_clear()
 
 
 def test_criterion_01_verlinde_values():

@@ -1,7 +1,13 @@
+import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinverlinde import fusion
 from spinverlinde.fusion import (
@@ -10,7 +16,11 @@ from spinverlinde.fusion import (
     PrecisionCeilingError,
     _certify,
     _csc_square_enclosures,
+    _extend_power_sums,
     _interval_context,
+    _power_sum_table,
+    _PowerSumTable,
+    _scaled_power_sum,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -89,6 +99,44 @@ def trace_dim(g, k):
 def twisted_trace_dim(g, k):
     matrices, _ = fusion_ring(k)
     return _trace(_mul(matrices[k], handle_power(k, g - 1)))
+
+
+# ---------------------------------------------------------------------------
+# rational csc power-sum oracle: the recurrence of Zagier (1996) in Fraction
+# arithmetic, one pass per call; production runs it in integers on one table per n
+
+
+def fraction_power_sums(m, n):
+    """[p_0(n), ..., p_m(n)], p_i(n) = sum_{j=1}^{n-1} csc^{2i}(pi j / n), as Fractions.
+
+    With s = sin^2 z, sin nz / (n sin z) = 2F1((1+n)/2, (1-n)/2; 3/2; s) = sum_r c_r s^r
+    (DLMF 15.4) and p_i(n) = -2 q_i with q_i = i [s^i] log 2F1, from the Newton
+    recurrence i c_i = sum_r q_r c_{i-r}.
+    """
+    c = [Fraction(1)]
+    for r in range(m):
+        c.append(c[r] * ((2 * r + 1) ** 2 - n * n) / (2 * (2 * r + 3) * (r + 1)))
+    q = [Fraction(0)]
+    for i in range(1, m + 1):
+        q.append(i * c[i] - sum(q[r] * c[i - r] for r in range(1, i)))
+    return [Fraction(n - 1)] + [-2 * value for value in q[1:]]
+
+
+def fraction_power_sum(m, n):
+    return fraction_power_sums(m, n)[m]
+
+
+def table_power_sum(m, n):
+    """p_m(n) as the production table gives it, scale^m p_m(n) over scale^m."""
+    return Fraction(_scaled_power_sum(m, n), (n if n % 2 else 2 * n) ** m)
+
+
+def cold_caches():
+    verlinde_dim.cache_clear()
+    twisted_dim.cache_clear()
+    _power_sum_table.cache_clear()
+    _csc_square_enclosures.cache_clear()
+    _interval_context.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +284,8 @@ class TestVerlindeDim:
         assert verlinde_dim(3, 1) == 8
 
     def test_non_integral_series_value_raises(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_csc_power_sum", lambda m, n: Fraction(1, 3))
+        # every scaled power sum reads 1: 1/2 at (2, 1) and -3/4 at (2, 8)
+        monkeypatch.setattr(fusion, "_scaled_power_sum", lambda m, n: 1)
         with pytest.raises(ArithmeticError, match=r"verlinde_dim\(g=2, k=1\)"):
             verlinde_dim.__wrapped__(2, 1)
         with pytest.raises(ArithmeticError, match=r"twisted_dim\(g=2, p=8\)"):
@@ -247,6 +296,112 @@ class TestVerlindeDim:
             verlinde_dim(0, 2)
         with pytest.raises(ValueError):
             verlinde_dim(2, -1)
+
+
+class TestPowerSumTable:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_equals_fraction_recurrence(self, parity):
+        for n in range(2 if parity == "even" else 3, 151, 2):
+            assert [table_power_sum(m, n) for m in range(41)] == fraction_power_sums(40, n)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(2, 2000))
+    def test_equals_fraction_recurrence_sampled(self, m, n):
+        assert table_power_sum(m, n) == fraction_power_sum(m, n)
+
+    def test_small_values(self):
+        # p_1(n) = (n^2 - 1) / 3, p_2(n) = (n^2 - 1)(n^2 + 11) / 45
+        for n in range(2, 60):
+            assert table_power_sum(1, n) == Fraction(n * n - 1, 3)
+            assert table_power_sum(2, n) == Fraction((n * n - 1) * (n * n + 11), 45)
+        # n = 1 has no terms at all
+        assert [table_power_sum(m, 1) for m in range(5)] == [0] * 5
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 50, 51, 102])
+    def test_growth_order_does_not_matter(self, n):
+        top = 60
+        ascending, descending, jump = _PowerSumTable(n), _PowerSumTable(n), _PowerSumTable(n)
+        values = [ascending.scaled_sum(m) for m in range(top + 1)]
+        assert [descending.scaled_sum(m) for m in range(top, -1, -1)] == values[::-1]
+        assert jump.scaled_sum(top) == values[top]
+        assert ascending._rows == descending._rows == jump._rows
+        assert all(isinstance(row, tuple) for row in ascending._rows)
+        assert len(ascending._rows[1]) == top + 1
+
+    def test_growth_replaces_rows_and_keeps_the_prefix(self):
+        table = _PowerSumTable(40)
+        table.scaled_sum(10)
+        before = table._rows
+        table.scaled_sum(30)
+        assert table._rows is not before
+        assert table._rows[0][:11] == before[0] and table._rows[1][:11] == before[1]
+        table.scaled_sum(20)
+        assert table._rows[1][:31] == table._rows[1]
+
+    def test_concurrent_growth_never_shows_a_partial_table(self):
+        top = 120
+        expected = [_PowerSumTable(50).scaled_sum(m) for m in range(top + 1)]
+        table, bad = _PowerSumTable(50), []
+
+        def reader(seed):
+            order = list(range(top + 1))
+            random.Random(seed).shuffle(order)
+            for m in order:
+                if table.scaled_sum(m) != expected[m]:
+                    bad.append(("value", m))
+                coefficients, sums = table._rows
+                if len(coefficients) != len(sums) or list(sums) != expected[: len(sums)]:
+                    bad.append(("rows", len(coefficients), len(sums)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+
+    def test_table_shared_by_every_genus(self):
+        cold_caches()
+        for g in range(1, 30):
+            verlinde_dim(g, 40)
+        info = _power_sum_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert len(_power_sum_table(42)._rows[1]) == 29
+
+    def test_unscaled_even_coefficients_are_not_integral(self):
+        # scale = n for even n fails: C_2 at n = 6 is 5670/20
+        with pytest.raises(ArithmeticError, match=r"n=6: .* r=2 is 5670/20, not an integer"):
+            _extend_power_sums(6, 6, (1,), (5,), 3)
+        # the production scale 2n is integral there
+        sums = _extend_power_sums(6, 12, (1,), (5,), 3)[1]
+        assert list(sums) == [12**m * p for m, p in enumerate(fraction_power_sums(3, 6))]
+
+
+class TestHighGenus:
+    """Genera well past the sweep grid, cold, against the oracles."""
+
+    def test_high_genus_cold_within_budget(self):
+        cold_caches()
+        start = time.perf_counter()
+        values = {g: verlinde_dim(g, 100) for g in range(1, 201)}
+        values[400] = verlinde_dim(400, 100)
+        for g, k in ((120, 40), (300, 40)):
+            assert verlinde_dim(g, k) == verlinde_trig_oracle(g, k).value
+        for p in (8, 200, 402):
+            for g in range(1, 65):
+                assert twisted_dim(g, p) == twisted_trig_oracle(g, p).value
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"high-genus sweep took {elapsed:.2f}s"
+        # spot cells against the rational recurrence: dim(g, 100) = 51^{g-1} p_{g-1}(102)
+        for g in (2, 17, 64, 200):
+            assert values[g] == 51 ** (g - 1) * fraction_power_sum(g - 1, 102)
+        assert all(isinstance(v, int) and v > 0 for v in values.values())
 
 
 class TestTwistedDim:
@@ -371,6 +526,7 @@ class TestOracles:
     def test_caches_are_bounded(self):
         assert _csc_square_enclosures.cache_info().maxsize is not None
         assert _interval_context.cache_info().maxsize is not None
+        assert _power_sum_table.cache_info().maxsize is not None
 
     def test_genus_one_oracle_is_exact(self):
         # csc2^0 = 1 exactly, so the sum of the fold weights is exact
