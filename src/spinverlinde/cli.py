@@ -1,8 +1,9 @@
 """Command-line surface: dimension tables, identity suites, level conversions.
 
 Exit codes are a stable contract: 0 success, 1 identity or certification
-failure, 2 usage error.  Sweep cells are evaluated in order, genus-major,
-so output ordering is deterministic.
+failure, 2 usage error.  Sweep rows are emitted genus-major, so output
+ordering is deterministic; the verlinde sweep evaluates its cells
+level-major, so that each level's cached tables serve every genus.
 """
 
 from __future__ import annotations
@@ -181,25 +182,38 @@ def _emit(args, command: str, params: dict, rows: list[dict], checks: list[dict]
 # subcommands
 
 
+def _verlinde_cell(g: int, k: int, precision_bits: int, ceiling: int) -> tuple[dict, dict]:
+    """The row and the certification check of one (g, k) cell."""
+    dim = verlinde_dim(g, k)
+    try:
+        certificate = verlinde_trig_oracle(g, k, precision_bits, ceiling)
+        width, bits = float(certificate.width), certificate.precision_bits
+        certified = certificate.value == dim and certificate.width < Fraction(1, 2)
+        details = f"series {dim}, oracle {certificate.value}"
+    except CertificationError as exc:
+        width, bits, certified, details = None, None, False, str(exc)
+    row = {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits}
+    return row, {"name": f"certified (g={g}, k={k})", "passed": certified, "details": details}
+
+
 def _cmd_verlinde(args) -> int:
     ceiling = args.precision_ceiling
     if ceiling is None:
         ceiling = _default_ceiling()
+    # level-major, so that every genus reads a level's power-sum table and
+    # enclosures while they are cached; an invalid genus or level is the
+    # first of its sorted list, so the first cell raises in either order
+    cells = {
+        (g, k): _verlinde_cell(g, k, args.precision_bits, ceiling)
+        for k in args.level
+        for g in args.genus
+    }
     rows, checks = [], []
     for g in args.genus:
         for k in args.level:
-            dim = verlinde_dim(g, k)
-            try:
-                certificate = verlinde_trig_oracle(g, k, args.precision_bits, ceiling)
-                width, bits = float(certificate.width), certificate.precision_bits
-                certified = certificate.value == dim and certificate.width < Fraction(1, 2)
-                details = f"series {dim}, oracle {certificate.value}"
-            except CertificationError as exc:
-                width, bits, certified, details = None, None, False, str(exc)
-            rows.append(
-                {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits}
-            )
-            checks.append({"name": f"certified (g={g}, k={k})", "passed": certified, "details": details})
+            row, check = cells[g, k]
+            rows.append(row)
+            checks.append(check)
     params = {"genus": args.genus, "level": args.level}
     return _emit(args, "verlinde", params, rows, checks)
 

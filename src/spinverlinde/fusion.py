@@ -128,7 +128,9 @@ def _power_sum_table(n: int) -> _PowerSumTable:
     """The table at n that every genus shares.
 
     The cache holds 128 tables, more than the distinct n of any CLI
-    workload grid (the verlinde sweep reaches 49, spin-dims 24).  A table
+    workload grid (the verlinde sweep reaches 49, spin-dims 24); the
+    verlinde command evaluates its cells level-major, so a wider sweep
+    still builds each table once.  A table
     up to m holds O(m^2 log n) bits: about 3 KB at m = 23 and n <= 130, and
     300 KB for the table behind verlinde_dim(400, 100) (n = 102, m = 399;
     sys.getsizeof of both tuples and their integers).

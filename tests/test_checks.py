@@ -1,4 +1,4 @@
-"""The check suites: enumeration-cap failures before any work, and counted details."""
+"""The check suites: enumeration-cap failures before any work, counted details and the record list of `check all`."""
 
 import pytest
 
@@ -133,3 +133,12 @@ class TestCountedDetails:
         assert record.details == (
             "89 pairs (x, y); first counterexample (x, y) as (t, mask) = ((1, 1), (0, 2))"
         )
+
+
+class TestSuiteAll:
+    def test_default_record_list(self):
+        # the record list `check all` prints; a dropped or extra record changes it
+        results = checks.run_suite("all")
+        assert len(results) == 383
+        assert len({r.name for r in results}) == 383
+        assert [r.name for r in results if not r.passed] == []

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spinverlinde import cli
+from spinverlinde import cli, fusion
 from spinverlinde.cli import main
 
 
@@ -118,6 +118,24 @@ class TestVerlindeCommand:
         assert all(c["passed"] for c in payload["checks"])
         # the doublings show in the row: the cell certifies above its 64-bit start
         assert payload["rows"][0]["oracle_precision_bits"] > 64
+
+    def test_sweep_builds_each_power_sum_table_once(self, capsys):
+        # 130 levels are more distinct n than the 128 tables the cache holds, so
+        # a genus-major evaluation would evict every table before the next genus
+        fusion.verlinde_dim.cache_clear()
+        fusion._power_sum_table.cache_clear()
+        code, out, _ = run_cli(capsys, "verlinde", "--genus", "1..2", "--level", "0..129", "--format", "json")
+        assert code == 0
+        assert fusion._power_sum_table.cache_info().misses == 130
+        # byte for byte the genus-major output: the one-genus sweeps, concatenated
+        singles = [run_json(capsys, "verlinde", "--genus", str(g), "--level", "0..129")[1] for g in (1, 2)]
+        expected = {
+            "command": "verlinde",
+            "params": {"genus": [1, 2], "level": list(range(130))},
+            "rows": singles[0]["rows"] + singles[1]["rows"],
+            "checks": singles[0]["checks"] + singles[1]["checks"],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     # (1, 40) certifies at 64 bits, (30, 40) cannot: one row of each kind
     FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40",

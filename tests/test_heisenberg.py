@@ -308,19 +308,49 @@ class TestProjectionChecks:
         assert details["projections idempotent g=2"] == "16 squares P_sigma P_sigma"
         assert details["projections orthogonal g=2"] == "240 products P_(sigma+ell) P_sigma"
 
-    def test_first_counterexample_reported(self, monkeypatch):
-        def broken(sigma, ell):
-            return (sigma.basis_values, ell.bits) != (5, 3)
+    @staticmethod
+    def rebase_altered_at(monkeypatch, alter):
+        """Make rebase return alter(element) for the case (sigma mask 5, ell mask 3) only.
 
-        monkeypatch.setattr(checks, "orthogonality_check", broken)
+        The rebased element of the case (sigma, ell) is expressed over sigma.
+        """
+        honest = TwistedAlgebraElement.rebase
+
+        def rebase(self, ell):
+            rebased = honest(self, ell)
+            if (rebased.spin.basis_values, ell.bits) == (5, 3):
+                return alter(rebased)
+            return rebased
+
+        monkeypatch.setattr(TwistedAlgebraElement, "rebase", rebase)
+
+    def test_first_counterexample_reported(self, monkeypatch):
+        # adding [0] leaves a non-zero product with P_sigma; the case before,
+        # (4, 3), has the unaltered vectors, so its verdict must not be reused
+        def perturbed(element):
+            return element + TwistedAlgebraElement.symbol(element.spin, element.spin.space.zero)
+
+        self.rebase_altered_at(monkeypatch, perturbed)
         results = {r.name: r for r in checks.check_projections(max_genus=2)}
         record = results["projections orthogonal g=2"]
-        # sigma mask 5 comes after five refinements of 15 shifts each, then ell masks 1, 2, 3
+        # ell-major: 16 spin structures for each of ell masks 1 and 2, then sigma masks 0..5
         assert not record.passed
         assert record.details == (
-            "78 products P_(sigma+ell) P_sigma; first counterexample (sigma mask, ell mask) = (5, 3)"
+            "38 products P_(sigma+ell) P_sigma; first counterexample (sigma mask, ell mask) = (5, 3)"
         )
         assert results["projections orthogonal g=1"].passed
+
+    def test_spin_mismatch_still_raises(self, monkeypatch):
+        # the same vectors as the case before, over another spin structure
+        def respun(element):
+            space = element.spin.space
+            return TwistedAlgebraElement._trusted(
+                element.spin.shift(space.basis_a(1)), element.numerators, element.denominator
+            )
+
+        self.rebase_altered_at(monkeypatch, respun)
+        with pytest.raises(ValueError, match="^mismatched reference spin structures$"):
+            checks.check_projections(max_genus=2)
 
     def test_trace_decomposition_reports_spin_structures(self):
         results = checks.check_trace_decomposition(max_genus=2, base_dims=(10,), lambdas=(1,))
