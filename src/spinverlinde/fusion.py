@@ -28,38 +28,37 @@ raises ``ArithmeticError`` should a division ever be inexact.  The same
 numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1}; the tests
 keep that trace and the rational recurrence as oracles.
 
-Every value is certified against the trigonometric sums by an
-arbitrary-precision interval oracle: the sum is enclosed in an interval
-of width < 1/2, which pins a unique integer, doubling the precision until
-it does.  Both sums run over csc^2(pi j / n) for 1 <= j < n, with n = k+2
-and n = p/2, and csc^2 is symmetric under j -> n - j.  The oracle
-therefore encloses csc^2(pi j / n) only for 1 <= j <= n/2, each pair j,
-n - j folded into one weight, and keeps these enclosures in a bounded
-cache keyed by (n, precision).  Every genus and both oracles at the same
-n share them.
-
-The oracle does its interval arithmetic on raw mpmath endpoint pairs, with
-the outward-rounded operations of ``mpmath.libmp.libmpi`` (the ones the
-interval context object dispatches to), so no context object is built per
-operation; the enclosures are bit-for-bit those of the context layer.
-Before the first attempt the Verlinde oracle skips every precision that
-cannot certify, judged by a float lower bound on the sum taken from its two
-largest terms, and fails at once when even the ceiling cannot.  The tests
-keep the context-object sum, and the unfolded sum with a fresh sine per
-term, as the oracle's own oracles.
+Every value is certified against the trigonometric sums by a fixed-point
+oracle in Python integers: the sum is enclosed in an interval of width
+< 1/2, which pins a unique integer, doubling the precision Q until it does.
+Both sums run over csc^2(pi j / n) for 1 <= j < n, with n = k+2 and
+n = p/2, and csc^2 is symmetric under j -> n - j, so the oracle bounds
+csc^2(pi j / n) only for 1 <= j <= n/2, each pair j, n - j folded into one
+weight.  Per (n, Q) it takes one rigorous mpmath enclosure of cos and
+sin(pi/n), gets the later sines by exact integer rotation with a carried
+radius, and turns each into integer bounds lo <= 2^Q csc^2 <= hi; a
+bounded cache keyed by (n, Q) shares them between every genus and both
+oracles.  The m-th powers of lo and hi are taken with every rounding
+directed outward, at a scale fine enough that the roundings hardly widen
+the enclosure; the weighted sums are exact, and one outward rounding
+brings them to scale 2^Q.  Both oracles (the twisted one at even n; at odd
+n its sum is exactly 0) skip every precision that cannot certify, judged
+by a float lower bound on the enclosure's width, and fail at once when
+even the ceiling cannot.  The tests keep the mpmath interval sums (folded,
+and unfolded with a sine for every j < n) as the oracle's own oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_pow_int, mpi_shift, mpi_sin, mpi_sub
+from mpmath.libmp import from_int, mpf_div, mpf_pi, mpf_shift, round_ceiling, round_floor, to_int
+from mpmath.libmp.libmpi import mpi_cos_sin
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CEILING = 4096
@@ -190,7 +189,7 @@ def twisted_dim(g: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval-arithmetic certification oracle
+# fixed-point certification oracle
 
 
 @dataclass(frozen=True)
@@ -216,55 +215,145 @@ class CertifiedInteger:
         return self.value
 
 
-def _endpoint_fraction(endpoint: tuple) -> Fraction | None:
-    """The exact value of an mpmath raw endpoint, or None if it is +/-inf or NaN."""
-    # mpmath raw endpoint: (sign, mantissa, exponent, bit count), value = +/- man * 2^exp;
-    # zero is (0, 0, 0, 0), the non-finite specials have mantissa 0 and a non-zero exponent
-    sign, man, exp, _ = endpoint
-    if man == 0:
-        return None if exp else Fraction(0)
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+# e^{i pi/n} and the sine radii are kept 16 bits finer than the sine midpoints
+_FINE_BITS = 16
+# a floor shift of both parts of a product moves it by less than sqrt(2) units
+# of the midpoints' scale, which is less than this many units of the finer scale
+_ROUNDING = 3 << (_FINE_BITS - 1)
 
 
-@lru_cache(maxsize=32)
-def _interval_context(prec: int) -> MPIntervalContext:
-    """The interval-arithmetic context at ``prec`` bits, built once per precision.
+def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
+    """(y_j, rho_j) for 1 <= j <= n/2, with |2^W sin(pi j / n) - y_j| <= rho_j, W = scale_bits.
 
-    The context is shared by every caller at that precision, so no caller
-    may change its ``prec``.
+    Let V = W + 16 (``fine_bits``).  One mpmath interval, ``mpi_cos_sin`` at V bits of an
+    enclosure of pi/n, is floored and ceiled exactly to integers
+    [c_lo, c_hi] and [s_lo, s_hi] at scale 2^V.  With c, s the floors of
+    their midpoints, r_w = (c_hi - c) + (s_hi - s) bounds
+    |2^V e^{i pi/n} - (c + i s)|, since it bounds each part.  The ball of
+    midpoint (x_j + i y_j) 2^-W and radius r_j 2^-V holds e^{i pi j / n}:
+    j = 0 is 1 exactly (r_0 = 0), and the rotation by w = e^{i pi/n} gives
+
+        x_j + i y_j = floor((x + i y)(c + i s) / 2^V), each part floored,
+        r_j = r + r_w + ceil(r r_w / 2^V) + 3 * 2^15.
+
+    Proof: for z = e^{i pi (j-1)/n} and w with midpoints z~ and w~,
+    |z| = |w| = 1, so |z w - z~ w~| <= |z| |w - w~| + |z - z~| |w~|
+    <= r_w + r + r r_w 2^-V in units of 2^-V; and the floor moves each part
+    by less than 2^-W, the point by less than
+    sqrt(2) 2^-W < 3 * 2^15 * 2^-V.  The imaginary part is within the
+    radius too, so rho_j = floor(r_j / 2^16) + 1 bounds it at scale 2^W.
+    The radius grows linearly in j: r_w is a few units, as the V-bit
+    enclosure is a few ulps wide, so rho_j <= 3j.
     """
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    return ctx
-
-
-def _int_interval(value: int, prec: int) -> tuple:
-    """The raw enclosure of an integer at ``prec`` bits, as the interval context converts it."""
-    return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
+    fine_bits = scale_bits + _FINE_BITS
+    size = from_int(n)
+    angle = (
+        mpf_div(mpf_pi(fine_bits, round_floor), size, fine_bits, round_floor),
+        mpf_div(mpf_pi(fine_bits, round_ceiling), size, fine_bits, round_ceiling),
+    )
+    (cos_lo, cos_hi), (sin_lo, sin_hi) = mpi_cos_sin(angle, fine_bits)
+    c_lo = to_int(mpf_shift(cos_lo, fine_bits), round_floor)
+    c_hi = to_int(mpf_shift(cos_hi, fine_bits), round_ceiling)
+    s_lo = to_int(mpf_shift(sin_lo, fine_bits), round_floor)
+    s_hi = to_int(mpf_shift(sin_hi, fine_bits), round_ceiling)
+    c, s = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
+    r_w = (c_hi - c) + (s_hi - s)
+    x, y, r = 1 << scale_bits, 0, 0
+    for _ in range(n // 2):
+        x, y = (x * c - y * s) >> fine_bits, (x * s + y * c) >> fine_bits
+        r += r_w + (r * r_w >> fine_bits) + 1 + _ROUNDING
+        yield y, (r >> _FINE_BITS) + 1
 
 
 @lru_cache(maxsize=256)
-def _csc_square_enclosures(n: int, prec: int) -> tuple:
-    """((weight, csc^2(pi j / n)) for 1 <= j <= n/2), enclosed at ``prec`` bits.
+def _csc_square_bounds(n: int, bits: int) -> tuple | None:
+    """((weight, lo, hi) for 1 <= j <= n/2), lo 2^-bits <= csc^2(pi j / n) <= hi 2^-bits.
 
-    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
-    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
-    Summing weight * csc2^m over the result gives p_m(n) with half the sines.
-    The cache keeps the enclosures of a few hundred (n, precision) pairs, so
-    every genus of a level sweep reuses them.  Each enclosure is the raw
-    libmpi value of 1 / sin(pi * j / n)^2, wrapped as an interval-context
-    number (its raw pair is ``._mpi_``).
+    Fold.  csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one
+    term of weight 2; the middle j = n/2 of an even n is its own mirror,
+    weight 1.  Summing weight * csc2^m over the result gives p_m(n) with
+    half the sines.
+
+    Bounds.  With the sine balls (y, rho) of ``_sine_balls`` at scale 2^W,
+    W = bits + guard, and csc^2 = 1 / sin^2 decreasing in sin > 0,
+    lo = floor(2^(2W + bits) / (y + rho)^2) and
+    hi = ceil(2^(2W + bits) / (y - rho)^2).  If some y <= rho the ball may
+    reach 0 and the result is None ("not tight").  As rho > 0, every term
+    has hi > lo: ceil(a) >= a > b >= floor(b).
+
+    Guard.  With sigma = 2^W sin(pi j / n) >= 2^(W+1) j / n (as
+    sin x >= 2x / pi on [0, pi/2]), rho <= 3j and so rho / sigma below
+    2^-60, hi - lo < 2 + 2^(2W + bits) 4 y rho / ((y - rho)^2 (y + rho)^2),
+    and the second term is about 4 rho 2^(2W + bits) / sigma^3
+    <= 1.5 n^3 2^(bits - W) / j^2.  The guard 3b + 2, with
+    b = n.bit_length() so that n < 2^b, makes it at most 3/8: hi - lo <= 2
+    at every precision.
+
+    The cache keeps the bounds of a few hundred (n, bits) pairs, so every
+    genus of a level sweep and both oracles at one n reuse them; a
+    different precision never reuses another's.  An entry holds n/2
+    triples of (bits + 2 log2 n)-bit integers: 7.3 KB at n = 50, 512 bits,
+    and 0.62 MB at n = 1000, 4096 bits (sys.getsizeof of the tuples and
+    their integers).
     """
-    make_mpf = _interval_context(prec).make_mpf
-    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-    size = _int_interval(n, prec)
-    enclosures = []
-    for j in range(1, n // 2 + 1):
-        angle = mpi_div(mpi_mul(pi, _int_interval(j, prec), prec), size, prec)
-        csc2 = mpi_div((fone, fone), mpi_pow_int(mpi_sin(angle, prec), 2, prec), prec)
-        enclosures.append((1 if 2 * j == n else 2, make_mpf(csc2)))
-    return tuple(enclosures)
+    scale_bits = bits + 3 * n.bit_length() + 2
+    top = 1 << (2 * scale_bits + bits)
+    bounds = []
+    for j, (y, rho) in enumerate(_sine_balls(n, scale_bits), start=1):
+        if y <= rho:
+            return None
+        bounds.append((1 if 2 * j == n else 2, top // (y + rho) ** 2, -(-top // (y - rho) ** 2)))
+    return tuple(bounds)
+
+
+def _scaled_power(x: int, m: int, bits: int, up: bool) -> int:
+    """(x 2^-bits)^m at scale 2^bits, for x >= 0, with every product rounded
+    down, or up if ``up``.
+
+    A product of non-negative numbers increases with each factor, so the
+    chain rounded down stays at or below x^m 2^(-bits (m-1)) and the chain
+    rounded up at or above it.
+    """
+    result = 1 << bits
+    for bit in bin(m)[2:]:
+        result *= result
+        result = -(-result >> bits) if up else result >> bits
+        if bit == "1":
+            result *= x
+            result = -(-result >> bits) if up else result >> bits
+    return result
+
+
+def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, int] | None:
+    """(L, U) with L 2^-bits <= (n/2)^m sum_{j=1}^{n-1} s_j csc^{2m}(pi j / n) <= U 2^-bits,
+    or None if not tight; s_j = (-1)^{j+1} if ``alternating``, else 1.
+
+    A folded term stands for j and n - j, so its signed weight is
+    s_j + (weight - 1) s_{n-j}.  2^F csc^{2m} lies between the powers of lo
+    and hi rounded down and up (``_scaled_power``) at the finer scale 2^F,
+    F = bits + 2b + 4 with b = n.bit_length().  As csc^2 >= 1, a rounding
+    there moves a value by a relative 2^-F at most, while lo and hi are a
+    relative 1 / lo > 2^-(bits + 2b - 2) apart (csc^2(pi j / n) <= n^2 / 4),
+    so the roundings hardly widen the enclosure.  A positive term is lowest at lo^m and highest at hi^m, a
+    negative one the other way round, and the weighted sums are exact.  With
+    (n/2)^m = n^m 2^-m, one outward rounding takes n^m times the sums to
+    scale 2^bits.
+    """
+    bounds = _csc_square_bounds(n, bits)
+    if bounds is None:
+        return None
+    fine_bits = bits + 2 * n.bit_length() + 4
+    lower = upper = 0
+    for j, (weight, lo, hi) in enumerate(bounds, start=1):
+        if alternating:
+            weight = (-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)
+        if weight:
+            low = _scaled_power(lo << (fine_bits - bits), m, fine_bits, up=False)
+            high = _scaled_power(hi << (fine_bits - bits), m, fine_bits, up=True)
+            lower += weight * (low if weight > 0 else high)
+            upper += weight * (high if weight > 0 else low)
+    shift = m + fine_bits - bits
+    return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
 def _check_precisions(precision_bits: int, precision_ceiling: int) -> None:
@@ -276,11 +365,12 @@ def _check_precisions(precision_bits: int, precision_ceiling: int) -> None:
         )
 
 
-def _width_text(lower: Fraction | None, upper: Fraction | None) -> str:
+def _width_text(enclosure: tuple[int, int] | None, bits: int) -> str:
     """The enclosure width for a message: a float, or a power of two past the float range."""
-    if lower is None or upper is None:
+    if enclosure is None:
         return str(math.inf)
-    width = upper - lower
+    lower, upper = enclosure
+    width = Fraction(upper - lower, 1 << bits)
     try:
         return str(float(width))
     except OverflowError:
@@ -288,57 +378,62 @@ def _width_text(lower: Fraction | None, upper: Fraction | None) -> str:
 
 
 def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
-    """Run ``evaluate(ctx)`` in interval arithmetic, doubling precision until
-    the enclosure is finite with width < 1/2, then return the unique enclosed
-    integer."""
+    """Run ``evaluate(bits)``, doubling ``bits`` until the enclosure is narrower
+    than 1/2, then return the unique enclosed integer.
+
+    ``evaluate`` returns integers (L, U) with the value in [L, U] 2^-bits,
+    or None when it cannot enclose the value at ``bits`` (not tight).
+    """
     _check_precisions(precision_bits, precision_ceiling)
-    prec = precision_bits
+    bits = precision_bits
     while True:
-        enclosure = evaluate(_interval_context(prec))
-        lo_raw, hi_raw = enclosure._mpi_
-        lower = _endpoint_fraction(lo_raw)
-        upper = _endpoint_fraction(hi_raw)
-        finite = lower is not None and upper is not None
-        if finite and upper - lower < Fraction(1, 2):
+        enclosure = evaluate(bits)
+        if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
+            lower, upper = Fraction(enclosure[0], 1 << bits), Fraction(enclosure[1], 1 << bits)
             candidate = math.ceil(lower)
             if candidate > upper:
                 raise CertificationError(
                     f"{label}: enclosure [{float(lower)}, {float(upper)}] contains no integer"
                 )
-            return CertifiedInteger(candidate, lower, upper, prec)
-        if prec >= precision_ceiling:
+            return CertifiedInteger(candidate, lower, upper, bits)
+        if bits >= precision_ceiling:
             raise PrecisionCeilingError(
-                f"{label}: interval width {_width_text(lower, upper)} still >= 1/2 "
+                f"{label}: interval width {_width_text(enclosure, bits)} still >= 1/2 "
                 f"at the precision ceiling {precision_ceiling} bits"
             )
-        prec = min(2 * prec, precision_ceiling)
+        bits = min(2 * bits, precision_ceiling)
 
 
 def _first_useful_precision(
-    log2_lower_bound: float, precision_bits: int, precision_ceiling: int, label: str
+    m: int, n: int, precision_bits: int, precision_ceiling: int, label: str
 ) -> int:
-    """The first precision of the doubling sequence that may certify a sum of at least 2^bound.
+    """The first precision of the doubling sequence that may certify a sum at (m, n).
 
-    The oracle's enclosures have positive width, since they start from an
-    enclosure of pi and every step rounds outward.  A P-bit enclosure of
-    positive width around a value of at least 2^P is at least 1 wide: its
-    upper endpoint is at least 2^P, and the P-bit numbers from 2^P - 1 up
-    are at least 1 apart.  An attempt at P is therefore
-    skipped while log2_lower_bound > P + 2; the two extra bits absorb the
-    float error of the bound.  If the rule would skip the ceiling itself,
-    the oracle fails before any interval work.
+    Both sums, the twisted one at even n, have a j = 1 term of weight 2 once
+    n >= 3.  At Q bits its hi - lo >= 1, so hi^m - lo^m >= m lo^(m-1), and
+    lo = 2^Q csc^2(pi/n) up to a relative error below 2^-60.  The rounded
+    powers lie outside lo^m and hi^m, so after the prefactor
+    n^m 2^-(Q m + m) the enclosure is at least
+    2 m (n/2)^m csc^(2(m-1))(pi/n) 2^-Q wide, about 2^(B - Q) with
+    B = log2(2m) + m log2(n/2) + 2 (m-1) log2 csc(pi/n), and a width of at
+    least 1/2 cannot certify.  An attempt at Q is skipped while B > Q + 1;
+    the two bits of margin absorb the float error of B.  If the rule would
+    skip the ceiling itself, the oracle fails before any work.
     """
     _check_precisions(precision_bits, precision_ceiling)
-    prec = precision_bits
-    while log2_lower_bound > prec + 2:
-        if prec >= precision_ceiling:
+    if m == 0 or n < 3:
+        return precision_bits
+    bound = math.log2(2 * m) + m * math.log2(n / 2) - 2 * (m - 1) * math.log2(math.sin(math.pi / n))
+    bits = precision_bits
+    while bound > bits + 1:
+        if bits >= precision_ceiling:
             raise PrecisionCeilingError(
-                f"{label}: the sum is at least 2^{log2_lower_bound:.1f}, so certifying it "
-                f"needs at least {math.ceil(log2_lower_bound - 2)} bits, "
+                f"{label}: its enclosure at Q bits is at least 2^({bound:.1f} - Q) wide, so "
+                f"certifying it needs at least {math.ceil(bound - 1)} bits, "
                 f"above the precision ceiling {precision_ceiling} bits"
             )
-        prec = min(2 * prec, precision_ceiling)
-    return prec
+        bits = min(2 * bits, precision_ceiling)
+    return bits
 
 
 def verlinde_trig_oracle(
@@ -352,25 +447,10 @@ def verlinde_trig_oracle(
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    n, m = k + 2, g - 1
+    m, n = g - 1, k + 2
     label = f"verlinde(g={g}, k={k})"
-    if n >= 3:
-        # log2 of the j = 1 and j = n - 1 terms, 2 (n/2)^m csc^{2m}(pi/n): all
-        # terms are positive, so this bounds the whole sum from below
-        bound = 1 + m * (math.log2(n / 2) - 2 * math.log2(math.sin(math.pi / n)))
-        precision_bits = _first_useful_precision(bound, precision_bits, precision_ceiling, label)
-
-    def evaluate(ctx):
-        prec = ctx.prec
-        total = (fzero, fzero)
-        for weight, csc2 in _csc_square_enclosures(n, prec):
-            term = mpi_pow_int(csc2._mpi_, m, prec)
-            # weight 2 is an exact shift
-            total = mpi_add(total, term if weight == 1 else mpi_shift(term, 1), prec)
-        # exact rational prefactor n^m / 2^m
-        return ctx.make_mpf(mpi_shift(mpi_mul(total, _int_interval(n**m, prec), prec), -m))
-
-    return _certify(evaluate, precision_bits, precision_ceiling, label)
+    start = _first_useful_precision(m, n, precision_bits, precision_ceiling, label)
+    return _certify(partial(_sum_enclosure, m, n, alternating=False), start, precision_ceiling, label)
 
 
 def twisted_trig_oracle(
@@ -381,32 +461,24 @@ def twisted_trig_oracle(
 ) -> CertifiedInteger:
     """Certified evaluation of the alternating twisted dimension sum at even level p.
 
-    With n = p/2, sin(2 pi j / p) = sin(pi j / n), so the sum is
-    sum_{j=1}^{n-1} (-1)^{j+1} csc^{2m}(pi j / n) over the same terms as the
-    Verlinde sum at level n - 2.  A folded term of weight 2 stands for j and
-    n - j, whose signs are (-1)^{j+1} and (-1)^{n-j+1} = (-1)^n (-1)^{j+1}:
-    their sum, the signed weight, is 2 (-1)^{j+1} for even n and 0 for odd
-    n, where the pair cancels.  A term of weight 1 is j alone.  Hence
+    With n = p/2, sin(2 pi j / p) = sin(pi j / n) and (p/4)^m = (n/2)^m, so
+    the sum is (n/2)^m sum_{j=1}^{n-1} (-1)^{j+1} csc^{2m}(pi j / n), over the
+    same terms as the Verlinde sum at level n - 2.  A folded term of weight
+    2 stands for j and n - j, whose signs are (-1)^{j+1} and
+    (-1)^{n-j+1} = (-1)^n (-1)^{j+1}: their sum, the signed weight, is
+    2 (-1)^{j+1} for even n and 0 for odd n, where the pair cancels and the
+    sum is exactly 0.  A term of weight 1 is j alone.  Hence
     signed weight = (-1)^{j+1} + (weight - 1) (-1)^{n-j+1}, for every n.
-    The alternating sum has no cheap positive lower bound, so the oracle
-    always starts at ``precision_bits``.
+    At even n the j = 1 term has signed weight +2, so the Verlinde skip rule
+    holds here too.
     """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"twisted oracle needs an even level p >= 4, got {p}")
-    n, m = p // 2, g - 1
-
-    def evaluate(ctx):
-        prec = ctx.prec
-        total = (fzero, fzero)
-        for j, (weight, csc2) in enumerate(_csc_square_enclosures(n, prec), start=1):
-            signed = (-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)
-            # a cancelled pair adds nothing; a signed weight of +-2 is an exact shift
-            if signed:
-                term = mpi_shift(mpi_pow_int(csc2._mpi_, m, prec), abs(signed) - 1)
-                total = (mpi_add if signed > 0 else mpi_sub)(total, term, prec)
-        # exact rational prefactor p^m / 4^m
-        return ctx.make_mpf(mpi_shift(mpi_mul(total, _int_interval(p**m, prec), prec), -2 * m))
-
-    return _certify(evaluate, precision_bits, precision_ceiling, f"twisted(g={g}, p={p})")
+    m, n = g - 1, p // 2
+    label = f"twisted(g={g}, p={p})"
+    start = precision_bits
+    if n % 2 == 0:
+        start = _first_useful_precision(m, n, precision_bits, precision_ceiling, label)
+    return _certify(partial(_sum_enclosure, m, n, alternating=True), start, precision_ceiling, label)

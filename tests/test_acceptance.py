@@ -17,8 +17,7 @@ from spinverlinde.dimensions import (
 )
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import (
-    _csc_square_enclosures,
-    _interval_context,
+    _csc_square_bounds,
     _power_sum_table,
     twisted_dim,
     twisted_trig_oracle,
@@ -47,8 +46,7 @@ GRID_LEVELS = (8, 16, 24, 32)
 def _cold_caches():
     verlinde_dim.cache_clear()
     twisted_dim.cache_clear()
-    _csc_square_enclosures.cache_clear()
-    _interval_context.cache_clear()
+    _csc_square_bounds.cache_clear()
     _power_sum_table.cache_clear()
 
 

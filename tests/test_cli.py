@@ -153,7 +153,7 @@ class TestVerlindeCommand:
         assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == (None, None)
         assert [c["passed"] for c in payload["checks"]] == [True, False]
         # (30, 40) fails before any interval work, naming the bits it needs
-        assert "needs at least 344 bits, above the precision ceiling 64" in payload["checks"][1]["details"]
+        assert "needs at least 342 bits, above the precision ceiling 64" in payload["checks"][1]["details"]
 
     def test_failed_certification_cells_are_empty(self, capsys):
         code, out, _ = run_cli(capsys, *self.FAILED_CELL)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -8,19 +9,24 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_pow_int, mpi_shift, mpi_sin, mpi_sub
 
 from spinverlinde import fusion
 from spinverlinde.fusion import (
     DEFAULT_PRECISION_BITS,
     CertificationError,
+    CertifiedInteger,
     PrecisionCeilingError,
     _certify,
-    _csc_square_enclosures,
+    _csc_square_bounds,
     _extend_power_sums,
-    _interval_context,
     _power_sum_table,
     _PowerSumTable,
     _scaled_power_sum,
+    _scaled_power,
+    _sine_balls,
+    _sum_enclosure,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -135,79 +141,132 @@ def cold_caches():
     verlinde_dim.cache_clear()
     twisted_dim.cache_clear()
     _power_sum_table.cache_clear()
-    _csc_square_enclosures.cache_clear()
-    _interval_context.cache_clear()
+    _csc_square_bounds.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# unfolded interval oracle: the literal sums, one fresh interval sine per term
-# and no reuse across cells; the production oracle folds j <-> n - j and caches
+# mpmath interval arithmetic, the route production took before its integer
+# oracle: outward-rounded libmpi operations on raw endpoint pairs, and the
+# doubling loop on them; the oracles below are its sums
 
 
-def unfolded_verlinde_oracle(g, k, precision_bits=128):
-    def evaluate(ctx):
-        denominator = ctx.mpf(k + 2)
-        total = ctx.mpf(0)
-        for j in range(1, k + 2):
-            total += ctx.sin(ctx.pi * j / denominator) ** (2 - 2 * g)
-        return total * ctx.mpf((k + 2) ** (g - 1)) / ctx.mpf(2 ** (g - 1))
+def endpoint_fraction(endpoint):
+    """The exact value of an mpmath raw endpoint, or None if it is +/-inf or NaN."""
+    # raw endpoint: (sign, mantissa, exponent, bit count), value = +/- man * 2^exp;
+    # zero is (0, 0, 0, 0), the non-finite specials have mantissa 0 and a non-zero exponent
+    sign, man, exp, _ = endpoint
+    if man == 0:
+        return None if exp else Fraction(0)
+    value = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -value if sign else value
 
-    return _certify(evaluate, precision_bits, 4096, f"unfolded verlinde(g={g}, k={k})")
+
+def interval_fractions(interval):
+    """The exact endpoints of a raw interval."""
+    return tuple(map(endpoint_fraction, interval))
 
 
-def unfolded_twisted_oracle(g, p, precision_bits=128):
-    def evaluate(ctx):
-        denominator = ctx.mpf(p)
-        total = ctx.mpf(0)
-        for j in range(1, p // 2):
-            term = ctx.sin(2 * ctx.pi * j / denominator) ** (2 - 2 * g)
-            total = total + term if j % 2 else total - term
-        return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
+def int_interval(value, prec):
+    return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
 
-    return _certify(evaluate, precision_bits, 4096, f"unfolded twisted(g={g}, p={p})")
+
+def interval_sine(j, n, prec):
+    """sin(pi j / n) enclosed at ``prec`` bits."""
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    angle = mpi_div(mpi_mul(pi, int_interval(j, prec), prec), int_interval(n, prec), prec)
+    return mpi_sin(angle, prec)
+
+
+def interval_certify(evaluate, precision_bits, label, precision_ceiling=4096):
+    """Run ``evaluate(prec)``, doubling the precision until its raw enclosure
+    is finite with width < 1/2, and return the enclosed integer."""
+    prec = precision_bits
+    while True:
+        lower, upper = interval_fractions(evaluate(prec))
+        if lower is not None and upper is not None and upper - lower < Fraction(1, 2):
+            return CertifiedInteger(math.ceil(lower), lower, upper, prec)
+        if prec >= precision_ceiling:
+            raise PrecisionCeilingError(f"{label}: not tight at {prec} bits")
+        prec = min(2 * prec, precision_ceiling)
 
 
 # ---------------------------------------------------------------------------
-# context-object oracle: the folded sums as the interval context evaluates
-# them, one ivmpf operator at a time; the production oracle runs the same
-# libmpi operations on raw endpoint pairs and must agree bit for bit
+# unfolded interval oracle: the literal sums, one interval sine for every
+# 1 <= j < n; the production oracle folds j <-> n - j
 
 
 @cache
-def context_enclosures(n, prec):
-    ctx = _interval_context(prec)
+def interval_sines(n, prec):
+    return tuple(interval_sine(j, n, prec) for j in range(1, n))
+
+
+def unfolded_verlinde_oracle(g, k, precision_bits=128):
+    n, m = k + 2, g - 1
+
+    def evaluate(prec):
+        total = (fzero, fzero)
+        for sine in interval_sines(n, prec):
+            total = mpi_add(total, mpi_pow_int(sine, -2 * m, prec), prec)
+        return mpi_shift(mpi_mul(total, int_interval(n**m, prec), prec), -m)
+
+    return interval_certify(evaluate, precision_bits, f"unfolded verlinde(g={g}, k={k})")
+
+
+def unfolded_twisted_oracle(g, p, precision_bits=128):
+    n, m = p // 2, g - 1
+
+    def evaluate(prec):
+        total = (fzero, fzero)
+        for j, sine in enumerate(interval_sines(n, prec), start=1):
+            term = mpi_pow_int(sine, -2 * m, prec)
+            total = (mpi_add if j % 2 else mpi_sub)(total, term, prec)
+        return mpi_shift(mpi_mul(total, int_interval(p**m, prec), prec), -2 * m)
+
+    return interval_certify(evaluate, precision_bits, f"unfolded twisted(g={g}, p={p})")
+
+
+# ---------------------------------------------------------------------------
+# folded interval oracle: the production oracle before its integer route,
+# csc^2 enclosed per folded term and cached per (n, prec); the integer
+# enclosures must intersect these and hold what these hold
+
+
+@cache
+def interval_csc_squares(n, prec):
+    """((weight, csc^2(pi j / n)) for 1 <= j <= n/2), as raw intervals."""
+    squares = (mpi_pow_int(interval_sine(j, n, prec), 2, prec) for j in range(1, n // 2 + 1))
     return tuple(
-        (1 if 2 * j == n else 2, 1 / ctx.sin(ctx.pi * j / n) ** 2) for j in range(1, n // 2 + 1)
+        (1 if 2 * j == n else 2, mpi_div((fone, fone), square, prec))
+        for j, square in enumerate(squares, start=1)
     )
 
 
-def context_verlinde_evaluate(g, k):
-    n = k + 2
+def interval_verlinde_evaluate(g, k):
+    n, m = k + 2, g - 1
 
-    def evaluate(ctx):
-        enclosures = context_enclosures(n, ctx.prec)
-        total = sum(weight * csc2 ** (g - 1) for weight, csc2 in enclosures)
-        return total * ctx.mpf(n ** (g - 1)) / ctx.mpf(2 ** (g - 1))
-
-    return evaluate
-
-
-def context_twisted_evaluate(g, p):
-    n = p // 2
-
-    def evaluate(ctx):
-        enclosures = context_enclosures(n, ctx.prec)
-        total = sum(
-            ((-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)) * csc2 ** (g - 1)
-            for j, (weight, csc2) in enumerate(enclosures, start=1)
-        )
-        return total * ctx.mpf(p ** (g - 1)) / ctx.mpf(4 ** (g - 1))
+    def evaluate(prec):
+        total = (fzero, fzero)
+        for weight, csc2 in interval_csc_squares(n, prec):
+            term = mpi_pow_int(csc2, m, prec)
+            total = mpi_add(total, term if weight == 1 else mpi_shift(term, 1), prec)
+        return mpi_shift(mpi_mul(total, int_interval(n**m, prec), prec), -m)
 
     return evaluate
 
 
-def certificate(certified):
-    return certified.lower, certified.upper, certified.precision_bits
+def interval_twisted_evaluate(g, p):
+    n, m = p // 2, g - 1
+
+    def evaluate(prec):
+        total = (fzero, fzero)
+        for j, (weight, csc2) in enumerate(interval_csc_squares(n, prec), start=1):
+            signed = (-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)
+            if signed:
+                term = mpi_shift(mpi_pow_int(csc2, m, prec), abs(signed) - 1)
+                total = (mpi_add if signed > 0 else mpi_sub)(total, term, prec)
+        return mpi_shift(mpi_mul(total, int_interval(p**m, prec), prec), -2 * m)
+
+    return evaluate
 
 
 class TestFusionRing:
@@ -480,18 +539,23 @@ class TestOracles:
         assert certified.width < Fraction(1, 2)
 
     def test_unbounded_enclosure_never_certifies(self):
-        # [-inf, +inf] is not tight at any precision; it must not read as [0, 0]
+        # "not tight" (None) is no enclosure at any precision; it must not read as [0, 0]
         with pytest.raises(PrecisionCeilingError, match="inf"):
-            _certify(lambda ctx: ctx.mpf([float("-inf"), float("inf")]), 128, 512, "probe")
-        with pytest.raises(PrecisionCeilingError):
-            _certify(lambda ctx: ctx.mpf([0, float("inf")]), 128, 512, "probe")
+            _certify(lambda bits: None, 128, 512, "probe")
+        # an enclosure one unit wide at every precision never narrows below 1/2
+        with pytest.raises(PrecisionCeilingError, match="interval width 1.0 still"):
+            _certify(lambda bits: (0, 1 << bits), 128, 512, "probe")
 
     def test_non_finite_enclosure_triggers_doubling(self):
-        def evaluate(ctx):
-            return ctx.mpf(5) if ctx.prec >= 512 else ctx.mpf([float("nan"), float("nan")])
+        def evaluate(bits):
+            return (5 << bits, 5 << bits) if bits >= 512 else None
 
         certified = _certify(evaluate, 128, 4096, "probe")
         assert (certified.value, certified.precision_bits) == (5, 512)
+
+    def test_enclosure_without_an_integer_is_an_error(self):
+        with pytest.raises(CertificationError, match="contains no integer"):
+            _certify(lambda bits: (1, 2), 128, 128, "probe")
 
     def test_ceiling_error_is_certification_error(self):
         assert issubclass(PrecisionCeilingError, CertificationError)
@@ -510,22 +574,22 @@ class TestOracles:
 
     def test_fold_covers_each_term_once(self):
         for n in range(2, 40):
-            enclosures = _csc_square_enclosures(n, 128)
-            assert len(enclosures) == n // 2
-            assert sum(weight for weight, _ in enclosures) == n - 1
+            bounds = _csc_square_bounds(n, 128)
+            assert len(bounds) == n // 2
+            assert sum(weight for weight, _, _ in bounds) == n - 1
 
     def test_enclosures_not_reused_across_precisions(self):
         assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128
         certified = verlinde_trig_oracle(3, 10, 256)
         assert certified.precision_bits == 256
         assert certified.width < Fraction(1, 2**200)
-        coarse = _csc_square_enclosures(12, 128)
-        fine = _csc_square_enclosures(12, 256)
-        assert all(f.delta < c.delta for (_, c), (_, f) in zip(coarse, fine))
+        coarse = _csc_square_bounds(12, 128)
+        fine = _csc_square_bounds(12, 256)
+        # (hi - lo) 2^-256 < (hi - lo) 2^-128, term by term
+        assert all(fh - fl < (ch - cl) << 128 for (_, cl, ch), (_, fl, fh) in zip(coarse, fine))
 
     def test_caches_are_bounded(self):
-        assert _csc_square_enclosures.cache_info().maxsize is not None
-        assert _interval_context.cache_info().maxsize is not None
+        assert _csc_square_bounds.cache_info().maxsize == 256
         assert _power_sum_table.cache_info().maxsize is not None
 
     def test_genus_one_oracle_is_exact(self):
@@ -539,65 +603,186 @@ class TestOracles:
 
 
 class TestRawIntervalOracle:
+    """The integer oracle against the libmpi interval route it replaced."""
+
     @pytest.mark.parametrize("prec", [64, 128, 256, 512])
-    def test_enclosures_equal_context_objects(self, prec):
-        for n in range(2, 51):
-            raw = [(weight, csc2._mpi_) for weight, csc2 in _csc_square_enclosures(n, prec)]
-            assert raw == [(weight, csc2._mpi_) for weight, csc2 in context_enclosures(n, prec)]
+    def test_bounds_contain_libmpi_intervals(self, prec):
+        # every [lo, hi] 2^-prec holds the (2 prec + 64)-bit interval enclosure
+        scale = 1 << prec
+        for n in range(2, 41):
+            bounds = _csc_square_bounds(n, prec)
+            reference = interval_csc_squares(n, 2 * prec + 64)
+            assert [weight for weight, _, _ in bounds] == [weight for weight, _ in reference]
+            for (_, lo, hi), (_, csc2) in zip(bounds, reference):
+                ref_lo, ref_hi = interval_fractions(csc2)
+                assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale)
 
     @pytest.mark.parametrize("g", [*range(1, 9), 24])
-    def test_certificates_equal_context_objects(self, g):
-        # the context-object route tries every precision from 128 bits up,
-        # so equal precisions also show that no certifying precision is skipped
+    def test_certificates_intersect_libmpi(self, g):
+        # the interval route tries every precision from 128 bits up, so a
+        # precision no higher than its own also shows that the skip rule never
+        # passes a precision that would certify
         for k in range(0, 49):
             p = 2 * (k + 2)
-            reference = _certify(context_verlinde_evaluate(g, k), 128, 4096, "context verlinde")
-            assert certificate(verlinde_trig_oracle(g, k)) == certificate(reference)
-            reference = _certify(context_twisted_evaluate(g, p), 128, 4096, "context twisted")
-            assert certificate(twisted_trig_oracle(g, p)) == certificate(reference)
+            for certified, reference, exact in (
+                (
+                    verlinde_trig_oracle(g, k),
+                    interval_certify(interval_verlinde_evaluate(g, k), 128, "interval verlinde"),
+                    verlinde_dim(g, k),
+                ),
+                (
+                    twisted_trig_oracle(g, p),
+                    interval_certify(interval_twisted_evaluate(g, p), 128, "interval twisted"),
+                    twisted_dim(g, p),
+                ),
+            ):
+                assert certified.lower <= reference.upper and reference.lower <= certified.upper
+                assert certified.lower <= exact <= certified.upper
+                assert reference.lower <= exact <= reference.upper
+                assert certified.precision_bits <= reference.precision_bits
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_sum_enclosures_contain_libmpi(self, bits):
+        # at a fixed precision, certifying or not, each sum's [L, U] 2^-bits
+        # holds its (2 bits + 64)-bit interval enclosure
+        scale = 1 << bits
+        prec = 2 * bits + 64
+        for g in (1, 2, 3, 5, 9):
+            for k in range(0, 31):
+                p = 2 * (k + 2)
+                for enclosure, reference in (
+                    (_sum_enclosure(g - 1, k + 2, bits, False), interval_verlinde_evaluate(g, k)(prec)),
+                    (_sum_enclosure(g - 1, k + 2, bits, True), interval_twisted_evaluate(g, p)(prec)),
+                ):
+                    ref_lo, ref_hi = interval_fractions(reference)
+                    assert Fraction(enclosure[0], scale) <= ref_lo
+                    assert ref_hi <= Fraction(enclosure[1], scale)
 
     def test_skipped_precisions_cannot_certify(self, monkeypatch):
         honest = fusion._certify
-        starts = []
+        calls = []
 
         def recording(evaluate, precision_bits, precision_ceiling, label):
-            starts.append(precision_bits)
+            calls.append((evaluate, precision_bits))
             return honest(evaluate, precision_bits, precision_ceiling, label)
 
         monkeypatch.setattr(fusion, "_certify", recording)
-        skipped = 0
+        skipped = {verlinde_trig_oracle: 0, twisted_trig_oracle: 0}
         for g in (2, 5, 9, 12, 17, 24, 33, 48, 64, 90, 120):
             for k in (1, 2, 5, 16, 40, 100):
-                starts.clear()
-                certified = verlinde_trig_oracle(g, k)
-                (start,) = starts
-                assert certified.precision_bits >= start
-                prec = DEFAULT_PRECISION_BITS
-                while prec < start:
-                    with pytest.raises(PrecisionCeilingError):
-                        honest(context_verlinde_evaluate(g, k), prec, prec, "skipped")
-                    prec *= 2
-                    skipped += 1
-        assert skipped > 0
+                for oracle, level in ((verlinde_trig_oracle, k), (twisted_trig_oracle, 2 * (k + 2))):
+                    calls.clear()
+                    certified = oracle(g, level)
+                    ((evaluate, start),) = calls
+                    assert certified.precision_bits >= start
+                    prec = DEFAULT_PRECISION_BITS
+                    while prec < start:
+                        with pytest.raises(PrecisionCeilingError):
+                            honest(evaluate, prec, prec, "skipped")
+                        prec *= 2
+                        skipped[oracle] += 1
+        assert all(skipped.values())
 
     def test_ceiling_fails_fast_before_interval_work(self):
-        before = _csc_square_enclosures.cache_info()
-        with pytest.raises(
-            PrecisionCeilingError, match=r"needs at least 4738 bits, above the precision ceiling 4096"
-        ):
+        before = _csc_square_bounds.cache_info()
+        needs = r"needs at least 4740 bits, above the precision ceiling 4096"
+        with pytest.raises(PrecisionCeilingError, match=needs):
             verlinde_trig_oracle(400, 40)
-        after = _csc_square_enclosures.cache_info()
+        # the twisted sum at even n = 42 has the same bound
+        with pytest.raises(PrecisionCeilingError, match=needs):
+            twisted_trig_oracle(400, 84)
+        after = _csc_square_bounds.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-        # a 3553-bit value still fits under the default ceiling
+        # a 3553-bit bound still fits under the default ceiling
         assert verlinde_trig_oracle(300, 40).precision_bits == 4096
+        assert twisted_trig_oracle(300, 84).precision_bits == 4096
 
     def test_invalid_precisions_rejected_before_the_skip(self):
         with pytest.raises(ValueError):
             verlinde_trig_oracle(400, 40, 32)
         with pytest.raises(ValueError):
             verlinde_trig_oracle(400, 40, 256, 128)
+        with pytest.raises(ValueError):
+            twisted_trig_oracle(400, 84, 256, 128)
 
     def test_width_past_the_float_range_is_reported(self):
-        # the twisted sum has no skip rule; its width here exceeds any float
-        with pytest.raises(PrecisionCeilingError, match=r"interval width about 2\^1086 still"):
+        # the twisted oracle now fails fast, naming the bits it needs
+        needs = r"needs at least 1140 bits, above the precision ceiling 64"
+        with pytest.raises(PrecisionCeilingError, match=needs):
             twisted_trig_oracle(97, 84, 64, 64)
+        # a width past any float is reported as a power of two
+        with pytest.raises(PrecisionCeilingError, match=r"interval width about 2\^1086 still"):
+            _certify(lambda bits: (0, 1 << (bits + 1086)), 64, 64, "probe")
+
+
+PRECISIONS = [64 << i for i in range(7)]
+
+
+class TestFixedPointBounds:
+    """The integer sine balls and csc^2 bounds, and the directed roundings of the sums."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
+    def test_sine_balls_contain_the_sines(self, n):
+        scale_bits = 80
+        for j, (y, rho) in enumerate(_sine_balls(n, scale_bits), start=1):
+            sine = mpi_shift(interval_sine(j, n, 2 * scale_bits + 64), scale_bits)
+            ref_lo, ref_hi = interval_fractions(sine)
+            assert y - rho <= ref_lo and ref_hi <= y + rho, (n, j)
+            assert 0 < rho <= 3 * j
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        # a case costs about n bits^1.5, so higher precisions draw smaller n
+        st.sampled_from(PRECISIONS).flatmap(
+            lambda bits: st.tuples(st.integers(2, min(5000, (1 << 20) // bits)), st.just(bits))
+        ),
+        st.data(),
+    )
+    def test_sampled_bounds_contain_libmpi_enclosures(self, case, data):
+        n, bits = case
+        bounds = _csc_square_bounds.__wrapped__(n, bits)
+        assert all(0 < hi - lo <= 2 for _, lo, hi in bounds)
+        prec = 2 * bits + 64
+        scale = 1 << bits
+        for j in data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6)):
+            _, lo, hi = bounds[j - 1]
+            ref_lo, ref_hi = interval_fractions(mpi_pow_int(interval_sine(j, n, prec), -2, prec))
+            assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale), (n, j, bits)
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+    def test_guard_keeps_the_largest_levels_tight(self, n):
+        # the guard's bound on hi - lo does not depend on the precision, so the
+        # cheapest one shows it
+        assert max(hi - lo for _, lo, hi in _csc_square_bounds.__wrapped__(n, 64)) <= 2
+
+    def test_rounded_powers_bracket_the_exact_power(self):
+        for x in (0, 1, 2**64 - 1, 2**64, 3 * 2**70 + 12345, 7**40):
+            for m in range(0, 40):
+                exact = Fraction(x**m, 2 ** (64 * (m - 1))) if m else Fraction(2**64)
+                low = _scaled_power(x, m, 64, up=False)
+                high = _scaled_power(x, m, 64, up=True)
+                assert low <= exact <= high
+                # a rounding costs one unit, scaled by the later factors' size
+                assert high - low <= 2 * m * (1 + (high >> 64))
+
+    @pytest.mark.parametrize("large", [False, True])
+    def test_sum_roundings_are_outward(self, monkeypatch, large):
+        # point bounds lo = hi leave only the roundings of the powers and of
+        # the prefactor, which must still enclose the exact sum
+        bits = 64
+        for n in (3, 4, 7, 12):
+            values = [
+                ((2 * j + 3) ** 3 << bits) + 1 if large else (1 << bits) + (2 * j + 1) * 12345
+                for j in range(1, n // 2 + 1)
+            ]
+            points = tuple((1 if 2 * j == n else 2, x, x) for j, x in enumerate(values, start=1))
+            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n_, bits_: points)
+            for m in (1, 2, 5, 9):
+                for alternating in (False, True):
+                    lower, upper = _sum_enclosure(m, n, bits, alternating)
+                    sign = [(-1) ** (j + 1) if alternating else 1 for j in range(n)]
+                    exact = Fraction(n, 2) ** m * sum(
+                        (sign[j] + (weight - 1) * sign[n - j]) * Fraction(x, 1 << bits) ** m
+                        for j, (weight, x, _) in enumerate(points, start=1)
+                    )
+                    assert Fraction(lower, 1 << bits) <= exact <= Fraction(upper, 1 << bits)
