@@ -1,7 +1,7 @@
 """Exact dimension theory of spin-refined surface state spaces.
 
 Verlinde-type dimensions evaluated exactly from csc power sums and
-certified by an arbitrary-precision interval oracle; Arf-invariant
+certified by a fixed-point integer oracle; Arf-invariant
 combinatorics of spin structures as quadratic refinements over GF(2);
 the graded spin dimension formulas and their refinement identities; the
 twisted group algebra of projections; a finite Heisenberg group with its

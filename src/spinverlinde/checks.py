@@ -54,10 +54,6 @@ class CheckResult:
     details: str = ""
 
 
-def _result(name: str, passed: bool, details: str = "") -> CheckResult:
-    return CheckResult(name, passed, details)
-
-
 def _masks(case: Any) -> str:
     """A case by bit masks: vectors and refinements by their masks, Heisenberg elements as (t, mask)."""
     if isinstance(case, tuple):
@@ -85,8 +81,8 @@ def _counted(
         checked += 1
         if not holds(case):
             details = f"{checked} {counted}; first counterexample {labels} = {_masks(case)}"
-            return _result(name, False, details)
-    return _result(name, True, f"{checked} {counted}")
+            return CheckResult(name, False, details)
+    return CheckResult(name, True, f"{checked} {counted}")
 
 
 def _require_enumerable(max_genus: int) -> None:
@@ -218,7 +214,7 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
             "(q, ell) masks",
         )
         results.append(
-            _result(
+            CheckResult(
                 name,
                 transitive and involutive.passed,
                 f"orbit of {len(orbit)} of {len(refinements)} refinements; {involutive.details}",
@@ -246,14 +242,14 @@ def check_arf(max_genus: int = 4) -> list[CheckResult]:
             counted[q.arf()] += 1
         expected = count_by_arf(g)
         results.append(
-            _result(
+            CheckResult(
                 f"arf counts g={g}",
                 tuple(counted) == expected,
                 f"enumerated {tuple(counted)}, closed form {expected}",
             )
         )
         results.append(
-            _result(
+            CheckResult(
                 f"arf gauss sum g={g}",
                 arf_gauss_sum(g) == 2**g == counted[0] - counted[1],
                 f"sum {counted[0] - counted[1]}",
@@ -314,7 +310,7 @@ def check_verlinde(
             series_value = verlinde_dim(g, k)
             certified = verlinde_trig_oracle(g, k)
             results.append(
-                _result(
+                CheckResult(
                     f"verlinde trace = oracle (g={g}, k={k})",
                     series_value == certified.value and certified.width < Fraction(1, 2),
                     f"series {series_value}, oracle {certified.value}",
@@ -335,7 +331,7 @@ def check_twisted(
             series_value = twisted_dim(g, p)
             certified = twisted_trig_oracle(g, p)
             results.append(
-                _result(
+                CheckResult(
                     f"twisted trace = oracle (g={g}, p={p})",
                     series_value == certified.value and certified.width < Fraction(1, 2),
                     f"series {series_value}, oracle {certified.value}",
@@ -428,7 +424,7 @@ def check_trace_decomposition(
                     trace_functional(projection(sigma), base, lam, 0) for sigma in refinements
                 )
                 results.append(
-                    _result(
+                    CheckResult(
                         f"sum of projection traces g={g} base={base} lambda={lam}",
                         total == base,
                         f"total {total} over {len(refinements)} spin structures",
@@ -453,7 +449,7 @@ def check_traces(
                 via_traces = dims_via_traces(g, eps, verlinde_dim(g, p // 2 - 2), lam, 0)
                 closed = bm_even_dim(g, p, eps)
                 results.append(
-                    _result(
+                    CheckResult(
                         f"trace route = even closed form (g={g}, p={p}, eps={eps})",
                         via_traces == closed,
                         f"traces {via_traces}, closed {closed}",
@@ -462,7 +458,7 @@ def check_traces(
                 via_traces_odd = dims_via_traces(g, eps, twisted_dim(g, p), lam, 1)
                 closed_odd = bm_odd_dim(g, p, eps)
                 results.append(
-                    _result(
+                    CheckResult(
                         f"trace route = odd closed form (g={g}, p={p}, eps={eps})",
                         via_traces_odd == closed_odd,
                         f"traces {via_traces_odd}, closed {closed_odd}",
@@ -481,7 +477,7 @@ def check_decomposition(
             refined = sum_over_spin(g, p)
             unrefined = verlinde_dim(g, p // 2 - 2)
             results.append(
-                _result(
+                CheckResult(
                     f"refinement identity (g={g}, p={p})",
                     refined == unrefined,
                     f"sum over spin structures {refined}, unrefined {unrefined}",
@@ -494,7 +490,7 @@ def check_decomposition(
             )
             expected = unrefined + twisted_dim(g, p)
             results.append(
-                _result(
+                CheckResult(
                     f"total dimension identity (g={g}, p={p})",
                     graded_total == expected,
                     f"graded total {graded_total}, expected {expected}",
@@ -504,28 +500,21 @@ def check_decomposition(
 
 
 def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
-    """Sweep the full grid; the formulas themselves raise on non-integrality."""
-    results = []
+    """Sweep the full grid; the formulas themselves raise on a non-integral or negative value."""
     cells = 0
     for g in range(2, max_genus + 1):
         for p in range(8, max_p + 1, 8):
             for eps in (0, 1):
-                even = bm_even_dim(g, p, eps)
-                odd = bm_odd_dim(g, p, eps)
-                if even < 0 or odd < 0:
-                    results.append(
-                        _result(f"integrality (g={g}, p={p}, eps={eps})", False, "negative value")
-                    )
-                    return results
+                bm_even_dim(g, p, eps)
+                bm_odd_dim(g, p, eps)
                 cells += 1
-    results.append(
-        _result(
+    return [
+        CheckResult(
             f"integrality sweep g<={max_genus} p<={max_p}",
             True,
             f"{cells} graded cells, all non-negative integers",
         )
-    )
-    return results
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +574,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             heisenberg_rep(group.central_generator)
             == MonomialMatrix.identity(n).times_i()
         )
-        results.append(_result(f"central generator acts by i g={g}", center))
+        results.append(CheckResult(f"central generator acts by i g={g}", center))
         # i^t n on the center (t, 0), and 0 off it
         central_traces = [(n, 0), (0, n), (-n, 0), (0, -n)]
         results.append(
@@ -600,7 +589,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         )
         distinct = len(set(reps))
         results.append(
-            _result(
+            CheckResult(
                 f"heisenberg rep faithful g={g}",
                 distinct == len(elements),
                 f"{distinct} distinct matrices for {len(elements)} elements",
@@ -642,9 +631,11 @@ def check_levels(max_m: int = 50) -> list[CheckResult]:
     table = correspondence_table()
     try:
         performed = table.validate()
-        results.append(_result("correspondence table validates", True, f"{len(performed)} checks"))
+        results.append(
+            CheckResult("correspondence table validates", True, f"{len(performed)} checks")
+        )
     except ValueError as exc:
-        results.append(_result("correspondence table validates", False, str(exc)))
+        results.append(CheckResult("correspondence table validates", False, str(exc)))
     return results
 
 

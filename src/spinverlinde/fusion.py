@@ -34,18 +34,21 @@ oracle in Python integers: the sum is enclosed in an interval of width
 Both sums run over csc^2(pi j / n) for 1 <= j < n, with n = k+2 and
 n = p/2, and csc^2 is symmetric under j -> n - j, so the oracle bounds
 csc^2(pi j / n) only for 1 <= j <= n/2, each pair j, n - j folded into one
-weight.  Per (n, Q) it takes one rigorous mpmath enclosure of cos and
-sin(pi/n), gets the later sines by exact integer rotation with a carried
-radius, and turns each into integer bounds lo <= 2^Q csc^2 <= hi; a
-bounded cache keyed by (n, Q) shares them between every genus and both
-oracles.  The m-th powers of lo and hi are taken with every rounding
-directed outward, at a scale fine enough that the roundings hardly widen
-the enclosure; the weighted sums are exact, and one outward rounding
-brings them to scale 2^Q.  Both oracles (the twisted one at even n; at odd
-n its sum is exactly 0) skip every precision that cannot certify, judged
-by a float lower bound on the enclosure's width, and fail at once when
-even the ceiling cannot.  The tests keep the mpmath interval sums (folded,
-and unfolded with a sine for every j < n) as the oracle's own oracles.
+weight.  Per (n, Q) it encloses e^{i pi/n} in an integer ball, from
+Machin's series for pi and a Taylor series for e^{iu}, gets the later
+sines by exact integer rotation with a carried radius, and turns each
+into integer bounds lo <= 2^Q csc^2 <= hi; a bounded cache keyed by
+(n, Q) shares them between every genus and both oracles.  The m-th
+powers of lo and hi are taken with every rounding directed outward, at a
+scale fine enough that the roundings hardly widen the enclosure; the
+weighted sums are exact, and one outward rounding brings them to scale
+2^Q.  At odd n the twisted sum is exactly 0 and needs no bounds.  Both
+oracles (the twisted one at even n) skip every precision that cannot
+certify, judged by a float lower bound on the enclosure's width, and fail
+at once when even the ceiling cannot.  The package needs nothing beyond
+the standard library; the tests keep the mpmath interval sums (folded,
+and unfolded with a sine for every j < n) as the oracle's own oracles,
+and mpmath's pi and cos/sin as those of the two series.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
-
-from mpmath.libmp import from_int, mpf_div, mpf_pi, mpf_shift, round_ceiling, round_floor, to_int
-from mpmath.libmp.libmpi import mpi_cos_sin
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CEILING = 4096
@@ -222,15 +222,94 @@ _FINE_BITS = 16
 _ROUNDING = 3 << (_FINE_BITS - 1)
 
 
+def _pi_ball(bits: int) -> tuple[int, int]:
+    """(p, r) with |2^bits pi - p| < r, from Machin's pi = 16 atan(1/5) - 4 atan(1/239).
+
+    atan(1/x) = sum_{k odd} (-1)^((k-1)/2) / (k x^k).  With the floored
+    powers t_k = floor(2^bits / x^k), each t_{k+2} = floor(t_k / x^2), the
+    floored terms floor(t_k / k) = floor(2^bits / (k x^k)) are each less
+    than one unit below the exact terms (floor(floor(a) / d) = floor(a / d)
+    for integers d > 0).  The series stops at the first t_k = 0: then
+    2^bits / x^k < 1, and the omitted alternating tail, whose terms
+    decrease, is less than its first term, below one unit.  So each atan
+    costs less than one unit per term summed, plus one for the tail, times
+    its weight 16 or 4; the radius carries that count.
+    """
+    one = 1 << bits
+    total = radius = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k = one // x, 1
+        while power:
+            term = weight * (power // k)
+            total += term if k % 4 == 1 else -term
+            radius += abs(weight)
+            power //= x * x
+            k += 2
+        radius += abs(weight)
+    return total, radius
+
+
+def _exp_i_ball(u: int, bits: int) -> tuple[int, int, int]:
+    """(c, s, r) with |2^bits e^{i theta} - (c + i s)| < r, theta = u 2^-bits, 0 <= theta < 2.
+
+    The Taylor terms 2^bits (i theta)^k / k! have magnitudes tau_k, taken
+    as T_0 = 2^bits and T_k = floor(T_{k-1} theta / k) (one floor: the shift
+    and the division nest), each added to the real or imaginary part with
+    the sign of i^k.  Then e_k = tau_k - T_k satisfies
+    0 <= e_k < e_{k-1} theta / k + 1, so e_1 < 1, e_2 < 2 and, as
+    theta / k < 2/3 for k >= 3, e_k < 3 for every k.  The series stops at
+    the first T_K = 0, after K terms.  If u = 0 every term is exact.
+    Otherwise T_1 = u > 0, so K >= 2, tau_K = e_K < 3 and each later term
+    is at most 2/3 of the one before, so the omitted tail is below
+    2 tau_K < 6.  Each term lands in one part, so the distance is below
+    3K + 6: the radius carries 3 units per term on top of the tail's 6.
+    """
+    parts = [1 << bits, 0]
+    term, k, radius = 1 << bits, 0, 6
+    while term:
+        k += 1
+        term = (term * u >> bits) // k
+        parts[k % 2] += term if k % 4 < 2 else -term
+        radius += 3
+    return parts[0], parts[1], radius
+
+
+def _unit_root_ball(n: int, bits: int) -> tuple[int, int, int]:
+    """(c, s, r_w) with |2^bits e^{i pi/n} - (c + i s)| <= r_w <= 2, for n >= 2.
+
+    Both series run at F = bits + g, with the guard g = 2b + 8 and
+    b = bits.bit_length().  With the pi ball (p, r_pi) at 2^F, the angle
+    u = floor(p / n) is within r_pi / n + 1 units of 2^F pi / n and below
+    2^F pi / 2 + r_pi, so theta < 2; and |e^{ia} - e^{ib}| <= |a - b|.  So
+    2^F e^{i pi/n} lies within r = r_exp + ceil(r_pi / n) + 1 of the Taylor
+    ball's midpoint, and each part at scale 2^bits within integers
+    [c_lo, c_hi] and [s_lo, s_hi], floored and ceiled from the part +/- r.
+    With c, s the floors of their midpoints, r_w = (c_hi - c) + (s_hi - s)
+    bounds the distance, since it bounds each part.
+
+    Guard.  pi's series has at most F/4 + 1 terms of weight 16 and
+    F/15 + 1 of weight 4 (5^2 > 2^4, 239^2 > 2^15), so r_pi < 4.3 F + 40.
+    As k! >= 4^k for k >= 9, T_k <= tau_k < 2^(F - k) there, so the Taylor
+    series has K <= max(F, 9) terms and r_exp < 3F + 33.  Hence
+    r < 6F + 60, and 2r < 2^g = 2^8 4^b for every bits >= 1: each part's
+    interval is less than one unit wide, c_hi - c_lo <= 2, and r_w = 2.
+    """
+    guard = 2 * bits.bit_length() + 8
+    pi, pi_radius = _pi_ball(bits + guard)
+    c, s, radius = _exp_i_ball(pi // n, bits + guard)
+    radius += -(-pi_radius // n) + 1
+    c_lo, c_hi = (c - radius) >> guard, -(-(c + radius) >> guard)
+    s_lo, s_hi = (s - radius) >> guard, -(-(s + radius) >> guard)
+    c, s = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
+    return c, s, (c_hi - c) + (s_hi - s)
+
+
 def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
     """(y_j, rho_j) for 1 <= j <= n/2, with |2^W sin(pi j / n) - y_j| <= rho_j, W = scale_bits.
 
-    Let V = W + 16 (``fine_bits``).  One mpmath interval, ``mpi_cos_sin`` at V bits of an
-    enclosure of pi/n, is floored and ceiled exactly to integers
-    [c_lo, c_hi] and [s_lo, s_hi] at scale 2^V.  With c, s the floors of
-    their midpoints, r_w = (c_hi - c) + (s_hi - s) bounds
-    |2^V e^{i pi/n} - (c + i s)|, since it bounds each part.  The ball of
-    midpoint (x_j + i y_j) 2^-W and radius r_j 2^-V holds e^{i pi j / n}:
+    Let V = W + 16 (``fine_bits``).  ``_unit_root_ball`` gives c + i s
+    within r_w = 2 units of 2^V e^{i pi/n}.  The ball of midpoint
+    (x_j + i y_j) 2^-W and radius r_j 2^-V holds e^{i pi j / n}:
     j = 0 is 1 exactly (r_0 = 0), and the rotation by w = e^{i pi/n} gives
 
         x_j + i y_j = floor((x + i y)(c + i s) / 2^V), each part floored,
@@ -242,22 +321,10 @@ def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
     by less than 2^-W, the point by less than
     sqrt(2) 2^-W < 3 * 2^15 * 2^-V.  The imaginary part is within the
     radius too, so rho_j = floor(r_j / 2^16) + 1 bounds it at scale 2^W.
-    The radius grows linearly in j: r_w is a few units, as the V-bit
-    enclosure is a few ulps wide, so rho_j <= 3j.
+    The radius grows linearly in j: r_w = 2, so rho_j <= 3j.
     """
     fine_bits = scale_bits + _FINE_BITS
-    size = from_int(n)
-    angle = (
-        mpf_div(mpf_pi(fine_bits, round_floor), size, fine_bits, round_floor),
-        mpf_div(mpf_pi(fine_bits, round_ceiling), size, fine_bits, round_ceiling),
-    )
-    (cos_lo, cos_hi), (sin_lo, sin_hi) = mpi_cos_sin(angle, fine_bits)
-    c_lo = to_int(mpf_shift(cos_lo, fine_bits), round_floor)
-    c_hi = to_int(mpf_shift(cos_hi, fine_bits), round_ceiling)
-    s_lo = to_int(mpf_shift(sin_lo, fine_bits), round_floor)
-    s_hi = to_int(mpf_shift(sin_hi, fine_bits), round_ceiling)
-    c, s = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
-    r_w = (c_hi - c) + (s_hi - s)
+    c, s, r_w = _unit_root_ball(n, fine_bits)
     x, y, r = 1 << scale_bits, 0, 0
     for _ in range(n // 2):
         x, y = (x * c - y * s) >> fine_bits, (x * s + y * c) >> fine_bits
@@ -328,30 +395,32 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     """(L, U) with L 2^-bits <= (n/2)^m sum_{j=1}^{n-1} s_j csc^{2m}(pi j / n) <= U 2^-bits,
     or None if not tight; s_j = (-1)^{j+1} if ``alternating``, else 1.
 
-    A folded term stands for j and n - j, so its signed weight is
-    s_j + (weight - 1) s_{n-j}.  2^F csc^{2m} lies between the powers of lo
-    and hi rounded down and up (``_scaled_power``) at the finer scale 2^F,
-    F = bits + 2b + 4 with b = n.bit_length().  As csc^2 >= 1, a rounding
-    there moves a value by a relative 2^-F at most, while lo and hi are a
-    relative 1 / lo > 2^-(bits + 2b - 2) apart (csc^2(pi j / n) <= n^2 / 4),
-    so the roundings hardly widen the enclosure.  A positive term is lowest at lo^m and highest at hi^m, a
-    negative one the other way round, and the weighted sums are exact.  With
-    (n/2)^m = n^m 2^-m, one outward rounding takes n^m times the sums to
-    scale 2^bits.
+    The alternating sum is exactly 0 at odd n (see ``twisted_trig_oracle``),
+    and at even n a folded term's signed weight is -weight at even j.
+    2^F csc^{2m} lies between the powers of lo and hi rounded down and up
+    (``_scaled_power``) at the finer scale 2^F, F = bits + 2b + 4 with
+    b = n.bit_length().  As csc^2 >= 1, a rounding there moves a value by a
+    relative 2^-F at most, while lo and hi are a relative
+    1 / lo > 2^-(bits + 2b - 2) apart (csc^2(pi j / n) <= n^2 / 4), so the
+    roundings hardly widen the enclosure.  A positive term is lowest at
+    lo^m and highest at hi^m, a negative one the other way round, and the
+    weighted sums are exact.  With (n/2)^m = n^m 2^-m, one outward rounding
+    takes n^m times the sums to scale 2^bits.
     """
+    if alternating and n % 2:
+        return 0, 0
     bounds = _csc_square_bounds(n, bits)
     if bounds is None:
         return None
     fine_bits = bits + 2 * n.bit_length() + 4
     lower = upper = 0
     for j, (weight, lo, hi) in enumerate(bounds, start=1):
-        if alternating:
-            weight = (-1) ** (j + 1) + (weight - 1) * (-1) ** (n - j + 1)
-        if weight:
-            low = _scaled_power(lo << (fine_bits - bits), m, fine_bits, up=False)
-            high = _scaled_power(hi << (fine_bits - bits), m, fine_bits, up=True)
-            lower += weight * (low if weight > 0 else high)
-            upper += weight * (high if weight > 0 else low)
+        if alternating and j % 2 == 0:
+            weight = -weight
+        low = _scaled_power(lo << (fine_bits - bits), m, fine_bits, up=False)
+        high = _scaled_power(hi << (fine_bits - bits), m, fine_bits, up=True)
+        lower += weight * (low if weight > 0 else high)
+        upper += weight * (high if weight > 0 else low)
     shift = m + fine_bits - bits
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
@@ -463,14 +532,12 @@ def twisted_trig_oracle(
 
     With n = p/2, sin(2 pi j / p) = sin(pi j / n) and (p/4)^m = (n/2)^m, so
     the sum is (n/2)^m sum_{j=1}^{n-1} (-1)^{j+1} csc^{2m}(pi j / n), over the
-    same terms as the Verlinde sum at level n - 2.  A folded term of weight
-    2 stands for j and n - j, whose signs are (-1)^{j+1} and
-    (-1)^{n-j+1} = (-1)^n (-1)^{j+1}: their sum, the signed weight, is
-    2 (-1)^{j+1} for even n and 0 for odd n, where the pair cancels and the
-    sum is exactly 0.  A term of weight 1 is j alone.  Hence
-    signed weight = (-1)^{j+1} + (weight - 1) (-1)^{n-j+1}, for every n.
-    At even n the j = 1 term has signed weight +2, so the Verlinde skip rule
-    holds here too.
+    same terms as the Verlinde sum at level n - 2.  The terms j and n - j
+    have equal csc^2 and signs (-1)^{j+1} and (-1)^n (-1)^{j+1}: at odd n
+    every pair cancels and the sum is exactly 0, certified at
+    ``precision_bits`` with no work; at even n a folded term keeps the sign
+    of j (the middle j = n/2 is alone), the j = 1 term has signed weight +2,
+    and the Verlinde skip rule holds here too.
     """
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")

@@ -1,16 +1,28 @@
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_pow_int, mpi_shift, mpi_sin, mpi_sub
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_cos_sin,
+    mpi_div,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_shift,
+    mpi_sin,
+    mpi_sub,
+)
 
 from spinverlinde import fusion
 from spinverlinde.fusion import (
@@ -20,13 +32,16 @@ from spinverlinde.fusion import (
     PrecisionCeilingError,
     _certify,
     _csc_square_bounds,
+    _exp_i_ball,
     _extend_power_sums,
+    _pi_ball,
     _power_sum_table,
     _PowerSumTable,
     _scaled_power_sum,
     _scaled_power,
     _sine_balls,
     _sum_enclosure,
+    _unit_root_ball,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -601,6 +616,18 @@ class TestOracles:
         with pytest.raises(ValueError):
             verlinde_trig_oracle(2, 2, 32)
 
+    def test_twisted_oracle_at_odd_n_builds_no_bounds(self):
+        # at odd n = p/2 every folded pair cancels, so the sum is exactly 0
+        cold_caches()
+        for g, p, bits in ((1, 6, 128), (3, 102, 128), (2, 10, 256), (400, 806, 64)):
+            certified = twisted_trig_oracle(g, p, bits)
+            assert (certified.value, certified.width, certified.precision_bits) == (0, 0, bits)
+        assert _csc_square_bounds.cache_info().misses == 0
+        with pytest.raises(ValueError):
+            twisted_trig_oracle(3, 102, 32)
+        with pytest.raises(ValueError):
+            twisted_trig_oracle(3, 102, 256, 128)
+
 
 class TestRawIntervalOracle:
     """The integer oracle against the libmpi interval route it replaced."""
@@ -723,12 +750,17 @@ class TestFixedPointBounds:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
     def test_sine_balls_contain_the_sines(self, n):
-        scale_bits = 80
-        for j, (y, rho) in enumerate(_sine_balls(n, scale_bits), start=1):
-            sine = mpi_shift(interval_sine(j, n, 2 * scale_bits + 64), scale_bits)
-            ref_lo, ref_hi = interval_fractions(sine)
-            assert y - rho <= ref_lo and ref_hi <= y + rho, (n, j)
-            assert 0 < rho <= 3 * j
+        # 4200 bits is where the series behind e^{i pi/n} are longest; there the
+        # reference sines of n = 1000 take seconds, so every 25th j and the last
+        for scale_bits in (80, 4200):
+            balls = list(_sine_balls(n, scale_bits))
+            stride = 25 if n * scale_bits > 10**6 else 1
+            for j in {*range(1, len(balls) + 1, stride), len(balls)}:
+                y, rho = balls[j - 1]
+                sine = mpi_shift(interval_sine(j, n, 2 * scale_bits + 64), scale_bits)
+                ref_lo, ref_hi = interval_fractions(sine)
+                assert y - rho <= ref_lo and ref_hi <= y + rho, (n, j, scale_bits)
+            assert all(0 < rho <= 3 * j for j, (_, rho) in enumerate(balls, start=1))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
@@ -786,3 +818,63 @@ class TestFixedPointBounds:
                         for j, (weight, x, _) in enumerate(points, start=1)
                     )
                     assert Fraction(lower, 1 << bits) <= exact <= Fraction(upper, 1 << bits)
+
+
+# past the default precision ceiling 4096: --precision-ceiling raises it, and
+# the series run some guard bits above the oracle's precision
+SERIES_BITS = [1, 64, 80, 1000, 4200, 8300]
+SERIES_LEVELS = [2, 3, 4, 7, 50, 51, 1000, 2**16]
+
+
+def disc_holds(c, s, r, cos_sin, bits):
+    """Whether the disc of centre (c + i s) 2^-bits and radius r 2^-bits holds
+    the box of a raw ``mpi_cos_sin`` result."""
+    scale = 1 << bits
+    (cos_lo, cos_hi), (sin_lo, sin_hi) = (interval_fractions(part) for part in cos_sin)
+    dx = max(abs(c - cos_lo * scale), abs(c - cos_hi * scale))
+    dy = max(abs(s - sin_lo * scale), abs(s - sin_hi * scale))
+    return dx * dx + dy * dy <= r * r
+
+
+class TestSeriesBalls:
+    """The integer series for pi and e^{iu} against mpmath's."""
+
+    @pytest.mark.parametrize("bits", SERIES_BITS)
+    def test_pi_ball_holds_mpmath_pi(self, bits):
+        p, r = _pi_ball(bits)
+        prec = bits + 64
+        lower = math.floor(endpoint_fraction(mpf_pi(prec, round_floor)) * 2**bits)
+        upper = math.ceil(endpoint_fraction(mpf_pi(prec, round_ceiling)) * 2**bits)
+        assert p - r <= lower and upper <= p + r
+        # the bound the guard of _unit_root_ball relies on
+        assert 10 * r < 43 * bits + 400
+
+    @pytest.mark.parametrize("bits", SERIES_BITS)
+    def test_exp_i_ball_holds_mpmath_cos_sin(self, bits):
+        prec = 2 * bits + 64
+        p, _ = _pi_ball(bits)
+        for n in SERIES_LEVELS:
+            u = p // n
+            angle = mpi_shift(int_interval(u, prec), -bits)
+            c, s, r = _exp_i_ball(u, bits)
+            assert disc_holds(c, s, r, mpi_cos_sin(angle, prec), bits), n
+            assert r <= 3 * max(bits, 9) + 6
+
+    @pytest.mark.parametrize("bits", SERIES_BITS)
+    def test_unit_root_ball_holds_mpmath_cos_sin(self, bits):
+        prec = 2 * bits + 64
+        pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+        for n in SERIES_LEVELS:
+            c, s, r_w = _unit_root_ball(n, bits)
+            angle = mpi_div(pi, int_interval(n, prec), prec)
+            assert disc_holds(c, s, r_w, mpi_cos_sin(angle, prec), bits), n
+            assert 0 < r_w <= 2
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # mpmath is a test dependency only; a fresh interpreter shows the import
+        code = "import sys, spinverlinde.cli; print([m for m in sys.modules if 'mpmath' in m])"
+        env = {**os.environ, "PYTHONPATH": str(Path(fusion.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
