@@ -4,7 +4,10 @@ Each suite returns a list of CheckResult records; a suite passes when all
 of its records do.  The suites deliberately recompute quantities along
 independent routes (brute-force enumeration against closed forms, the
 exact power-sum dimensions against interval-certified trigonometric sums)
-rather than trusting the primary implementation.
+rather than trusting the primary implementation.  An exact value meets its
+certified oracle in ``_oracle_record`` alone, which the CLI's verlinde table
+shares; a cell the oracle cannot certify is a failed record.  A suite whose
+grid has no cell raises ValueError rather than pass vacuously.
 
 Every case still runs, but a suite computes each distinct product once:
 the projection products depend on the spin structure only through its
@@ -23,7 +26,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
 from .f2 import F2Vector, SymplecticF2Space
-from .fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from .fusion import CertificationError, CertifiedInteger, twisted_dim, twisted_trig_oracle
+from .fusion import verlinde_dim, verlinde_trig_oracle
 from .heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -89,6 +93,14 @@ def _require_enumerable(max_genus: int) -> None:
     """Raise the EnumerationCapError a sweep over genus 1..max_genus would reach, before it starts."""
     for g in range(1, max_genus + 1):
         SymplecticF2Space(g)._check_enumeration_cap()
+
+
+def _levels_kept(suite: str, levels_p: Iterable[int], least: int, step: int) -> list[int]:
+    """The levels p >= least that are multiples of step; a ValueError naming the suite if none is."""
+    kept = [p for p in levels_p if p >= least and p % step == 0]
+    if not kept:
+        raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +313,27 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
 # exact dimensions against the interval oracle
 
 
+def _oracle_record(
+    name: str, series_value: int, oracle: Callable[..., CertifiedInteger], *args
+) -> tuple[CheckResult, CertifiedInteger | None]:
+    """The record that ``series_value`` equals the certified ``oracle(*args)``, and the
+    certificate; a failed record with the message, and None, if certification fails."""
+    try:
+        certificate = oracle(*args)
+    except CertificationError as exc:
+        return CheckResult(name, False, str(exc)), None
+    passed = series_value == certificate.value and certificate.width < Fraction(1, 2)
+    return CheckResult(name, passed, f"series {series_value}, oracle {certificate.value}"), certificate
+
+
 def check_verlinde(
     genera: Iterable[int] = range(1, 7), su2_levels: Iterable[int] = range(0, 17)
 ) -> list[CheckResult]:
     results = []
     for g in genera:
         for k in su2_levels:
-            series_value = verlinde_dim(g, k)
-            certified = verlinde_trig_oracle(g, k)
-            results.append(
-                CheckResult(
-                    f"verlinde trace = oracle (g={g}, k={k})",
-                    series_value == certified.value and certified.width < Fraction(1, 2),
-                    f"series {series_value}, oracle {certified.value}",
-                )
-            )
+            name = f"verlinde trace = oracle (g={g}, k={k})"
+            results.append(_oracle_record(name, verlinde_dim(g, k), verlinde_trig_oracle, g, k)[0])
     return results
 
 
@@ -324,19 +342,12 @@ def check_twisted(
 ) -> list[CheckResult]:
     if levels_p is None:
         levels_p = [2 * (k + 2) for k in range(0, 17)]
-    levels_p = [p for p in levels_p if p >= 4 and p % 2 == 0]
+    levels_p = _levels_kept("twisted", levels_p, 4, 2)
     results = []
     for g in genera:
         for p in levels_p:
-            series_value = twisted_dim(g, p)
-            certified = twisted_trig_oracle(g, p)
-            results.append(
-                CheckResult(
-                    f"twisted trace = oracle (g={g}, p={p})",
-                    series_value == certified.value and certified.width < Fraction(1, 2),
-                    f"series {series_value}, oracle {certified.value}",
-                )
-            )
+            name = f"twisted trace = oracle (g={g}, p={p})"
+            results.append(_oracle_record(name, twisted_dim(g, p), twisted_trig_oracle, g, p)[0])
     return results
 
 
@@ -440,7 +451,7 @@ def check_trace_decomposition(
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
-    levels_p = [p for p in levels_p if p > 0 and p % 8 == 0]
+    levels_p = _levels_kept("traces", levels_p, 8, 8)
     results = []
     for g in genera:
         for p in levels_p:
@@ -470,7 +481,7 @@ def check_traces(
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
-    levels_p = [p for p in levels_p if p > 0 and p % 8 == 0]
+    levels_p = _levels_kept("decomp", levels_p, 8, 8)
     results = []
     for g in genera:
         for p in levels_p:
@@ -501,6 +512,11 @@ def check_decomposition(
 
 def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
     """Sweep the full grid; the formulas themselves raise on a non-integral or negative value."""
+    if max_genus < 2 or max_p < 8:
+        raise ValueError(
+            f"check integrality: no cell (g, p) with 2 <= g <= {max_genus} "
+            f"and p a multiple of 8 in 8..{max_p}"
+        )
     cells = 0
     for g in range(2, max_genus + 1):
         for p in range(8, max_p + 1, 8):
@@ -603,6 +619,8 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_levels(max_m: int = 50) -> list[CheckResult]:
+    if max_m < 1:
+        raise ValueError(f"check levels: max_m must be >= 1, got {max_m}")
     results = [
         _counted(
             f"bm/so3/su2/bhmv consistency m<={max_m}",

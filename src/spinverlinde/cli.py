@@ -14,9 +14,8 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .checks import SUITES, run_suite
+from .checks import SUITES, CheckResult, _oracle_record, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
@@ -150,8 +149,12 @@ def _emit_text(headers: list[str], payload: dict, stream) -> None:
         stream.write(f"[{status}] {check['name']}{details}\n")
 
 
-def _emit(args, command: str, params: dict, rows: list[dict], checks: list[dict]) -> int:
-    """Write the payload in ``args.format`` to stdout or ``args.out``; return the exit code."""
+def _emit(args, command: str, params: dict, rows: list[dict], results: list[CheckResult]) -> int:
+    """Write the payload in ``args.format`` to stdout or ``args.out``; return the exit code.
+
+    The one place where the check records become ``{"name", "passed", "details"}``.
+    """
+    checks = [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
     payload = {"command": command, "params": params, "rows": rows, "checks": checks}
     headers = list(dict.fromkeys(key for row in rows for key in row))
     buffer = io.StringIO()
@@ -175,25 +178,24 @@ def _emit(args, command: str, params: dict, rows: list[dict], checks: list[dict]
             ) from None
     else:
         sys.stdout.write(rendered)
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_FAILURE
+    return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _verlinde_cell(g: int, k: int, precision_bits: int, ceiling: int) -> tuple[dict, dict]:
+def _verlinde_cell(g: int, k: int, precision_bits: int, ceiling: int) -> tuple[dict, CheckResult]:
     """The row and the certification check of one (g, k) cell."""
     dim = verlinde_dim(g, k)
-    try:
-        certificate = verlinde_trig_oracle(g, k, precision_bits, ceiling)
+    check, certificate = _oracle_record(
+        f"certified (g={g}, k={k})", dim, verlinde_trig_oracle, g, k, precision_bits, ceiling
+    )
+    width = bits = None
+    if certificate is not None:
         width, bits = float(certificate.width), certificate.precision_bits
-        certified = certificate.value == dim and certificate.width < Fraction(1, 2)
-        details = f"series {dim}, oracle {certificate.value}"
-    except CertificationError as exc:
-        width, bits, certified, details = None, None, False, str(exc)
     row = {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits}
-    return row, {"name": f"certified (g={g}, k={k})", "passed": certified, "details": details}
+    return row, check
 
 
 def _cmd_verlinde(args) -> int:
@@ -208,12 +210,8 @@ def _cmd_verlinde(args) -> int:
         for k in args.level
         for g in args.genus
     }
-    rows, checks = [], []
-    for g in args.genus:
-        for k in args.level:
-            row, check = cells[g, k]
-            rows.append(row)
-            checks.append(check)
+    ordered = [cells[g, k] for g in args.genus for k in args.level]
+    rows, checks = [row for row, _ in ordered], [check for _, check in ordered]
     params = {"genus": args.genus, "level": args.level}
     return _emit(args, "verlinde", params, rows, checks)
 
@@ -253,11 +251,11 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
                 checksum["extrapolated"] = True
             rows.append(checksum)
             checks.append(
-                {
-                    "name": f"decomposition checksum (g={g}, p={p})",
-                    "passed": even_total == verlinde_dim(g, p // 2 - 2),
-                    "details": f"sum over spin structures {even_total} = unrefined dimension",
-                }
+                CheckResult(
+                    f"decomposition checksum (g={g}, p={p})",
+                    even_total == verlinde_dim(g, p // 2 - 2),
+                    f"sum over spin structures {even_total} = unrefined dimension",
+                )
             )
     params = {"genus": args.genus, "p": levels, "arf": args.arf, "convention": args.convention}
     return _emit(args, "spin-dims", params, rows, checks)
@@ -280,8 +278,7 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    checks = [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
-    return _emit(args, "check", {"suite": args.suite, **params}, [], checks)
+    return _emit(args, "check", {"suite": args.suite, **params}, [], results)
 
 
 _CONVERSIONS = {
@@ -307,8 +304,8 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             validated, details = False, str(exc)
         checks = [
-            {"name": "correspondence table internally validated", "passed": validated, "details": details},
-            {"name": "erratum note", "passed": True, "details": table.erratum},
+            CheckResult("correspondence table internally validated", validated, details),
+            CheckResult("erratum note", True, table.erratum),
         ]
         return _emit(args, "levels", {"table": True}, rows, checks)
 

@@ -42,10 +42,10 @@ into integer bounds lo <= 2^Q csc^2 <= hi; a bounded cache keyed by
 powers of lo and hi are taken with every rounding directed outward, at a
 scale fine enough that the roundings hardly widen the enclosure; the
 weighted sums are exact, and one outward rounding brings them to scale
-2^Q.  At odd n the twisted sum is exactly 0 and needs no bounds.  Both
-oracles (the twisted one at even n) skip every precision that cannot
-certify, judged by a float lower bound on the enclosure's width, and fail
-at once when even the ceiling cannot.  The package needs nothing beyond
+2^Q.  At odd n the twisted sum is exactly 0 and needs no bounds.  One walk,
+``_certified_sum``, serves both oracles: it skips every precision that
+cannot certify, judged by a float lower bound on the enclosure's width,
+and fails at once when even the ceiling cannot.  The package needs nothing beyond
 the standard library; the tests keep the mpmath interval sums (folded,
 and unfolded with a sine for every j < n) as the oracle's own oracles,
 and mpmath's pi and cos/sin as those of the two series.
@@ -57,7 +57,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
 
 DEFAULT_PRECISION_BITS = 128
@@ -152,14 +152,28 @@ def _integral(numerator: int, shift: int, label: str) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
-def verlinde_dim(g: int, k: int) -> int:
-    """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
+def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
+    """(m, n) = (g - 1, k + 2), the power and the n of the genus-g sum at level k."""
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    m, n = g - 1, k + 2
+    return g - 1, k + 2
+
+
+def _twisted_terms(g: int, p: int) -> tuple[int, int]:
+    """(m, n) = (g - 1, p/2), the power and the n of the twisted genus-g sum at level p."""
+    if g < 1:
+        raise ValueError(f"genus must be a positive integer, got {g}")
+    if p % 2 or p < 4:
+        raise ValueError(f"the twisted sum needs an even level p >= 4, got {p}")
+    return g - 1, p // 2
+
+
+@lru_cache(maxsize=None)
+def verlinde_dim(g: int, k: int) -> int:
+    """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
+    m, n = _verlinde_terms(g, k)
     # (n/2)^m p_m(n) = (n / (2 scale))^m P_m(n): P_m(n) / 2^m for odd n, / 4^m for even n
     shift = m if n % 2 else 2 * m
     return _integral(_scaled_power_sum(m, n), shift, f"verlinde_dim(g={g}, k={k})")
@@ -173,11 +187,7 @@ def twisted_dim(g: int, p: int) -> int:
     even-j part.  For odd n the part is half the full sum (j -> n - j swaps
     the parities), so the value is 0.  For even n it is p_m(h), h = n/2.
     """
-    if g < 1:
-        raise ValueError(f"genus must be a positive integer, got {g}")
-    if p % 2 or p < 4:
-        raise ValueError(f"twisted dimension needs an even level p >= 4, got {p}")
-    m, n = g - 1, p // 2
+    m, n = _twisted_terms(g, p)
     if n % 2:
         return 0
     h = n // 2
@@ -425,15 +435,6 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
-def _check_precisions(precision_bits: int, precision_ceiling: int) -> None:
-    if precision_bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
-    if precision_ceiling < precision_bits:
-        raise ValueError(
-            f"precision ceiling {precision_ceiling} below starting precision {precision_bits}"
-        )
-
-
 def _width_text(enclosure: tuple[int, int] | None, bits: int) -> str:
     """The enclosure width for a message: a float, or a power of two past the float range."""
     if enclosure is None:
@@ -446,63 +447,60 @@ def _width_text(enclosure: tuple[int, int] | None, bits: int) -> str:
         return f"about 2^{width.numerator.bit_length() - width.denominator.bit_length()}"
 
 
-def _certify(evaluate, precision_bits: int, precision_ceiling: int, label: str) -> CertifiedInteger:
-    """Run ``evaluate(bits)``, doubling ``bits`` until the enclosure is narrower
-    than 1/2, then return the unique enclosed integer.
+def _certified_sum(
+    m: int, n: int, alternating: bool, precision_bits: int, precision_ceiling: int, label: str
+) -> CertifiedInteger:
+    """The unique integer in the ``_sum_enclosure`` of (m, n), certified by an
+    enclosure narrower than 1/2 at the first precision Q of the doubling
+    sequence, from ``precision_bits`` up to ``precision_ceiling``, that gives one.
 
-    ``evaluate`` returns integers (L, U) with the value in [L, U] 2^-bits,
-    or None when it cannot enclose the value at ``bits`` (not tight).
-    """
-    _check_precisions(precision_bits, precision_ceiling)
-    bits = precision_bits
-    while True:
-        enclosure = evaluate(bits)
-        if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
-            lower, upper = Fraction(enclosure[0], 1 << bits), Fraction(enclosure[1], 1 << bits)
-            candidate = math.ceil(lower)
-            if candidate > upper:
-                raise CertificationError(
-                    f"{label}: enclosure [{float(lower)}, {float(upper)}] contains no integer"
-                )
-            return CertifiedInteger(candidate, lower, upper, bits)
-        if bits >= precision_ceiling:
-            raise PrecisionCeilingError(
-                f"{label}: interval width {_width_text(enclosure, bits)} still >= 1/2 "
-                f"at the precision ceiling {precision_ceiling} bits"
-            )
-        bits = min(2 * bits, precision_ceiling)
-
-
-def _first_useful_precision(
-    m: int, n: int, precision_bits: int, precision_ceiling: int, label: str
-) -> int:
-    """The first precision of the doubling sequence that may certify a sum at (m, n).
-
-    Both sums, the twisted one at even n, have a j = 1 term of weight 2 once
-    n >= 3.  At Q bits its hi - lo >= 1, so hi^m - lo^m >= m lo^(m-1), and
-    lo = 2^Q csc^2(pi/n) up to a relative error below 2^-60.  The rounded
-    powers lie outside lo^m and hi^m, so after the prefactor
-    n^m 2^-(Q m + m) the enclosure is at least
+    An enclosure that is None (not tight) never certifies.  Precisions that
+    cannot certify are skipped.  Both sums, the twisted one at even n, have a
+    j = 1 term of weight 2 once n >= 3.  At Q bits its hi - lo >= 1, so
+    hi^m - lo^m >= m lo^(m-1), and lo = 2^Q csc^2(pi/n) up to a relative
+    error below 2^-60.  The rounded powers lie outside lo^m and hi^m, so
+    after the prefactor n^m 2^-(Q m + m) the enclosure is at least
     2 m (n/2)^m csc^(2(m-1))(pi/n) 2^-Q wide, about 2^(B - Q) with
     B = log2(2m) + m log2(n/2) + 2 (m-1) log2 csc(pi/n), and a width of at
-    least 1/2 cannot certify.  An attempt at Q is skipped while B > Q + 1;
-    the two bits of margin absorb the float error of B.  If the rule would
-    skip the ceiling itself, the oracle fails before any work.
+    least 1/2 cannot certify.  Q is skipped while B > Q + 1; the two bits of
+    margin absorb the float error of B.  If the rule skips the ceiling
+    itself, the oracle fails before any interval work.  The twisted sum at
+    odd n is exactly 0 and skips nothing.
     """
-    _check_precisions(precision_bits, precision_ceiling)
-    if m == 0 or n < 3:
-        return precision_bits
-    bound = math.log2(2 * m) + m * math.log2(n / 2) - 2 * (m - 1) * math.log2(math.sin(math.pi / n))
+    if precision_bits < 64:
+        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+    if precision_ceiling < precision_bits:
+        raise ValueError(
+            f"precision ceiling {precision_ceiling} below starting precision {precision_bits}"
+        )
+    bound = -math.inf
+    if m and n >= 3 and not (alternating and n % 2):
+        bound = math.log2(2 * m) + m * math.log2(n / 2) - 2 * (m - 1) * math.log2(math.sin(math.pi / n))
     bits = precision_bits
-    while bound > bits + 1:
-        if bits >= precision_ceiling:
-            raise PrecisionCeilingError(
-                f"{label}: its enclosure at Q bits is at least 2^({bound:.1f} - Q) wide, so "
-                f"certifying it needs at least {math.ceil(bound - 1)} bits, "
-                f"above the precision ceiling {precision_ceiling} bits"
-            )
+    while True:
+        if bound > bits + 1:
+            if bits >= precision_ceiling:
+                raise PrecisionCeilingError(
+                    f"{label}: its enclosure at Q bits is at least 2^({bound:.1f} - Q) wide, so "
+                    f"certifying it needs at least {math.ceil(bound - 1)} bits, "
+                    f"above the precision ceiling {precision_ceiling} bits"
+                )
+        else:
+            enclosure = _sum_enclosure(m, n, bits, alternating)
+            if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
+                lower, upper = Fraction(enclosure[0], 1 << bits), Fraction(enclosure[1], 1 << bits)
+                candidate = math.ceil(lower)
+                if candidate > upper:
+                    raise CertificationError(
+                        f"{label}: enclosure [{float(lower)}, {float(upper)}] contains no integer"
+                    )
+                return CertifiedInteger(candidate, lower, upper, bits)
+            if bits >= precision_ceiling:
+                raise PrecisionCeilingError(
+                    f"{label}: interval width {_width_text(enclosure, bits)} still >= 1/2 "
+                    f"at the precision ceiling {precision_ceiling} bits"
+                )
         bits = min(2 * bits, precision_ceiling)
-    return bits
 
 
 def verlinde_trig_oracle(
@@ -512,14 +510,8 @@ def verlinde_trig_oracle(
     precision_ceiling: int = DEFAULT_PRECISION_CEILING,
 ) -> CertifiedInteger:
     """Certified evaluation of the genus-g trigonometric dimension sum at level k."""
-    if g < 1:
-        raise ValueError(f"genus must be a positive integer, got {g}")
-    if k < 0:
-        raise ValueError(f"level must be a non-negative integer, got {k}")
-    m, n = g - 1, k + 2
-    label = f"verlinde(g={g}, k={k})"
-    start = _first_useful_precision(m, n, precision_bits, precision_ceiling, label)
-    return _certify(partial(_sum_enclosure, m, n, alternating=False), start, precision_ceiling, label)
+    m, n = _verlinde_terms(g, k)
+    return _certified_sum(m, n, False, precision_bits, precision_ceiling, f"verlinde(g={g}, k={k})")
 
 
 def twisted_trig_oracle(
@@ -539,13 +531,5 @@ def twisted_trig_oracle(
     of j (the middle j = n/2 is alone), the j = 1 term has signed weight +2,
     and the Verlinde skip rule holds here too.
     """
-    if g < 1:
-        raise ValueError(f"genus must be a positive integer, got {g}")
-    if p % 2 or p < 4:
-        raise ValueError(f"twisted oracle needs an even level p >= 4, got {p}")
-    m, n = g - 1, p // 2
-    label = f"twisted(g={g}, p={p})"
-    start = precision_bits
-    if n % 2 == 0:
-        start = _first_useful_precision(m, n, precision_bits, precision_ceiling, label)
-    return _certify(partial(_sum_enclosure, m, n, alternating=True), start, precision_ceiling, label)
+    m, n = _twisted_terms(g, p)
+    return _certified_sum(m, n, True, precision_bits, precision_ceiling, f"twisted(g={g}, p={p})")

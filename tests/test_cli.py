@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,81 @@ class TestCheckCommand:
         assert code == 0
         assert "[PASS]" in out
 
+    EIGHTS = "none of the levels p given is a multiple of 8 and >= 8"
+    NO_CELL = "no cell (g, p) with 2 <= g <= {} and p a multiple of 8 in 8..{}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("traces", "--p", "12"), "check traces: " + EIGHTS),
+            (("decomp", "--p", "12"), "check decomp: " + EIGHTS),
+            (("twisted", "--p", "3"), "check twisted: none of the levels p given is a multiple of 2 and >= 4"),
+            (("integrality", "--p", "4"), "check integrality: " + NO_CELL.format(6, 4)),
+            (("integrality", "--genus", "1"), "check integrality: " + NO_CELL.format(1, 64)),
+            (("levels", "--max-m", "0"), "check levels: max_m must be >= 1, got 0"),
+            # traces is the first suite of `all` whose filter keeps nothing
+            (("all", "--p", "12"), "check traces: " + EIGHTS),
+        ],
+        ids=["traces", "decomp", "twisted", "integrality-p", "integrality-genus", "levels", "all"],
+    )
+    def test_grid_without_cells_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "check", *argv, "--format", "json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_all_with_levels_keeps_every_suite(self, capsys):
+        code, payload, _ = run_json(capsys, "check", "all", "--genus", "2", "--p", "8..32")
+        assert code == 0
+        assert len(payload["checks"]) == 109
+        assert all(c["passed"] for c in payload["checks"])
+        for prefix in ("twisted trace", "trace route", "refinement identity", "integrality sweep"):
+            assert any(c["name"].startswith(prefix) for c in payload["checks"])
+
+    @pytest.mark.parametrize(
+        "suite, level, name",
+        [
+            ("verlinde", ("--level", "40"), "verlinde trace = oracle (g={}, k=40)"),
+            ("twisted", ("--p", "84"), "twisted trace = oracle (g={}, p=84)"),
+        ],
+        ids=["verlinde", "twisted"],
+    )
+    def test_uncertifiable_cell_is_a_failed_record(self, capsys, suite, level, name):
+        # g = 400 needs 4740 bits, above the default ceiling: a failed record, not an error
+        code, payload, err = run_json(capsys, "check", suite, "--genus", "2,400", *level)
+        assert (code, err) == (1, "")
+        certified, failed = payload["checks"]
+        assert (certified["name"], certified["passed"]) == (name.format(2), True)
+        assert (failed["name"], failed["passed"]) == (name.format(400), False)
+        assert "needs at least 4740 bits, above the precision ceiling 4096 bits" in failed["details"]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+class TestBenchmarkReferences:
+    """The benchmark workloads in process, on the items the harness compares,
+    each row's compared fields and each check's (name, passed), in order."""
+
+    @pytest.mark.parametrize(
+        "workload, argv, row_fields",
+        [
+            ("sweep", ("verlinde", "--genus", "2..8,24", "--level", "0..48"), ("g", "k", "dim")),
+            (
+                "spin-table",
+                ("spin-dims", "--genus", "2..10", "--p", "8..128"),
+                ("g", "p", "arf", "even", "odd"),
+            ),
+        ],
+        ids=["sweep", "spin-table"],
+    )
+    def test_workload_matches_reference(self, capsys, workload, argv, row_fields):
+        reference = json.loads((REFERENCE / f"{workload}.json").read_text())
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert [{f: row[f] for f in row_fields} for row in payload["rows"]] == reference["rows"]
+        assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+            (c["name"], c["passed"]) for c in reference["checks"]
+        ]
+
 
 class TestLevelsCommand:
     def test_so3_to_bm(self, capsys):
@@ -290,6 +366,21 @@ class TestLevelsCommand:
         assert code == 0
         assert "spin structure" in out
         assert "Z/2-bundle" in out
+
+    def test_table_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "levels", "--table", "--format", "json")
+        assert code == 0
+        erratum = (
+            "as printed, the blank columns pair BHMV residues (2, 6) with SU2 residues (1, 3); "
+            "p = 2(k + 2) actually sends SU2 residues (1, 3) to BHMV residues (6, 2), so the last "
+            "two BHMV cells are transposed in the source"
+        )
+        # a list of pairs, so that the key order is compared too
+        checks = dict(json.loads(out, object_pairs_hook=list))["checks"]
+        assert checks == [
+            [("name", "correspondence table internally validated"), ("passed", True), ("details", "15 checks")],
+            [("name", "erratum note"), ("passed", True), ("details", erratum)],
+        ]
 
     def test_invalid_conversion_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

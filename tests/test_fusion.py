@@ -30,7 +30,6 @@ from spinverlinde.fusion import (
     CertificationError,
     CertifiedInteger,
     PrecisionCeilingError,
-    _certify,
     _csc_square_bounds,
     _exp_i_ball,
     _extend_power_sums,
@@ -553,24 +552,37 @@ class TestOracles:
         assert certified.precision_bits <= 4096
         assert certified.width < Fraction(1, 2)
 
-    def test_unbounded_enclosure_never_certifies(self):
-        # "not tight" (None) is no enclosure at any precision; it must not read as [0, 0]
-        with pytest.raises(PrecisionCeilingError, match="inf"):
-            _certify(lambda bits: None, 128, 512, "probe")
-        # an enclosure one unit wide at every precision never narrows below 1/2
-        with pytest.raises(PrecisionCeilingError, match="interval width 1.0 still"):
-            _certify(lambda bits: (0, 1 << bits), 128, 512, "probe")
+    # the probes stand in for the sum at genus 1, where the skip rule never
+    # skips, so the oracle tries every precision of its doubling sequence
 
-    def test_non_finite_enclosure_triggers_doubling(self):
-        def evaluate(bits):
+    def test_unbounded_enclosure_never_certifies(self, monkeypatch):
+        tried = []
+
+        def not_tight(m, n, bits, alternating):
+            tried.append(bits)
+
+        # "not tight" (None) is no enclosure at any precision; it must not read as [0, 0]
+        monkeypatch.setattr(fusion, "_sum_enclosure", not_tight)
+        with pytest.raises(PrecisionCeilingError, match="inf"):
+            verlinde_trig_oracle(1, 0, 128, 512)
+        assert tried == [128, 256, 512]
+        # an enclosure one unit wide at every precision never narrows below 1/2
+        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << bits))
+        with pytest.raises(PrecisionCeilingError, match="interval width 1.0 still"):
+            twisted_trig_oracle(1, 8, 128, 512)
+
+    def test_non_finite_enclosure_triggers_doubling(self, monkeypatch):
+        def probe(m, n, bits, alternating):
             return (5 << bits, 5 << bits) if bits >= 512 else None
 
-        certified = _certify(evaluate, 128, 4096, "probe")
+        monkeypatch.setattr(fusion, "_sum_enclosure", probe)
+        certified = verlinde_trig_oracle(1, 0, 128, 4096)
         assert (certified.value, certified.precision_bits) == (5, 512)
 
-    def test_enclosure_without_an_integer_is_an_error(self):
+    def test_enclosure_without_an_integer_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (1, 2))
         with pytest.raises(CertificationError, match="contains no integer"):
-            _certify(lambda bits: (1, 2), 128, 128, "probe")
+            verlinde_trig_oracle(1, 0, 128, 128)
 
     def test_ceiling_error_is_certification_error(self):
         assert issubclass(PrecisionCeilingError, CertificationError)
@@ -686,26 +698,29 @@ class TestRawIntervalOracle:
                     assert ref_hi <= Fraction(enclosure[1], scale)
 
     def test_skipped_precisions_cannot_certify(self, monkeypatch):
-        honest = fusion._certify
+        honest = fusion._sum_enclosure
         calls = []
 
-        def recording(evaluate, precision_bits, precision_ceiling, label):
-            calls.append((evaluate, precision_bits))
-            return honest(evaluate, precision_bits, precision_ceiling, label)
+        def recording(m, n, bits, alternating):
+            calls.append((m, n, bits, alternating))
+            return honest(m, n, bits, alternating)
 
-        monkeypatch.setattr(fusion, "_certify", recording)
+        monkeypatch.setattr(fusion, "_sum_enclosure", recording)
         skipped = {verlinde_trig_oracle: 0, twisted_trig_oracle: 0}
         for g in (2, 5, 9, 12, 17, 24, 33, 48, 64, 90, 120):
             for k in (1, 2, 5, 16, 40, 100):
                 for oracle, level in ((verlinde_trig_oracle, k), (twisted_trig_oracle, 2 * (k + 2))):
                     calls.clear()
                     certified = oracle(g, level)
-                    ((evaluate, start),) = calls
-                    assert certified.precision_bits >= start
+                    # the walk doubles from its first attempt, start, to the one that certifies
+                    (m, n, start, alternating), *_ = calls
+                    assert [bits for _, _, bits, _ in calls] == [start << i for i in range(len(calls))]
+                    assert certified.precision_bits == calls[-1][2]
+                    # every precision the walk skipped is one at which the sum cannot certify
                     prec = DEFAULT_PRECISION_BITS
                     while prec < start:
-                        with pytest.raises(PrecisionCeilingError):
-                            honest(evaluate, prec, prec, "skipped")
+                        lower, upper = honest(m, n, prec, alternating)
+                        assert 2 * (upper - lower) >= 1 << prec
                         prec *= 2
                         skipped[oracle] += 1
         assert all(skipped.values())
@@ -732,14 +747,15 @@ class TestRawIntervalOracle:
         with pytest.raises(ValueError):
             twisted_trig_oracle(400, 84, 256, 128)
 
-    def test_width_past_the_float_range_is_reported(self):
+    def test_width_past_the_float_range_is_reported(self, monkeypatch):
         # the twisted oracle now fails fast, naming the bits it needs
         needs = r"needs at least 1140 bits, above the precision ceiling 64"
         with pytest.raises(PrecisionCeilingError, match=needs):
             twisted_trig_oracle(97, 84, 64, 64)
         # a width past any float is reported as a power of two
+        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << (bits + 1086)))
         with pytest.raises(PrecisionCeilingError, match=r"interval width about 2\^1086 still"):
-            _certify(lambda bits: (0, 1 << (bits + 1086)), 64, 64, "probe")
+            verlinde_trig_oracle(1, 0, 64, 64)
 
 
 PRECISIONS = [64 << i for i in range(7)]
