@@ -1,0 +1,50 @@
+"""The base of the package's immutable value records."""
+
+from __future__ import annotations
+
+
+class Value:
+    """An immutable record, compared, hashed and shown by its fields.
+
+    A subclass names its fields by annotating them in its class body, in
+    order.  Its ``__init__`` validates the arguments and then stores them
+    with ``_store``; the fields live in the instance ``__dict__``, so
+    ``vars()``, ``pickle`` and ``copy`` see them.  Assigning or deleting an
+    attribute raises AttributeError.  ``==`` holds between instances of one
+    class with equal fields, ``hash`` is the hash of the tuple of fields, and
+    ``repr`` reads ``Name(field=value, ...)``.  A class compared in a hot
+    loop spells out ``__eq__`` and ``__hash__`` with plain attribute loads.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+
+    def _store(self, **fields) -> None:
+        # object.__setattr__, not a write to __dict__, so that the instance
+        # keeps CPython's inline attribute values and its attribute loads stay fast
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

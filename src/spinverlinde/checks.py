@@ -13,17 +13,16 @@ Every case still runs, but a suite computes each distinct product once:
 the projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
-list indexed by element rather than a dict keyed by frozen dataclasses.
+list indexed by element rather than a dict keyed by the elements.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
+from ._value import Value
 from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
 from .f2 import F2Vector, SymplecticF2Space
 from .fusion import CertificationError, CertifiedInteger, twisted_dim, twisted_trig_oracle
@@ -51,11 +50,13 @@ DEFAULT_GENERA = (2, 3, 4, 5)
 DEFAULT_LEVELS_P = (8, 16, 24, 32)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
-    details: str = ""
+    details: str
+
+    def __init__(self, name: str, passed: bool, details: str = "") -> None:
+        self._store(name=name, passed=passed, details=details)
 
 
 def _masks(case: Any) -> str:
@@ -95,8 +96,14 @@ def _require_enumerable(max_genus: int) -> None:
         SymplecticF2Space(g)._check_enumeration_cap()
 
 
-def _levels_kept(suite: str, levels_p: Iterable[int], least: int, step: int) -> list[int]:
-    """The levels p >= least that are multiples of step; a ValueError naming the suite if none is."""
+# (least, step) of the levels p that each level-filtering suite keeps
+_LEVEL_FILTERS = {"twisted": (4, 2), "traces": (8, 8), "decomp": (8, 8)}
+
+
+def _levels_kept(suite: str, levels_p: Iterable[int]) -> list[int]:
+    """The levels p >= least that are multiples of step, by the suite's filter;
+    a ValueError naming the suite if none is."""
+    least, step = _LEVEL_FILTERS[suite]
     kept = [p for p in levels_p if p >= least and p % step == 0]
     if not kept:
         raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
@@ -342,7 +349,7 @@ def check_twisted(
 ) -> list[CheckResult]:
     if levels_p is None:
         levels_p = [2 * (k + 2) for k in range(0, 17)]
-    levels_p = _levels_kept("twisted", levels_p, 4, 2)
+    levels_p = _levels_kept("twisted", levels_p)
     results = []
     for g in genera:
         for p in levels_p:
@@ -451,7 +458,7 @@ def check_trace_decomposition(
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
-    levels_p = _levels_kept("traces", levels_p, 8, 8)
+    levels_p = _levels_kept("traces", levels_p)
     results = []
     for g in genera:
         for p in levels_p:
@@ -481,7 +488,7 @@ def check_traces(
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
-    levels_p = _levels_kept("decomp", levels_p, 8, 8)
+    levels_p = _levels_kept("decomp", levels_p)
     results = []
     for g in genera:
         for p in levels_p:
@@ -510,13 +517,17 @@ def check_decomposition(
     return results
 
 
-def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
-    """Sweep the full grid; the formulas themselves raise on a non-integral or negative value."""
+def _require_integrality_cells(max_genus: int = 6, max_p: int = 64) -> None:
     if max_genus < 2 or max_p < 8:
         raise ValueError(
             f"check integrality: no cell (g, p) with 2 <= g <= {max_genus} "
             f"and p a multiple of 8 in 8..{max_p}"
         )
+
+
+def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
+    """Sweep the full grid; the formulas themselves raise on a non-integral or negative value."""
+    _require_integrality_cells(max_genus, max_p)
     cells = 0
     for g in range(2, max_genus + 1):
         for p in range(8, max_p + 1, 8):
@@ -543,7 +554,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
         elements = list(group.elements())
-        # the rep of (t, v) sits at index 4 v + t, an index that hashes no dataclass
+        # the rep of (t, v) sits at index 4 v + t, an index that hashes no record
         reps = [None] * group.order
         for el in elements:
             reps[(el.vector.bits << 2) | el.central] = heisenberg_rep(el)
@@ -618,10 +629,24 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
 # levels
 
 
-def check_levels(max_m: int = 50) -> list[CheckResult]:
+def _require_max_m(max_m: int) -> None:
     if max_m < 1:
         raise ValueError(f"check levels: max_m must be >= 1, got {max_m}")
-    results = [
+
+
+def _table_record(name: str) -> CheckResult:
+    """The record, named ``name``, that the correspondence table passes its own
+    validation: the number of checks it ran, or the first that failed."""
+    try:
+        performed = correspondence_table().validate()
+    except ValueError as exc:
+        return CheckResult(name, False, str(exc))
+    return CheckResult(name, True, f"{len(performed)} checks")
+
+
+def check_levels(max_m: int = 50) -> list[CheckResult]:
+    _require_max_m(max_m)
+    return [
         _counted(
             f"bm/so3/su2/bhmv consistency m<={max_m}",
             range(1, max_m + 1),
@@ -645,16 +670,8 @@ def check_levels(max_m: int = 50) -> list[CheckResult]:
             "so3 levels k",
             "k",
         ),
+        _table_record("correspondence table validates"),
     ]
-    table = correspondence_table()
-    try:
-        performed = table.validate()
-        results.append(
-            CheckResult("correspondence table validates", True, f"{len(performed)} checks")
-        )
-    except ValueError as exc:
-        results.append(CheckResult("correspondence table validates", False, str(exc)))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +696,55 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 }
 
 
+#: The keyword parameters each suite takes; run_suite passes a suite only these.
+_PARAMETERS: dict[str, tuple[str, ...]] = {
+    "pairing": ("max_genus",),
+    "charsum": ("max_genus",),
+    "refinement": ("max_genus",),
+    "arf": ("max_genus",),
+    "liftsign": ("max_genus",),
+    "verlinde": ("genera", "su2_levels"),
+    "twisted": ("genera", "levels_p"),
+    "projs": ("max_genus",),
+    "tracedecomp": ("max_genus", "base_dims", "lambdas"),
+    "traces": ("genera", "levels_p"),
+    "decomp": ("genera", "levels_p"),
+    "integrality": ("max_genus", "max_p"),
+    "heisenberg": ("max_genus",),
+    "levels": ("max_m",),
+}
+
+
+def _require_cells(suite: str, params: dict) -> None:
+    """Raise the usage error the suite raises on ``params`` before its first case.
+
+    A parameter left out takes the suite's default, whose grid has cells
+    under the enumeration cap, so only the given parameters are checked.
+    """
+    if suite == "integrality":
+        _require_integrality_cells(**params)
+    elif "max_genus" in params:
+        _require_enumerable(params["max_genus"])
+    if "levels_p" in params:
+        _levels_kept(suite, params["levels_p"])
+    if "max_m" in params:
+        _require_max_m(params["max_m"])
+
+
 def run_suite(name: str, **params) -> list[CheckResult]:
     """Run one named suite, or every suite for name = 'all'.
 
-    Parameters not accepted by a given suite are dropped, so shared
-    options like genus ranges can be passed to 'all' safely.
+    A suite is passed only the parameters it takes, so shared options like
+    genus ranges can be passed to 'all' safely.  Every suite's grid is
+    checked before the first suite runs.
     """
     if name == "all":
-        results = []
-        for suite_name in SUITES:
-            results.extend(run_suite(suite_name, **params))
-        return results
-    if name not in SUITES:
+        names = list(SUITES)
+    elif name in SUITES:
+        names = [name]
+    else:
         raise KeyError(f"unknown check suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
-    suite = SUITES[name]
-    accepted = inspect.signature(suite).parameters
-    applicable = {key: value for key, value in params.items() if key in accepted}
-    return suite(**applicable)
+    taken = [(suite, {k: v for k, v in params.items() if k in _PARAMETERS[suite]}) for suite in names]
+    for suite, suite_params in taken:
+        _require_cells(suite, suite_params)
+    return [result for suite, suite_params in taken for result in SUITES[suite](**suite_params)]

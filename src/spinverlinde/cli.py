@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .checks import SUITES, CheckResult, _oracle_record, run_suite
+from .checks import _PARAMETERS, SUITES, CheckResult, _oracle_record, _table_record, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
@@ -261,6 +261,27 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
     return _emit(args, "spin-dims", params, rows, checks)
 
 
+#: The suite parameters that each `check` option sets.
+_CHECK_OPTIONS = {
+    "--genus": ("max_genus", "genera"),
+    "--p": ("levels_p", "max_p"),
+    "--level": ("su2_levels",),
+    "--max-m": ("max_m",),
+}
+
+
+def _require_usable_options(suite: str, params: dict) -> None:
+    """A ValueError naming the suite and the option if a given option sets no
+    parameter the named suite takes; 'all' passes each suite what it takes."""
+    if suite not in _PARAMETERS:
+        return
+    takes = _PARAMETERS[suite]
+    usable = [option for option, names in _CHECK_OPTIONS.items() if any(n in takes for n in names)]
+    for option, names in _CHECK_OPTIONS.items():
+        if option not in usable and any(n in params for n in names):
+            raise ValueError(f"check {suite}: {option} does not apply; the suite takes {', '.join(usable)}")
+
+
 def _cmd_check(args) -> int:
     params = {}
     if args.genus is not None:
@@ -273,6 +294,7 @@ def _cmd_check(args) -> int:
         params["su2_levels"] = args.level
     if args.max_m is not None:
         params["max_m"] = args.max_m
+    _require_usable_options(args.suite, params)
     try:
         results = run_suite(args.suite, **params)
     except KeyError as exc:
@@ -299,12 +321,8 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
             {"row": labels[0], "col1": labels[1], "col2": labels[2], "col3": labels[3], "col4": labels[4]}
             for labels in table.rows()
         ]
-        try:
-            validated, details = True, f"{len(table.validate())} checks"
-        except ValueError as exc:
-            validated, details = False, str(exc)
         checks = [
-            CheckResult("correspondence table internally validated", validated, details),
+            _table_record("correspondence table internally validated"),
             CheckResult("erratum note", True, table.erratum),
         ]
         return _emit(args, "levels", {"table": True}, rows, checks)

@@ -18,8 +18,7 @@ projection P_sigma, insisting the two agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .f2 import SymplecticF2Space
 from .fusion import twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
@@ -43,12 +42,14 @@ class IdentityViolationError(ArithmeticError):
     """An identity the theory guarantees failed to hold exactly."""
 
 
-@dataclass(frozen=True)
-class GradedDimension:
+class GradedDimension(Value):
     """Dimensions of the even and odd components of a graded state space."""
 
     even: int
     odd: int
+
+    def __init__(self, even: int, odd: int) -> None:
+        self._store(even=even, odd=odd)
 
     @property
     def total(self) -> int:

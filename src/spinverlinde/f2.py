@@ -9,8 +9,9 @@ mask-and-popcount operation, O(1) for any genus we will ever meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from ._value import Value
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
 #: is permitted by default (2^12 = 4096 vectors at the cap).
@@ -26,18 +27,18 @@ def _a_positions_mask(genus: int) -> int:
     return ((1 << 2 * genus) - 1) // 3
 
 
-@dataclass(frozen=True)
-class F2Vector:
+class F2Vector(Value):
     """A vector in GF(2)^{2g}, stored as a bit mask of its coordinates."""
 
     bits: int
     dim: int
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0 or self.dim % 2:
-            raise ValueError(f"dimension must be a positive even integer, got {self.dim}")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bit mask {self.bits} out of range for dimension {self.dim}")
+    def __init__(self, bits: int, dim: int) -> None:
+        if dim <= 0 or dim % 2:
+            raise ValueError(f"dimension must be a positive even integer, got {dim}")
+        if not 0 <= bits < (1 << dim):
+            raise ValueError(f"bit mask {bits} out of range for dimension {dim}")
+        self._store(bits=bits, dim=dim)
 
     @classmethod
     def _trusted(cls, bits: int, dim: int) -> "F2Vector":
@@ -81,8 +82,7 @@ class F2Vector:
         return "+".join(names)
 
 
-@dataclass(frozen=True)
-class SymplecticF2Space:
+class SymplecticF2Space(Value):
     """GF(2)^{2g} with the standard symplectic pairing <a_i, b_i> = 1.
 
     The pairing is symmetric (characteristic two), alternating and
@@ -91,13 +91,22 @@ class SymplecticF2Space:
     """
 
     genus: int
-    enumeration_cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
+    enumeration_cap: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {self.genus}")
-        # read by every pairing and refinement evaluation; not a field, so eq and hash ignore it
-        object.__setattr__(self, "_a_mask", _a_positions_mask(self.genus))
+    def __init__(self, genus: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+        if genus < 1:
+            raise ValueError(f"genus must be a positive integer, got {genus}")
+        # _a_mask is read by every pairing and refinement evaluation; it is not a field
+        self._store(genus=genus, enumeration_cap=enumeration_cap, _a_mask=_a_positions_mask(genus))
+
+    # equality and hash go by the genus alone, not the enumeration cap
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.genus == other.genus
+
+    def __hash__(self) -> int:
+        return hash((self.genus,))
 
     @property
     def dimension(self) -> int:

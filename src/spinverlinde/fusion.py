@@ -55,10 +55,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+
+from ._value import Value
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CEILING = 4096
@@ -202,8 +203,7 @@ def twisted_dim(g: int, p: int) -> int:
 # fixed-point certification oracle
 
 
-@dataclass(frozen=True)
-class CertifiedInteger:
+class CertifiedInteger(Value):
     """An integer together with the interval enclosure that certifies it."""
 
     value: int
@@ -211,11 +211,10 @@ class CertifiedInteger:
     upper: Fraction
     precision_bits: int
 
-    def __post_init__(self) -> None:
-        if not self.lower <= self.value <= self.upper:
-            raise ValueError(
-                f"certificate violated: {self.value} outside [{self.lower}, {self.upper}]"
-            )
+    def __init__(self, value: int, lower: Fraction, upper: Fraction, precision_bits: int) -> None:
+        if not lower <= value <= upper:
+            raise ValueError(f"certificate violated: {value} outside [{lower}, {upper}]")
+        self._store(value=value, lower=lower, upper=upper, precision_bits=precision_bits)
 
     @property
     def width(self) -> Fraction:

@@ -18,11 +18,11 @@ internally; no identification between them is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterator
 
+from ._value import Value
 from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
 from .spin import QuadraticRefinement, _check_w2_bits, _lift_sign
 
@@ -239,8 +239,7 @@ def _polarized_cocycle(v: F2Vector, w: F2Vector) -> int:
     return (v.bits & (w.bits >> 1) & a_mask).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
+class HeisenbergElement(Value):
     """An element (t, v) of the extension of GF(2)^{2g} by Z/4.
 
     Multiplication is (t, v)(t', v') = (t + t' + 2 c(v, v'), v + v') with
@@ -251,9 +250,10 @@ class HeisenbergElement:
     central: int
     vector: F2Vector
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.central < 4:
-            raise ValueError(f"central part must be reduced mod 4, got {self.central}")
+    def __init__(self, central: int, vector: F2Vector) -> None:
+        if not 0 <= central < 4:
+            raise ValueError(f"central part must be reduced mod 4, got {central}")
+        self._store(central=central, vector=vector)
 
     @classmethod
     def _trusted(cls, central: int, vector: F2Vector) -> "HeisenbergElement":
@@ -312,8 +312,7 @@ class HeisenbergGroup:
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^phase as (real, imaginary)
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(Value):
     """An exact n x n matrix with a single non-zero entry per row, a power of i.
 
     Row x holds i^phases[x] in column columns[x]; phases are reduced mod 4,
@@ -323,14 +322,23 @@ class MonomialMatrix:
     columns: tuple[int, ...]
     phases: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.phases):
+    def __init__(self, columns: tuple[int, ...], phases: tuple[int, ...]) -> None:
+        if len(columns) != len(phases):
             raise ValueError("columns and phases must have one entry per row")
-        if not set(self.phases) <= {0, 1, 2, 3}:
+        if not set(phases) <= {0, 1, 2, 3}:
             raise ValueError("phases must be reduced mod 4")
-        n = len(self.columns)
-        if n and not (0 <= min(self.columns) and max(self.columns) < n):
+        n = len(columns)
+        if n and not (0 <= min(columns) and max(columns) < n):
             raise ValueError(f"columns must lie in range({n})")
+        self._store(columns=columns, phases=phases)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.columns == other.columns and self.phases == other.phases
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.phases))
 
     @classmethod
     def _trusted(cls, columns: tuple[int, ...], phases: tuple[int, ...]) -> "MonomialMatrix":

@@ -11,8 +11,9 @@ in, so this module simply forbids it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ._value import Value
 
 
 class Lattice(Enum):
@@ -26,18 +27,18 @@ class LatticeMismatchError(TypeError):
     """Arithmetic attempted between levels of different lattices."""
 
 
-@dataclass(frozen=True)
-class LevelValue:
+class LevelValue(Value):
     """An integer level tagged with the lattice it lives in."""
 
     lattice: Lattice
     value: int
 
-    def __post_init__(self) -> None:
-        if self.lattice is Lattice.BM and (self.value <= 0 or self.value % 8):
-            raise ValueError(f"BM levels are positive multiples of 8, got {self.value}")
-        if self.lattice is Lattice.BHMV and self.value <= 0:
-            raise ValueError(f"BHMV levels are positive integers, got {self.value}")
+    def __init__(self, lattice: Lattice, value: int) -> None:
+        if lattice is Lattice.BM and (value <= 0 or value % 8):
+            raise ValueError(f"BM levels are positive multiples of 8, got {value}")
+        if lattice is Lattice.BHMV and value <= 0:
+            raise ValueError(f"BHMV levels are positive integers, got {value}")
+        self._store(lattice=lattice, value=value)
 
     def _require(self, lattice: Lattice, operation: str) -> None:
         if self.lattice is not lattice:
@@ -151,16 +152,19 @@ def grading_parity(w2: int) -> str:
 # correspondence table
 
 
-@dataclass(frozen=True)
-class TableColumn:
+class TableColumn(Value):
     bhmv_mod8: int
     su2_mod4: int
     so3_mod2: int | None
     structure: str | None
 
+    def __init__(
+        self, bhmv_mod8: int, su2_mod4: int, so3_mod2: int | None, structure: str | None
+    ) -> None:
+        self._store(bhmv_mod8=bhmv_mod8, su2_mod4=su2_mod4, so3_mod2=so3_mod2, structure=structure)
 
-@dataclass(frozen=True)
-class CorrespondenceTable:
+
+class CorrespondenceTable(Value):
     """The four-column residue table linking the level lattices.
 
     Reproduced verbatim from the source table, including its two blank
@@ -180,6 +184,9 @@ class CorrespondenceTable:
         "SO3 level (mod 2)",
         "Topological structure",
     )
+
+    def __init__(self, columns: tuple[TableColumn, ...], erratum: str) -> None:
+        self._store(columns=columns, erratum=erratum)
 
     def rows(self) -> list[tuple[str, ...]]:
         def cell(value) -> str:

@@ -11,14 +11,13 @@ Dirac operator of the corresponding spin structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import Value
 from .f2 import F2Vector, SymplecticF2Space
 
 
-@dataclass(frozen=True)
-class QuadraticRefinement:
+class QuadraticRefinement(Value):
     """A quadratic refinement of the symplectic pairing, i.e. a spin structure.
 
     ``basis_values`` is a bit mask holding q on the ordered basis
@@ -29,11 +28,20 @@ class QuadraticRefinement:
     space: SymplecticF2Space
     basis_values: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.basis_values < (1 << self.space.dimension):
+    def __init__(self, space: SymplecticF2Space, basis_values: int) -> None:
+        if not 0 <= basis_values < (1 << space.dimension):
             raise ValueError(
-                f"basis_values {self.basis_values} out of range for dimension {self.space.dimension}"
+                f"basis_values {basis_values} out of range for dimension {space.dimension}"
             )
+        self._store(space=space, basis_values=basis_values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis_values == other.basis_values and self.space == other.space
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.basis_values))
 
     @classmethod
     def _trusted(cls, space: SymplecticF2Space, basis_values: int) -> "QuadraticRefinement":

@@ -1,5 +1,13 @@
 """The public names of the package are a contract: changing them means
-changing this list on purpose."""
+changing this list on purpose.  Importing the CLI loads no module that it
+does not use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import spinverlinde
 
@@ -66,3 +74,15 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_public_name_resolves():
     for name in spinverlinde.__all__:
         assert hasattr(spinverlinde, name), name
+
+
+@pytest.mark.parametrize("module", ["mpmath", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # mpmath is a test dependency only, and every CLI call pays for the
+    # import of dataclasses and inspect; a fresh interpreter shows the import
+    code = f"import sys, spinverlinde.cli; print([m for m in sys.modules if m.partition('.')[0] == {module!r}])"
+    env = {**os.environ, "PYTHONPATH": str(Path(spinverlinde.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

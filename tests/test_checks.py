@@ -1,5 +1,7 @@
 """The check suites: enumeration-cap failures before any work, counted details and the record list of `check all`."""
 
+import inspect
+
 import pytest
 
 from spinverlinde import checks, cli
@@ -142,3 +144,52 @@ class TestSuiteAll:
         assert len(results) == 383
         assert len({r.name for r in results}) == 383
         assert [r.name for r in results if not r.passed] == []
+
+    def test_every_grid_is_checked_before_any_suite_runs(self, monkeypatch, capsys):
+        def ran(**params):
+            raise AssertionError("a suite ran before every grid was checked")
+
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, ran)
+        # traces is the first suite whose filter keeps none of the levels
+        assert cli.main(["check", "all", "--p", "12", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: check traces: none of the levels p given is a multiple of 8 and >= 8\n",
+        )
+        with pytest.raises(ValueError, match="^check levels: max_m must be >= 1, got 0$"):
+            checks.run_suite("all", max_m=0)
+        with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
+            checks.run_suite("all", max_genus=7, levels_p=[12])
+
+
+class TestParameters:
+    def test_table_lists_each_suite_signature(self):
+        assert list(checks._PARAMETERS) == list(checks.SUITES)
+        for name, suite in checks.SUITES.items():
+            assert checks._PARAMETERS[name] == tuple(inspect.signature(suite).parameters), name
+
+    # each suite whose grid can be empty, and a grid without cells
+    EMPTY_GRIDS = [
+        *((suite, {"max_genus": 7}) for suite in sorted(WORK)),
+        ("twisted", {"levels_p": [3]}),
+        ("traces", {"levels_p": [12]}),
+        ("decomp", {"genera": [2], "levels_p": [4, 12]}),
+        ("integrality", {"max_p": 4}),
+        ("integrality", {"max_genus": 1}),
+        ("integrality", {"max_genus": 1, "max_p": 7}),
+        ("levels", {"max_m": 0}),
+    ]
+
+    @pytest.mark.parametrize("suite, params", EMPTY_GRIDS)
+    def test_grid_check_raises_what_the_suite_raises(self, suite, params):
+        with pytest.raises(ValueError) as by_suite:
+            checks.SUITES[suite](**params)
+        with pytest.raises(type(by_suite.value)) as up_front:
+            checks._require_cells(suite, params)
+        assert str(up_front.value) == str(by_suite.value)
+
+    @pytest.mark.parametrize("suite", list(checks.SUITES))
+    def test_default_grids_have_cells(self, suite):
+        checks._require_cells(suite, {})

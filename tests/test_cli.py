@@ -290,6 +290,27 @@ class TestCheckCommand:
         code, out, err = run_cli(capsys, "check", *argv, "--format", "json")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("levels", "--p", "8", "--genus", "3"), "check levels: --genus does not apply; {} --max-m"),
+            (("verlinde", "--p", "8"), "check verlinde: --p does not apply; {} --genus, --level"),
+            (("pairing", "--max-m", "3"), "check pairing: --max-m does not apply; {} --genus"),
+            (("traces", "--level", "3"), "check traces: --level does not apply; {} --genus, --p"),
+        ],
+        ids=["levels", "verlinde", "pairing", "traces"],
+    )
+    def test_option_the_suite_cannot_use_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "check", *argv, "--format", "json")
+        assert (code, out, err) == (2, "", f"error: {message.format('the suite takes')}\n")
+
+    def test_all_passes_each_option_to_the_suites_that_take_it(self, capsys):
+        code, payload, _ = run_json(capsys, "check", "all", "--genus", "2", "--level", "3", "--max-m", "2")
+        assert code == 0
+        names = [c["name"] for c in payload["checks"]]
+        assert [n for n in names if n.startswith("verlinde")] == ["verlinde trace = oracle (g=2, k=3)"]
+        assert "bm/so3/su2/bhmv consistency m<=2" in names
+
     def test_all_with_levels_keeps_every_suite(self, capsys):
         code, payload, _ = run_json(capsys, "check", "all", "--genus", "2", "--p", "8..32")
         assert code == 0

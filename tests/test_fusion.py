@@ -1,13 +1,10 @@
 import math
-import os
 import random
-import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -885,12 +882,3 @@ class TestSeriesBalls:
             angle = mpi_div(pi, int_interval(n, prec), prec)
             assert disc_holds(c, s, r_w, mpi_cos_sin(angle, prec), bits), n
             assert 0 < r_w <= 2
-
-    def test_import_leaves_mpmath_unloaded(self):
-        # mpmath is a test dependency only; a fresh interpreter shows the import
-        code = "import sys, spinverlinde.cli; print([m for m in sys.modules if 'mpmath' in m])"
-        env = {**os.environ, "PYTHONPATH": str(Path(fusion.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"

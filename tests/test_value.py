@@ -1,0 +1,149 @@
+"""The immutable value records: equality, hash, immutability, copies and construction.
+
+Each record compares and hashes by its fields, as the tuple of them, and
+refuses assignment and deletion; pickle, copy and deepcopy rebuild an equal
+record with the same attributes.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from spinverlinde.checks import CheckResult
+from spinverlinde.dimensions import GradedDimension
+from spinverlinde.f2 import F2Vector, SymplecticF2Space
+from spinverlinde.fusion import CertifiedInteger
+from spinverlinde.heisenberg import HeisenbergElement, MonomialMatrix
+from spinverlinde.levels import (
+    CorrespondenceTable,
+    Lattice,
+    LevelValue,
+    TableColumn,
+    correspondence_table,
+)
+from spinverlinde.spin import QuadraticRefinement
+
+# per class: a function that builds fresh equal records, one record that differs, and the compared fields
+RECORDS = {
+    "F2Vector": (lambda: F2Vector(5, 4), F2Vector(6, 4), ("bits", "dim")),
+    "SymplecticF2Space": (lambda: SymplecticF2Space(2), SymplecticF2Space(3), ("genus",)),
+    "QuadraticRefinement": (
+        lambda: QuadraticRefinement(SymplecticF2Space(2), 5),
+        QuadraticRefinement(SymplecticF2Space(2), 6),
+        ("space", "basis_values"),
+    ),
+    "HeisenbergElement": (
+        lambda: HeisenbergElement(1, F2Vector(5, 4)),
+        HeisenbergElement(3, F2Vector(5, 4)),
+        ("central", "vector"),
+    ),
+    "MonomialMatrix": (
+        lambda: MonomialMatrix((1, 0), (0, 3)),
+        MonomialMatrix((1, 0), (0, 1)),
+        ("columns", "phases"),
+    ),
+    "CertifiedInteger": (
+        lambda: CertifiedInteger(10, Fraction(19, 2), Fraction(21, 2), 128),
+        CertifiedInteger(10, Fraction(19, 2), Fraction(21, 2), 256),
+        ("value", "lower", "upper", "precision_bits"),
+    ),
+    "GradedDimension": (lambda: GradedDimension(1, 0), GradedDimension(0, 1), ("even", "odd")),
+    "LevelValue": (lambda: LevelValue(Lattice.BM, 8), LevelValue(Lattice.SO3, 8), ("lattice", "value")),
+    "TableColumn": (
+        lambda: TableColumn(0, 2, 1, "spin structure"),
+        TableColumn(4, 0, 0, "Z/2-bundle"),
+        ("bhmv_mod8", "su2_mod4", "so3_mod2", "structure"),
+    ),
+    "CorrespondenceTable": (
+        correspondence_table,
+        CorrespondenceTable(correspondence_table().columns, "another erratum"),
+        ("columns", "erratum"),
+    ),
+    "CheckResult": (
+        lambda: CheckResult("pairing", True, "16 vectors v"),
+        CheckResult("pairing", False, "16 vectors v"),
+        ("name", "passed", "details"),
+    ),
+}
+CLASSES = sorted(RECORDS)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_eq_and_hash_go_by_the_fields(cls):
+    build, different, fields = RECORDS[cls]
+    record, twin = build(), build()
+    assert record is not twin and type(record).__name__ == cls
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(tuple(getattr(record, f) for f in fields))
+    assert record != different and not record == different
+    # another class never compares equal, not even the tuple of the fields
+    assert record != tuple(getattr(record, f) for f in fields)
+    assert record.__eq__(object()) is NotImplemented
+
+
+def test_space_ignores_the_enumeration_cap():
+    capped = SymplecticF2Space(2, enumeration_cap=3)
+    assert capped.enumeration_cap == 3
+    assert capped == SymplecticF2Space(2) and hash(capped) == hash(SymplecticF2Space(2))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_assignment_and_deletion_raise(cls):
+    record = RECORDS[cls][0]()
+    before = dict(vars(record))
+    for name in (*RECORDS[cls][2], "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert vars(record) == before
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("clone", ["copy", "deepcopy", *(f"pickle{p}" for p in PROTOCOLS)])
+def test_copies_round_trip(cls, clone):
+    record = RECORDS[cls][0]()
+    if clone.startswith("pickle"):
+        twin = pickle.loads(pickle.dumps(record, int(clone[len("pickle"):])))
+    else:
+        twin = getattr(copy, clone)(record)
+    assert type(twin) is type(record)
+    assert twin == record and hash(twin) == hash(record)
+    assert vars(twin) == vars(record)
+    assert repr(twin) == repr(record)
+    with pytest.raises(AttributeError):
+        setattr(twin, RECORDS[cls][2][0], 0)
+
+
+def test_keyword_and_default_construction():
+    assert GradedDimension(even=1, odd=0) == GradedDimension(1, 0)
+    assert GradedDimension(even=1, odd=0).total == 1
+    result = CheckResult("arf counts g=1", True)
+    assert (result.name, result.passed, result.details) == ("arf counts g=1", True, "")
+    assert CheckResult(name="x", passed=False, details="d") == CheckResult("x", False, "d")
+    assert SymplecticF2Space(4, enumeration_cap=8).enumeration_cap == 8
+    assert SymplecticF2Space(genus=4).enumeration_cap == 6
+    assert F2Vector(bits=3, dim=2) == F2Vector(3, 2)
+
+
+def test_repr_reads_as_the_constructor():
+    assert repr(GradedDimension(1, 0)) == "GradedDimension(even=1, odd=0)"
+    assert repr(SymplecticF2Space(2)) == "SymplecticF2Space(genus=2, enumeration_cap=6)"
+    assert repr(CheckResult("x", True)) == "CheckResult(name='x', passed=True, details='')"
+    assert repr(QuadraticRefinement(SymplecticF2Space(1), 2)) == (
+        "QuadraticRefinement(space=SymplecticF2Space(genus=1, enumeration_cap=6), basis_values=2)"
+    )
+
+
+def test_public_constructors_validate():
+    with pytest.raises(ValueError, match="bit mask 16 out of range for dimension 4"):
+        F2Vector(16, 4)
+    with pytest.raises(ValueError, match="certificate violated: 12 outside"):
+        CertifiedInteger(12, Fraction(19, 2), Fraction(21, 2), 128)
+    with pytest.raises(ValueError, match="BM levels are positive multiples of 8, got 12"):
+        LevelValue(Lattice.BM, 12)
