@@ -7,7 +7,10 @@ exact power-sum dimensions against interval-certified trigonometric sums)
 rather than trusting the primary implementation.  An exact value meets its
 certified oracle in ``_oracle_record`` alone, which the CLI's verlinde table
 shares; a cell the oracle cannot certify is a failed record.  A suite whose
-grid has no cell raises ValueError rather than pass vacuously.
+grid has no cell, a genus range below 1 included, raises ValueError rather
+than pass vacuously.  ``run_suite`` takes the options of ``spinverlinde
+check`` and reads one table, ``_OPTIONS``, for the keyword argument each
+option sets and the grid check each suite runs before any suite does.
 
 Every case still runs, but a suite computes each distinct product once:
 the projection products depend on the spin structure only through its
@@ -90,8 +93,11 @@ def _counted(
     return CheckResult(name, True, f"{checked} {counted}")
 
 
-def _require_enumerable(max_genus: int) -> None:
-    """Raise the EnumerationCapError a sweep over genus 1..max_genus would reach, before it starts."""
+def _require_genera(suite: str, max_genus: int) -> None:
+    """Before a sweep over genus 1..max_genus starts: a ValueError naming the
+    suite if the range is empty, and the EnumerationCapError the sweep would reach."""
+    if max_genus < 1:
+        raise ValueError(f"check {suite}: no genus g with 1 <= g <= {max_genus}")
     for g in range(1, max_genus + 1):
         SymplecticF2Space(g)._check_enumeration_cap()
 
@@ -115,7 +121,7 @@ def _levels_kept(suite: str, levels_p: Iterable[int]) -> list[int]:
 
 
 def check_pairing(max_genus: int = 4) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("pairing", max_genus)
     results = []
     # full bilinearity sweeps are exhaustive only up to genus 3
     for g in range(1, min(max_genus, 3) + 1):
@@ -170,7 +176,7 @@ def brute_character_sum(space: SymplecticF2Space, b: F2Vector) -> int:
 
 
 def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("charsum", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -200,7 +206,7 @@ def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_refinements(max_genus: int = 3) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("refinement", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -252,7 +258,7 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
 
 
 def check_arf(max_genus: int = 4) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("arf", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -278,7 +284,7 @@ def check_arf(max_genus: int = 4) -> list[CheckResult]:
 
 
 def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("liftsign", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -394,7 +400,7 @@ def check_projections(max_genus: int = 3) -> list[CheckResult]:
     only when a case's vectors differ from the previous case's: once per
     ell, and once per genus for the squares.
     """
-    _require_enumerable(max_genus)
+    _require_genera("projs", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -431,7 +437,7 @@ def check_projections(max_genus: int = 3) -> list[CheckResult]:
 def check_trace_decomposition(
     max_genus: int = 3, base_dims: Sequence[int] = (10, 84), lambdas: Sequence[int] = (1, 3)
 ) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("tracedecomp", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -549,7 +555,7 @@ def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
 
 
 def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
-    _require_enumerable(max_genus)
+    _require_genera("heisenberg", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
@@ -696,47 +702,54 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 }
 
 
-#: The keyword parameters each suite takes; run_suite passes a suite only these.
-_PARAMETERS: dict[str, tuple[str, ...]] = {
-    "pairing": ("max_genus",),
-    "charsum": ("max_genus",),
-    "refinement": ("max_genus",),
-    "arf": ("max_genus",),
-    "liftsign": ("max_genus",),
-    "verlinde": ("genera", "su2_levels"),
-    "twisted": ("genera", "levels_p"),
-    "projs": ("max_genus",),
-    "tracedecomp": ("max_genus", "base_dims", "lambdas"),
-    "traces": ("genera", "levels_p"),
-    "decomp": ("genera", "levels_p"),
-    "integrality": ("max_genus", "max_p"),
-    "heisenberg": ("max_genus",),
-    "levels": ("max_m",),
+def _genus_grid(suite: str, arguments: dict) -> None:
+    if "max_genus" in arguments:
+        _require_genera(suite, arguments["max_genus"])
+
+
+def _level_grid(suite: str, arguments: dict) -> None:
+    if "levels_p" in arguments:
+        _levels_kept(suite, arguments["levels_p"])
+
+
+def _max_m_grid(suite: str, arguments: dict) -> None:
+    if "max_m" in arguments:
+        _require_max_m(arguments["max_m"])
+
+
+#: For each suite: the ``check`` options it takes, each with the keyword
+#: argument it sets, and the grid check that raises, before the suite runs,
+#: what the suite raises on those arguments when their grid has no cell.
+_OPTIONS: dict[str, tuple[dict[str, str], Callable[[str, dict], None] | None]] = {
+    "pairing": ({"genus": "max_genus"}, _genus_grid),
+    "charsum": ({"genus": "max_genus"}, _genus_grid),
+    "refinement": ({"genus": "max_genus"}, _genus_grid),
+    "arf": ({"genus": "max_genus"}, _genus_grid),
+    "liftsign": ({"genus": "max_genus"}, _genus_grid),
+    "verlinde": ({"genus": "genera", "level": "su2_levels"}, None),
+    "twisted": ({"genus": "genera", "p": "levels_p"}, _level_grid),
+    "projs": ({"genus": "max_genus"}, _genus_grid),
+    "tracedecomp": ({"genus": "max_genus"}, _genus_grid),
+    "traces": ({"genus": "genera", "p": "levels_p"}, _level_grid),
+    "decomp": ({"genus": "genera", "p": "levels_p"}, _level_grid),
+    "integrality": (
+        {"genus": "max_genus", "p": "max_p"},
+        lambda suite, arguments: _require_integrality_cells(**arguments),
+    ),
+    "heisenberg": ({"genus": "max_genus"}, _genus_grid),
+    "levels": ({"max_m": "max_m"}, _max_m_grid),
 }
 
 
-def _require_cells(suite: str, params: dict) -> None:
-    """Raise the usage error the suite raises on ``params`` before its first case.
+def run_suite(name: str, **options) -> list[CheckResult]:
+    """Run one named suite, or every suite for name = 'all', on the given ``check`` options.
 
-    A parameter left out takes the suite's default, whose grid has cells
-    under the enumeration cap, so only the given parameters are checked.
-    """
-    if suite == "integrality":
-        _require_integrality_cells(**params)
-    elif "max_genus" in params:
-        _require_enumerable(params["max_genus"])
-    if "levels_p" in params:
-        _levels_kept(suite, params["levels_p"])
-    if "max_m" in params:
-        _require_max_m(params["max_m"])
-
-
-def run_suite(name: str, **params) -> list[CheckResult]:
-    """Run one named suite, or every suite for name = 'all'.
-
-    A suite is passed only the parameters it takes, so shared options like
-    genus ranges can be passed to 'all' safely.  Every suite's grid is
-    checked before the first suite runs.
+    The options are those of ``spinverlinde check``: the lists ``genus``,
+    ``p`` and ``level``, and the integer ``max_m``.  _OPTIONS turns them into
+    each suite's keyword arguments; a ``max_genus`` or ``max_p`` is the
+    largest value of its option.  An option the named suite does not take is
+    a ValueError, while 'all' passes each suite only the options it takes.
+    Every suite's grid is checked before the first suite runs.
     """
     if name == "all":
         names = list(SUITES)
@@ -744,7 +757,20 @@ def run_suite(name: str, **params) -> list[CheckResult]:
         names = [name]
     else:
         raise KeyError(f"unknown check suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
-    taken = [(suite, {k: v for k, v in params.items() if k in _PARAMETERS[suite]}) for suite in names]
-    for suite, suite_params in taken:
-        _require_cells(suite, suite_params)
-    return [result for suite, suite_params in taken for result in SUITES[suite](**suite_params)]
+    takes = dict.fromkeys(option for suite in names for option in _OPTIONS[suite][0])
+    unusable = [option for option in options if option not in takes]
+    if unusable:
+        flags = ["--" + option.replace("_", "-") for option in (unusable[0], *takes)]
+        raise ValueError(f"check {name}: {flags[0]} does not apply; the suite takes {', '.join(flags[1:])}")
+    runs = []
+    for suite in names:
+        keywords, grid = _OPTIONS[suite]
+        arguments = {
+            keyword: max(options[option]) if keyword in ("max_genus", "max_p") else options[option]
+            for option, keyword in keywords.items()
+            if option in options
+        }
+        if grid is not None:
+            grid(suite, arguments)
+        runs.append((suite, arguments))
+    return [result for suite, arguments in runs for result in SUITES[suite](**arguments)]

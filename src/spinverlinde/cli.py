@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .checks import _PARAMETERS, SUITES, CheckResult, _oracle_record, _table_record, run_suite
+from .checks import SUITES, CheckResult, _oracle_record, _table_record, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
@@ -261,46 +261,15 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
     return _emit(args, "spin-dims", params, rows, checks)
 
 
-#: The suite parameters that each `check` option sets.
-_CHECK_OPTIONS = {
-    "--genus": ("max_genus", "genera"),
-    "--p": ("levels_p", "max_p"),
-    "--level": ("su2_levels",),
-    "--max-m": ("max_m",),
-}
-
-
-def _require_usable_options(suite: str, params: dict) -> None:
-    """A ValueError naming the suite and the option if a given option sets no
-    parameter the named suite takes; 'all' passes each suite what it takes."""
-    if suite not in _PARAMETERS:
-        return
-    takes = _PARAMETERS[suite]
-    usable = [option for option, names in _CHECK_OPTIONS.items() if any(n in takes for n in names)]
-    for option, names in _CHECK_OPTIONS.items():
-        if option not in usable and any(n in params for n in names):
-            raise ValueError(f"check {suite}: {option} does not apply; the suite takes {', '.join(usable)}")
-
-
 def _cmd_check(args) -> int:
-    params = {}
-    if args.genus is not None:
-        params["max_genus"] = max(args.genus)
-        params["genera"] = args.genus
-    if args.p is not None:
-        params["levels_p"] = args.p
-        params["max_p"] = max(args.p)
-    if args.level is not None:
-        params["su2_levels"] = args.level
-    if args.max_m is not None:
-        params["max_m"] = args.max_m
-    _require_usable_options(args.suite, params)
+    given = {name: getattr(args, name) for name in ("genus", "p", "level", "max_m")}
+    options = {name: value for name, value in given.items() if value is not None}
     try:
-        results = run_suite(args.suite, **params)
+        results = run_suite(args.suite, **options)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    return _emit(args, "check", {"suite": args.suite, **params}, [], results)
+    return _emit(args, "check", {"suite": args.suite, **options}, [], results)
 
 
 _CONVERSIONS = {
@@ -435,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("provide exactly one of --p or --so3-level")
             return _cmd_spin_dims(args, parser)
         if args.command == "check":
+            # checked before any suite runs: the levels suite walks 1..max_m and 0..2 max_m - 1
+            if args.max_m is not None and args.max_m > MAX_RANGE_VALUES:
+                parser.error(f"--max-m {args.max_m} is more than {MAX_RANGE_VALUES}")
             return _cmd_check(args)
         return _cmd_levels(args, parser)
     except argparse.ArgumentTypeError as exc:

@@ -44,8 +44,8 @@ class F2Vector(Value):
     def _trusted(cls, bits: int, dim: int) -> "F2Vector":
         """The vector (bits, dim) without validation, for values valid by construction."""
         vector = object.__new__(cls)
-        fields = vector.__dict__
-        fields["bits"], fields["dim"] = bits, dim
+        object.__setattr__(vector, "bits", bits)
+        object.__setattr__(vector, "dim", dim)
         return vector
 
     def __add__(self, other: "F2Vector") -> "F2Vector":

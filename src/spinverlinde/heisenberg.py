@@ -259,8 +259,8 @@ class HeisenbergElement(Value):
     def _trusted(cls, central: int, vector: F2Vector) -> "HeisenbergElement":
         """The element (central, vector) without validation, for values valid by construction."""
         element = object.__new__(cls)
-        fields = element.__dict__
-        fields["central"], fields["vector"] = central, vector
+        object.__setattr__(element, "central", central)
+        object.__setattr__(element, "vector", vector)
         return element
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
@@ -344,8 +344,8 @@ class MonomialMatrix(Value):
     def _trusted(cls, columns: tuple[int, ...], phases: tuple[int, ...]) -> "MonomialMatrix":
         """The matrix (columns, phases) without validation, for values valid by construction."""
         matrix = object.__new__(cls)
-        fields = matrix.__dict__
-        fields["columns"], fields["phases"] = columns, phases
+        object.__setattr__(matrix, "columns", columns)
+        object.__setattr__(matrix, "phases", phases)
         return matrix
 
     @classmethod

@@ -47,8 +47,8 @@ class QuadraticRefinement(Value):
     def _trusted(cls, space: SymplecticF2Space, basis_values: int) -> "QuadraticRefinement":
         """The refinement (space, basis_values) without validation, for values valid by construction."""
         refinement = object.__new__(cls)
-        fields = refinement.__dict__
-        fields["space"], fields["basis_values"] = space, basis_values
+        object.__setattr__(refinement, "space", space)
+        object.__setattr__(refinement, "basis_values", basis_values)
         return refinement
 
     def _value(self, bits: int) -> int:

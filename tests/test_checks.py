@@ -1,6 +1,6 @@
-"""The check suites: enumeration-cap failures before any work, counted details and the record list of `check all`."""
+"""The check suites: genus-range and enumeration-cap failures before any work, counted details, the options table and the record list of `check all`."""
 
-import inspect
+import json
 
 import pytest
 
@@ -23,18 +23,34 @@ WORK = {
 
 
 class TestCapBeforeWork:
-    @pytest.mark.parametrize("suite", sorted(WORK))
-    @pytest.mark.parametrize("max_genus", [7, 8, 10_000])
-    def test_cap_error_before_any_work(self, suite, max_genus, monkeypatch):
+    @staticmethod
+    def forbid_work(suite, monkeypatch):
         owner, name = WORK[suite]
 
         def no_work(*args, **kwargs):
-            raise AssertionError(f"{suite} started work before checking the cap")
+            raise AssertionError(f"{suite} started work before checking its genus range")
 
         monkeypatch.setattr(owner, name, no_work)
+
+    @pytest.mark.parametrize("suite", sorted(WORK))
+    @pytest.mark.parametrize("genus", [7, 8, 10_000])
+    def test_cap_error_before_any_work(self, suite, genus, monkeypatch):
+        self.forbid_work(suite, monkeypatch)
         # the message names the first genus over the cap, as the sweep itself would
         with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
-            checks.run_suite(suite, max_genus=max_genus)
+            checks.run_suite(suite, genus=[2, genus])
+        with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
+            checks.SUITES[suite](max_genus=genus)
+
+    @pytest.mark.parametrize("suite", sorted(WORK))
+    @pytest.mark.parametrize("genus", [0, -3])
+    def test_genus_below_one_is_an_error_before_any_work(self, suite, genus, monkeypatch):
+        self.forbid_work(suite, monkeypatch)
+        message = f"^check {suite}: no genus g with 1 <= g <= {genus}$"
+        with pytest.raises(ValueError, match=message):
+            checks.run_suite(suite, genus=[genus])
+        with pytest.raises(ValueError, match=message):
+            checks.SUITES[suite](max_genus=genus)
 
     @pytest.mark.parametrize("suite", ["heisenberg", "projs", "pairing", "arf"])
     def test_cli_exit_code_and_message(self, suite, capsys):
@@ -161,35 +177,63 @@ class TestSuiteAll:
         with pytest.raises(ValueError, match="^check levels: max_m must be >= 1, got 0$"):
             checks.run_suite("all", max_m=0)
         with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
-            checks.run_suite("all", max_genus=7, levels_p=[12])
+            checks.run_suite("all", genus=[7], p=[12])
+        with pytest.raises(ValueError, match="^check pairing: no genus g with 1 <= g <= 0$"):
+            checks.run_suite("all", genus=[0])
+        with pytest.raises(ValueError, match="^check integrality: no cell "):
+            checks.run_suite("all", genus=[1], p=[8])
 
 
 class TestParameters:
-    def test_table_lists_each_suite_signature(self):
-        assert list(checks._PARAMETERS) == list(checks.SUITES)
-        for name, suite in checks.SUITES.items():
-            assert checks._PARAMETERS[name] == tuple(inspect.signature(suite).parameters), name
+    # (option, value) pairs small enough to run every suite that takes them
+    SMALL = {"genus": [2], "p": [8], "level": [3], "max_m": 2}
+    PAIRS = [(suite, option) for suite, (takes, _) in checks._OPTIONS.items() for option in takes]
 
-    # each suite whose grid can be empty, and a grid without cells
+    def test_parser_takes_exactly_the_table_options(self):
+        namespace = cli.build_parser().parse_args(["check", "all"])
+        table = {option for takes, _ in checks._OPTIONS.values() for option in takes}
+        assert set(vars(namespace)) - {"command", "suite", "format", "out"} == table
+
+    @pytest.mark.parametrize("suite, option", PAIRS, ids=[f"{s}-{o}" for s, o in PAIRS])
+    def test_every_option_in_the_table_runs(self, suite, option, capsys):
+        value = self.SMALL[option]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        code = cli.main(["check", suite, "--" + option.replace("_", "-"), text, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["params"] == {"suite": suite, option: value}
+        assert payload["checks"] and all(c["passed"] for c in payload["checks"])
+
+    # each suite whose grid can be empty: the options of a grid without
+    # cells, and the keyword arguments they give the suite
     EMPTY_GRIDS = [
-        *((suite, {"max_genus": 7}) for suite in sorted(WORK)),
-        ("twisted", {"levels_p": [3]}),
-        ("traces", {"levels_p": [12]}),
-        ("decomp", {"genera": [2], "levels_p": [4, 12]}),
-        ("integrality", {"max_p": 4}),
-        ("integrality", {"max_genus": 1}),
-        ("integrality", {"max_genus": 1, "max_p": 7}),
-        ("levels", {"max_m": 0}),
+        *((suite, ({"genus": [7]}, {"max_genus": 7})) for suite in sorted(WORK)),
+        ("twisted", ({"p": [3]}, {"levels_p": [3]})),
+        ("traces", ({"p": [12]}, {"levels_p": [12]})),
+        ("decomp", ({"genus": [2], "p": [4, 12]}, {"genera": [2], "levels_p": [4, 12]})),
+        ("integrality", ({"p": [4]}, {"max_p": 4})),
+        ("integrality", ({"genus": [1]}, {"max_genus": 1})),
+        ("integrality", ({"genus": [1], "p": [3, 7]}, {"max_genus": 1, "max_p": 7})),
+        ("levels", ({"max_m": 0}, {"max_m": 0})),
+        *((suite, ({"genus": [0]}, {"max_genus": 0})) for suite in sorted(WORK)),
     ]
 
     @pytest.mark.parametrize("suite, params", EMPTY_GRIDS)
-    def test_grid_check_raises_what_the_suite_raises(self, suite, params):
+    def test_grid_check_raises_what_the_suite_raises(self, suite, params, monkeypatch):
+        options, arguments = params
         with pytest.raises(ValueError) as by_suite:
-            checks.SUITES[suite](**params)
+            checks.SUITES[suite](**arguments)
+
+        def ran(**arguments):
+            raise AssertionError(f"{suite} ran before its grid was checked")
+
+        monkeypatch.setitem(checks.SUITES, suite, ran)
         with pytest.raises(type(by_suite.value)) as up_front:
-            checks._require_cells(suite, params)
+            checks.run_suite(suite, **options)
         assert str(up_front.value) == str(by_suite.value)
 
     @pytest.mark.parametrize("suite", list(checks.SUITES))
-    def test_default_grids_have_cells(self, suite):
-        checks._require_cells(suite, {})
+    def test_default_grids_have_cells(self, suite, monkeypatch):
+        # with no option given, the grid check passes and the suite runs at its defaults
+        monkeypatch.setitem(checks.SUITES, suite, lambda **arguments: [arguments])
+        assert checks.run_suite(suite) == [{}]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spinverlinde import cli, fusion
+from spinverlinde import checks, cli, fusion
 from spinverlinde.cli import main
 
 
@@ -269,6 +269,7 @@ class TestCheckCommand:
         assert code == 0
         assert "[PASS]" in out
 
+    ENUMERATING = ["pairing", "charsum", "refinement", "arf", "liftsign", "projs", "tracedecomp", "heisenberg"]
     EIGHTS = "none of the levels p given is a multiple of 8 and >= 8"
     NO_CELL = "no cell (g, p) with 2 <= g <= {} and p a multiple of 8 in 8..{}"
 
@@ -283,12 +284,41 @@ class TestCheckCommand:
             (("levels", "--max-m", "0"), "check levels: max_m must be >= 1, got 0"),
             # traces is the first suite of `all` whose filter keeps nothing
             (("all", "--p", "12"), "check traces: " + EIGHTS),
+            *(((suite, "--genus", "0"), f"check {suite}: no genus g with 1 <= g <= 0") for suite in ENUMERATING),
+            (("pairing", "--genus=-2..0"), "check pairing: no genus g with 1 <= g <= 0"),
+            (("all", "--genus", "0"), "check pairing: no genus g with 1 <= g <= 0"),
         ],
-        ids=["traces", "decomp", "twisted", "integrality-p", "integrality-genus", "levels", "all"],
+        ids=[
+            "traces", "decomp", "twisted", "integrality-p", "integrality-genus", "levels", "all",
+            *(f"{suite}-genus-0" for suite in ENUMERATING), "pairing-genus-range", "all-genus-0",
+        ],
     )
     def test_grid_without_cells_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "check", *argv, "--format", "json")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_max_m_above_the_range_cap_is_usage_error(self, capsys, monkeypatch):
+        def ran(**arguments):
+            raise AssertionError("the levels suite ran with an unbounded max_m")
+
+        monkeypatch.setitem(checks.SUITES, "levels", ran)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "levels", "--max-m", "1000000000000"])
+        assert excinfo.value.code == 2
+        assert "--max-m 1000000000000 is more than 100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (("pairing", "--genus", "2"), {"suite": "pairing", "genus": [2]}),
+            (("decomp", "--genus", "2..3", "--p", "8,16"), {"suite": "decomp", "genus": [2, 3], "p": [8, 16]}),
+            (("all",), {"suite": "all"}),
+        ],
+        ids=["pairing", "decomp", "all"],
+    )
+    def test_params_echo_the_options_given(self, capsys, argv, params):
+        code, payload, _ = run_json(capsys, "check", *argv)
+        assert (code, payload["params"]) == (0, params)
 
     @pytest.mark.parametrize(
         "argv, message",
