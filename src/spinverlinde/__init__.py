@@ -24,7 +24,6 @@ from .f2 import DEFAULT_ENUMERATION_CAP, EnumerationCapError, F2Vector, Symplect
 from .fusion import (
     CertificationError,
     CertifiedInteger,
-    PrecisionCeilingError,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -79,7 +78,6 @@ __all__ = [
     "LatticeMismatchError",
     "LevelValue",
     "MonomialMatrix",
-    "PrecisionCeilingError",
     "QuadraticRefinement",
     "SymplecticF2Space",
     "TwistedAlgebraElement",

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .checks import SUITES, CheckResult, _oracle_record, _table_record, run_suite
@@ -24,13 +23,7 @@ from .dimensions import (
     bm_odd_dim,
     sum_over_spin,
 )
-from .fusion import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_PRECISION_CEILING,
-    CertificationError,
-    verlinde_dim,
-    verlinde_trig_oracle,
-)
+from .fusion import CertificationError, verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
     LevelValue,
@@ -45,10 +38,11 @@ from .levels import (
 )
 from .spin import count_by_arf
 
-PRECISION_CEILING_ENV = "SPINVERLINDE_PRECISION_CEILING"
-
 #: Most values one integer-range option may list; a larger sweep is a usage error.
 MAX_RANGE_VALUES = 100_000
+
+# argparse reads "--genus -2..0" as an option with no value
+GENUS_HELP = "genera such as 2, 1..5 or 2,4..6; write a range below 0 as --genus=-2..0"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -119,18 +113,6 @@ def _parse_bm_levels(text: str) -> list[int]:
     return sorted(values)
 
 
-def _default_ceiling() -> int:
-    raw = os.environ.get(PRECISION_CEILING_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{PRECISION_CEILING_ENV} must be an integer, got {raw!r}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # output emission
 
@@ -185,12 +167,10 @@ def _emit(args, command: str, params: dict, rows: list[dict], results: list[Chec
 # subcommands
 
 
-def _verlinde_cell(g: int, k: int, precision_bits: int, ceiling: int) -> tuple[dict, CheckResult]:
+def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
     """The row and the certification check of one (g, k) cell."""
     dim = verlinde_dim(g, k)
-    check, certificate = _oracle_record(
-        f"certified (g={g}, k={k})", dim, verlinde_trig_oracle, g, k, precision_bits, ceiling
-    )
+    check, certificate = _oracle_record(f"certified (g={g}, k={k})", dim, verlinde_trig_oracle, g, k)
     width = bits = None
     if certificate is not None:
         width, bits = float(certificate.width), certificate.precision_bits
@@ -199,17 +179,10 @@ def _verlinde_cell(g: int, k: int, precision_bits: int, ceiling: int) -> tuple[d
 
 
 def _cmd_verlinde(args) -> int:
-    ceiling = args.precision_ceiling
-    if ceiling is None:
-        ceiling = _default_ceiling()
     # level-major, so that every genus reads a level's power-sum table and
     # enclosures while they are cached; an invalid genus or level is the
     # first of its sorted list, so the first cell raises in either order
-    cells = {
-        (g, k): _verlinde_cell(g, k, args.precision_bits, ceiling)
-        for k in args.level
-        for g in args.genus
-    }
+    cells = {(g, k): _verlinde_cell(g, k) for k in args.level for g in args.genus}
     ordered = [cells[g, k] for g in args.genus for k in args.level]
     rows, checks = [row for row, _ in ordered], [check for _, check in ordered]
     params = {"genus": args.genus, "level": args.level}
@@ -354,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verl = sub.add_parser("verlinde", help="genus/level dimension table with certification")
-    p_verl.add_argument("--genus", type=_parse_int_range, required=True)
+    p_verl.add_argument("--genus", type=_parse_int_range, required=True, help=GENUS_HELP)
     p_verl.add_argument("--level", type=_parse_int_range, required=True, help="SU2 levels k")
-    p_verl.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
-    p_verl.add_argument("--precision-ceiling", type=int, default=None)
     _add_common(p_verl)
 
     p_spin = sub.add_parser("spin-dims", help="graded spin dimension table")
-    p_spin.add_argument("--genus", type=_parse_int_range, required=True)
+    p_spin.add_argument("--genus", type=_parse_int_range, required=True, help=GENUS_HELP)
     p_spin.add_argument("--p", type=_parse_bm_levels, default=None, help="levels p = 0 mod 8")
     p_spin.add_argument(
         "--so3-level", type=_parse_int_range, default=None,
@@ -374,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run identity suites")
     p_check.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
-    p_check.add_argument("--genus", type=_parse_int_range, default=None)
+    p_check.add_argument("--genus", type=_parse_int_range, default=None, help=GENUS_HELP)
     p_check.add_argument("--p", type=_parse_int_range, default=None)
     p_check.add_argument("--level", type=_parse_int_range, default=None)
     p_check.add_argument("--max-m", type=int, default=None)
@@ -396,6 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an exact value can have more digits than CPython 3.11+ converts to str
+    # by default; lift that limit while this call runs, and give an
+    # in-process caller its own setting back afterwards
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "verlinde":
             return _cmd_verlinde(args)
@@ -417,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ weighted sums are exact, and one outward rounding brings them to scale
 2^Q.  At odd n the twisted sum is exactly 0 and needs no bounds.  One walk,
 ``_certified_sum``, serves both oracles: it skips every precision that
 cannot certify, judged by a float lower bound on the enclosure's width,
-and fails at once when even the ceiling cannot.  The package needs nothing beyond
+and stops at the precision where a matching upper bound proves the
+enclosure narrow enough, so it neither caps a valid cell nor loops
+forever.  The package needs nothing beyond
 the standard library; the tests keep the mpmath interval sums (folded,
 and unfolded with a sine for every j < n) as the oracle's own oracles,
 and mpmath's pi and cos/sin as those of the two series.
@@ -62,15 +64,10 @@ from operator import mul
 from ._value import Value
 
 DEFAULT_PRECISION_BITS = 128
-DEFAULT_PRECISION_CEILING = 4096
 
 
 class CertificationError(ArithmeticError):
     """The interval oracle could not certify a unique integer value."""
-
-
-class PrecisionCeilingError(CertificationError):
-    """Doubling reached the precision ceiling before the enclosure narrowed."""
 
 
 # ---------------------------------------------------------------------------
@@ -434,57 +431,67 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
-def _width_text(enclosure: tuple[int, int] | None, bits: int) -> str:
-    """The enclosure width for a message: a float, or a power of two past the float range."""
-    if enclosure is None:
-        return str(math.inf)
-    lower, upper = enclosure
-    width = Fraction(upper - lower, 1 << bits)
-    try:
-        return str(float(width))
-    except OverflowError:
-        return f"about 2^{width.numerator.bit_length() - width.denominator.bit_length()}"
-
-
-def _certified_sum(
-    m: int, n: int, alternating: bool, precision_bits: int, precision_ceiling: int, label: str
-) -> CertifiedInteger:
+def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label: str) -> CertifiedInteger:
     """The unique integer in the ``_sum_enclosure`` of (m, n), certified by an
     enclosure narrower than 1/2 at the first precision Q of the doubling
-    sequence, from ``precision_bits`` up to ``precision_ceiling``, that gives one.
+    sequence from ``precision_bits`` that gives one.
 
-    An enclosure that is None (not tight) never certifies.  Precisions that
-    cannot certify are skipped.  Both sums, the twisted one at even n, have a
-    j = 1 term of weight 2 once n >= 3.  At Q bits its hi - lo >= 1, so
-    hi^m - lo^m >= m lo^(m-1), and lo = 2^Q csc^2(pi/n) up to a relative
-    error below 2^-60.  The rounded powers lie outside lo^m and hi^m, so
-    after the prefactor n^m 2^-(Q m + m) the enclosure is at least
-    2 m (n/2)^m csc^(2(m-1))(pi/n) 2^-Q wide, about 2^(B - Q) with
-    B = log2(2m) + m log2(n/2) + 2 (m-1) log2 csc(pi/n), and a width of at
-    least 1/2 cannot certify.  Q is skipped while B > Q + 1; the two bits of
-    margin absorb the float error of B.  If the rule skips the ceiling
-    itself, the oracle fails before any interval work.  The twisted sum at
-    odd n is exactly 0 and skips nothing.
+    An enclosure that is None (not tight) never certifies.  The enclosure is
+    exact, and certifies at once, at m = 0 and for the twisted sum at odd n.
+    Otherwise write c = csc^2(pi/n), the largest csc^2 of the sum, and
+    B = log2(2m) + m log2(n/2) + 2 (m-1) log2 csc(pi/n), so 2^B = 2 m (n/2)^m c^(m-1).
+
+    Skip.  Precisions that cannot certify are skipped.  Both sums, the
+    twisted one at even n, have a j = 1 term of weight 2 once n >= 3.  At Q
+    bits its hi - lo >= 1, so hi^m - lo^m >= m lo^(m-1), and
+    lo = 2^Q c up to a relative error below 2^-60.  The rounded powers lie
+    outside lo^m and hi^m, so after the prefactor n^m 2^-(Q m + m) the
+    enclosure is at least about 2^(B - Q) wide, and a width of at least 1/2
+    cannot certify.  Q is skipped while B > Q + 1; the two bits of margin
+    absorb the float error of B.  At n = 2 the one term has weight 1 and
+    nothing is skipped.
+
+    Stop.  At every Q >= S = max(ceil(B) + b + 4, t + 4), with
+    b = n.bit_length() and t = m.bit_length(), the enclosure is narrower
+    than 1/2, at every n >= 2; so the walk raises once a precision at or
+    above S fails to certify, which only a wrong proof allows, and it ends.
+    Proof, for m >= 1.  Let X = hi 2^-Q and Y = lo 2^-Q for one term.  As
+    lo <= 2^Q csc^2 <= hi, hi - lo <= 2 and 1 <= csc^2 <= c:
+    X >= 1, Y >= 1 - 2^(1-Q) and X <= c (1 + 2^(1-Q)).  In ``_scaled_power``
+    at F = Q + 2b + 4 bits, a rounding moves a value v by at most one unit,
+    a relative 1/v, with v >= 2^F in the upper chain and v > 2^(F-1) in the
+    lower one (below).  A square doubles the relative error so far and a
+    product keeps it, and the first square and product are exact, so by
+    induction over the bits of m the error compounds at most 2m - 1
+    roundings:
+
+        high <= 2^F X^m (1 + 2^-F)^(2m),  low >= 2^F Y^m (1 - 2^(1-F))^(2m),
+
+    where every value of the lower chain stays above 2^(F-1), since
+    m 2^(1-Q) <= 1/8 keeps Y^m >= 7/8.  Both factors differ from 1 by at
+    most m 2^(2-F) (e^x - 1 <= 2x for x <= 1), Y <= X,
+    X^m - Y^m <= m X^(m-1) (X - Y) and X - Y <= 2^(1-Q), so
+
+        high - low <= 2^F (X^m - Y^m) + 8 m X^m <= m X^(m-1) (2^(2b+5) + 8X),
+
+    and 8X < 8 n^2 / 3 < 2^(2b+5) / 8, as c <= n^2 / 4 (sin x >= 2x / pi).
+    The weights' magnitudes sum to n - 1, X^(m-1) <= c^(m-1) e^(m 2^(1-Q))
+    < 1.14 c^(m-1), and the prefactor n^m 2^-(m + 2b + 4) and the two final
+    roundings give U - L < 1.3 (n - 1) 2^B + 2 units of 2^-Q, below
+    2^(Q-1) as n - 1 < 2^b.  Where the skip bound is -inf (n = 2) this
+    bound still holds; at m = 0, S = 4 is below every start.
     """
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
-    if precision_ceiling < precision_bits:
-        raise ValueError(
-            f"precision ceiling {precision_ceiling} below starting precision {precision_bits}"
-        )
-    bound = -math.inf
-    if m and n >= 3 and not (alternating and n % 2):
+    skip, stop = -math.inf, m.bit_length() + 4
+    if m and not (alternating and n % 2):
         bound = math.log2(2 * m) + m * math.log2(n / 2) - 2 * (m - 1) * math.log2(math.sin(math.pi / n))
+        stop = max(stop, math.ceil(bound) + n.bit_length() + 4)
+        if n >= 3:
+            skip = bound
     bits = precision_bits
     while True:
-        if bound > bits + 1:
-            if bits >= precision_ceiling:
-                raise PrecisionCeilingError(
-                    f"{label}: its enclosure at Q bits is at least 2^({bound:.1f} - Q) wide, so "
-                    f"certifying it needs at least {math.ceil(bound - 1)} bits, "
-                    f"above the precision ceiling {precision_ceiling} bits"
-                )
-        else:
+        if skip <= bits + 1:
             enclosure = _sum_enclosure(m, n, bits, alternating)
             if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
                 lower, upper = Fraction(enclosure[0], 1 << bits), Fraction(enclosure[1], 1 << bits)
@@ -494,31 +501,21 @@ def _certified_sum(
                         f"{label}: enclosure [{float(lower)}, {float(upper)}] contains no integer"
                     )
                 return CertifiedInteger(candidate, lower, upper, bits)
-            if bits >= precision_ceiling:
-                raise PrecisionCeilingError(
-                    f"{label}: interval width {_width_text(enclosure, bits)} still >= 1/2 "
-                    f"at the precision ceiling {precision_ceiling} bits"
+            if bits >= stop:
+                raise CertificationError(
+                    f"{label}: no certificate at {bits} bits, though the enclosure "
+                    f"is proved narrower than 1/2 from {stop} bits on"
                 )
-        bits = min(2 * bits, precision_ceiling)
+        bits *= 2
 
 
-def verlinde_trig_oracle(
-    g: int,
-    k: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    precision_ceiling: int = DEFAULT_PRECISION_CEILING,
-) -> CertifiedInteger:
+def verlinde_trig_oracle(g: int, k: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
     """Certified evaluation of the genus-g trigonometric dimension sum at level k."""
     m, n = _verlinde_terms(g, k)
-    return _certified_sum(m, n, False, precision_bits, precision_ceiling, f"verlinde(g={g}, k={k})")
+    return _certified_sum(m, n, False, precision_bits, f"verlinde(g={g}, k={k})")
 
 
-def twisted_trig_oracle(
-    g: int,
-    p: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    precision_ceiling: int = DEFAULT_PRECISION_CEILING,
-) -> CertifiedInteger:
+def twisted_trig_oracle(g: int, p: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
     """Certified evaluation of the alternating twisted dimension sum at even level p.
 
     With n = p/2, sin(2 pi j / p) = sin(pi j / n) and (p/4)^m = (n/2)^m, so
@@ -528,7 +525,7 @@ def twisted_trig_oracle(
     every pair cancels and the sum is exactly 0, certified at
     ``precision_bits`` with no work; at even n a folded term keeps the sign
     of j (the middle j = n/2 is alone), the j = 1 term has signed weight +2,
-    and the Verlinde skip rule holds here too.
+    and the Verlinde skip and stop rules hold here too.
     """
     m, n = _twisted_terms(g, p)
-    return _certified_sum(m, n, True, precision_bits, precision_ceiling, f"twisted(g={g}, p={p})")
+    return _certified_sum(m, n, True, precision_bits, f"twisted(g={g}, p={p})")

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import shutil
 import tempfile
 
@@ -26,3 +29,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_report.LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def cli_json():
+    """Run ``spinverlinde <argv> --format json`` in process, once per argv for
+    the whole session, and return (exit code, payload); tests that make the
+    same call, such as ``check all``, share one run.  The payload is shared
+    too, so a test must not change it."""
+    from spinverlinde.cli import main
+
+    runs = {}
+
+    def run(*argv):
+        if argv not in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([*argv, "--format", "json"])
+            runs[argv] = code, json.loads(out.getvalue())
+        return runs[argv]
+
+    return run

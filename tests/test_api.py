@@ -27,7 +27,6 @@ PUBLIC_API = [
     "LatticeMismatchError",
     "LevelValue",
     "MonomialMatrix",
-    "PrecisionCeilingError",
     "QuadraticRefinement",
     "SymplecticF2Space",
     "TwistedAlgebraElement",

@@ -154,12 +154,14 @@ class TestCountedDetails:
 
 
 class TestSuiteAll:
-    def test_default_record_list(self):
+    def test_default_record_list(self, cli_json):
         # the record list `check all` prints; a dropped or extra record changes it
-        results = checks.run_suite("all")
+        code, payload = cli_json("check", "all")
+        results = payload["checks"]
+        assert code == 0
         assert len(results) == 383
-        assert len({r.name for r in results}) == 383
-        assert [r.name for r in results if not r.passed] == []
+        assert len({r["name"] for r in results}) == 383
+        assert [r["name"] for r in results if not r["passed"]] == []
 
     def test_every_grid_is_checked_before_any_suite_runs(self, monkeypatch, capsys):
         def ran(**params):

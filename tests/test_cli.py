@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,15 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def uncertifiable_above_genus_one(monkeypatch):
+    """Make every sum above genus one enclose no integer, [2^-Q, 2^(1-Q)], so
+    its certification fails; the genus-one sums stay exact."""
+    honest = fusion._sum_enclosure
+    monkeypatch.setattr(
+        fusion, "_sum_enclosure", lambda m, n, bits, alternating: honest(m, n, bits, alternating) if m == 0 else (1, 2)
+    )
 
 
 class TestVerlindeCommand:
@@ -105,20 +116,51 @@ class TestVerlindeCommand:
         assert not target.exists()
 
     def test_precision_ceiling_env_var(self, capsys, monkeypatch):
-        # a ceiling too low for this cell turns certification failure into exit 1
-        monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", "64")
-        code, out, err = run_cli(
-            capsys, "verlinde", "--genus", "12", "--level", "40", "--precision-bits", "64"
+        # the oracle works out its own last precision, so the variable that
+        # once capped it is not read, whatever its value
+        for value in ("64", "abc"):
+            monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", value)
+            code, payload, _ = run_json(capsys, "verlinde", "--genus", "12,400", "--level", "40")
+            assert code == 0
+            assert all(c["passed"] for c in payload["checks"])
+            # the doublings show in the rows: both cells certify above the 128-bit start
+            assert [row["oracle_precision_bits"] for row in payload["rows"]] == [256, 8192]
+
+    @pytest.mark.parametrize("option", ["--precision-bits", "--precision-ceiling"])
+    def test_precision_options_are_usage_errors(self, capsys, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verlinde", "--genus", "2", "--level", "1", option, "256"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option} 256" in capsys.readouterr().err
+
+    def test_values_past_the_str_digit_limit(self, capsys, monkeypatch):
+        # a 5001-digit value, past CPython's default limit of 4300 digits for
+        # int-to-str conversion, in every format; the exact cell that big,
+        # verlinde --genus 1000 --level 1000, takes about a minute
+        value = 10**5000 + 1
+        monkeypatch.setattr(cli, "verlinde_dim", lambda g, k: value)
+        monkeypatch.setattr(
+            cli, "verlinde_trig_oracle", lambda g, k: fusion.CertifiedInteger(value, Fraction(value), Fraction(value), 128)
         )
-        assert code == 1
-        monkeypatch.delenv("SPINVERLINDE_PRECISION_CEILING")
-        code, payload, _ = run_json(
-            capsys, "verlinde", "--genus", "12", "--level", "40", "--precision-bits", "64"
-        )
-        assert code == 0
-        assert all(c["passed"] for c in payload["checks"])
-        # the doublings show in the row: the cell certifies above its 64-bit start
-        assert payload["rows"][0]["oracle_precision_bits"] > 64
+        limited = hasattr(sys, "set_int_max_str_digits")
+        before = sys.get_int_max_str_digits() if limited else None
+        outputs = {}
+        for form in ("json", "csv", "text"):
+            code, outputs[form], err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "3", "--format", form)
+            assert (code, err) == (0, "")
+            # main gives an in-process caller its own limit back
+            assert (sys.get_int_max_str_digits() if limited else None) == before
+        if limited:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(outputs["json"])
+            (row,) = csv.DictReader(io.StringIO(outputs["csv"]))
+            text_row = outputs["text"].splitlines()[1].split()
+            assert payload["rows"][0]["dim"] == int(row["dim"]) == int(text_row[2]) == value
+            assert payload["checks"][0]["details"] == f"series {value}, oracle {value}"
+        finally:
+            if limited:
+                sys.set_int_max_str_digits(before)
 
     def test_sweep_builds_each_power_sum_table_once(self, capsys):
         # 130 levels are more distinct n than the 128 tables the cache holds, so
@@ -138,48 +180,49 @@ class TestVerlindeCommand:
         }
         assert out == json.dumps(expected, indent=2) + "\n"
 
-    # (1, 40) certifies at 64 bits, (30, 40) cannot: one row of each kind
-    FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40",
-                   "--precision-bits", "64", "--precision-ceiling", "64")
+    # (1, 40) certifies at 128 bits, (30, 40) cannot: one row of each kind
+    FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40")
 
-    def test_failed_certification_is_strict_json(self, capsys):
+    def test_failed_certification_is_strict_json(self, capsys, monkeypatch):
         def reject(constant):
             raise ValueError(f"non-JSON constant {constant}")
 
+        uncertifiable_above_genus_one(monkeypatch)
         code, out, _ = run_cli(capsys, *self.FAILED_CELL, "--format", "json")
         assert code == 1
         payload = json.loads(out, parse_constant=reject)
         certified, failed = payload["rows"]
-        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == (0.0, 64)
+        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == (0.0, 128)
         assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == (None, None)
         assert [c["passed"] for c in payload["checks"]] == [True, False]
-        # (30, 40) fails before any interval work, naming the bits it needs
-        assert "needs at least 342 bits, above the precision ceiling 64" in payload["checks"][1]["details"]
+        assert "verlinde(g=30, k=40): enclosure [" in payload["checks"][1]["details"]
+        assert payload["checks"][1]["details"].endswith("contains no integer")
 
-    def test_failed_certification_cells_are_empty(self, capsys):
+    def test_failed_certification_cells_are_empty(self, capsys, monkeypatch):
+        uncertifiable_above_genus_one(monkeypatch)
         code, out, _ = run_cli(capsys, *self.FAILED_CELL)
         assert code == 1
         header, certified, failed = out.splitlines()[:3]
         assert header.split()[-2:] == ["oracle_interval_width", "oracle_precision_bits"]
-        assert certified.split()[-2:] == ["0.0", "64"]
+        assert certified.split()[-2:] == ["0.0", "128"]
         assert failed.split() == ["30", "40", str(cli.verlinde_dim(30, 40))]
         code, out, _ = run_cli(capsys, *self.FAILED_CELL, "--format", "csv")
         assert code == 1
         certified, failed = csv.DictReader(io.StringIO(out))
-        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == ("0.0", "64")
+        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == ("0.0", "128")
         assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == ("", "")
 
-    def test_malformed_precision_ceiling_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINVERLINDE_PRECISION_CEILING", "abc")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verlinde", "--genus", "2", "--level", "1"])
-        assert excinfo.value.code == 2
-        assert "SPINVERLINDE_PRECISION_CEILING" in capsys.readouterr().err
-        # an explicit --precision-ceiling does not read the variable
-        code, _, _ = run_cli(
-            capsys, "verlinde", "--genus", "2", "--level", "1", "--precision-ceiling", "256"
-        )
-        assert code == 0
+
+@pytest.mark.parametrize("command", ["verlinde", "spin-dims", "check"])
+def test_genus_help_names_the_negative_range_spelling(command, capsys):
+    # argparse takes "--genus -2..0" for an option without its value
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--genus=-2..0" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--genus", "-2..0"])
+    assert excinfo.value.code == 2
+    assert "--genus: expected one argument" in capsys.readouterr().err
 
 
 class TestSpinDimsCommand:
@@ -316,8 +359,8 @@ class TestCheckCommand:
         ],
         ids=["pairing", "decomp", "all"],
     )
-    def test_params_echo_the_options_given(self, capsys, argv, params):
-        code, payload, _ = run_json(capsys, "check", *argv)
+    def test_params_echo_the_options_given(self, cli_json, argv, params):
+        code, payload = cli_json("check", *argv)
         assert (code, payload["params"]) == (0, params)
 
     @pytest.mark.parametrize(
@@ -357,14 +400,24 @@ class TestCheckCommand:
         ],
         ids=["verlinde", "twisted"],
     )
-    def test_uncertifiable_cell_is_a_failed_record(self, capsys, suite, level, name):
-        # g = 400 needs 4740 bits, above the default ceiling: a failed record, not an error
-        code, payload, err = run_json(capsys, "check", suite, "--genus", "2,400", *level)
+    def test_uncertifiable_cell_is_a_failed_record(self, capsys, monkeypatch, suite, level, name):
+        # a sum that cannot be certified is a failed record, not an error
+        uncertifiable_above_genus_one(monkeypatch)
+        code, payload, err = run_json(capsys, "check", suite, "--genus", "1,400", *level)
         assert (code, err) == (1, "")
         certified, failed = payload["checks"]
-        assert (certified["name"], certified["passed"]) == (name.format(2), True)
+        assert (certified["name"], certified["passed"]) == (name.format(1), True)
         assert (failed["name"], failed["passed"]) == (name.format(400), False)
-        assert "needs at least 4740 bits, above the precision ceiling 4096 bits" in failed["details"]
+        assert failed["details"].endswith("contains no integer")
+
+    @pytest.mark.parametrize(
+        "suite, level", [("verlinde", ("--level", "40")), ("twisted", ("--p", "84"))], ids=["verlinde", "twisted"]
+    )
+    def test_high_genus_cell_certifies(self, capsys, suite, level):
+        # g = 400 needs a 4741-bit enclosure bound, past the old 4096-bit ceiling
+        code, payload, err = run_json(capsys, "check", suite, "--genus", "2,400", *level)
+        assert (code, err) == (0, "")
+        assert [c["passed"] for c in payload["checks"]] == [True, True]
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -383,12 +436,13 @@ class TestBenchmarkReferences:
                 ("spin-dims", "--genus", "2..10", "--p", "8..128"),
                 ("g", "p", "arf", "even", "odd"),
             ),
+            ("identities", ("check", "all"), ()),
         ],
-        ids=["sweep", "spin-table"],
+        ids=["sweep", "spin-table", "identities"],
     )
-    def test_workload_matches_reference(self, capsys, workload, argv, row_fields):
+    def test_workload_matches_reference(self, cli_json, workload, argv, row_fields):
         reference = json.loads((REFERENCE / f"{workload}.json").read_text())
-        code, payload, _ = run_json(capsys, *argv)
+        code, payload = cli_json(*argv)
         assert code == 0
         assert [{f: row[f] for f in row_fields} for row in payload["rows"]] == reference["rows"]
         assert [(c["name"], c["passed"]) for c in payload["checks"]] == [

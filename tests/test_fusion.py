@@ -26,7 +26,6 @@ from spinverlinde.fusion import (
     DEFAULT_PRECISION_BITS,
     CertificationError,
     CertifiedInteger,
-    PrecisionCeilingError,
     _csc_square_bounds,
     _exp_i_ball,
     _extend_power_sums,
@@ -188,17 +187,18 @@ def interval_sine(j, n, prec):
     return mpi_sin(angle, prec)
 
 
-def interval_certify(evaluate, precision_bits, label, precision_ceiling=4096):
+def interval_certify(evaluate, precision_bits, label, max_prec=4096):
     """Run ``evaluate(prec)``, doubling the precision until its raw enclosure
-    is finite with width < 1/2, and return the enclosed integer."""
+    is finite with width < 1/2, and return the enclosed integer; the cells
+    the tests give it certify well below ``max_prec``."""
     prec = precision_bits
     while True:
         lower, upper = interval_fractions(evaluate(prec))
         if lower is not None and upper is not None and upper - lower < Fraction(1, 2):
             return CertifiedInteger(math.ceil(lower), lower, upper, prec)
-        if prec >= precision_ceiling:
-            raise PrecisionCeilingError(f"{label}: not tight at {prec} bits")
-        prec = min(2 * prec, precision_ceiling)
+        if prec >= max_prec:
+            raise CertificationError(f"{label}: not tight at {prec} bits")
+        prec = min(2 * prec, max_prec)
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +539,14 @@ class TestOracles:
         assert certified.precision_bits > 128
         assert certified.value == verlinde_dim(12, 40)
 
-    def test_precision_ceiling_error(self):
-        with pytest.raises(PrecisionCeilingError):
-            verlinde_trig_oracle(12, 40, 64, 64)
-
     def test_certifies_at_parameter_envelope(self):
-        # the default ceiling must suffice out to g = 20, k = 200
+        # g = 20, k = 200 certifies within 4096 bits
         certified = verlinde_trig_oracle(20, 200)
         assert certified.precision_bits <= 4096
         assert certified.width < Fraction(1, 2)
 
-    # the probes stand in for the sum at genus 1, where the skip rule never
-    # skips, so the oracle tries every precision of its doubling sequence
+    # the probes stand in for the sums at n = 42, where the walk tries 128
+    # bits and then 256, the first doubling at or above its 138-bit stop
 
     def test_unbounded_enclosure_never_certifies(self, monkeypatch):
         tried = []
@@ -560,29 +556,63 @@ class TestOracles:
 
         # "not tight" (None) is no enclosure at any precision; it must not read as [0, 0]
         monkeypatch.setattr(fusion, "_sum_enclosure", not_tight)
-        with pytest.raises(PrecisionCeilingError, match="inf"):
-            verlinde_trig_oracle(1, 0, 128, 512)
-        assert tried == [128, 256, 512]
-        # an enclosure one unit wide at every precision never narrows below 1/2
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << bits))
-        with pytest.raises(PrecisionCeilingError, match="interval width 1.0 still"):
-            twisted_trig_oracle(1, 8, 128, 512)
+        stop = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
+        with pytest.raises(CertificationError, match=stop):
+            verlinde_trig_oracle(12, 40)
+        assert tried == [128, 256]
+        # an enclosure one unit wide at every precision never narrows below
+        # 1/2; the walk raises instead of doubling for ever
+        tried.clear()
+
+        def unit_wide(m, n, bits, alternating):
+            tried.append(bits)
+            return 0, 1 << bits
+
+        monkeypatch.setattr(fusion, "_sum_enclosure", unit_wide)
+        with pytest.raises(CertificationError, match=stop):
+            twisted_trig_oracle(12, 84, 64)
+        assert tried == [128, 256]
+        # where the enclosure is exact (m = 0) the first attempt is the last
+        tried.clear()
+        with pytest.raises(CertificationError, match="no certificate at 128 bits"):
+            verlinde_trig_oracle(1, 0)
+        assert tried == [128]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 5, 12, 40, 120])
+    def test_walk_stops_only_where_the_sum_certifies(self, g, monkeypatch):
+        # the stop rule's upper bound: at the precision where a never-tight
+        # walk gives up, the honest enclosure is narrower than 1/2, n = 2 and
+        # the odd-n twisted sums included
+        honest = fusion._sum_enclosure
+        tried = []
+
+        def not_tight(m, n, bits, alternating):
+            tried.append(bits)
+
+        monkeypatch.setattr(fusion, "_sum_enclosure", not_tight)
+        for k in (0, 1, 2, 3, 10, 40, 101):
+            for oracle, level, alternating in (
+                (verlinde_trig_oracle, k, False),
+                (twisted_trig_oracle, 2 * (k + 2), True),
+            ):
+                tried.clear()
+                with pytest.raises(CertificationError, match="no certificate at"):
+                    oracle(g, level)
+                lower, upper = honest(g - 1, k + 2, tried[-1], alternating)
+                assert 2 * (upper - lower) < 1 << tried[-1], (g, level)
 
     def test_non_finite_enclosure_triggers_doubling(self, monkeypatch):
         def probe(m, n, bits, alternating):
-            return (5 << bits, 5 << bits) if bits >= 512 else None
+            return (5 << bits, 5 << bits) if bits >= 256 else None
 
         monkeypatch.setattr(fusion, "_sum_enclosure", probe)
-        certified = verlinde_trig_oracle(1, 0, 128, 4096)
-        assert (certified.value, certified.precision_bits) == (5, 512)
+        certified = verlinde_trig_oracle(12, 40)
+        assert (certified.value, certified.precision_bits) == (5, 256)
 
     def test_enclosure_without_an_integer_is_an_error(self, monkeypatch):
         monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (1, 2))
         with pytest.raises(CertificationError, match="contains no integer"):
-            verlinde_trig_oracle(1, 0, 128, 128)
-
-    def test_ceiling_error_is_certification_error(self):
-        assert issubclass(PrecisionCeilingError, CertificationError)
+            verlinde_trig_oracle(1, 0)
 
     @pytest.mark.parametrize("g", [*range(1, 9), 24])
     def test_folded_equals_unfolded_oracle(self, g):
@@ -634,8 +664,6 @@ class TestOracles:
         assert _csc_square_bounds.cache_info().misses == 0
         with pytest.raises(ValueError):
             twisted_trig_oracle(3, 102, 32)
-        with pytest.raises(ValueError):
-            twisted_trig_oracle(3, 102, 256, 128)
 
 
 class TestRawIntervalOracle:
@@ -722,37 +750,29 @@ class TestRawIntervalOracle:
                         skipped[oracle] += 1
         assert all(skipped.values())
 
-    def test_ceiling_fails_fast_before_interval_work(self):
-        before = _csc_square_bounds.cache_info()
-        needs = r"needs at least 4740 bits, above the precision ceiling 4096"
-        with pytest.raises(PrecisionCeilingError, match=needs):
-            verlinde_trig_oracle(400, 40)
+    @pytest.mark.parametrize("g, bits", [(300, 4096), (400, 8192)])
+    def test_skip_reaches_high_genus_without_interval_work(self, g, bits, monkeypatch):
+        # bounds of 3553 and 4741 bits: the walk skips straight to the
+        # precision that certifies, with one enclosure and no other
+        honest = fusion._sum_enclosure
+        tried = []
+
+        def recording(m, n, bits, alternating):
+            tried.append(bits)
+            return honest(m, n, bits, alternating)
+
+        monkeypatch.setattr(fusion, "_sum_enclosure", recording)
         # the twisted sum at even n = 42 has the same bound
-        with pytest.raises(PrecisionCeilingError, match=needs):
-            twisted_trig_oracle(400, 84)
-        after = _csc_square_bounds.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        # a 3553-bit bound still fits under the default ceiling
-        assert verlinde_trig_oracle(300, 40).precision_bits == 4096
-        assert twisted_trig_oracle(300, 84).precision_bits == 4096
+        for oracle, level, exact in ((verlinde_trig_oracle, 40, verlinde_dim), (twisted_trig_oracle, 84, twisted_dim)):
+            tried.clear()
+            certified = oracle(g, level)
+            assert (certified.value, certified.precision_bits, tried) == (exact(g, level), bits, [bits])
 
     def test_invalid_precisions_rejected_before_the_skip(self):
         with pytest.raises(ValueError):
             verlinde_trig_oracle(400, 40, 32)
         with pytest.raises(ValueError):
-            verlinde_trig_oracle(400, 40, 256, 128)
-        with pytest.raises(ValueError):
-            twisted_trig_oracle(400, 84, 256, 128)
-
-    def test_width_past_the_float_range_is_reported(self, monkeypatch):
-        # the twisted oracle now fails fast, naming the bits it needs
-        needs = r"needs at least 1140 bits, above the precision ceiling 64"
-        with pytest.raises(PrecisionCeilingError, match=needs):
-            twisted_trig_oracle(97, 84, 64, 64)
-        # a width past any float is reported as a power of two
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << (bits + 1086)))
-        with pytest.raises(PrecisionCeilingError, match=r"interval width about 2\^1086 still"):
-            verlinde_trig_oracle(1, 0, 64, 64)
+            twisted_trig_oracle(400, 84, 63)
 
 
 PRECISIONS = [64 << i for i in range(7)]
@@ -833,8 +853,8 @@ class TestFixedPointBounds:
                     assert Fraction(lower, 1 << bits) <= exact <= Fraction(upper, 1 << bits)
 
 
-# past the default precision ceiling 4096: --precision-ceiling raises it, and
-# the series run some guard bits above the oracle's precision
+# past 4096 bits, where high-genus cells certify, and the series run some
+# guard bits above the oracle's precision
 SERIES_BITS = [1, 64, 80, 1000, 4200, 8300]
 SERIES_LEVELS = [2, 3, 4, 7, 50, 51, 1000, 2**16]
 
