@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# bound once, so that a store or a trusted constructor in a hot loop
+# skips the lookup of the attribute on ``object`` at every call
+_new = object.__new__
+_setattr = object.__setattr__
+
 
 class Value:
     """An immutable record, compared, hashed and shown by its fields.
@@ -23,10 +28,11 @@ class Value:
         cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
 
     def _store(self, **fields) -> None:
-        # object.__setattr__, not a write to __dict__, so that the instance
-        # keeps CPython's inline attribute values and its attribute loads stay fast
+        # object.__setattr__ (as _setattr), not a write to __dict__, which would
+        # materialise a per-instance dict and drop CPython's inline attribute
+        # values; the trusted constructors store the same way
         for name, value in fields.items():
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -16,7 +16,10 @@ Every case still runs, but a suite computes each distinct product once:
 the projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
-list indexed by element rather than a dict keyed by the elements.
+list indexed by element rather than a dict keyed by the elements.  The
+``heisenberg`` commutator record reads the products of central part 0 that
+the homomorphism record has made, and multiplies only where that record
+stopped at a counterexample before making them.
 """
 
 from __future__ import annotations
@@ -568,14 +571,25 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         def rep(el: HeisenbergElement) -> MonomialMatrix:
             return reps[(el.vector.bits << 2) | el.central]
 
+        dim = group.space.dimension
+        # rep(x) @ rep(y) for x, y of central part 0, at index (x mask << 2g) | y mask:
+        # the homomorphism record makes all 4^{2g} of them, both (x, y) and (y, x),
+        # and the commutator record reads them back instead of multiplying again.
+        # Where the product == rep(x * y), the store keeps that equal matrix of
+        # reps, so it holds references, not 4^{2g} more matrices.
+        products = [None] * (1 << 2 * dim)
+
         def homomorphism(case):
             # rep(x) @ rep(y) == rep(x * y) with the lookups inlined: 4^{2g+2} pairs
             x, y = case
             xy = x * y
-            return (
-                reps[(x.vector.bits << 2) | x.central] @ reps[(y.vector.bits << 2) | y.central]
-                == reps[(xy.vector.bits << 2) | xy.central]
-            )
+            v, w = x.vector.bits, y.vector.bits
+            product = reps[(v << 2) | x.central] @ reps[(w << 2) | y.central]
+            expected = reps[(xy.vector.bits << 2) | xy.central]
+            holds = product == expected
+            if not (x.central or y.central):
+                products[(v << dim) | w] = expected if holds else product
+            return holds
 
         n = 1 << g
         results.append(
@@ -590,8 +604,11 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         vector_elements = [el for el in elements if el.central == 0]
 
         def commutator(case):
+            # a product is made here only if the homomorphism record stopped before it
             x, y = case
-            xy, yx = rep(x) @ rep(y), rep(y) @ rep(x)
+            v, w = x.vector.bits, y.vector.bits
+            xy = products[(v << dim) | w] or rep(x) @ rep(y)
+            yx = products[(w << dim) | v] or rep(y) @ rep(x)
             return xy == (yx if group.space.pair(x.vector, y.vector) == 0 else -yx)
 
         results.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._value import Value
+from ._value import Value, _new, _setattr
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
 #: is permitted by default (2^12 = 4096 vectors at the cap).
@@ -43,9 +43,9 @@ class F2Vector(Value):
     @classmethod
     def _trusted(cls, bits: int, dim: int) -> "F2Vector":
         """The vector (bits, dim) without validation, for values valid by construction."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "bits", bits)
-        object.__setattr__(vector, "dim", dim)
+        vector = _new(cls)
+        _setattr(vector, "bits", bits)
+        _setattr(vector, "dim", dim)
         return vector
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
@@ -167,7 +167,9 @@ class SymplecticF2Space(Value):
         if v.dim != 2 * self.genus or w.dim != 2 * self.genus:
             self._check_member(v)
             self._check_member(w)
-        return (v.bits & self._dual_mask(w.bits)).bit_count() & 1
+        # v against the functional of w, with _dual_mask inlined
+        a_mask, bits = self._a_mask, w.bits
+        return (v.bits & (((bits & a_mask) << 1) | ((bits >> 1) & a_mask))).bit_count() & 1
 
     def _check_enumeration_cap(self) -> None:
         """Refuse anything that walks or stores all 2^{2g} vectors above the cap."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterator
 
-from ._value import Value
+from ._value import Value, _new, _setattr
 from .f2 import F2Vector, SymplecticF2Space, _a_positions_mask
 from .spin import QuadraticRefinement, _check_w2_bits, _lift_sign
 
@@ -172,10 +172,16 @@ class TwistedAlgebraElement:
         An element expressed over sigma + ell becomes the same element
         expressed over sigma; rebasing twice by the same ell is the identity.
         """
-        dual = self.spin.space.dual_bits(ell)
-        numerators = [-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(self.numerators)]
+        space = self.spin.space
+        dual = space.dual_bits(ell)
+        # signs[m] = (-1)^{<Z, ell>} for Z of mask m, doubled over the coordinates:
+        # the masks with bit j set repeat the signs below them, negated if dual has bit j
+        signs = [1]
+        for j in range(space.dimension):
+            signs += [-s for s in signs] if dual >> j & 1 else signs
+        numerators = tuple(map(mul, self.numerators, signs))
         # sign flips keep the gcd, so the result is still in lowest terms
-        return self._trusted(self.spin.shift(ell), tuple(numerators), self.denominator)
+        return self._trusted(self.spin.shift(ell), numerators, self.denominator)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -258,18 +264,27 @@ class HeisenbergElement(Value):
     @classmethod
     def _trusted(cls, central: int, vector: F2Vector) -> "HeisenbergElement":
         """The element (central, vector) without validation, for values valid by construction."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "central", central)
-        object.__setattr__(element, "vector", vector)
+        element = _new(cls)
+        _setattr(element, "central", central)
+        _setattr(element, "vector", vector)
         return element
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         v, w = self.vector, other.vector
-        if v.dim != w.dim:
+        dim = v.dim
+        if dim != w.dim:
             raise ValueError("dimension mismatch between Heisenberg elements")
-        twist = 2 * _polarized_cocycle(v, w)
-        vector = F2Vector._trusted(v.bits ^ w.bits, v.dim)
-        return HeisenbergElement._trusted((self.central + other.central + twist) & 3, vector)
+        v_bits, w_bits = v.bits, w.bits
+        # 2 c(v, w) with _polarized_cocycle inlined: ((1 << dim) - 1) // 3 is the
+        # mask of the a-positions, and the & 3 below keeps only the parity of the count
+        twist = (v_bits & (w_bits >> 1) & ((1 << dim) - 1) // 3).bit_count() << 1
+        vector = _new(F2Vector)
+        _setattr(vector, "bits", v_bits ^ w_bits)
+        _setattr(vector, "dim", dim)
+        element = _new(HeisenbergElement)
+        _setattr(element, "central", (self.central + other.central + twist) & 3)
+        _setattr(element, "vector", vector)
+        return element
 
     def inverse(self) -> "HeisenbergElement":
         # (t, v)^-1 = (-t - 2 c(v, v), v)
@@ -343,9 +358,9 @@ class MonomialMatrix(Value):
     @classmethod
     def _trusted(cls, columns: tuple[int, ...], phases: tuple[int, ...]) -> "MonomialMatrix":
         """The matrix (columns, phases) without validation, for values valid by construction."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "columns", columns)
-        object.__setattr__(matrix, "phases", phases)
+        matrix = _new(cls)
+        _setattr(matrix, "columns", columns)
+        _setattr(matrix, "phases", phases)
         return matrix
 
     @classmethod
@@ -357,10 +372,11 @@ class MonomialMatrix(Value):
         columns, phases = other.columns, other.phases
         if len(columns) != len(self.columns):
             raise ValueError(f"size mismatch: {len(self.columns)} x {len(columns)} monomial matrices")
-        return MonomialMatrix._trusted(
-            tuple([columns[c] for c in self.columns]),
-            tuple([(t + phases[c]) & 3 for c, t in zip(self.columns, self.phases)]),
-        )
+        product_columns, product_phases = [], []
+        for c, t in zip(self.columns, self.phases):
+            product_columns.append(columns[c])
+            product_phases.append((t + phases[c]) & 3)
+        return MonomialMatrix._trusted(tuple(product_columns), tuple(product_phases))
 
     def __neg__(self) -> "MonomialMatrix":
         return MonomialMatrix._trusted(self.columns, tuple([(t + 2) & 3 for t in self.phases]))

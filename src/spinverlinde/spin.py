@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._value import Value
+from ._value import Value, _new, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 
 
@@ -46,9 +46,9 @@ class QuadraticRefinement(Value):
     @classmethod
     def _trusted(cls, space: SymplecticF2Space, basis_values: int) -> "QuadraticRefinement":
         """The refinement (space, basis_values) without validation, for values valid by construction."""
-        refinement = object.__new__(cls)
-        object.__setattr__(refinement, "space", space)
-        object.__setattr__(refinement, "basis_values", basis_values)
+        refinement = _new(cls)
+        _setattr(refinement, "space", space)
+        _setattr(refinement, "basis_values", basis_values)
         return refinement
 
     def _value(self, bits: int) -> int:
@@ -64,8 +64,13 @@ class QuadraticRefinement(Value):
 
     def evaluate(self, v: F2Vector) -> int:
         """q(v) in {0, 1}."""
-        self.space._check_member(v)
-        return self._value(v.bits)
+        space = self.space
+        if v.dim != 2 * space.genus:
+            space._check_member(v)
+        # _value, inlined
+        bits = v.bits
+        linear = (self.basis_values & bits).bit_count()
+        return (linear + (bits & (bits >> 1) & space._a_mask).bit_count()) & 1
 
     __call__ = evaluate
 

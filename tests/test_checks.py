@@ -5,8 +5,8 @@ import json
 import pytest
 
 from spinverlinde import checks, cli
-from spinverlinde.f2 import EnumerationCapError, SymplecticF2Space
-from spinverlinde.heisenberg import HeisenbergElement
+from spinverlinde.f2 import EnumerationCapError, F2Vector, SymplecticF2Space
+from spinverlinde.heisenberg import HeisenbergElement, MonomialMatrix, heisenberg_rep
 from spinverlinde.spin import QuadraticRefinement
 
 # each enumerating suite, and a name its sweep calls once it has started work
@@ -151,6 +151,51 @@ class TestCountedDetails:
         assert record.details == (
             "89 pairs (x, y); first counterexample (x, y) as (t, mask) = ((1, 1), (0, 2))"
         )
+        # the homomorphism record stopped before making half the products of
+        # central part 0, so the commutator record makes those itself
+        commutator = results["heisenberg commutator pairing g=1"]
+        assert commutator.passed
+        assert commutator.details == "16 pairs (x, y) of central part 0"
+
+    def test_heisenberg_counterexample_of_a_broken_matrix_product(self, monkeypatch):
+        honest = MonomialMatrix.__matmul__
+
+        def rep(t, mask):
+            return heisenberg_rep(HeisenbergElement(t, F2Vector(mask, 2)))
+
+        # the first stops the homomorphism record at pair 17, before it has made
+        # rep(a1 + b1) @ rep(a1), which the second negates: the commutator record
+        # makes that product itself
+        negated = {(rep(1, 0), rep(0, 0)), (rep(0, 3), rep(0, 1))}
+
+        def broken(a, b):
+            product = honest(a, b)
+            return -product if (a, b) in negated else product
+
+        monkeypatch.setattr(MonomialMatrix, "__matmul__", broken)
+        results = {r.name: r for r in checks.check_heisenberg(max_genus=1)}
+        assert results["heisenberg rep is a homomorphism g=1"].details == (
+            "17 pairs (x, y); first counterexample (x, y) as (t, mask) = ((1, 0), (0, 0))"
+        )
+        commutator = results["heisenberg commutator pairing g=1"]
+        assert not commutator.passed
+        assert commutator.details == (
+            "8 pairs (x, y) of central part 0; first counterexample (x, y) as (t, mask) = ((0, 1), (0, 3))"
+        )
+
+    def test_heisenberg_commutator_reuses_the_homomorphism_products(self, monkeypatch):
+        honest = MonomialMatrix.__matmul__
+        made = []
+
+        def counted(a, b):
+            made.append(None)
+            return honest(a, b)
+
+        monkeypatch.setattr(MonomialMatrix, "__matmul__", counted)
+        results = checks.check_heisenberg(max_genus=2)
+        assert all(r.passed for r in results)
+        # one product per homomorphism pair, 4^{2g+2} at each genus, and none more
+        assert len(made) == 256 + 4096
 
 
 class TestSuiteAll:

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from spinverlinde import checks
-from spinverlinde.f2 import EnumerationCapError, SymplecticF2Space
+from spinverlinde.f2 import EnumerationCapError, F2Vector, SymplecticF2Space
 from spinverlinde.heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
     MonomialMatrix,
     TwistedAlgebraElement,
+    _polarized_cocycle,
     heisenberg_rep,
     orthogonality_check,
     projection,
@@ -50,6 +51,13 @@ def convolve_oracle(left, right):
         for m2, v2 in right.items():
             product[m1 ^ m2] = product.get(m1 ^ m2, Fraction(0)) + Fraction(v1) * Fraction(v2)
     return {mask: value for mask, value in product.items() if value}
+
+
+# literal oracle for rebase: the sign (-1)^{<Z, ell>} of each mask Z by its own popcount
+def rebase_oracle(x, ell):
+    dual = x.spin.space.dual_bits(ell)
+    numerators = [-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(x.numerators)]
+    return x.spin.shift(ell), tuple(numerators), x.denominator
 
 
 def assert_lowest_terms(x):
@@ -246,6 +254,21 @@ class TestRebase:
         for ell in space.basis():
             assert x.rebase(ell).rebase(ell) == x
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_matches_per_mask_oracle_for_every_ell(self, g):
+        space = SymplecticF2Space(g)
+        refinements = list(QuadraticRefinement.all_refinements(space))
+        # numerators of both signs, and zeros, over a denominator of 7
+        mixed = TwistedAlgebraElement(
+            refinements[-1],
+            {v.bits: Fraction((v.bits % 3 - 1) * (v.bits + 1), 7) for v in space.vectors()},
+        )
+        elements = [projection(sigma) for sigma in refinements] + [mixed]
+        for ell in space.vectors():
+            for x in elements:
+                moved = x.rebase(ell)
+                assert (moved.spin, moved.numerators, moved.denominator) == rebase_oracle(x, ell)
+
 
 class TestProjections:
     def test_coefficients_at_genus_one(self, g1):
@@ -434,6 +457,17 @@ class TestHeisenbergGroup:
         assert HeisenbergGroup(1).order == 16
         assert len(list(HeisenbergGroup(2).elements())) == 64 == HeisenbergGroup(2).order
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_product_is_the_cocycle_formula_exhaustive(self, g):
+        # (t, v)(t', w) = (t + t' + 2 sum_i a_i(v) b_i(w), v + w), read off the coordinates
+        elements = list(HeisenbergGroup(g).elements())
+        for x, y in itertools.product(elements, elements):
+            v, w = x.vector, y.vector
+            cocycle = sum(v.coordinate(2 * i) * w.coordinate(2 * i + 1) for i in range(g)) % 2
+            assert cocycle == _polarized_cocycle(v, w)
+            central = (x.central + y.central + 2 * cocycle) % 4
+            assert x * y == HeisenbergElement(central, F2Vector(v.bits ^ w.bits, 2 * g))
+
     def test_central_generator_order_four(self):
         group = HeisenbergGroup(1)
         w = group.central_generator
@@ -475,6 +509,18 @@ class TestHeisenbergRep:
                 product = dense(reps[x] @ reps[y])
                 assert product == dense_mul(dense(reps[x]), dense(reps[y]))
                 assert product == dense(reps[x * y])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_with_non_injective_columns_matches_dense_oracle(self, n):
+        # every column map, a permutation or not; every phase vector for n <= 2
+        phase_vectors = list(itertools.product(range(4), repeat=n)) if n <= 2 else [(0, 1, 2), (3, 3, 1)]
+        matrices = [
+            MonomialMatrix(columns, phases)
+            for columns in itertools.product(range(n), repeat=n)
+            for phases in phase_vectors
+        ]
+        for a, b in itertools.product(matrices, matrices):
+            assert dense(a @ b) == dense_mul(dense(a), dense(b))
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_unary_operations_and_trace_match_dense_oracle(self, g):
