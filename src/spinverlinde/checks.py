@@ -329,6 +329,9 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
 # exact dimensions against the interval oracle
 
 
+_HALF = Fraction(1, 2)
+
+
 def _oracle_record(
     name: str, series_value: int, oracle: Callable[..., CertifiedInteger], *args
 ) -> tuple[CheckResult, CertifiedInteger | None]:
@@ -338,7 +341,7 @@ def _oracle_record(
         certificate = oracle(*args)
     except CertificationError as exc:
         return CheckResult(name, False, str(exc)), None
-    passed = series_value == certificate.value and certificate.width < Fraction(1, 2)
+    passed = series_value == certificate.value and certificate.width < _HALF
     return CheckResult(name, passed, f"series {series_value}, oracle {certificate.value}"), certificate
 
 

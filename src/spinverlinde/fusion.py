@@ -37,31 +37,39 @@ csc^2(pi j / n) only for 1 <= j <= n/2, each pair j, n - j folded into one
 weight.  Per (n, Q) it encloses e^{i pi/n} in an integer ball, from
 Machin's series for pi and a Taylor series for e^{iu}, gets the later
 sines by exact integer rotation with a carried radius, and turns each
-into integer bounds lo <= 2^Q csc^2 <= hi; a bounded cache keyed by
-(n, Q) shares them between every genus and both oracles.  The m-th
-powers of lo and hi are taken with every rounding directed outward, at a
-scale fine enough that the roundings hardly widen the enclosure; the
-weighted sums are exact, and one outward rounding brings them to scale
-2^Q.  At odd n the twisted sum is exactly 0 and needs no bounds.  One walk,
-``_certified_sum``, serves both oracles: it skips every precision that
-cannot certify, judged by a float lower bound on the enclosure's width,
-and stops at the precision where a matching upper bound proves the
-enclosure narrow enough, so it neither caps a valid cell nor loops
-forever.  The package needs nothing beyond
-the standard library; the tests keep the mpmath interval sums (folded,
-and unfolded with a sine for every j < n) as the oracle's own oracles,
-and mpmath's pi and cos/sin as those of the two series.
+into integer bounds lo <= 2^Q csc^2 <= hi.  A power row holds the m-th
+powers of every lo and hi at one (n, Q), rounded outward at a scale fine
+enough that the roundings hardly widen the enclosure; it is the row of
+m >> 1 squared, times lo and hi if m is odd, so the genera of a level
+share the rows of their prefixes.  The weighted sums are exact, and one
+outward rounding brings them to scale 2^Q.  At odd n the twisted sum is
+exactly 0 and needs no bounds.  Bounded caches share the work between
+every genus and both oracles (sizes by sys.getsizeof): the pi balls by
+precision (32 entries of two integers), the bounds by (n, Q) (256; 5.3 KB
+at n = 50, Q = 512, and 0.58 MB at n = 1000, Q = 4096), the fold weights
+by n (64; 4-8 KB at n = 1000) and the rows asked for by (n, Q, m) (64;
+3.9 KB at n = 50, Q = 256, m = 7, and 4.7 MB at (g, k) = (1000, 1000),
+Q = 32768).  One walk, ``_certified_sum``, serves both oracles: it skips
+every precision that cannot certify, judged by a float lower bound on the
+enclosure's width, and stops at the precision where a matching upper bound
+proves the enclosure narrow enough, so it neither caps a valid cell nor
+loops forever.  The package needs nothing beyond the standard library; the
+tests keep the mpmath interval sums (folded, and unfolded with a sine for
+every j < n) as the oracle's own oracles, and mpmath's pi and cos/sin as
+those of the two series.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from ._value import Value
+from ._value import Value, _new, _setattr
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -201,7 +209,8 @@ def twisted_dim(g: int, p: int) -> int:
 
 
 class CertifiedInteger(Value):
-    """An integer together with the interval enclosure that certifies it."""
+    """An integer together with the interval enclosure that certifies it; the
+    ``width`` upper - lower is worked out once, and is not a field."""
 
     value: int
     lower: Fraction
@@ -211,11 +220,19 @@ class CertifiedInteger(Value):
     def __init__(self, value: int, lower: Fraction, upper: Fraction, precision_bits: int) -> None:
         if not lower <= value <= upper:
             raise ValueError(f"certificate violated: {value} outside [{lower}, {upper}]")
-        self._store(value=value, lower=lower, upper=upper, precision_bits=precision_bits)
+        self._store(value=value, lower=lower, upper=upper, precision_bits=precision_bits, width=upper - lower)
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
+    @classmethod
+    def _at_scale(cls, value: int, lower: int, upper: int, bits: int) -> "CertifiedInteger":
+        """The certificate of [lower, upper] 2^-bits, unvalidated: the caller
+        has checked lower <= value 2^bits <= upper in integers."""
+        certificate, scale = _new(cls), 1 << bits
+        _setattr(certificate, "value", value)
+        _setattr(certificate, "lower", Fraction(lower, scale))
+        _setattr(certificate, "upper", Fraction(upper, scale))
+        _setattr(certificate, "precision_bits", bits)
+        _setattr(certificate, "width", Fraction(upper - lower, scale))
+        return certificate
 
     def __int__(self) -> int:
         return self.value
@@ -228,6 +245,7 @@ _FINE_BITS = 16
 _ROUNDING = 3 << (_FINE_BITS - 1)
 
 
+@lru_cache(maxsize=32)
 def _pi_ball(bits: int) -> tuple[int, int]:
     """(p, r) with |2^bits pi - p| < r, from Machin's pi = 16 atan(1/5) - 4 atan(1/239).
 
@@ -339,16 +357,12 @@ def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=256)
-def _csc_square_bounds(n: int, bits: int) -> tuple | None:
-    """((weight, lo, hi) for 1 <= j <= n/2), lo 2^-bits <= csc^2(pi j / n) <= hi 2^-bits.
+def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(los, his), lo 2^-bits <= csc^2(pi j / n) <= hi 2^-bits at index j - 1 for 1 <= j <= n/2.
 
-    Fold.  csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one
-    term of weight 2; the middle j = n/2 of an even n is its own mirror,
-    weight 1.  Summing weight * csc2^m over the result gives p_m(n) with
-    half the sines.
-
-    Bounds.  With the sine balls (y, rho) of ``_sine_balls`` at scale 2^W,
-    W = bits + guard, and csc^2 = 1 / sin^2 decreasing in sin > 0,
+    These are the folded terms (``_signed_weights``).  With the sine
+    balls (y, rho) of ``_sine_balls`` at scale 2^W, W = bits + guard, and
+    csc^2 = 1 / sin^2 decreasing in sin > 0,
     lo = floor(2^(2W + bits) / (y + rho)^2) and
     hi = ceil(2^(2W + bits) / (y - rho)^2).  If some y <= rho the ball may
     reach 0 and the result is None ("not tight").  As rho > 0, every term
@@ -361,73 +375,105 @@ def _csc_square_bounds(n: int, bits: int) -> tuple | None:
     <= 1.5 n^3 2^(bits - W) / j^2.  The guard 3b + 2, with
     b = n.bit_length() so that n < 2^b, makes it at most 3/8: hi - lo <= 2
     at every precision.
-
-    The cache keeps the bounds of a few hundred (n, bits) pairs, so every
-    genus of a level sweep and both oracles at one n reuse them; a
-    different precision never reuses another's.  An entry holds n/2
-    triples of (bits + 2 log2 n)-bit integers: 7.3 KB at n = 50, 512 bits,
-    and 0.62 MB at n = 1000, 4096 bits (sys.getsizeof of the tuples and
-    their integers).
     """
     scale_bits = bits + 3 * n.bit_length() + 2
     top = 1 << (2 * scale_bits + bits)
-    bounds = []
-    for j, (y, rho) in enumerate(_sine_balls(n, scale_bits), start=1):
+    los, his = [], []
+    for y, rho in _sine_balls(n, scale_bits):
         if y <= rho:
             return None
-        bounds.append((1 if 2 * j == n else 2, top // (y + rho) ** 2, -(-top // (y - rho) ** 2)))
-    return tuple(bounds)
+        los.append(top // (y + rho) ** 2)
+        his.append(-(-top // (y - rho) ** 2))
+    return tuple(los), tuple(his)
 
 
-def _scaled_power(x: int, m: int, bits: int, up: bool) -> int:
-    """(x 2^-bits)^m at scale 2^bits, for x >= 0, with every product rounded
-    down, or up if ``up``.
+@lru_cache(maxsize=64)
+def _signed_weights(n: int, alternating: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(plus, minus), the folded terms' weights for 1 <= j <= n/2: the
+    positive ones, and the magnitudes of the negative ones (0 elsewhere).
 
-    A product of non-negative numbers increases with each factor, so the
-    chain rounded down stays at or below x^m 2^(-bits (m-1)) and the chain
-    rounded up at or above it.
+    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
+    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
+    Summing weight * csc2^m over them gives p_m(n) with half the sines.  In
+    the alternating sum, at even n (see ``twisted_trig_oracle``), a term
+    keeps the sign (-1)^{j+1} of j; the plain sum's minus is empty.
     """
-    result = 1 << bits
-    for bit in bin(m)[2:]:
-        result *= result
-        result = -(-result >> bits) if up else result >> bits
-        if bit == "1":
-            result *= x
-            result = -(-result >> bits) if up else result >> bits
-    return result
+    weights = [1 if 2 * j == n else 2 for j in range(1, n // 2 + 1)]
+    plus, minus = weights[:], [0] * len(weights) if alternating else []
+    if alternating:
+        plus[1::2], minus[1::2] = minus[1::2], weights[1::2]
+    return tuple(plus), tuple(minus)
+
+
+# (n, bits, m) -> the power row, least recently used first; the lock makes
+# each look-up, and each eviction with its insertion, one step
+_power_rows: OrderedDict[tuple[int, int, int], tuple[list[int], list[int]]] = OrderedDict()
+_power_rows_lock = threading.Lock()
+_POWER_ROWS_MAXSIZE = 64
+
+
+def _power_row(n: int, bits: int, m: int, bounds: tuple) -> tuple[list[int], list[int]]:
+    """The power row (lows, highs) of m at (n, bits): the m-th powers of the
+    los and his of ``bounds = _csc_square_bounds(n, bits)`` at scale 2^F,
+    F = bits + 2b + 4, b = n.bit_length(), each product rounded at once,
+    down in lows and up in highs.  The row of m is the row of m >> 1
+    squared, times lo (hi) if m is odd, and the row of 0 is 2^F: the
+    left-to-right binary power of lo 2^(F - bits).  As a product of
+    non-negative numbers increases with each factor, lows stay at or below
+    lo^m 2^(F - m bits) and highs at or above hi^m 2^(F - m bits).  A row is
+    walked from the longest prefix m >> s of m that is kept; only the 64
+    rows last asked for are.
+    """
+    key, shift = (n, bits, m), 0
+    with _power_rows_lock:
+        row = _power_rows.pop(key, None)
+        while row is None and m >> shift:
+            shift += 1
+            row = _power_rows.get((n, bits, m >> shift))
+    fine_bits = bits + 2 * n.bit_length() + 4
+    low, high = row or ([1 << fine_bits] * (n // 2),) * 2
+    los, his = bounds
+    for shift in range(shift - 1, -1, -1):
+        # -(-a >> k) is a 2^-k rounded up; x * x, not -x * x, squares faster
+        if m >> shift & 1:
+            low = [(x * x >> fine_bits) * lo >> bits for x, lo in zip(low, los)]
+            high = [-((-(x * x) >> fine_bits) * hi >> bits) for x, hi in zip(high, his)]
+        else:
+            low = [x * x >> fine_bits for x in low]
+            high = [-(-(x * x) >> fine_bits) for x in high]
+    with _power_rows_lock:
+        if len(_power_rows) >= _POWER_ROWS_MAXSIZE:
+            _power_rows.popitem(last=False)
+        _power_rows[key] = low, high
+    return low, high
 
 
 def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, int] | None:
     """(L, U) with L 2^-bits <= (n/2)^m sum_{j=1}^{n-1} s_j csc^{2m}(pi j / n) <= U 2^-bits,
     or None if not tight; s_j = (-1)^{j+1} if ``alternating``, else 1.
 
-    The alternating sum is exactly 0 at odd n (see ``twisted_trig_oracle``),
-    and at even n a folded term's signed weight is -weight at even j.
-    2^F csc^{2m} lies between the powers of lo and hi rounded down and up
-    (``_scaled_power``) at the finer scale 2^F, F = bits + 2b + 4 with
+    The alternating sum is exactly 0 at odd n (see ``twisted_trig_oracle``).
+    2^F csc^{2m} lies between the rounded powers of lo and hi in the power
+    row of m (``_power_row``) at the finer scale 2^F, F = bits + 2b + 4 with
     b = n.bit_length().  As csc^2 >= 1, a rounding there moves a value by a
     relative 2^-F at most, while lo and hi are a relative
     1 / lo > 2^-(bits + 2b - 2) apart (csc^2(pi j / n) <= n^2 / 4), so the
     roundings hardly widen the enclosure.  A positive term is lowest at
     lo^m and highest at hi^m, a negative one the other way round, and the
-    weighted sums are exact.  With (n/2)^m = n^m 2^-m, one outward rounding
-    takes n^m times the sums to scale 2^bits.
+    weighted sums over the fold (``_signed_weights``) are exact.  With
+    (n/2)^m = n^m 2^-m, one outward rounding takes n^m times the sums to
+    scale 2^bits.
     """
     if alternating and n % 2:
         return 0, 0
     bounds = _csc_square_bounds(n, bits)
     if bounds is None:
         return None
-    fine_bits = bits + 2 * n.bit_length() + 4
-    lower = upper = 0
-    for j, (weight, lo, hi) in enumerate(bounds, start=1):
-        if alternating and j % 2 == 0:
-            weight = -weight
-        low = _scaled_power(lo << (fine_bits - bits), m, fine_bits, up=False)
-        high = _scaled_power(hi << (fine_bits - bits), m, fine_bits, up=True)
-        lower += weight * (low if weight > 0 else high)
-        upper += weight * (high if weight > 0 else low)
-    shift = m + fine_bits - bits
+    plus, minus = _signed_weights(n, alternating)
+    low, high = _power_row(n, bits, m, bounds)
+    lower = sum(map(mul, plus, low)) - sum(map(mul, minus, high))
+    upper = sum(map(mul, plus, high)) - sum(map(mul, minus, low))
+    shift = m + 2 * n.bit_length() + 4
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
@@ -457,10 +503,10 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     above S fails to certify, which only a wrong proof allows, and it ends.
     Proof, for m >= 1.  Let X = hi 2^-Q and Y = lo 2^-Q for one term.  As
     lo <= 2^Q csc^2 <= hi, hi - lo <= 2 and 1 <= csc^2 <= c:
-    X >= 1, Y >= 1 - 2^(1-Q) and X <= c (1 + 2^(1-Q)).  In ``_scaled_power``
-    at F = Q + 2b + 4 bits, a rounding moves a value v by at most one unit,
-    a relative 1/v, with v >= 2^F in the upper chain and v > 2^(F-1) in the
-    lower one (below).  A square doubles the relative error so far and a
+    X >= 1, Y >= 1 - 2^(1-Q) and X <= c (1 + 2^(1-Q)).  In a power row
+    (``_power_row``) at F = Q + 2b + 4 bits, a rounding moves a value v by
+    at most one unit, a relative 1/v, with v >= 2^F in the upper chain and
+    v > 2^(F-1) in the lower one (below).  A square doubles the relative error so far and a
     product keeps it, and the first square and product are exact, so by
     induction over the bits of m the error compounds at most 2m - 1
     roundings:
@@ -494,13 +540,15 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
         if skip <= bits + 1:
             enclosure = _sum_enclosure(m, n, bits, alternating)
             if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
-                lower, upper = Fraction(enclosure[0], 1 << bits), Fraction(enclosure[1], 1 << bits)
-                candidate = math.ceil(lower)
-                if candidate > upper:
+                lower, upper = enclosure
+                candidate = -(-lower >> bits)
+                if candidate << bits > upper:
+                    # hexadecimal, which neither overflows a float nor meets
+                    # the limit on the decimal digits of an int
                     raise CertificationError(
-                        f"{label}: enclosure [{float(lower)}, {float(upper)}] contains no integer"
+                        f"{label}: enclosure [{lower:#x}, {upper:#x}] * 2^-{bits} contains no integer"
                     )
-                return CertifiedInteger(candidate, lower, upper, bits)
+                return CertifiedInteger._at_scale(candidate, lower, upper, bits)
             if bits >= stop:
                 raise CertificationError(
                     f"{label}: no certificate at {bits} bits, though the enclosure "

@@ -31,6 +31,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def cold_caches():
+    """Start the test with every cache of ``spinverlinde.fusion`` empty, so
+    that what it measures is measured cold: each ``lru_cache`` of the module,
+    whatever its name, and the power rows."""
+    from spinverlinde import fusion
+
+    for value in vars(fusion).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    fusion._power_rows.clear()
+
+
 @pytest.fixture(scope="session")
 def cli_json():
     """Run ``spinverlinde <argv> --format json`` in process, once per argv for

@@ -17,8 +17,6 @@ from spinverlinde.dimensions import (
 )
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import (
-    _csc_square_bounds,
-    _power_sum_table,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -43,16 +41,8 @@ GRID_GENERA = (2, 3, 4, 5)
 GRID_LEVELS = (8, 16, 24, 32)
 
 
-def _cold_caches():
-    verlinde_dim.cache_clear()
-    twisted_dim.cache_clear()
-    _csc_square_bounds.cache_clear()
-    _power_sum_table.cache_clear()
-
-
-def test_criterion_01_verlinde_values():
+def test_criterion_01_verlinde_values(cold_caches):
     with criterion(1, "Verlinde values: genus-1 sweep k<=64 and genus-2 cells, trace = oracle, <1s"):
-        _cold_caches()
         start = time.perf_counter()
         for k in range(65):
             assert verlinde_dim(1, k) == k + 1
@@ -66,9 +56,8 @@ def test_criterion_01_verlinde_values():
         assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
 
 
-def test_criterion_02_twisted_values():
+def test_criterion_02_twisted_values(cold_caches):
     with criterion(2, "twisted values (2,8)=6 (3,8)=28 (1,8)=1, trace = oracle, <1s"):
-        _cold_caches()
         start = time.perf_counter()
         for g, p, expected in ((2, 8, 6), (3, 8, 28), (1, 8, 1)):
             assert twisted_dim(g, p) == expected
@@ -79,7 +68,7 @@ def test_criterion_02_twisted_values():
         assert elapsed < 1.0, f"criterion 2 took {elapsed:.2f}s"
 
 
-def test_criterion_03_bm_spin_dimensions():
+def test_criterion_03_bm_spin_dimensions(cold_caches):
     with criterion(3, "graded spin dimensions at (g=2, p=8) and (g=2, p=16), exact"):
         assert (bm_even_dim(2, 8, 0), bm_odd_dim(2, 8, 0)) == (1, 0)
         assert (bm_even_dim(2, 8, 1), bm_odd_dim(2, 8, 1)) == (0, 1)

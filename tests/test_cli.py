@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -162,11 +163,9 @@ class TestVerlindeCommand:
             if limited:
                 sys.set_int_max_str_digits(before)
 
-    def test_sweep_builds_each_power_sum_table_once(self, capsys):
+    def test_sweep_builds_each_power_sum_table_once(self, capsys, cold_caches):
         # 130 levels are more distinct n than the 128 tables the cache holds, so
         # a genus-major evaluation would evict every table before the next genus
-        fusion.verlinde_dim.cache_clear()
-        fusion._power_sum_table.cache_clear()
         code, out, _ = run_cli(capsys, "verlinde", "--genus", "1..2", "--level", "0..129", "--format", "json")
         assert code == 0
         assert fusion._power_sum_table.cache_info().misses == 130
@@ -211,6 +210,20 @@ class TestVerlindeCommand:
         certified, failed = csv.DictReader(io.StringIO(out))
         assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == ("0.0", "128")
         assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == ("", "")
+
+    def test_enclosure_beyond_the_float_range_is_a_failed_record(self, capsys, monkeypatch):
+        # an enclosure without an integer near 2^1200, past the largest float
+        monkeypatch.setattr(
+            fusion, "_sum_enclosure", lambda m, n, bits, alternating: ((2**1200 << bits) + 1, (2**1200 << bits) + 2)
+        )
+        code, payload, err = run_json(capsys, "verlinde", "--genus", "5", "--level", "10")
+        assert (code, err) == (1, "")
+        (row,) = payload["rows"]
+        assert (row["dim"], row["oracle_interval_width"], row["oracle_precision_bits"]) == (129443600, None, None)
+        (check,) = payload["checks"]
+        assert check["passed"] is False
+        assert check["details"].startswith("verlinde(g=5, k=10): enclosure [0x1000")
+        assert check["details"].endswith("2] * 2^-128 contains no integer")
 
 
 @pytest.mark.parametrize("command", ["verlinde", "spin-dims", "check"])
@@ -448,6 +461,18 @@ class TestBenchmarkReferences:
         assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
             (c["name"], c["passed"]) for c in reference["checks"]
         ]
+
+
+    def test_sweep_certificates_are_pinned(self, cli_json):
+        # the width and precision of every sweep certificate, as the oracle of
+        # fusion.py before its power rows gave them; the reference holds no
+        # certificates, so the digest stands for them
+        code, payload = cli_json("verlinde", "--genus", "2..8,24", "--level", "0..48")
+        assert code == 0
+        certificates = [[r["g"], r["k"], r["oracle_interval_width"], r["oracle_precision_bits"]] for r in payload["rows"]]
+        assert len(certificates) == 392
+        digest = hashlib.sha256(json.dumps(certificates).encode()).hexdigest()
+        assert digest == "06356aab1f78344100a7ffa934f4b8b43c438b5b4d1446d94044119a8f434a4b"
 
 
 class TestLevelsCommand:

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import OrderedDict
 import sys
 import threading
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,11 @@ from spinverlinde.fusion import (
     _exp_i_ball,
     _extend_power_sums,
     _pi_ball,
+    _power_row,
     _power_sum_table,
     _PowerSumTable,
     _scaled_power_sum,
-    _scaled_power,
+    _signed_weights,
     _sine_balls,
     _sum_enclosure,
     _unit_root_ball,
@@ -147,11 +149,51 @@ def table_power_sum(m, n):
     return Fraction(_scaled_power_sum(m, n), (n if n % 2 else 2 * n) ** m)
 
 
-def cold_caches():
-    verlinde_dim.cache_clear()
-    twisted_dim.cache_clear()
-    _power_sum_table.cache_clear()
-    _csc_square_bounds.cache_clear()
+# ---------------------------------------------------------------------------
+# per-term rounded powers: the oracle's sums before its power rows, with a
+# binary powering chain for each bound of each folded term
+
+
+def scaled_power(x, m, bits, up):
+    """(x 2^-bits)^m at scale 2^bits, for x >= 0, with every product rounded
+    down, or up if ``up``."""
+    result = 1 << bits
+    for bit in bin(m)[2:]:
+        result *= result
+        result = -(-result >> bits) if up else result >> bits
+        if bit == "1":
+            result *= x
+            result = -(-result >> bits) if up else result >> bits
+    return result
+
+
+@lru_cache(maxsize=1)
+def per_term_powers(m, n, bits, fine_bits):
+    """[(low, high)]: each folded term's rounded powers, one chain each; the
+    last call is kept, for the other sum."""
+    shift = fine_bits - bits
+    return [
+        (scaled_power(lo << shift, m, fine_bits, up=False), scaled_power(hi << shift, m, fine_bits, up=True))
+        for lo, hi in zip(*_csc_square_bounds(n, bits))
+    ]
+
+
+def per_term_sum_enclosure(m, n, bits, alternating):
+    """``_sum_enclosure`` from the same bounds, folded here, one chain per power."""
+    if alternating and n % 2:
+        return 0, 0
+    if _csc_square_bounds(n, bits) is None:
+        return None
+    fine_bits = bits + 2 * n.bit_length() + 4
+    lower = upper = 0
+    for j, (low, high) in enumerate(per_term_powers(m, n, bits, fine_bits), start=1):
+        weight = 1 if 2 * j == n else 2
+        if alternating and j % 2 == 0:
+            weight = -weight
+        lower += weight * (low if weight > 0 else high)
+        upper += weight * (high if weight > 0 else low)
+    shift = m + fine_bits - bits
+    return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +478,7 @@ class TestPowerSumTable:
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
 
-    def test_table_shared_by_every_genus(self):
-        cold_caches()
+    def test_table_shared_by_every_genus(self, cold_caches):
         for g in range(1, 30):
             verlinde_dim(g, 40)
         info = _power_sum_table.cache_info()
@@ -456,8 +497,7 @@ class TestPowerSumTable:
 class TestHighGenus:
     """Genera well past the sweep grid, cold, against the oracles."""
 
-    def test_high_genus_cold_within_budget(self):
-        cold_caches()
+    def test_high_genus_cold_within_budget(self, cold_caches):
         start = time.perf_counter()
         values = {g: verlinde_dim(g, 100) for g in range(1, 201)}
         values[400] = verlinde_dim(400, 100)
@@ -611,8 +651,18 @@ class TestOracles:
 
     def test_enclosure_without_an_integer_is_an_error(self, monkeypatch):
         monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (1, 2))
-        with pytest.raises(CertificationError, match="contains no integer"):
+        with pytest.raises(CertificationError, match=r"\[0x1, 0x2\] \* 2\^-128 contains no integer"):
             verlinde_trig_oracle(1, 0)
+
+    def test_enclosure_beyond_the_float_range_is_reported(self, monkeypatch):
+        # about 2^1200, past the largest float; the message must not overflow
+        monkeypatch.setattr(
+            fusion, "_sum_enclosure", lambda m, n, bits, alternating: ((2**1200 << bits) + 1, (2**1200 << bits) + 2)
+        )
+        with pytest.raises(CertificationError) as info:
+            verlinde_trig_oracle(5, 10)
+        lower, upper = hex((2**1200 << 128) + 1), hex((2**1200 << 128) + 2)
+        assert str(info.value) == f"verlinde(g=5, k=10): enclosure [{lower}, {upper}] * 2^-128 contains no integer"
 
     @pytest.mark.parametrize("g", [*range(1, 9), 24])
     def test_folded_equals_unfolded_oracle(self, g):
@@ -628,9 +678,14 @@ class TestOracles:
 
     def test_fold_covers_each_term_once(self):
         for n in range(2, 40):
-            bounds = _csc_square_bounds(n, 128)
-            assert len(bounds) == n // 2
-            assert sum(weight for weight, _, _ in bounds) == n - 1
+            los, his = _csc_square_bounds(n, 128)
+            assert len(los) == len(his) == n // 2
+            weights, minus = _signed_weights(n, False)
+            assert (len(weights), sum(weights), minus) == (n // 2, n - 1, ())
+            # the alternating sum keeps the sign of j on each folded term
+            plus, minus = _signed_weights(n, True)
+            assert [p - q for p, q in zip(plus, minus)] == [(-1) ** (j + 1) * w for j, w in enumerate(weights, 1)]
+            assert all(p * q == 0 for p, q in zip(plus, minus))
 
     def test_enclosures_not_reused_across_precisions(self):
         assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128
@@ -640,11 +695,28 @@ class TestOracles:
         coarse = _csc_square_bounds(12, 128)
         fine = _csc_square_bounds(12, 256)
         # (hi - lo) 2^-256 < (hi - lo) 2^-128, term by term
-        assert all(fh - fl < (ch - cl) << 128 for (_, cl, ch), (_, fl, fh) in zip(coarse, fine))
+        assert all(fh - fl < (ch - cl) << 128 for (cl, ch), (fl, fh) in zip(zip(*coarse), zip(*fine)))
 
-    def test_caches_are_bounded(self):
-        assert _csc_square_bounds.cache_info().maxsize == 256
-        assert _power_sum_table.cache_info().maxsize is not None
+    def test_caches_are_bounded(self, cold_caches):
+        # every cache of the module, empty after the cold-cache fixture; only
+        # the value caches, one integer per cell, are unbounded
+        caches = {name: value for name, value in vars(fusion).items() if hasattr(value, "cache_info")}
+        assert {name: cache.cache_info()[2:] for name, cache in caches.items()} == {
+            "verlinde_dim": (None, 0),
+            "twisted_dim": (None, 0),
+            "_power_sum_table": (128, 0),
+            "_pi_ball": (32, 0),
+            "_csc_square_bounds": (256, 0),
+            "_signed_weights": (64, 0),
+        }
+        assert len(fusion._power_rows) == 0
+        # the power rows keep the 64 most recently used of 78 or more
+        for k in range(12):
+            for g in range(2, k + 3):
+                assert verlinde_trig_oracle(g, k).value == verlinde_dim(g, k)
+        assert fusion._POWER_ROWS_MAXSIZE == len(fusion._power_rows) == 64
+        n, _, m = next(reversed(fusion._power_rows))
+        assert (n, m) == (13, 12)
 
     def test_genus_one_oracle_is_exact(self):
         # csc2^0 = 1 exactly, so the sum of the fold weights is exact
@@ -655,13 +727,13 @@ class TestOracles:
         with pytest.raises(ValueError):
             verlinde_trig_oracle(2, 2, 32)
 
-    def test_twisted_oracle_at_odd_n_builds_no_bounds(self):
+    def test_twisted_oracle_at_odd_n_builds_no_bounds(self, cold_caches):
         # at odd n = p/2 every folded pair cancels, so the sum is exactly 0
-        cold_caches()
         for g, p, bits in ((1, 6, 128), (3, 102, 128), (2, 10, 256), (400, 806, 64)):
             certified = twisted_trig_oracle(g, p, bits)
             assert (certified.value, certified.width, certified.precision_bits) == (0, 0, bits)
         assert _csc_square_bounds.cache_info().misses == 0
+        assert len(fusion._power_rows) == 0
         with pytest.raises(ValueError):
             twisted_trig_oracle(3, 102, 32)
 
@@ -676,8 +748,8 @@ class TestRawIntervalOracle:
         for n in range(2, 41):
             bounds = _csc_square_bounds(n, prec)
             reference = interval_csc_squares(n, 2 * prec + 64)
-            assert [weight for weight, _, _ in bounds] == [weight for weight, _ in reference]
-            for (_, lo, hi), (_, csc2) in zip(bounds, reference):
+            assert list(_signed_weights(n, False)[0]) == [weight for weight, _ in reference]
+            for lo, hi, (_, csc2) in zip(*bounds, reference):
                 ref_lo, ref_hi = interval_fractions(csc2)
                 assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale)
 
@@ -805,12 +877,12 @@ class TestFixedPointBounds:
     )
     def test_sampled_bounds_contain_libmpi_enclosures(self, case, data):
         n, bits = case
-        bounds = _csc_square_bounds.__wrapped__(n, bits)
-        assert all(0 < hi - lo <= 2 for _, lo, hi in bounds)
+        los, his = _csc_square_bounds.__wrapped__(n, bits)
+        assert all(0 < hi - lo <= 2 for lo, hi in zip(los, his))
         prec = 2 * bits + 64
         scale = 1 << bits
         for j in data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6)):
-            _, lo, hi = bounds[j - 1]
+            lo, hi = los[j - 1], his[j - 1]
             ref_lo, ref_hi = interval_fractions(mpi_pow_int(interval_sine(j, n, prec), -2, prec))
             assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale), (n, j, bits)
 
@@ -818,37 +890,86 @@ class TestFixedPointBounds:
     def test_guard_keeps_the_largest_levels_tight(self, n):
         # the guard's bound on hi - lo does not depend on the precision, so the
         # cheapest one shows it
-        assert max(hi - lo for _, lo, hi in _csc_square_bounds.__wrapped__(n, 64)) <= 2
+        assert max(hi - lo for lo, hi in zip(*_csc_square_bounds.__wrapped__(n, 64))) <= 2
 
-    def test_rounded_powers_bracket_the_exact_power(self):
+    def test_rounded_powers_bracket_the_exact_power(self, monkeypatch):
+        # the power rows of the one term x at n = 3 and 64 bits, walked at
+        # 72 bits, are the chains; they are kept apart from the real rows
+        rows = OrderedDict()
+        monkeypatch.setattr(fusion, "_power_rows", rows)
         for x in (0, 1, 2**64 - 1, 2**64, 3 * 2**70 + 12345, 7**40):
+            rows.clear()
             for m in range(0, 40):
                 exact = Fraction(x**m, 2 ** (64 * (m - 1))) if m else Fraction(2**64)
-                low = _scaled_power(x, m, 64, up=False)
-                high = _scaled_power(x, m, 64, up=True)
+                low = scaled_power(x, m, 64, up=False)
+                high = scaled_power(x, m, 64, up=True)
                 assert low <= exact <= high
                 # a rounding costs one unit, scaled by the later factors' size
                 assert high - low <= 2 * m * (1 + (high >> 64))
+                chains = [scaled_power(x << 8, m, 72, up=False)], [scaled_power(x << 8, m, 72, up=True)]
+                assert _power_row(3, 64, m, ((x,), (x,))) == chains
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
+    def test_power_rows_equal_the_per_term_chains(self, n, cold_caches):
+        # in a shuffled order of m, rows walk from kept prefixes of every
+        # length, and from m = 0
+        for bits in (64, 128, 512):
+            order = list(range(65))
+            random.Random(bits + n).shuffle(order)
+            for m in order:
+                for alternating in (False, True):
+                    expected = per_term_sum_enclosure(m, n, bits, alternating)
+                    assert _sum_enclosure(m, n, bits, alternating) == expected, (m, bits, alternating)
+
+    def test_concurrent_rows_stay_exact_and_bounded(self, cold_caches):
+        # 120 rows at three levels, more than the cache keeps, asked for by
+        # eight threads in their own orders
+        cases = [(m, n) for n in (12, 13, 50) for m in range(40)]
+        expected = {case: per_term_sum_enclosure(*case, 128, False) for case in cases}
+        bad = []
+
+        def worker(seed):
+            order = cases[:]
+            random.Random(seed).shuffle(order)
+            for m, n in order:
+                if _sum_enclosure(m, n, 128, False) != expected[m, n]:
+                    bad.append((m, n))
+                if len(fusion._power_rows) > fusion._POWER_ROWS_MAXSIZE:
+                    bad.append(("size", len(fusion._power_rows)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
 
     @pytest.mark.parametrize("large", [False, True])
     def test_sum_roundings_are_outward(self, monkeypatch, large):
         # point bounds lo = hi leave only the roundings of the powers and of
-        # the prefactor, which must still enclose the exact sum
+        # the prefactor, which must still enclose the exact sum; the power
+        # rows of these bounds are kept apart from the real ones
+        monkeypatch.setattr(fusion, "_power_rows", OrderedDict())
         bits = 64
         for n in (3, 4, 7, 12):
-            values = [
+            values = tuple(
                 ((2 * j + 3) ** 3 << bits) + 1 if large else (1 << bits) + (2 * j + 1) * 12345
                 for j in range(1, n // 2 + 1)
-            ]
-            points = tuple((1 if 2 * j == n else 2, x, x) for j, x in enumerate(values, start=1))
-            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n_, bits_: points)
+            )
+            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n_, bits_: (values, values))
             for m in (1, 2, 5, 9):
                 for alternating in (False, True):
                     lower, upper = _sum_enclosure(m, n, bits, alternating)
                     sign = [(-1) ** (j + 1) if alternating else 1 for j in range(n)]
                     exact = Fraction(n, 2) ** m * sum(
-                        (sign[j] + (weight - 1) * sign[n - j]) * Fraction(x, 1 << bits) ** m
-                        for j, (weight, x, _) in enumerate(points, start=1)
+                        (sign[j] + (2 * j != n) * sign[n - j]) * Fraction(x, 1 << bits) ** m
+                        for j, x in enumerate(values, start=1)
                     )
                     assert Fraction(lower, 1 << bits) <= exact <= Fraction(upper, 1 << bits)
 

@@ -1,10 +1,11 @@
 """Values built by the trusted constructors against their validated rebuilds.
 
 The inner loops of f2, spin and heisenberg build vectors, refinements,
-Heisenberg elements, monomial matrices and twisted-algebra elements
-without re-running the public validation.  Exhaustively at g <= 2, every
-such value must equal the value the public constructor builds from the same
-fields: equal under ==, with equal hash, and with the same attributes.
+Heisenberg elements, monomial matrices and twisted-algebra elements, and
+the oracle of fusion its certificates, without re-running the public
+validation.  Exhaustively at g <= 2, every such value must equal the value
+the public constructor builds from the same fields: equal under ==, with
+equal hash, and with the same attributes.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from spinverlinde.f2 import F2Vector, SymplecticF2Space
+from spinverlinde.fusion import CertifiedInteger, twisted_trig_oracle, verlinde_trig_oracle
 from spinverlinde.heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -37,6 +39,8 @@ def rebuilt(value):
         return HeisenbergElement(value.central, rebuilt(value.vector))
     if isinstance(value, MonomialMatrix):
         return MonomialMatrix(value.columns, value.phases)
+    if isinstance(value, CertifiedInteger):
+        return CertifiedInteger(value.value, value.lower, value.upper, value.precision_bits)
     raise TypeError(type(value).__name__)
 
 
@@ -183,3 +187,19 @@ def test_trace_functional_checks_w2_only_with_a_nontrivial_term():
     # [0] alone never reads a lift sign
     identity = TwistedAlgebraElement.symbol(sigma, space.zero)
     assert trace_functional(identity, 10, 1, 2) == 10
+
+
+@pytest.mark.parametrize(
+    "oracle, g, level",
+    [
+        (verlinde_trig_oracle, 1, 5),
+        (verlinde_trig_oracle, 2, 2),
+        (verlinde_trig_oracle, 12, 40),
+        (twisted_trig_oracle, 3, 16),
+    ],
+)
+def test_certificates_equal_their_validated_rebuilds(oracle, g, level):
+    # exact, at 128 bits, after a doubling, and twisted; the width too
+    certificate = oracle(g, level)
+    assert_same_as_rebuilt(certificate)
+    assert certificate.width == certificate.upper - certificate.lower < Fraction(1, 2)
