@@ -138,18 +138,20 @@ def _emit(args, command: str, params: dict, rows: list[dict], results: list[Chec
     """
     checks = [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
     payload = {"command": command, "params": params, "rows": rows, "checks": checks}
-    headers = list(dict.fromkeys(key for row in rows for key in row))
-    buffer = io.StringIO()
     if args.format == "json":
-        buffer.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        if rows:
-            writer = csv.DictWriter(buffer, fieldnames=headers, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
+        # one line: without ``indent``, json.dumps runs CPython's C encoder
+        rendered = json.dumps(payload) + "\n"
     else:
-        _emit_text(headers, payload, buffer)
-    rendered = buffer.getvalue()
+        headers = list(dict.fromkeys(key for row in rows for key in row))
+        buffer = io.StringIO()
+        if args.format == "csv":
+            if rows:
+                writer = csv.DictWriter(buffer, fieldnames=headers, restval="")
+                writer.writeheader()
+                writer.writerows(rows)
+        else:
+            _emit_text(headers, payload, buffer)
+        rendered = buffer.getvalue()
     if args.out:
         try:
             with open(args.out, "w") as handle:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .f2 import SymplecticF2Space
-from .fusion import twisted_dim, verlinde_dim
+from .fusion import _label, twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
 from .spin import QuadraticRefinement, count_by_arf
 
@@ -56,34 +56,38 @@ class GradedDimension(Value):
         return self.even + self.odd
 
 
-def _require_genus(g: int, allow_genus_one: bool, where: str) -> None:
+# Each ``where`` below is a label for ``_label``, a format template and its
+# values, whose text is built only on the path that raises.
+
+
+def _require_genus(g: int, allow_genus_one: bool, where: tuple) -> None:
     if g < 1:
-        raise ValueError(f"{where}: genus must be a positive integer, got {g}")
+        raise ValueError(f"{_label(where)}: genus must be a positive integer, got {g}")
     if g == 1 and not allow_genus_one:
         raise ValueError(
-            f"{where}: genus 1 sits outside the moduli-space derivation; "
+            f"{_label(where)}: genus 1 sits outside the moduli-space derivation; "
             "pass allow_genus_one=True to extrapolate"
         )
 
 
-def _require_bm_level(p: int, where: str) -> None:
+def _require_bm_level(p: int, where: tuple) -> None:
     if p <= 0 or p % 8:
-        raise ValueError(f"{where}: level must be a positive multiple of 8, got {p}")
+        raise ValueError(f"{_label(where)}: level must be a positive multiple of 8, got {p}")
 
 
-def _require_bit(value: int, name: str, where: str) -> None:
+def _require_bit(value: int, name: str, where: tuple) -> None:
     if value not in (0, 1):
-        raise ValueError(f"{where}: {name} must be 0 or 1, got {value!r}")
+        raise ValueError(f"{_label(where)}: {name} must be 0 or 1, got {value!r}")
 
 
-def _exact_quotient(numerator: int, g: int, context: str) -> int:
+def _exact_quotient(numerator: int, g: int, where: tuple) -> int:
     quotient, remainder = divmod(numerator, 1 << (2 * g))
     if remainder:
         raise IntegralityError(
-            f"{context}: numerator {numerator} is not divisible by 2^{2 * g}"
+            f"{_label(where)}: numerator {numerator} is not divisible by 2^{2 * g}"
         )
     if quotient < 0:
-        raise IntegralityError(f"{context}: dimension came out negative ({quotient})")
+        raise IntegralityError(f"{_label(where)}: dimension came out negative ({quotient})")
     return quotient
 
 
@@ -94,24 +98,24 @@ def _correction(g: int, eps: int) -> int:
 
 def bm_even_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> int:
     """Even graded dimension at level p (multiple of 8) and Arf invariant eps."""
-    context = f"bm_even_dim(g={g}, p={p}, eps={eps})"
-    _require_genus(g, allow_genus_one, context)
-    _require_bm_level(p, context)
-    _require_bit(eps, "eps", context)
+    where = "bm_even_dim(g={}, p={}, eps={})", g, p, eps
+    _require_genus(g, allow_genus_one, where)
+    _require_bm_level(p, where)
+    _require_bit(eps, "eps", where)
     base = verlinde_dim(g, p // 2 - 2)
     numerator = base + (p // 4) ** (g - 1) * _correction(g, eps)
-    return _exact_quotient(numerator, g, context + f" [base dim {base}]")
+    return _exact_quotient(numerator, g, ("bm_even_dim(g={}, p={}, eps={}) [base dim {}]", g, p, eps, base))
 
 
 def bm_odd_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> int:
     """Odd graded dimension at level p (multiple of 8) and Arf invariant eps."""
-    context = f"bm_odd_dim(g={g}, p={p}, eps={eps})"
-    _require_genus(g, allow_genus_one, context)
-    _require_bm_level(p, context)
-    _require_bit(eps, "eps", context)
+    where = "bm_odd_dim(g={}, p={}, eps={})", g, p, eps
+    _require_genus(g, allow_genus_one, where)
+    _require_bm_level(p, where)
+    _require_bit(eps, "eps", where)
     base = twisted_dim(g, p)
     numerator = base - (p // 4) ** (g - 1) * _correction(g, eps)
-    return _exact_quotient(numerator, g, context + f" [twisted base dim {base}]")
+    return _exact_quotient(numerator, g, ("bm_odd_dim(g={}, p={}, eps={}) [twisted base dim {}]", g, p, eps, base))
 
 
 def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> GradedDimension:
@@ -182,19 +186,22 @@ def corollary_dims(
     under ``convention``.  Under the default binding this coincides with
     ``bm_even_dim`` / ``bm_odd_dim``.
     """
-    context = f"corollary_dims(g={g}, k={k}, eps={eps}, convention={convention!r})"
-    _require_genus(g, allow_genus_one, context)
-    _require_bit(eps, "eps", context)
+    where = "corollary_dims(g={}, k={}, eps={}, convention={!r})", g, k, eps, convention
+    _require_genus(g, allow_genus_one, where)
+    _require_bit(eps, "eps", where)
     if base_even is None or base_odd is None or correction_base is None:
         resolved = corollary_bases(g, k, convention)
         base_even = resolved[0] if base_even is None else base_even
         base_odd = resolved[1] if base_odd is None else base_odd
         correction_base = resolved[2] if correction_base is None else correction_base
     term = correction_base ** (g - 1) * _correction(g, eps)
-    detail = f" [bases ({base_even}, {base_odd}), correction base {correction_base}]"
+    where = (
+        "corollary_dims(g={}, k={}, eps={}, convention={!r}) [bases ({}, {}), correction base {}]",
+        g, k, eps, convention, base_even, base_odd, correction_base,
+    )
     return GradedDimension(
-        even=_exact_quotient(base_even + term, g, context + detail),
-        odd=_exact_quotient(base_odd - term, g, context + detail),
+        even=_exact_quotient(base_even + term, g, where),
+        odd=_exact_quotient(base_odd - term, g, where),
     )
 
 
@@ -218,19 +225,19 @@ def dims_via_traces(
 
     exactly before the quotient is taken.
     """
-    context = f"dims_via_traces(g={g}, eps={eps}, base_dim={base_dim}, lambda_rho={lambda_rho}, w2={w2})"
-    _require_genus(g, allow_genus_one, context)
-    _require_bit(eps, "eps", context)
-    _require_bit(w2, "w2", context)
+    where = "dims_via_traces(g={}, eps={}, base_dim={}, lambda_rho={}, w2={})", g, eps, base_dim, lambda_rho, w2
+    _require_genus(g, allow_genus_one, where)
+    _require_bit(eps, "eps", where)
+    _require_bit(w2, "w2", where)
 
     sigma = QuadraticRefinement.canonical(SymplecticF2Space(g), eps)
     termwise = trace_functional(projection(sigma), base_dim, lambda_rho, w2) * (1 << (2 * g))
     closed = base_dim + (-1) ** w2 * _correction(g, eps) * (lambda_rho + 1) ** (g - 1)
     if termwise != closed:
         raise IdentityViolationError(
-            f"{context}: termwise trace sum {termwise} != closed form {closed}"
+            f"{_label(where)}: termwise trace sum {termwise} != closed form {closed}"
         )
-    return _exact_quotient(closed, g, context)
+    return _exact_quotient(closed, g, where)
 
 
 def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
@@ -240,9 +247,9 @@ def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
     sum collapses to the plain level-(p/2 - 2) dimension; a mismatch is a
     hard identity violation.
     """
-    context = f"sum_over_spin(g={g}, p={p})"
-    _require_genus(g, allow_genus_one, context)
-    _require_bm_level(p, context)
+    where = "sum_over_spin(g={}, p={})", g, p
+    _require_genus(g, allow_genus_one, where)
+    _require_bm_level(p, where)
     n_even, n_odd = count_by_arf(g)
     total = n_even * bm_even_dim(g, p, 0, allow_genus_one=allow_genus_one) + n_odd * bm_even_dim(
         g, p, 1, allow_genus_one=allow_genus_one
@@ -250,6 +257,6 @@ def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
     expected = verlinde_dim(g, p // 2 - 2)
     if total != expected:
         raise IdentityViolationError(
-            f"{context}: spin-structure sum {total} != unrefined dimension {expected}"
+            f"{_label(where)}: spin-structure sum {total} != unrefined dimension {expected}"
         )
     return total

@@ -148,12 +148,19 @@ def _scaled_power_sum(m: int, n: int) -> int:
     return _power_sum_table(n).scaled_sum(m)
 
 
-def _integral(numerator: int, shift: int, label: str) -> int:
+def _label(label: tuple) -> str:
+    """The text of ``label``, a format template and its values, such as
+    ("verlinde_dim(g={}, k={})", g, k).  Callers pass the tuple and build the
+    text only on the path that raises, so a call that succeeds formats nothing."""
+    return label[0].format(*label[1:])
+
+
+def _integral(numerator: int, shift: int, label: tuple) -> int:
     """numerator / 2^shift, which must be an integer."""
     value, remainder = divmod(numerator, 1 << shift)
     if remainder:
         raise ArithmeticError(
-            f"{label}: power-sum value {Fraction(numerator, 1 << shift)} is not an integer"
+            f"{_label(label)}: power-sum value {Fraction(numerator, 1 << shift)} is not an integer"
         )
     return value
 
@@ -182,7 +189,7 @@ def verlinde_dim(g: int, k: int) -> int:
     m, n = _verlinde_terms(g, k)
     # (n/2)^m p_m(n) = (n / (2 scale))^m P_m(n): P_m(n) / 2^m for odd n, / 4^m for even n
     shift = m if n % 2 else 2 * m
-    return _integral(_scaled_power_sum(m, n), shift, f"verlinde_dim(g={g}, k={k})")
+    return _integral(_scaled_power_sum(m, n), shift, ("verlinde_dim(g={}, k={})", g, k))
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +208,7 @@ def twisted_dim(g: int, p: int) -> int:
     # where 2n / scale_h is 4 for odd h and 2 for even h
     ratio_bits = 2 * m if h % 2 else m
     numerator = _scaled_power_sum(m, n) - (_scaled_power_sum(m, h) << (ratio_bits + 1))
-    return _integral(numerator, 2 * m, f"twisted_dim(g={g}, p={p})")
+    return _integral(numerator, 2 * m, ("twisted_dim(g={}, p={})", g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +484,7 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
 
-def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label: str) -> CertifiedInteger:
+def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label: tuple) -> CertifiedInteger:
     """The unique integer in the ``_sum_enclosure`` of (m, n), certified by an
     enclosure narrower than 1/2 at the first precision Q of the doubling
     sequence from ``precision_bits`` that gives one.
@@ -546,12 +553,12 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
                     # hexadecimal, which neither overflows a float nor meets
                     # the limit on the decimal digits of an int
                     raise CertificationError(
-                        f"{label}: enclosure [{lower:#x}, {upper:#x}] * 2^-{bits} contains no integer"
+                        f"{_label(label)}: enclosure [{lower:#x}, {upper:#x}] * 2^-{bits} contains no integer"
                     )
                 return CertifiedInteger._at_scale(candidate, lower, upper, bits)
             if bits >= stop:
                 raise CertificationError(
-                    f"{label}: no certificate at {bits} bits, though the enclosure "
+                    f"{_label(label)}: no certificate at {bits} bits, though the enclosure "
                     f"is proved narrower than 1/2 from {stop} bits on"
                 )
         bits *= 2
@@ -560,7 +567,7 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
 def verlinde_trig_oracle(g: int, k: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
     """Certified evaluation of the genus-g trigonometric dimension sum at level k."""
     m, n = _verlinde_terms(g, k)
-    return _certified_sum(m, n, False, precision_bits, f"verlinde(g={g}, k={k})")
+    return _certified_sum(m, n, False, precision_bits, ("verlinde(g={}, k={})", g, k))
 
 
 def twisted_trig_oracle(g: int, p: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
@@ -576,4 +583,4 @@ def twisted_trig_oracle(g: int, p: int, precision_bits: int = DEFAULT_PRECISION_
     and the Verlinde skip and stop rules hold here too.
     """
     m, n = _twisted_terms(g, p)
-    return _certified_sum(m, n, True, precision_bits, f"twisted(g={g}, p={p})")
+    return _certified_sum(m, n, True, precision_bits, ("twisted(g={}, p={})", g, p))

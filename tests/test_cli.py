@@ -177,7 +177,7 @@ class TestVerlindeCommand:
             "rows": singles[0]["rows"] + singles[1]["rows"],
             "checks": singles[0]["checks"] + singles[1]["checks"],
         }
-        assert out == json.dumps(expected, indent=2) + "\n"
+        assert out == json.dumps(expected) + "\n"
 
     # (1, 40) certifies at 128 bits, (30, 40) cannot: one row of each kind
     FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40")
@@ -435,24 +435,57 @@ class TestCheckCommand:
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
+#: The benchmark's workloads: name, argv without ``--format`` and the row fields the harness compares.
+WORKLOADS = [
+    ("sweep", ("verlinde", "--genus", "2..8,24", "--level", "0..48"), ("g", "k", "dim")),
+    ("spin-table", ("spin-dims", "--genus", "2..10", "--p", "8..128"), ("g", "p", "arf", "even", "odd")),
+    ("identities", ("check", "all"), ()),
+]
+
+
+class TestJsonOutput:
+    """JSON output is one line in ``json.dumps``'s default form, the same
+    bytes on stdout and in ``--out``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verlinde", "--genus", "1..3", "--level", "0..4"),
+            ("spin-dims", "--genus", "2..3", "--p", "8..16"),
+            ("check", "arf", "--genus", "2"),
+            ("levels", "--table"),
+        ],
+        ids=["verlinde", "spin-dims", "check", "levels"],
+    )
+    def test_one_compact_line_on_stdout_and_in_out_file(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out.count("\n") == 1
+        assert out == json.dumps(json.loads(out)) + "\n"
+        target = tmp_path / "out.json"
+        code, stdout, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
+        assert (code, stdout) == (0, "")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this interpreter has no C JSON encoder")
+    @pytest.mark.parametrize("workload, argv, row_fields", WORKLOADS, ids=[w[0] for w in WORKLOADS])
+    def test_workloads_need_no_pure_python_encoder(self, capsys, monkeypatch, workload, argv, row_fields):
+        # the pure-Python encoder is three to four times slower on these payloads;
+        # json.dumps takes it only for options such as ``indent``
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["command"] == argv[0]
+
 
 class TestBenchmarkReferences:
     """The benchmark workloads in process, on the items the harness compares,
     each row's compared fields and each check's (name, passed), in order."""
 
-    @pytest.mark.parametrize(
-        "workload, argv, row_fields",
-        [
-            ("sweep", ("verlinde", "--genus", "2..8,24", "--level", "0..48"), ("g", "k", "dim")),
-            (
-                "spin-table",
-                ("spin-dims", "--genus", "2..10", "--p", "8..128"),
-                ("g", "p", "arf", "even", "odd"),
-            ),
-            ("identities", ("check", "all"), ()),
-        ],
-        ids=["sweep", "spin-table", "identities"],
-    )
+    @pytest.mark.parametrize("workload, argv, row_fields", WORKLOADS, ids=[w[0] for w in WORKLOADS])
     def test_workload_matches_reference(self, cli_json, workload, argv, row_fields):
         reference = json.loads((REFERENCE / f"{workload}.json").read_text())
         code, payload = cli_json(*argv)

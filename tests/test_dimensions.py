@@ -1,5 +1,6 @@
 import pytest
 
+from spinverlinde import dimensions
 from spinverlinde.dimensions import (
     GradedDimension,
     IdentityViolationError,
@@ -133,6 +134,14 @@ class TestCorollaryDims:
         # odd part (2 - 6 * 3) / 16 = -1: exactly divisible but negative
         with pytest.raises(IntegralityError, match="negative"):
             corollary_dims(2, 1, 0, 30, 2, 6)
+
+    def test_base_past_the_str_digit_limit(self, monkeypatch):
+        # a 5001-digit base, past CPython's default limit of 4300 digits for
+        # int-to-str conversion: a call that raises nothing must not convert it
+        monkeypatch.setattr(dimensions, "verlinde_dim", lambda g, k: 16 * 10**5000 - 6)
+        monkeypatch.setattr(dimensions, "twisted_dim", lambda g, p: 16 * 10**5000 + 6)
+        assert bm_even_dim(2, 8, 0) == bm_odd_dim(2, 8, 0) == 10**5000
+        assert corollary_dims(2, 1, 0) == GradedDimension(10**5000, 10**5000)
 
 
 class TestDimsViaTraces:
