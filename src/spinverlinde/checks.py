@@ -8,9 +8,11 @@ rather than trusting the primary implementation.  An exact value meets its
 certified oracle in ``_oracle_record`` alone, which the CLI's verlinde table
 shares; a cell the oracle cannot certify is a failed record.  A suite whose
 grid has no cell, a genus range below 1 included, raises ValueError rather
-than pass vacuously.  ``run_suite`` takes the options of ``spinverlinde
-check`` and reads one table, ``_OPTIONS``, for the keyword argument each
-option sets and the grid check each suite runs before any suite does.
+than pass vacuously, and so does a suite given a genus or level below the
+least it takes, before its first cell.  ``run_suite`` takes the options of
+``spinverlinde check`` and reads one table, ``_OPTIONS``, for the keyword
+argument each option sets and the grid check each suite runs before any
+suite does.
 
 Every case still runs, but a suite computes each distinct product once:
 the projection products depend on the spin structure only through its
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from ._value import Value
-from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces, sum_over_spin
+from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces
 from .f2 import F2Vector, SymplecticF2Space
 from .fusion import CertificationError, CertifiedInteger, twisted_dim, twisted_trig_oracle
 from .fusion import verlinde_dim, verlinde_trig_oracle
@@ -103,6 +105,27 @@ def _require_genera(suite: str, max_genus: int) -> None:
         raise ValueError(f"check {suite}: no genus g with 1 <= g <= {max_genus}")
     for g in range(1, max_genus + 1):
         SymplecticF2Space(g)._check_enumeration_cap()
+
+
+# the least genus that each suite over a list of genera takes
+_LEAST_GENUS = {"verlinde": 1, "twisted": 1, "traces": 2, "decomp": 2}
+
+
+def _genera_from(suite: str, genera: Iterable[int]) -> list[int]:
+    """The genera as a list; a ValueError naming the suite if one is below its least genus."""
+    genera = list(genera)
+    least = _LEAST_GENUS[suite]
+    if genera and min(genera) < least:
+        raise ValueError(f"check {suite}: genus must be >= {least}, got {min(genera)}")
+    return genera
+
+
+def _su2_levels_from(su2_levels: Iterable[int]) -> list[int]:
+    """The levels k of the verlinde suite as a list; a ValueError if one is negative."""
+    su2_levels = list(su2_levels)
+    if su2_levels and min(su2_levels) < 0:
+        raise ValueError(f"check verlinde: level must be >= 0, got {min(su2_levels)}")
+    return su2_levels
 
 
 # (least, step) of the levels p that each level-filtering suite keeps
@@ -348,6 +371,8 @@ def _oracle_record(
 def check_verlinde(
     genera: Iterable[int] = range(1, 7), su2_levels: Iterable[int] = range(0, 17)
 ) -> list[CheckResult]:
+    genera = _genera_from("verlinde", genera)
+    su2_levels = _su2_levels_from(su2_levels)
     results = []
     for g in genera:
         for k in su2_levels:
@@ -359,6 +384,7 @@ def check_verlinde(
 def check_twisted(
     genera: Iterable[int] = range(1, 7), levels_p: Iterable[int] | None = None
 ) -> list[CheckResult]:
+    genera = _genera_from("twisted", genera)
     if levels_p is None:
         levels_p = [2 * (k + 2) for k in range(0, 17)]
     levels_p = _levels_kept("twisted", levels_p)
@@ -470,6 +496,7 @@ def check_trace_decomposition(
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
+    genera = _genera_from("traces", genera)
     levels_p = _levels_kept("traces", levels_p)
     results = []
     for g in genera:
@@ -500,11 +527,14 @@ def check_traces(
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
+    genera = _genera_from("decomp", genera)
     levels_p = _levels_kept("decomp", levels_p)
     results = []
     for g in genera:
+        n_even, n_odd = count_by_arf(g)
         for p in levels_p:
-            refined = sum_over_spin(g, p)
+            (even0, odd0), (even1, odd1) = [(bm_even_dim(g, p, eps), bm_odd_dim(g, p, eps)) for eps in (0, 1)]
+            refined = n_even * even0 + n_odd * even1
             unrefined = verlinde_dim(g, p // 2 - 2)
             results.append(
                 CheckResult(
@@ -513,11 +543,7 @@ def check_decomposition(
                     f"sum over spin structures {refined}, unrefined {unrefined}",
                 )
             )
-            n_even, n_odd = count_by_arf(g)
-            graded_total = sum(
-                count * (bm_even_dim(g, p, eps) + bm_odd_dim(g, p, eps))
-                for count, eps in ((n_even, 0), (n_odd, 1))
-            )
+            graded_total = refined + n_even * odd0 + n_odd * odd1
             expected = unrefined + twisted_dim(g, p)
             results.append(
                 CheckResult(
@@ -727,7 +753,12 @@ def _genus_grid(suite: str, arguments: dict) -> None:
         _require_genera(suite, arguments["max_genus"])
 
 
-def _level_grid(suite: str, arguments: dict) -> None:
+def _list_grid(suite: str, arguments: dict) -> None:
+    # in the order in which the suites check them
+    if "genera" in arguments:
+        _genera_from(suite, arguments["genera"])
+    if "su2_levels" in arguments:
+        _su2_levels_from(arguments["su2_levels"])
     if "levels_p" in arguments:
         _levels_kept(suite, arguments["levels_p"])
 
@@ -739,19 +770,20 @@ def _max_m_grid(suite: str, arguments: dict) -> None:
 
 #: For each suite: the ``check`` options it takes, each with the keyword
 #: argument it sets, and the grid check that raises, before the suite runs,
-#: what the suite raises on those arguments when their grid has no cell.
-_OPTIONS: dict[str, tuple[dict[str, str], Callable[[str, dict], None] | None]] = {
+#: what the suite raises on those arguments when their grid has no cell or
+#: a genus or level below the least the suite takes.
+_OPTIONS: dict[str, tuple[dict[str, str], Callable[[str, dict], None]]] = {
     "pairing": ({"genus": "max_genus"}, _genus_grid),
     "charsum": ({"genus": "max_genus"}, _genus_grid),
     "refinement": ({"genus": "max_genus"}, _genus_grid),
     "arf": ({"genus": "max_genus"}, _genus_grid),
     "liftsign": ({"genus": "max_genus"}, _genus_grid),
-    "verlinde": ({"genus": "genera", "level": "su2_levels"}, None),
-    "twisted": ({"genus": "genera", "p": "levels_p"}, _level_grid),
+    "verlinde": ({"genus": "genera", "level": "su2_levels"}, _list_grid),
+    "twisted": ({"genus": "genera", "p": "levels_p"}, _list_grid),
     "projs": ({"genus": "max_genus"}, _genus_grid),
     "tracedecomp": ({"genus": "max_genus"}, _genus_grid),
-    "traces": ({"genus": "genera", "p": "levels_p"}, _level_grid),
-    "decomp": ({"genus": "genera", "p": "levels_p"}, _level_grid),
+    "traces": ({"genus": "genera", "p": "levels_p"}, _list_grid),
+    "decomp": ({"genus": "genera", "p": "levels_p"}, _list_grid),
     "integrality": (
         {"genus": "max_genus", "p": "max_p"},
         lambda suite, arguments: _require_integrality_cells(**arguments),
@@ -790,7 +822,6 @@ def run_suite(name: str, **options) -> list[CheckResult]:
             for option, keyword in keywords.items()
             if option in options
         }
-        if grid is not None:
-            grid(suite, arguments)
+        grid(suite, arguments)
         runs.append((suite, arguments))
     return [result for suite, arguments in runs for result in SUITES[suite](**arguments)]

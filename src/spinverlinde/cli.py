@@ -21,7 +21,6 @@ from .dimensions import (
     _level_p,
     bm_even_dim,
     bm_odd_dim,
-    sum_over_spin,
 )
 from .fusion import CertificationError, verlinde_dim, verlinde_trig_oracle
 from .levels import (
@@ -204,32 +203,27 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
     rows, checks = [], []
     for g in args.genus:
         extrapolated = g == 1 or extrapolated_convention
+        n_even, n_odd = count_by_arf(g)
         for p in levels:
-            for eps in args.arf:
-                row = {
-                    "g": g,
-                    "p": p,
-                    "arf": eps,
-                    "even": bm_even_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
-                    "odd": bm_odd_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
-                }
+            # both Arf values, whichever rows are asked for: the checksum weights both
+            dims = [
+                (bm_even_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
+                 bm_odd_dim(g, p, eps, allow_genus_one=args.allow_genus_one))
+                for eps in (0, 1)
+            ]
+            (even0, odd0), (even1, odd1) = dims
+            even_total, odd_total = n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
+            for arf, even, odd in [(eps, *dims[eps]) for eps in args.arf] + [("*", even_total, odd_total)]:
+                row = {"g": g, "p": p, "arf": arf, "even": even, "odd": odd}
                 if extrapolated:
                     row["extrapolated"] = True
                 rows.append(row)
-            n_even, n_odd = count_by_arf(g)
-            even_total = sum_over_spin(g, p, allow_genus_one=args.allow_genus_one)
-            odd_total = n_even * bm_odd_dim(g, p, 0, allow_genus_one=args.allow_genus_one) + n_odd * bm_odd_dim(
-                g, p, 1, allow_genus_one=args.allow_genus_one
-            )
-            checksum = {"g": g, "p": p, "arf": "*", "even": even_total, "odd": odd_total}
-            if extrapolated:
-                checksum["extrapolated"] = True
-            rows.append(checksum)
+            unrefined = verlinde_dim(g, p // 2 - 2)
             checks.append(
                 CheckResult(
                     f"decomposition checksum (g={g}, p={p})",
-                    even_total == verlinde_dim(g, p // 2 - 2),
-                    f"sum over spin structures {even_total} = unrefined dimension",
+                    even_total == unrefined,
+                    f"sum over spin structures {even_total}, unrefined {unrefined}",
                 )
             )
     params = {"genus": args.genus, "p": levels, "arf": args.arf, "convention": args.convention}
@@ -335,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spin = sub.add_parser("spin-dims", help="graded spin dimension table")
     p_spin.add_argument("--genus", type=_parse_int_range, required=True, help=GENUS_HELP)
-    p_spin.add_argument("--p", type=_parse_bm_levels, default=None, help="levels p = 0 mod 8")
-    p_spin.add_argument(
+    p_level = p_spin.add_mutually_exclusive_group(required=True)
+    p_level.add_argument("--p", type=_parse_bm_levels, default=None, help="levels p = 0 mod 8")
+    p_level.add_argument(
         "--so3-level", type=_parse_int_range, default=None,
         help="SO3 levels, resolved to p per --convention",
     )
@@ -380,8 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verlinde":
             return _cmd_verlinde(args)
         if args.command == "spin-dims":
-            if (args.p is None) == (args.so3_level is None):
-                parser.error("provide exactly one of --p or --so3-level")
             return _cmd_spin_dims(args, parser)
         if args.command == "check":
             # checked before any suite runs: the levels suite walks 1..max_m and 0..2 max_m - 1

@@ -227,7 +227,8 @@ class TestSuiteAll:
             checks.run_suite("all", genus=[7], p=[12])
         with pytest.raises(ValueError, match="^check pairing: no genus g with 1 <= g <= 0$"):
             checks.run_suite("all", genus=[0])
-        with pytest.raises(ValueError, match="^check integrality: no cell "):
+        # traces, before integrality, takes no genus below 2
+        with pytest.raises(ValueError, match="^check traces: genus must be >= 2, got 1$"):
             checks.run_suite("all", genus=[1], p=[8])
 
 
@@ -251,8 +252,8 @@ class TestParameters:
         assert payload["params"] == {"suite": suite, option: value}
         assert payload["checks"] and all(c["passed"] for c in payload["checks"])
 
-    # each suite whose grid can be empty: the options of a grid without
-    # cells, and the keyword arguments they give the suite
+    # each suite whose grid can be empty or hold an invalid cell: the options
+    # of such a grid, and the keyword arguments they give the suite
     EMPTY_GRIDS = [
         *((suite, ({"genus": [7]}, {"max_genus": 7})) for suite in sorted(WORK)),
         ("twisted", ({"p": [3]}, {"levels_p": [3]})),
@@ -263,6 +264,15 @@ class TestParameters:
         ("integrality", ({"genus": [1], "p": [3, 7]}, {"max_genus": 1, "max_p": 7})),
         ("levels", ({"max_m": 0}, {"max_m": 0})),
         *((suite, ({"genus": [0]}, {"max_genus": 0})) for suite in sorted(WORK)),
+        ("verlinde", ({"genus": [0, 2]}, {"genera": [0, 2]})),
+        ("verlinde", ({"level": [-1, 3]}, {"su2_levels": [-1, 3]})),
+        ("verlinde", ({"genus": [0], "level": [-1]}, {"genera": [0], "su2_levels": [-1]})),
+        ("twisted", ({"genus": [-1, 2]}, {"genera": [-1, 2]})),
+        ("twisted", ({"genus": [0], "p": [3]}, {"genera": [0], "levels_p": [3]})),
+        ("traces", ({"genus": [1, 2]}, {"genera": [1, 2]})),
+        ("traces", ({"genus": [1], "p": [12]}, {"genera": [1], "levels_p": [12]})),
+        ("decomp", ({"genus": [1, 3]}, {"genera": [1, 3]})),
+        ("decomp", ({"genus": [0], "p": [8]}, {"genera": [0], "levels_p": [8]})),
     ]
 
     @pytest.mark.parametrize("suite, params", EMPTY_GRIDS)

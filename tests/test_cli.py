@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spinverlinde import checks, cli, fusion
+from spinverlinde import checks, cli, dimensions, fusion
 from spinverlinde.cli import main
 
 
@@ -291,9 +291,70 @@ class TestSpinDimsCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["spin-dims", "--genus", "2"])
         assert excinfo.value.code == 2
+        assert "error: one of the arguments --p --so3-level is required" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
             main(["spin-dims", "--genus", "2", "--p", "8", "--so3-level", "1"])
         assert excinfo.value.code == 2
+        assert "error: argument --so3-level: not allowed with argument --p" in capsys.readouterr().err
+
+    def test_checksum_sums_the_printed_rows(self, capsys, monkeypatch):
+        # one more at eps = 0: the rows read 2 and 0, so the checksum is 10 * 2 + 6 * 0
+        honest = cli.bm_even_dim
+        monkeypatch.setattr(cli, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
+        code, payload, err = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
+        assert (code, err) == (1, "")
+        assert [(r["arf"], r["even"], r["odd"]) for r in payload["rows"]] == [(0, 2, 0), (1, 0, 1), ("*", 20, 6)]
+        (record,) = payload["checks"]
+        assert (record["passed"], record["details"]) == (False, "sum over spin structures 20, unrefined 10")
+
+    def test_failed_checksum_names_both_numbers(self, capsys, monkeypatch):
+        honest = cli.verlinde_dim
+        monkeypatch.setattr(cli, "verlinde_dim", lambda g, k: honest(g, k) + 1)
+        code, out, err = run_cli(capsys, "spin-dims", "--genus", "2", "--p", "8")
+        assert (code, err) == (1, "")
+        # the whole table, then the failed record
+        assert out.splitlines()[1:] == [
+            "2  8  0    1     0",
+            "2  8  1    0     1",
+            "2  8  *    10    6",
+            "[FAIL] decomposition checksum (g=2, p=8)  sum over spin structures 10, unrefined 11",
+        ]
+
+
+class TestOneEvaluationPerCell:
+    """Each graded dimension is evaluated once per (g, p, eps) for rows, checksums and records."""
+
+    NAMES = ("bm_even_dim", "bm_odd_dim", "sum_over_spin")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                made[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        # wrapped where each caller looks it up: sum_over_spin calls bm_even_dim in dimensions
+        for module in (cli, checks, dimensions):
+            for name in self.NAMES:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(dimensions, name)))
+        return made
+
+    @pytest.mark.parametrize("arf", [(), ("--arf", "1")], ids=["both-arf", "arf-1"])
+    def test_spin_dims(self, capsys, calls, arf):
+        code, _, _ = run_json(capsys, "spin-dims", "--genus", "2..4", "--p", "8..32", *arf)
+        assert code == 0
+        # 3 genera and 4 levels, two Arf values each, whichever rows are printed
+        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+
+    def test_decomposition_suite(self, calls):
+        results = checks.check_decomposition()
+        assert len(results) == 32 and all(r.passed for r in results)
+        assert calls == {"bm_even_dim": 32, "bm_odd_dim": 32, "sum_over_spin": 0}
 
 
 class TestCheckCommand:
@@ -351,6 +412,25 @@ class TestCheckCommand:
     )
     def test_grid_without_cells_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "check", *argv, "--format", "json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--genus", "1..3"), "check traces: genus must be >= 2, got 1"),
+            (("--level=-1",), "check verlinde: level must be >= 0, got -1"),
+            # the suites before verlinde read only the largest genus
+            (("--genus", "0..3"), "check verlinde: genus must be >= 1, got 0"),
+        ],
+        ids=["traces-genus-1", "verlinde-level-below-0", "verlinde-genus-0"],
+    )
+    def test_invalid_cell_is_usage_error_before_any_suite_runs(self, capsys, monkeypatch, argv, message):
+        def ran(**arguments):
+            raise AssertionError("a suite ran before every grid was checked")
+
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, ran)
+        code, out, err = run_cli(capsys, "check", "all", *argv, "--format", "json")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_max_m_above_the_range_cap_is_usage_error(self, capsys, monkeypatch):
