@@ -14,8 +14,11 @@ least it takes, before its first cell.  ``run_suite`` takes the options of
 argument each option sets and the grid check each suite runs before any
 suite does.
 
-Every case still runs, but a suite computes each distinct product once:
-the projection products depend on the spin structure only through its
+Every case still runs, in order, but a suite computes each sub-result that
+its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` make
+their sums, pairings and refinement values once per distinct argument and
+hand ``_counted`` the verdicts, so that a case evaluates only its own part.
+The projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
 list indexed by element rather than a dict keyed by the elements.  The
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import eq
 from typing import Any, Callable, Iterable, Sequence
 
 from ._value import Value
@@ -81,18 +85,23 @@ def _masks(case: Any) -> str:
 
 
 def _counted(
-    name: str, cases: Iterable, holds: Callable[[Any], bool], counted: str, labels: str
+    name: str, cases: Iterable, holds: Callable[[Any], bool] | Iterable[bool], counted: str, labels: str
 ) -> CheckResult:
     """A record that passes when holds is true on every case.
 
-    The cases run in order and stop at the first failure.  The details give
-    the number run, named by ``counted``, and on failure the counterexample,
-    its parts named by ``labels``.
+    ``holds`` is a predicate, or the verdicts in case order, zipped lazily
+    with the cases; verdicts more or fewer than the cases raise ValueError.
+    The cases run in order and stop at the first failure.
+    The details give the number run, named by ``counted``, and on failure
+    the counterexample, its parts named by ``labels``.
     """
+    if callable(holds):
+        cases, each = itertools.tee(cases)
+        holds = map(holds, each)
     checked = 0
-    for case in cases:
+    for case, verdict in zip(cases, holds, strict=True):
         checked += 1
-        if not holds(case):
+        if not verdict:
             details = f"{checked} {counted}; first counterexample {labels} = {_masks(case)}"
             return CheckResult(name, False, details)
     return CheckResult(name, True, f"{checked} {counted}")
@@ -153,17 +162,23 @@ def check_pairing(max_genus: int = 4) -> list[CheckResult]:
     for g in range(1, min(max_genus, 3) + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
+        basis = space.basis()
         pair = space.pair
+        # <v, x> by the mask of v, for each basis x; v + w once per (v, w)
+        at_basis = [list(map(pair, itertools.repeat(v), basis)) for v in vectors]
 
-        def bilinear(case):
-            v, w, x = case
-            return pair(v + w, x) == (pair(v, x) ^ pair(w, x))
+        def bilinear():
+            for v, v_at in zip(vectors, at_basis):
+                for w, w_at in zip(vectors, at_basis):
+                    vw = v + w
+                    for x, a, b in zip(basis, v_at, w_at):
+                        yield pair(vw, x) == (a ^ b)
 
         results.append(
             _counted(
                 f"pairing bilinear g={g}",
-                itertools.product(vectors, vectors, space.basis()),
-                bilinear,
+                itertools.product(vectors, vectors, basis),
+                bilinear(),
                 "triples (v, w, basis x)",
                 "(v, w, x) masks",
             )
@@ -172,11 +187,13 @@ def check_pairing(max_genus: int = 4) -> list[CheckResult]:
             f"pairing alternating g={g}", vectors, lambda v: pair(v, v) == 0, "vectors v", "v mask"
         )
         results.append(alternating)
+        # <v, w> once per ordered pair, against its transpose
+        table = [list(map(pair, itertools.repeat(v), vectors)) for v in vectors]
         results.append(
             _counted(
                 f"pairing symmetric g={g}",
                 itertools.product(vectors, vectors),
-                lambda case: pair(case[0], case[1]) == pair(case[1], case[0]),
+                map(eq, itertools.chain(*table), itertools.chain(*zip(*table))),
                 "pairs (v, w)",
                 "(v, w) masks",
             )
@@ -239,16 +256,23 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
         vectors = list(space.vectors())
         basis = space.basis()
         refinements = list(QuadraticRefinement.all_refinements(space))
+        # v + w and <v, w> once per (v, basis w), q(w) once per (q, w) and
+        # q(v) once per (q, v): a case evaluates only q(v + w)
+        steps = [[(v + w, space.pair(v, w)) for w in basis] for v in vectors]
 
-        def law(case):
-            q, v, w = case
-            return q(v + w) == (q(v) ^ q(w) ^ space.pair(v, w))
+        def law():
+            for q in refinements:
+                q_basis = list(map(q, basis))
+                for v, row in zip(vectors, steps):
+                    qv = q(v)
+                    for (vw, pair), qw in zip(row, q_basis):
+                        yield q(vw) == (qv ^ qw ^ pair)
 
         results.append(
             _counted(
                 f"refinement law g={g}",
                 itertools.product(refinements, vectors, basis),
-                law,
+                law(),
                 "triples (q, v, basis w)",
                 "(q, v, w) masks",
             )
@@ -329,18 +353,26 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
             )
         # the shift-then-Arf route, independent of lift_sign: the table of
         # d(z) = arf(sigma + z) - arf(sigma) over the masks of z, once per sigma
-        differences = [[sigma.shift(z).arf() ^ sigma.arf() for z in vectors] for sigma in refinements]
+        differences = []
+        for sigma in refinements:
+            arf = sigma.arf()
+            differences.append([sigma.shift(z).arf() ^ arf for z in vectors])
+        basis = space.basis()
+        # (z + w).bits and <z, w> once per (z, basis w), and d(w) once per sigma
+        steps = [[((z + w).bits, space.pair(z, w)) for w in basis] for z in vectors]
 
-        def quadratic(case):
-            sigma, z, w = case
-            d = differences[sigma.basis_values]
-            return d[(z + w).bits] == d[z.bits] ^ d[w.bits] ^ space.pair(z, w)
+        def quadratic():
+            for d in differences:
+                d_basis = [d[w.bits] for w in basis]
+                for dz, row in zip(d, steps):
+                    for (zw, pair), dw in zip(row, d_basis):
+                        yield d[zw] == dz ^ dw ^ pair
 
         results.append(
             _counted(
                 f"arf difference is a quadratic refinement g={g}",
-                itertools.product(refinements, vectors, space.basis()),
-                quadratic,
+                itertools.product(refinements, vectors, basis),
+                quadratic(),
                 "triples (sigma, z, basis w)",
                 "(sigma, z, w) masks",
             )
@@ -592,10 +624,9 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
         elements = list(group.elements())
-        # the rep of (t, v) sits at index 4 v + t, an index that hashes no record
-        reps = [None] * group.order
-        for el in elements:
-            reps[(el.vector.bits << 2) | el.central] = heisenberg_rep(el)
+        # the elements come in the order (t, v) -> 4 v + t, so the rep of (t, v)
+        # sits at index 4 v + t, an index that hashes no record
+        reps = list(map(heisenberg_rep, elements))
 
         def rep(el: HeisenbergElement) -> MonomialMatrix:
             return reps[(el.vector.bits << 2) | el.central]
@@ -608,24 +639,25 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         # reps, so it holds references, not 4^{2g} more matrices.
         products = [None] * (1 << 2 * dim)
 
-        def homomorphism(case):
-            # rep(x) @ rep(y) == rep(x * y) with the lookups inlined: 4^{2g+2} pairs
-            x, y = case
-            xy = x * y
-            v, w = x.vector.bits, y.vector.bits
-            product = reps[(v << 2) | x.central] @ reps[(w << 2) | y.central]
-            expected = reps[(xy.vector.bits << 2) | xy.central]
-            holds = product == expected
-            if not (x.central or y.central):
-                products[(v << dim) | w] = expected if holds else product
-            return holds
+        def homomorphism():
+            # rep(x) @ rep(y) == rep(x * y) over 4^{2g+2} pairs, with what x alone gives hoisted
+            for x, rx in zip(elements, reps):
+                t, row = x.central, x.vector.bits << dim
+                for y, ry in zip(elements, reps):
+                    xy = x * y
+                    product = rx @ ry
+                    expected = reps[(xy.vector.bits << 2) | xy.central]
+                    holds = product == expected
+                    if not (t or y.central):
+                        products[row | y.vector.bits] = expected if holds else product
+                    yield holds
 
         n = 1 << g
         results.append(
             _counted(
                 f"heisenberg rep is a homomorphism g={g}",
                 itertools.product(elements, elements),
-                homomorphism,
+                homomorphism(),
                 "pairs (x, y)",
                 "(x, y) as (t, mask)",
             )

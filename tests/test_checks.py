@@ -1,5 +1,6 @@
 """The check suites: genus-range and enumeration-cap failures before any work, counted details, the options table and the record list of `check all`."""
 
+import itertools
 import json
 
 import pytest
@@ -90,6 +91,15 @@ class TestCountedDetails:
         assert details["bm/so3/su2/bhmv consistency m<=5"] == "5 odd so3 levels 2m - 1"
         assert details["bhmv round trips"] == "10 su2 levels k"
         assert details["metaplectic shift commutes with pullback"] == "20 so3 levels k"
+
+    def test_genus_three_counts(self, cli_json):
+        # the largest genus of the exhaustive records, as `check all` runs them
+        details = {r["name"]: r["details"] for r in cli_json("check", "all")[1]["checks"]}
+        assert details["pairing bilinear g=3"] == "24576 triples (v, w, basis x)"
+        assert details["pairing symmetric g=3"] == "4096 pairs (v, w)"
+        assert details["refinement law g=3"] == "24576 triples (q, v, basis w)"
+        assert details["arf difference is a quadratic refinement g=3"] == "24576 triples (sigma, z, basis w)"
+        assert details["heisenberg rep is a homomorphism g=3"] == "65536 pairs (x, y)"
 
     def test_character_sum_counterexample(self, monkeypatch):
         honest = checks.brute_character_sum
@@ -196,6 +206,141 @@ class TestCountedDetails:
         assert all(r.passed for r in results)
         # one product per homomorphism pair, 4^{2g+2} at each genus, and none more
         assert len(made) == 256 + 4096
+
+
+def per_case_records(g):
+    """The records of the rewritten F2 sweeps at genus g, made by the per-case
+    closures they replaced: each case computes every sub-result itself."""
+    space = SymplecticF2Space(g)
+    vectors = list(space.vectors())
+    basis = space.basis()
+    refinements = list(QuadraticRefinement.all_refinements(space))
+    pair = space.pair
+    differences = [[sigma.shift(z).arf() ^ sigma.arf() for z in vectors] for sigma in refinements]
+
+    def bilinear(case):
+        v, w, x = case
+        return pair(v + w, x) == (pair(v, x) ^ pair(w, x))
+
+    def law(case):
+        q, v, w = case
+        return q(v + w) == (q(v) ^ q(w) ^ pair(v, w))
+
+    def quadratic(case):
+        sigma, z, w = case
+        d = differences[sigma.basis_values]
+        return d[(z + w).bits] == d[z.bits] ^ d[w.bits] ^ pair(z, w)
+
+    sweeps = [
+        ("pairing bilinear", (vectors, vectors, basis), bilinear, "triples (v, w, basis x)", "(v, w, x) masks"),
+        ("pairing symmetric", (vectors, vectors), lambda case: pair(case[0], case[1]) == pair(case[1], case[0]),
+         "pairs (v, w)", "(v, w) masks"),
+        ("refinement law", (refinements, vectors, basis), law, "triples (q, v, basis w)", "(q, v, w) masks"),
+        ("arf difference is a quadratic refinement", (refinements, vectors, basis), quadratic,
+         "triples (sigma, z, basis w)", "(sigma, z, w) masks"),
+    ]
+    return [
+        checks._counted(f"{name} g={g}", itertools.product(*factors), holds, counted, labels)
+        for name, factors, holds, counted, labels in sweeps
+    ]
+
+
+# one sub-result broken at one argument: the owner, the name, and the broken
+# form of the honest function
+BREAKS = {
+    "pair": (
+        SymplecticF2Space,
+        "pair",
+        lambda honest: lambda space, v, w: honest(space, v, w) ^ ((v.bits, w.bits) == (5, 2)),
+    ),
+    "add": (
+        F2Vector,
+        "__add__",
+        lambda honest: lambda v, w: F2Vector(honest(v, w).bits ^ ((v.bits, w.bits) == (3, 4)), v.dim),
+    ),
+    "q": (
+        QuadraticRefinement,
+        "__call__",
+        lambda honest: lambda q, v: honest(q, v) ^ ((q.basis_values, v.bits) == (6, 5)),
+    ),
+}
+
+
+class TestSharedSubResults:
+    """pairing, refinement and liftsign compute each sub-result their cases
+    share once; every record keeps its count and first counterexample."""
+
+    @pytest.mark.parametrize("broken, failing, first", [
+        (
+            "pair",
+            ["pairing bilinear", "pairing symmetric", "refinement law", "arf difference is a quadratic refinement"],
+            # v + w = 5 against x = 2 holds at (0, 5), where <w, x> is the flipped <5, 2> too
+            "82 triples (v, w, basis x); first counterexample (v, w, x) masks = (1, 4, 2)",
+        ),
+        (
+            "add",
+            ["pairing bilinear", "refinement law", "arf difference is a quadratic refinement"],
+            # 3 + 4 made 6, not 7: <6, x> and <7, x> first differ at x = 2
+            "210 triples (v, w, basis x); first counterexample (v, w, x) masks = (3, 4, 2)",
+        ),
+        (
+            "q",
+            ["refinement law"],
+            # q = 6 flipped at v + w = 5, first reached as 1 + 4
+            "391 triples (q, v, basis w); first counterexample (q, v, w) masks = (6, 1, 4)",
+        ),
+    ])
+    def test_each_record_matches_its_per_case_closure(self, broken, failing, first, monkeypatch):
+        owner, name, breaking = BREAKS[broken]
+        monkeypatch.setattr(owner, name, breaking(getattr(owner, name)))
+        records = {
+            r.name: r
+            for suite in (checks.check_pairing, checks.check_refinements, checks.check_lift_signs)
+            for r in suite(max_genus=2)
+        }
+        oracle = per_case_records(2)
+        assert [records[r.name] for r in oracle] == oracle
+        assert [r.name for r in oracle if not r.passed] == [f"{name} g=2" for name in failing]
+        assert next(r.details for r in oracle if not r.passed) == first
+
+    @pytest.mark.parametrize("suite, made", [
+        # pair: the table of <v, x> (456), <v + w, x> per case (25 632), <v, w> per
+        # ordered pair (4368), <v, v> (84) and the non-degeneracy sweep (150)
+        ("check_pairing", {"+": 4368, "pair": 456 + 25632 + 4368 + 84 + 150, "q": 0}),
+        # q: q(w) per (q, basis w) (456), q(v) per (q, v) (4368), q(v + w) per case (25 632)
+        ("check_refinements", {"+": 456, "pair": 456, "q": 456 + 4368 + 25632}),
+        ("check_lift_signs", {"+": 456, "pair": 456, "q": 0}),
+    ])
+    def test_each_sub_result_once_per_argument(self, suite, made, monkeypatch):
+        # at g <= 3 there are 456 pairs (v, basis w) and 4368 pairs (v, w) or (q, v)
+        calls = dict.fromkeys(made, 0)
+
+        def counted(owner, name, key):
+            honest = getattr(owner, name)
+
+            def call(*args):
+                calls[key] += 1
+                return honest(*args)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(F2Vector, "__add__", "+")
+        counted(SymplecticF2Space, "pair", "pair")
+        counted(QuadraticRefinement, "__call__", "q")
+        assert all(r.passed for r in getattr(checks, suite)(max_genus=3))
+        assert calls == made
+
+    def test_counted_reads_its_cases_lazily(self):
+        # an endless stream of cases whose third fails, in either form of the verdicts
+        predicate = checks._counted("endless", itertools.count(), lambda n: n != 2, "cases n", "n")
+        verdicts = (n != 2 for n in itertools.count())
+        given = checks._counted("endless", itertools.count(), verdicts, "cases n", "n")
+        expected = checks.CheckResult("endless", False, "3 cases n; first counterexample n = 2")
+        assert predicate == given == expected
+
+    def test_verdicts_out_of_step_with_the_cases_raise(self):
+        with pytest.raises(ValueError):
+            checks._counted("short", range(3), iter([True, True]), "cases n", "n")
 
 
 class TestSuiteAll:
