@@ -252,8 +252,15 @@ _CONVERSIONS = {
 }
 
 
+# the conversion options of ``levels`` and their defaults, which --table leaves unused
+_CONVERSION_OPTIONS = {"so3": None, "su2": None, "bhmv": None, "bm": None, "to": None, "shift": False}
+
+
 def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
     if args.table:
+        given = [name for name, default in _CONVERSION_OPTIONS.items() if getattr(args, name) is not default]
+        if given:
+            raise ValueError(f"levels --table: --{given[0]} does not apply; the table takes no conversion option")
         table = correspondence_table()
         rows = [
             {"row": labels[0], "col1": labels[1], "col2": labels[2], "col3": labels[3], "col4": labels[4]}

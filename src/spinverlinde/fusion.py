@@ -41,29 +41,28 @@ into integer bounds lo <= 2^Q csc^2 <= hi.  A power row holds the m-th
 powers of every lo and hi at one (n, Q), rounded outward at a scale fine
 enough that the roundings hardly widen the enclosure; it is the row of
 m >> 1 squared, times lo and hi if m is odd, so the genera of a level
-share the rows of their prefixes.  The weighted sums are exact, and one
-outward rounding brings them to scale 2^Q.  At odd n the twisted sum is
-exactly 0 and needs no bounds.  Bounded caches share the work between
-every genus and both oracles (sizes by sys.getsizeof): the pi balls by
-precision (32 entries of two integers), the bounds by (n, Q) (256; 5.3 KB
-at n = 50, Q = 512, and 0.58 MB at n = 1000, Q = 4096), the fold weights
-by n (64; 4-8 KB at n = 1000) and the rows asked for by (n, Q, m) (64;
-3.9 KB at n = 50, Q = 256, m = 7, and 4.7 MB at (g, k) = (1000, 1000),
-Q = 32768).  One walk, ``_certified_sum``, serves both oracles: it skips
-every precision that cannot certify, judged by a float lower bound on the
-enclosure's width, and stops at the precision where a matching upper bound
-proves the enclosure narrow enough, so it neither caps a valid cell nor
-loops forever.  The package needs nothing beyond the standard library; the
-tests keep the mpmath interval sums (folded, and unfolded with a sine for
-every j < n) as the oracle's own oracles, and mpmath's pi and cos/sin as
-those of the two series.
+share the rows of their prefixes m >> s.  The folded sums are slice sums
+of a row, exact, and one outward rounding brings them to scale 2^Q.  At
+odd n the twisted sum is exactly 0 and needs no bounds.  Bounded
+``lru_cache``s share the work between every genus and both oracles (sizes
+by sys.getsizeof): the pi balls by precision (32 entries of two
+integers), the bounds by (n, Q) (256; 5.3 KB at n = 50, Q = 512, and
+0.58 MB at n = 1000, Q = 4096) and the rows by (n, Q, m), those asked
+for and the prefixes walked through (64; 3.9 KB at n = 50, Q = 256,
+m = 7, and 4.7 MB at (g, k) = (1000, 1000), Q = 32768).  One walk,
+``_certified_sum``, serves both oracles: it skips every precision that
+cannot certify, judged by a float lower bound on the enclosure's width, and
+stops at the precision where a matching upper bound proves the enclosure
+narrow enough, so it neither caps a valid cell nor loops forever.  The
+package needs nothing beyond the standard library; the tests keep the
+mpmath interval sums (folded, and unfolded with a sine for every j < n) as
+the oracle's own oracles, and mpmath's pi and cos/sin as those of the two
+series.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -367,7 +366,7 @@ def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
 def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """(los, his), lo 2^-bits <= csc^2(pi j / n) <= hi 2^-bits at index j - 1 for 1 <= j <= n/2.
 
-    These are the folded terms (``_signed_weights``).  With the sine
+    These are the folded terms (``_sum_enclosure``).  With the sine
     balls (y, rho) of ``_sine_balls`` at scale 2^W, W = bits + guard, and
     csc^2 = 1 / sin^2 decreasing in sin > 0,
     lo = floor(2^(2W + bits) / (y + rho)^2) and
@@ -395,63 +394,30 @@ def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, .
 
 
 @lru_cache(maxsize=64)
-def _signed_weights(n: int, alternating: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(plus, minus), the folded terms' weights for 1 <= j <= n/2: the
-    positive ones, and the magnitudes of the negative ones (0 elsewhere).
-
-    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
-    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
-    Summing weight * csc2^m over them gives p_m(n) with half the sines.  In
-    the alternating sum, at even n (see ``twisted_trig_oracle``), a term
-    keeps the sign (-1)^{j+1} of j; the plain sum's minus is empty.
-    """
-    weights = [1 if 2 * j == n else 2 for j in range(1, n // 2 + 1)]
-    plus, minus = weights[:], [0] * len(weights) if alternating else []
-    if alternating:
-        plus[1::2], minus[1::2] = minus[1::2], weights[1::2]
-    return tuple(plus), tuple(minus)
-
-
-# (n, bits, m) -> the power row, least recently used first; the lock makes
-# each look-up, and each eviction with its insertion, one step
-_power_rows: OrderedDict[tuple[int, int, int], tuple[list[int], list[int]]] = OrderedDict()
-_power_rows_lock = threading.Lock()
-_POWER_ROWS_MAXSIZE = 64
-
-
-def _power_row(n: int, bits: int, m: int, bounds: tuple) -> tuple[list[int], list[int]]:
+def _power_row(n: int, bits: int, m: int) -> tuple[list[int], list[int]]:
     """The power row (lows, highs) of m at (n, bits): the m-th powers of the
-    los and his of ``bounds = _csc_square_bounds(n, bits)`` at scale 2^F,
+    los and his of ``_csc_square_bounds(n, bits)`` at scale 2^F,
     F = bits + 2b + 4, b = n.bit_length(), each product rounded at once,
     down in lows and up in highs.  The row of m is the row of m >> 1
     squared, times lo (hi) if m is odd, and the row of 0 is 2^F: the
     left-to-right binary power of lo 2^(F - bits).  As a product of
     non-negative numbers increases with each factor, lows stay at or below
-    lo^m 2^(F - m bits) and highs at or above hi^m 2^(F - m bits).  A row is
-    walked from the longest prefix m >> s of m that is kept; only the 64
-    rows last asked for are.
+    lo^m 2^(F - m bits) and highs at or above hi^m 2^(F - m bits).  The
+    cache keeps the rows of the prefixes m >> s walked through, so the
+    genera of a level share them; only the 64 rows last asked for are kept.
     """
-    key, shift = (n, bits, m), 0
-    with _power_rows_lock:
-        row = _power_rows.pop(key, None)
-        while row is None and m >> shift:
-            shift += 1
-            row = _power_rows.get((n, bits, m >> shift))
     fine_bits = bits + 2 * n.bit_length() + 4
-    low, high = row or ([1 << fine_bits] * (n // 2),) * 2
-    los, his = bounds
-    for shift in range(shift - 1, -1, -1):
-        # -(-a >> k) is a 2^-k rounded up; x * x, not -x * x, squares faster
-        if m >> shift & 1:
-            low = [(x * x >> fine_bits) * lo >> bits for x, lo in zip(low, los)]
-            high = [-((-(x * x) >> fine_bits) * hi >> bits) for x, hi in zip(high, his)]
-        else:
-            low = [x * x >> fine_bits for x in low]
-            high = [-(-(x * x) >> fine_bits) for x in high]
-    with _power_rows_lock:
-        if len(_power_rows) >= _POWER_ROWS_MAXSIZE:
-            _power_rows.popitem(last=False)
-        _power_rows[key] = low, high
+    if not m:
+        return ([1 << fine_bits] * (n // 2),) * 2
+    low, high = _power_row(n, bits, m >> 1)
+    # -(-a >> k) is a 2^-k rounded up; x * x, not -x * x, squares faster
+    if m & 1:
+        los, his = _csc_square_bounds(n, bits)
+        low = [(x * x >> fine_bits) * lo >> bits for x, lo in zip(low, los)]
+        high = [-((-(x * x) >> fine_bits) * hi >> bits) for x, hi in zip(high, his)]
+    else:
+        low = [x * x >> fine_bits for x in low]
+        high = [-(-(x * x) >> fine_bits) for x in high]
     return low, high
 
 
@@ -466,20 +432,32 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     relative 2^-F at most, while lo and hi are a relative
     1 / lo > 2^-(bits + 2b - 2) apart (csc^2(pi j / n) <= n^2 / 4), so the
     roundings hardly widen the enclosure.  A positive term is lowest at
-    lo^m and highest at hi^m, a negative one the other way round, and the
-    weighted sums over the fold (``_signed_weights``) are exact.  With
+    lo^m and highest at hi^m, a negative one the other way round.  The row
+    holds 1 <= j <= n/2, and csc^2(pi j / n) = csc^2(pi (n - j) / n), so
+    j and n - j fold into one term of weight 2; the middle j = n/2 of an
+    even n is its own mirror, of weight 1.  In the alternating sum, at even
+    n, a folded term keeps the sign (-1)^{j+1} of j: the even indices of the
+    row are positive, the odd ones negative.  So the exact sums are twice
+    the slice sums, less the middle term once with its sign.  With
     (n/2)^m = n^m 2^-m, one outward rounding takes n^m times the sums to
     scale 2^bits.
     """
     if alternating and n % 2:
         return 0, 0
-    bounds = _csc_square_bounds(n, bits)
-    if bounds is None:
+    if _csc_square_bounds(n, bits) is None:
         return None
-    plus, minus = _signed_weights(n, alternating)
-    low, high = _power_row(n, bits, m, bounds)
-    lower = sum(map(mul, plus, low)) - sum(map(mul, minus, high))
-    upper = sum(map(mul, plus, high)) - sum(map(mul, minus, low))
+    low, high = _power_row(n, bits, m)
+    if alternating:
+        lower, upper = sum(low[::2]) - sum(high[1::2]), sum(high[::2]) - sum(low[1::2])
+    else:
+        lower, upper = sum(low), sum(high)
+    lower, upper = 2 * lower, 2 * upper
+    if n % 2 == 0:
+        if alternating and n % 4 == 0:
+            # the middle j = n/2 is even, a negative term
+            lower, upper = lower + high[-1], upper + low[-1]
+        else:
+            lower, upper = lower - low[-1], upper - high[-1]
     shift = m + 2 * n.bit_length() + 4
     return n**m * lower >> shift, -(-(n**m) * upper >> shift)
 
@@ -528,10 +506,10 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
         high - low <= 2^F (X^m - Y^m) + 8 m X^m <= m X^(m-1) (2^(2b+5) + 8X),
 
     and 8X < 8 n^2 / 3 < 2^(2b+5) / 8, as c <= n^2 / 4 (sin x >= 2x / pi).
-    The weights' magnitudes sum to n - 1, X^(m-1) <= c^(m-1) e^(m 2^(1-Q))
-    < 1.14 c^(m-1), and the prefactor n^m 2^-(m + 2b + 4) and the two final
-    roundings give U - L < 1.3 (n - 1) 2^B + 2 units of 2^-Q, below
-    2^(Q-1) as n - 1 < 2^b.  Where the skip bound is -inf (n = 2) this
+    The fold's weights (``_sum_enclosure``) have magnitudes summing to n - 1,
+    X^(m-1) <= c^(m-1) e^(m 2^(1-Q)) < 1.14 c^(m-1), and the prefactor
+    n^m 2^-(m + 2b + 4) and the two final roundings give
+    U - L < 1.3 (n - 1) 2^B + 2 units of 2^-Q, below 2^(Q-1) as n - 1 < 2^b.  Where the skip bound is -inf (n = 2) this
     bound still holds; at m = 0, S = 4 is below every start.
     """
     if precision_bits < 64:

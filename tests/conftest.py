@@ -35,13 +35,12 @@ def pytest_terminal_summary(terminalreporter):
 def cold_caches():
     """Start the test with every cache of ``spinverlinde.fusion`` empty, so
     that what it measures is measured cold: each ``lru_cache`` of the module,
-    whatever its name, and the power rows."""
+    whatever its name."""
     from spinverlinde import fusion
 
     for value in vars(fusion).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
-    fusion._power_rows.clear()
 
 
 @pytest.fixture(scope="session")

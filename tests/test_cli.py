@@ -625,6 +625,16 @@ class TestLevelsCommand:
             [("name", "erratum note"), ("passed", True), ("details", erratum)],
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--so3", "3"), ("--su2", "0"), ("--bhmv", "8"), ("--bm", "8"), ("--to", "su2"), ("--shift",)],
+        ids=["so3", "su2", "bhmv", "bm", "to", "shift"],
+    )
+    def test_table_with_a_conversion_option_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "levels", "--table", *argv, "--format", "json")
+        message = f"levels --table: {argv[0]} does not apply; the table takes no conversion option"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invalid_conversion_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["levels", "--bm", "8", "--to", "bhmv"])

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import OrderedDict
 import sys
 import threading
 import time
@@ -35,7 +34,6 @@ from spinverlinde.fusion import (
     _power_sum_table,
     _PowerSumTable,
     _scaled_power_sum,
-    _signed_weights,
     _sine_balls,
     _sum_enclosure,
     _unit_root_ball,
@@ -178,6 +176,28 @@ def per_term_powers(m, n, bits, fine_bits):
     ]
 
 
+def fold_weights(n, alternating):
+    """The signed weight of each folded term 1 <= j <= n/2 of the sum over j < n.
+
+    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
+    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
+    In the alternating sum, at even n, a term keeps the sign (-1)^{j+1} of j.
+    """
+    return [(1 if 2 * j == n else 2) * (-1 if alternating and j % 2 == 0 else 1) for j in range(1, n // 2 + 1)]
+
+
+def folded_enclosure(m, n, bits, alternating, powers):
+    """The enclosure of the sum at scale 2^bits from the rounded powers
+    [(low, high)] of its folded terms at the oracle's finer scale, weighted
+    one term at a time: the oracle of ``_sum_enclosure``'s slice sums."""
+    lower = upper = 0
+    for weight, (low, high) in zip(fold_weights(n, alternating), powers, strict=True):
+        lower += weight * (low if weight > 0 else high)
+        upper += weight * (high if weight > 0 else low)
+    shift = m + 2 * n.bit_length() + 4
+    return n**m * lower >> shift, -(-(n**m) * upper >> shift)
+
+
 def per_term_sum_enclosure(m, n, bits, alternating):
     """``_sum_enclosure`` from the same bounds, folded here, one chain per power."""
     if alternating and n % 2:
@@ -185,15 +205,7 @@ def per_term_sum_enclosure(m, n, bits, alternating):
     if _csc_square_bounds(n, bits) is None:
         return None
     fine_bits = bits + 2 * n.bit_length() + 4
-    lower = upper = 0
-    for j, (low, high) in enumerate(per_term_powers(m, n, bits, fine_bits), start=1):
-        weight = 1 if 2 * j == n else 2
-        if alternating and j % 2 == 0:
-            weight = -weight
-        lower += weight * (low if weight > 0 else high)
-        upper += weight * (high if weight > 0 else low)
-    shift = m + fine_bits - bits
-    return n**m * lower >> shift, -(-(n**m) * upper >> shift)
+    return folded_enclosure(m, n, bits, alternating, per_term_powers(m, n, bits, fine_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +692,23 @@ class TestOracles:
         for n in range(2, 40):
             los, his = _csc_square_bounds(n, 128)
             assert len(los) == len(his) == n // 2
-            weights, minus = _signed_weights(n, False)
-            assert (len(weights), sum(weights), minus) == (n // 2, n - 1, ())
+            # each j < n lands in the folded term min(j, n - j), once
+            weights = fold_weights(n, False)
+            assert sorted(min(j, n - j) for j in range(1, n)) == [
+                j for j, weight in enumerate(weights, start=1) for _ in range(weight)
+            ]
             # the alternating sum keeps the sign of j on each folded term
-            plus, minus = _signed_weights(n, True)
-            assert [p - q for p, q in zip(plus, minus)] == [(-1) ** (j + 1) * w for j, w in enumerate(weights, 1)]
-            assert all(p * q == 0 for p, q in zip(plus, minus))
+            assert fold_weights(n, True) == [(-1) ** (j + 1) * w for j, w in enumerate(weights, start=1)]
+            # the slice sums of a row are its weighted sums; the twisted sum
+            # at odd n is exactly 0
+            for m in (0, 1, 6, 13):
+                for alternating in (False, True):
+                    expected = (
+                        (0, 0)
+                        if alternating and n % 2
+                        else folded_enclosure(m, n, 128, alternating, zip(*_power_row(n, 128, m)))
+                    )
+                    assert _sum_enclosure(m, n, 128, alternating) == expected, (n, m, alternating)
 
     def test_enclosures_not_reused_across_precisions(self):
         assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128
@@ -707,16 +730,17 @@ class TestOracles:
             "_power_sum_table": (128, 0),
             "_pi_ball": (32, 0),
             "_csc_square_bounds": (256, 0),
-            "_signed_weights": (64, 0),
+            "_power_row": (64, 0),
         }
-        assert len(fusion._power_rows) == 0
-        # the power rows keep the 64 most recently used of 78 or more
+        # the power rows keep the 64 most recently used of the more walked
         for k in range(12):
             for g in range(2, k + 3):
                 assert verlinde_trig_oracle(g, k).value == verlinde_dim(g, k)
-        assert fusion._POWER_ROWS_MAXSIZE == len(fusion._power_rows) == 64
-        n, _, m = next(reversed(fusion._power_rows))
-        assert (n, m) == (13, 12)
+        info = _power_row.cache_info()
+        assert info.misses > info.maxsize == info.currsize == 64
+        # the last cell's rows, its prefixes included, are among them
+        assert verlinde_trig_oracle(13, 11).value == verlinde_dim(13, 11)
+        assert _power_row.cache_info().misses == info.misses
 
     def test_genus_one_oracle_is_exact(self):
         # csc2^0 = 1 exactly, so the sum of the fold weights is exact
@@ -733,7 +757,7 @@ class TestOracles:
             certified = twisted_trig_oracle(g, p, bits)
             assert (certified.value, certified.width, certified.precision_bits) == (0, 0, bits)
         assert _csc_square_bounds.cache_info().misses == 0
-        assert len(fusion._power_rows) == 0
+        assert _power_row.cache_info().currsize == 0
         with pytest.raises(ValueError):
             twisted_trig_oracle(3, 102, 32)
 
@@ -748,7 +772,7 @@ class TestRawIntervalOracle:
         for n in range(2, 41):
             bounds = _csc_square_bounds(n, prec)
             reference = interval_csc_squares(n, 2 * prec + 64)
-            assert list(_signed_weights(n, False)[0]) == [weight for weight, _ in reference]
+            assert fold_weights(n, False) == [weight for weight, _ in reference]
             for lo, hi, (_, csc2) in zip(*bounds, reference):
                 ref_lo, ref_hi = interval_fractions(csc2)
                 assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale)
@@ -850,6 +874,15 @@ class TestRawIntervalOracle:
 PRECISIONS = [64 << i for i in range(7)]
 
 
+@pytest.fixture
+def isolated_rows():
+    """Empty the power rows before and after the test, so that rows built
+    from fake bounds never reach another test."""
+    _power_row.cache_clear()
+    yield
+    _power_row.cache_clear()
+
+
 class TestFixedPointBounds:
     """The integer sine balls and csc^2 bounds, and the directed roundings of the sums."""
 
@@ -892,13 +925,12 @@ class TestFixedPointBounds:
         # cheapest one shows it
         assert max(hi - lo for lo, hi in zip(*_csc_square_bounds.__wrapped__(n, 64))) <= 2
 
-    def test_rounded_powers_bracket_the_exact_power(self, monkeypatch):
+    def test_rounded_powers_bracket_the_exact_power(self, monkeypatch, isolated_rows):
         # the power rows of the one term x at n = 3 and 64 bits, walked at
-        # 72 bits, are the chains; they are kept apart from the real rows
-        rows = OrderedDict()
-        monkeypatch.setattr(fusion, "_power_rows", rows)
+        # 72 bits, are the chains
         for x in (0, 1, 2**64 - 1, 2**64, 3 * 2**70 + 12345, 7**40):
-            rows.clear()
+            _power_row.cache_clear()
+            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n, bits: ((x,), (x,)))
             for m in range(0, 40):
                 exact = Fraction(x**m, 2 ** (64 * (m - 1))) if m else Fraction(2**64)
                 low = scaled_power(x, m, 64, up=False)
@@ -907,12 +939,12 @@ class TestFixedPointBounds:
                 # a rounding costs one unit, scaled by the later factors' size
                 assert high - low <= 2 * m * (1 + (high >> 64))
                 chains = [scaled_power(x << 8, m, 72, up=False)], [scaled_power(x << 8, m, 72, up=True)]
-                assert _power_row(3, 64, m, ((x,), (x,))) == chains
+                assert _power_row(3, 64, m) == chains
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
     def test_power_rows_equal_the_per_term_chains(self, n, cold_caches):
-        # in a shuffled order of m, rows walk from kept prefixes of every
-        # length, and from m = 0
+        # in a shuffled order of m, a row is built on prefix rows kept from
+        # earlier rows, or walked anew down to m = 0
         for bits in (64, 128, 512):
             order = list(range(65))
             random.Random(bits + n).shuffle(order)
@@ -934,8 +966,8 @@ class TestFixedPointBounds:
             for m, n in order:
                 if _sum_enclosure(m, n, 128, False) != expected[m, n]:
                     bad.append((m, n))
-                if len(fusion._power_rows) > fusion._POWER_ROWS_MAXSIZE:
-                    bad.append(("size", len(fusion._power_rows)))
+                if _power_row.cache_info().currsize > 64:
+                    bad.append(("size", _power_row.cache_info().currsize))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -950,12 +982,20 @@ class TestFixedPointBounds:
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
 
+    def test_high_genus_cells_share_prefix_rows(self, cold_caches):
+        # g 100..120 at k 100 certify at one precision, so each distinct
+        # prefix m >> s of m = 99..119, 0 included, is walked once
+        for g in range(100, 121):
+            assert verlinde_trig_oracle(g, 100).precision_bits == 2048
+        prefixes = {m >> s for m in range(99, 120) for s in range(m.bit_length() + 1)}
+        assert _power_row.cache_info().misses == len(prefixes) == 46
+        for m in (99, 119):
+            assert _sum_enclosure(m, 102, 2048, False) == per_term_sum_enclosure(m, 102, 2048, False)
+
     @pytest.mark.parametrize("large", [False, True])
-    def test_sum_roundings_are_outward(self, monkeypatch, large):
+    def test_sum_roundings_are_outward(self, monkeypatch, isolated_rows, large):
         # point bounds lo = hi leave only the roundings of the powers and of
-        # the prefactor, which must still enclose the exact sum; the power
-        # rows of these bounds are kept apart from the real ones
-        monkeypatch.setattr(fusion, "_power_rows", OrderedDict())
+        # the prefactor, which must still enclose the exact sum
         bits = 64
         for n in (3, 4, 7, 12):
             values = tuple(
