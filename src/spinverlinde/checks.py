@@ -9,10 +9,10 @@ certified oracle in ``_oracle_record`` alone, which the CLI's verlinde table
 shares; a cell the oracle cannot certify is a failed record.  A suite whose
 grid has no cell, a genus range below 1 included, raises ValueError rather
 than pass vacuously, and so does a suite given a genus or level below the
-least it takes, before its first cell.  ``run_suite`` takes the options of
-``spinverlinde check`` and reads one table, ``_OPTIONS``, for the keyword
-argument each option sets and the grid check each suite runs before any
-suite does.
+least it takes, before its first cell, or a grid larger than
+``MAX_RANGE_VALUES``.  ``run_suite`` takes the options of ``spinverlinde
+check`` and reads one table, ``_OPTIONS``, for the keyword argument each
+option sets and the grid check each suite runs before any suite does.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` make
@@ -105,6 +105,11 @@ def _counted(
             details = f"{checked} {counted}; first counterexample {labels} = {_masks(case)}"
             return CheckResult(name, False, details)
     return CheckResult(name, True, f"{checked} {counted}")
+
+
+#: Most values one integer-range option may list, the largest ``max_m`` and
+#: the most (g, p) cells of the integrality sweep; a larger request is a usage error.
+MAX_RANGE_VALUES = 100_000
 
 
 def _require_genera(suite: str, max_genus: int) -> None:
@@ -593,6 +598,13 @@ def _require_integrality_cells(max_genus: int = 6, max_p: int = 64) -> None:
             f"check integrality: no cell (g, p) with 2 <= g <= {max_genus} "
             f"and p a multiple of 8 in 8..{max_p}"
         )
+    # the sweep covers the whole grid below the largest genus and level given
+    cells = (max_genus - 1) * (max_p // 8)
+    if cells > MAX_RANGE_VALUES:
+        raise ValueError(
+            f"check integrality: {cells} cells (g, p) with 2 <= g <= {max_genus} "
+            f"and p a multiple of 8 in 8..{max_p}, more than {MAX_RANGE_VALUES}"
+        )
 
 
 def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
@@ -716,6 +728,9 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
 def _require_max_m(max_m: int) -> None:
     if max_m < 1:
         raise ValueError(f"check levels: max_m must be >= 1, got {max_m}")
+    # the suite walks 1..max_m and 0..2 max_m - 1
+    if max_m > MAX_RANGE_VALUES:
+        raise ValueError(f"check levels: --max-m {max_m} is more than {MAX_RANGE_VALUES}")
 
 
 def _table_record(name: str) -> CheckResult:
@@ -831,16 +846,19 @@ def run_suite(name: str, **options) -> list[CheckResult]:
     The options are those of ``spinverlinde check``: the lists ``genus``,
     ``p`` and ``level``, and the integer ``max_m``.  _OPTIONS turns them into
     each suite's keyword arguments; a ``max_genus`` or ``max_p`` is the
-    largest value of its option.  An option the named suite does not take is
-    a ValueError, while 'all' passes each suite only the options it takes.
-    Every suite's grid is checked before the first suite runs.
+    largest value of its option.  An unknown suite and an option the named
+    suite does not take are ValueErrors, while 'all' passes each suite only
+    the options it takes.  Every suite's grid is checked before the first
+    suite runs, its size included: a ``max_m`` above ``MAX_RANGE_VALUES`` and
+    an integrality grid of more cells are ValueErrors, for a library caller
+    as for the CLI, which reads its bound from here.
     """
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
-        raise KeyError(f"unknown check suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
+        raise ValueError(f"unknown check suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
     takes = dict.fromkeys(option for suite in names for option in _OPTIONS[suite][0])
     unusable = [option for option in options if option not in takes]
     if unusable:

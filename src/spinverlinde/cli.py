@@ -1,9 +1,12 @@
 """Command-line surface: dimension tables, identity suites, level conversions.
 
 Exit codes are a stable contract: 0 success, 1 identity or certification
-failure, 2 usage error.  Sweep rows are emitted genus-major, so output
-ordering is deterministic; the verlinde sweep evaluates its cells
-level-major, so that each level's cached tables serve every genus.
+failure, 2 usage error.  A parse error prints argparse's usage line and
+raises SystemExit(2); every later refusal, a grid bound of ``checks``
+included (which ``run_suite`` holds too), prints ``error: <message>`` and
+``main`` returns 2.  Sweep rows are emitted genus-major, so output ordering
+is deterministic; the verlinde sweep evaluates its cells level-major, so
+that each level's cached tables serve every genus.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import io
 import json
 import sys
 
-from .checks import SUITES, CheckResult, _oracle_record, _table_record, run_suite
+from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _oracle_record, _table_record, run_suite
 from .dimensions import (
     IdentityViolationError,
     IntegralityError,
@@ -36,9 +39,6 @@ from .levels import (
     su2_from_bhmv,
 )
 from .spin import count_by_arf
-
-#: Most values one integer-range option may list; a larger sweep is a usage error.
-MAX_RANGE_VALUES = 100_000
 
 # argparse reads "--genus -2..0" as an option with no value
 GENUS_HELP = "genera such as 2, 1..5 or 2,4..6; write a range below 0 as --genus=-2..0"
@@ -156,9 +156,7 @@ def _emit(args, command: str, params: dict, rows: list[dict], results: list[Chec
             with open(args.out, "w") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            raise argparse.ArgumentTypeError(
-                f"cannot write --out {args.out!r}: {exc.strerror}"
-            ) from None
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(rendered)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
@@ -190,16 +188,12 @@ def _cmd_verlinde(args) -> int:
     return _emit(args, "verlinde", params, rows, checks)
 
 
-def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_spin_dims(args) -> int:
     extrapolated_convention = args.convention != "bm"
     if args.p is not None:
         levels = args.p
     else:
-        try:
-            levels = [_level_p(k, args.convention) for k in args.so3_level]
-        except ValueError as exc:
-            parser.error(str(exc))
-    levels = sorted(set(levels))
+        levels = sorted({_level_p(k, args.convention) for k in args.so3_level})
     rows, checks = [], []
     for g in args.genus:
         extrapolated = g == 1 or extrapolated_convention
@@ -233,12 +227,7 @@ def _cmd_spin_dims(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_check(args) -> int:
     given = {name: getattr(args, name) for name in ("genus", "p", "level", "max_m")}
     options = {name: value for name, value in given.items() if value is not None}
-    try:
-        results = run_suite(args.suite, **options)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    return _emit(args, "check", {"suite": args.suite, **options}, [], results)
+    return _emit(args, "check", {"suite": args.suite, **options}, [], run_suite(args.suite, **options))
 
 
 _CONVERSIONS = {
@@ -256,7 +245,7 @@ _CONVERSIONS = {
 _CONVERSION_OPTIONS = {"so3": None, "su2": None, "bhmv": None, "bm": None, "to": None, "shift": False}
 
 
-def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_levels(args) -> int:
     if args.table:
         given = [name for name, default in _CONVERSION_OPTIONS.items() if getattr(args, name) is not default]
         if given:
@@ -280,7 +269,7 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
     ]
     given = [(lattice, value) for lattice, value in sources if value is not None]
     if len(given) != 1:
-        parser.error("provide exactly one of --so3/--su2/--bhmv/--bm (or --table)")
+        raise ValueError("provide exactly one of --so3/--su2/--bhmv/--bm (or --table)")
     lattice, value = given[0]
     level = LevelValue(lattice, value)
     if args.shift:
@@ -294,9 +283,7 @@ def _cmd_levels(args, parser: argparse.ArgumentParser) -> int:
         else:
             converter = _CONVERSIONS.get((level.lattice, target_lattice))
             if converter is None:
-                parser.error(
-                    f"no conversion from {level.lattice.value} to {target_lattice.value}"
-                )
+                raise ValueError(f"no conversion from {level.lattice.value} to {target_lattice.value}")
             target = converter(level)
     params = {
         "from_lattice": lattice.value,
@@ -368,9 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"verlinde": _cmd_verlinde, "spin-dims": _cmd_spin_dims, "check": _cmd_check, "levels": _cmd_levels}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # an exact value can have more digits than CPython 3.11+ converts to str
     # by default; lift that limit while this call runs, and give an
     # in-process caller its own setting back afterwards
@@ -379,18 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        if args.command == "verlinde":
-            return _cmd_verlinde(args)
-        if args.command == "spin-dims":
-            return _cmd_spin_dims(args, parser)
-        if args.command == "check":
-            # checked before any suite runs: the levels suite walks 1..max_m and 0..2 max_m - 1
-            if args.max_m is not None and args.max_m > MAX_RANGE_VALUES:
-                parser.error(f"--max-m {args.max_m} is more than {MAX_RANGE_VALUES}")
-            return _cmd_check(args)
-        return _cmd_levels(args, parser)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
+        return _COMMANDS[args.command](args)
     except (IdentityViolationError, IntegralityError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -363,16 +363,17 @@ def _sine_balls(n: int, scale_bits: int) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=256)
-def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(los, his), lo 2^-bits <= csc^2(pi j / n) <= hi 2^-bits at index j - 1 for 1 <= j <= n/2.
 
     These are the folded terms (``_sum_enclosure``).  With the sine
     balls (y, rho) of ``_sine_balls`` at scale 2^W, W = bits + guard, and
     csc^2 = 1 / sin^2 decreasing in sin > 0,
     lo = floor(2^(2W + bits) / (y + rho)^2) and
-    hi = ceil(2^(2W + bits) / (y - rho)^2).  If some y <= rho the ball may
-    reach 0 and the result is None ("not tight").  As rho > 0, every term
-    has hi > lo: ceil(a) >= a > b >= floor(b).
+    hi = ceil(2^(2W + bits) / (y - rho)^2).  The guard keeps every y above
+    rho; a ball that could reach 0, y <= rho, would be a wrong proof, and
+    raises CertificationError.  As rho > 0, every term has hi > lo:
+    ceil(a) >= a > b >= floor(b).
 
     Guard.  With sigma = 2^W sin(pi j / n) >= 2^(W+1) j / n (as
     sin x >= 2x / pi on [0, pi/2]), rho <= 3j and so rho / sigma below
@@ -385,9 +386,9 @@ def _csc_square_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, .
     scale_bits = bits + 3 * n.bit_length() + 2
     top = 1 << (2 * scale_bits + bits)
     los, his = [], []
-    for y, rho in _sine_balls(n, scale_bits):
+    for j, (y, rho) in enumerate(_sine_balls(n, scale_bits), 1):
         if y <= rho:
-            return None
+            raise CertificationError(f"csc^2 bounds at n={n}, {bits} bits: the sine ball of j={j} may reach 0")
         los.append(top // (y + rho) ** 2)
         his.append(-(-top // (y - rho) ** 2))
     return tuple(los), tuple(his)
@@ -421,9 +422,9 @@ def _power_row(n: int, bits: int, m: int) -> tuple[list[int], list[int]]:
     return low, high
 
 
-def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, int] | None:
+def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, int]:
     """(L, U) with L 2^-bits <= (n/2)^m sum_{j=1}^{n-1} s_j csc^{2m}(pi j / n) <= U 2^-bits,
-    or None if not tight; s_j = (-1)^{j+1} if ``alternating``, else 1.
+    where s_j = (-1)^{j+1} if ``alternating``, else 1.
 
     The alternating sum is exactly 0 at odd n (see ``twisted_trig_oracle``).
     2^F csc^{2m} lies between the rounded powers of lo and hi in the power
@@ -444,8 +445,6 @@ def _sum_enclosure(m: int, n: int, bits: int, alternating: bool) -> tuple[int, i
     """
     if alternating and n % 2:
         return 0, 0
-    if _csc_square_bounds(n, bits) is None:
-        return None
     low, high = _power_row(n, bits, m)
     if alternating:
         lower, upper = sum(low[::2]) - sum(high[1::2]), sum(high[::2]) - sum(low[1::2])
@@ -467,9 +466,9 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     enclosure narrower than 1/2 at the first precision Q of the doubling
     sequence from ``precision_bits`` that gives one.
 
-    An enclosure that is None (not tight) never certifies.  The enclosure is
-    exact, and certifies at once, at m = 0 and for the twisted sum at odd n.
-    Otherwise write c = csc^2(pi/n), the largest csc^2 of the sum, and
+    The enclosure is exact, and certifies at once, at m = 0 and for the
+    twisted sum at odd n.  Otherwise write c = csc^2(pi/n), the largest
+    csc^2 of the sum, and
     B = log2(2m) + m log2(n/2) + 2 (m-1) log2 csc(pi/n), so 2^B = 2 m (n/2)^m c^(m-1).
 
     Skip.  Precisions that cannot certify are skipped.  Both sums, the
@@ -523,9 +522,8 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     bits = precision_bits
     while True:
         if skip <= bits + 1:
-            enclosure = _sum_enclosure(m, n, bits, alternating)
-            if enclosure is not None and 2 * (enclosure[1] - enclosure[0]) < 1 << bits:
-                lower, upper = enclosure
+            lower, upper = _sum_enclosure(m, n, bits, alternating)
+            if 2 * (upper - lower) < 1 << bits:
                 candidate = -(-lower >> bits)
                 if candidate << bits > upper:
                     # hexadecimal, which neither overflows a float nor meets

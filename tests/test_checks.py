@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -375,6 +376,29 @@ class TestSuiteAll:
         # traces, before integrality, takes no genus below 2
         with pytest.raises(ValueError, match="^check traces: genus must be >= 2, got 1$"):
             checks.run_suite("all", genus=[1], p=[8])
+        with pytest.raises(ValueError, match="^check levels: --max-m 100001 is more than 100000$"):
+            checks.run_suite("levels", max_m=100_001)
+        with pytest.raises(ValueError, match="^unknown check suite 'nonsense'; known: arf, .*, verlinde, all$"):
+            checks.run_suite("nonsense")
+
+    def test_integrality_grid_is_bounded_before_the_suite_runs(self, monkeypatch, capsys):
+        # one listed level implies the grid 2..max(genus) x 8..max(p) below it
+        def ran(**params):
+            raise AssertionError("the integrality suite ran on an unbounded grid")
+
+        monkeypatch.setitem(checks.SUITES, "integrality", ran)
+        grid = "(g, p) with 2 <= g <= 6 and p a multiple of 8 in 8..{}, more than 100000"
+        with pytest.raises(ValueError, match=rf"^check integrality: 625000000 cells {re.escape(grid.format(10**9))}$"):
+            checks.run_suite("integrality", p=[10**9])
+        assert cli.main(["check", "integrality", "--p", str(10**9)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: check integrality: 625000000 cells {grid.format(10**9)}\n")
+        # the bound counts cells, not genera: 5 x 20 000 cells pass, 5 x 20 001 do not
+        checks._require_integrality_cells(6, 8 * 20_000)
+        with pytest.raises(ValueError, match="^check integrality: 100005 cells "):
+            checks.run_suite("all", genus=[6], p=[8 * 20_001])
+        with pytest.raises(ValueError, match="^check integrality: 199998 cells "):
+            checks.run_suite("integrality", genus=[100_000], p=[16])
 
 
 class TestParameters:

@@ -110,10 +110,9 @@ class TestVerlindeCommand:
 
     def test_unwritable_out_file_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["levels", "--su2", "2", "--out", str(target)])
-        assert excinfo.value.code == 2
-        assert str(target) in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "levels", "--su2", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert str(target) in err
         assert not target.exists()
 
     def test_precision_ceiling_env_var(self, capsys, monkeypatch):
@@ -238,6 +237,48 @@ def test_genus_help_names_the_negative_range_spelling(command, capsys):
     assert "--genus: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("levels", "--so3", "1", "--su2", "2"), "provide exactly one of --so3/--su2/--bhmv/--bm (or --table)"),
+        (("levels", "--to", "bm"), "provide exactly one of --so3/--su2/--bhmv/--bm (or --table)"),
+        (("levels", "--bm", "8", "--to", "bhmv"), "no conversion from bm to bhmv"),
+        (("spin-dims", "--genus", "2", "--so3-level", "2"), "convention 'bm' pairs only positive odd levels, got k=2"),
+        (
+            ("verlinde", "--genus", "2", "--level", "2", "--out", "{missing}"),
+            "cannot write --out '{missing}': No such file or directory",
+        ),
+        (("check", "levels", "--max-m", "1000000000000"), "check levels: --max-m 1000000000000 is more than 100000"),
+        (("check", "nonsense"), f"unknown check suite 'nonsense'; known: {', '.join(sorted(checks.SUITES))}, all"),
+    ],
+    ids=["two-sources", "no-source", "no-conversion", "so3-level-parity", "unwritable-out", "max-m", "unknown-suite"],
+)
+def test_refusal_after_parsing_returns_usage_error(argv, message, capsys, tmp_path):
+    # one path for every request refused after argparse: main returns 2 and
+    # prints the message alone, without a usage line
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = [arg.format(missing=missing) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message.format(missing=missing)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verlinde", "--genus", "2", "--level", f"0..{10**12}"), "range '0..1000000000000' has 1000000000001 values"),
+        (("spin-dims", "--genus", "2"), "one of the arguments --p --so3-level is required"),
+    ],
+    ids=["oversized-range", "no-level"],
+)
+def test_parse_errors_exit_through_argparse(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: spinverlinde {argv[0]} ")
+    assert message in err
+
+
 class TestSpinDimsCommand:
     def test_level_eight_rows_and_checksum(self, capsys):
         code, payload, _ = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
@@ -275,10 +316,8 @@ class TestSpinDimsCommand:
         assert {r["p"] for r in payload["rows"]} == {8}
 
     def test_so3_level_parity_per_convention(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["spin-dims", "--genus", "2", "--so3-level", "2"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        code, _, _ = run_cli(capsys, "spin-dims", "--genus", "2", "--so3-level", "2")
+        assert code == 2
         code, payload, _ = run_json(
             capsys,
             "spin-dims", "--genus", "2", "--so3-level", "2", "--convention", "corollary",
@@ -376,6 +415,21 @@ class TestCheckCommand:
         code, payload, _ = run_json(capsys, "check", "levels")
         assert code == 0
 
+    def test_sine_ball_reaching_zero_is_a_failed_record(self, capsys, monkeypatch, cold_caches):
+        # a csc^2 bound whose sine ball may reach 0 fails its cell, not the command
+        monkeypatch.setattr(fusion, "_sine_balls", lambda n, scale_bits: iter([(0, 1)] * (n // 2)))
+        code, payload, err = run_json(capsys, "check", "verlinde", "--genus", "2", "--level", "3")
+        assert (code, err) == (1, "")
+        assert payload["checks"] == [
+            {
+                "name": "verlinde trace = oracle (g=2, k=3)",
+                "passed": False,
+                "details": "csc^2 bounds at n=5, 128 bits: the sine ball of j=1 may reach 0",
+            }
+        ]
+        # the error caches no bounds, so none reaches a later test
+        assert fusion._csc_square_bounds.cache_info().currsize == 0
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "check", "nonsense")
         assert code == 2
@@ -438,10 +492,9 @@ class TestCheckCommand:
             raise AssertionError("the levels suite ran with an unbounded max_m")
 
         monkeypatch.setitem(checks.SUITES, "levels", ran)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check", "levels", "--max-m", "1000000000000"])
-        assert excinfo.value.code == 2
-        assert "--max-m 1000000000000 is more than 100000" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "check", "levels", "--max-m", "1000000000000")
+        assert (code, out) == (2, "")
+        assert "--max-m 1000000000000 is more than 100000" in err
 
     @pytest.mark.parametrize(
         "argv, params",
@@ -636,14 +689,12 @@ class TestLevelsCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_invalid_conversion_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["levels", "--bm", "8", "--to", "bhmv"])
-        assert excinfo.value.code == 2
+        code, _, _ = run_cli(capsys, "levels", "--bm", "8", "--to", "bhmv")
+        assert code == 2
 
     def test_missing_source_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["levels", "--to", "bm"])
-        assert excinfo.value.code == 2
+        code, _, _ = run_cli(capsys, "levels", "--to", "bm")
+        assert code == 2
 
     def test_invalid_level_value(self, capsys):
         code, _, err = run_cli(capsys, "levels", "--bm", "12", "--to", "so3")

@@ -216,7 +216,7 @@ class TestFusionLabels:
             twisted_trig_oracle(2, 8, 256)
 
     def test_no_certificate(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: None)
+        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << bits))
         proved = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
         with raises_exactly(CertificationError, f"verlinde(g=12, k=40): {proved}"):
             verlinde_trig_oracle(12, 40)

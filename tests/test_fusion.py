@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -603,24 +604,18 @@ class TestOracles:
     def test_unbounded_enclosure_never_certifies(self, monkeypatch):
         tried = []
 
-        def not_tight(m, n, bits, alternating):
-            tried.append(bits)
-
-        # "not tight" (None) is no enclosure at any precision; it must not read as [0, 0]
-        monkeypatch.setattr(fusion, "_sum_enclosure", not_tight)
-        stop = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
-        with pytest.raises(CertificationError, match=stop):
-            verlinde_trig_oracle(12, 40)
-        assert tried == [128, 256]
-        # an enclosure one unit wide at every precision never narrows below
-        # 1/2; the walk raises instead of doubling for ever
-        tried.clear()
-
         def unit_wide(m, n, bits, alternating):
             tried.append(bits)
             return 0, 1 << bits
 
+        # an enclosure one unit wide at every precision never narrows below
+        # 1/2; the walk raises instead of doubling for ever
         monkeypatch.setattr(fusion, "_sum_enclosure", unit_wide)
+        stop = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
+        with pytest.raises(CertificationError, match=stop):
+            verlinde_trig_oracle(12, 40)
+        assert tried == [128, 256]
+        tried.clear()
         with pytest.raises(CertificationError, match=stop):
             twisted_trig_oracle(12, 84, 64)
         assert tried == [128, 256]
@@ -632,16 +627,17 @@ class TestOracles:
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 12, 40, 120])
     def test_walk_stops_only_where_the_sum_certifies(self, g, monkeypatch):
-        # the stop rule's upper bound: at the precision where a never-tight
-        # walk gives up, the honest enclosure is narrower than 1/2, n = 2 and
-        # the odd-n twisted sums included
+        # the stop rule's upper bound: at the precision where a walk over
+        # enclosures one unit wide gives up, the honest enclosure is narrower
+        # than 1/2, n = 2 and the odd-n twisted sums included
         honest = fusion._sum_enclosure
         tried = []
 
-        def not_tight(m, n, bits, alternating):
+        def unit_wide(m, n, bits, alternating):
             tried.append(bits)
+            return 0, 1 << bits
 
-        monkeypatch.setattr(fusion, "_sum_enclosure", not_tight)
+        monkeypatch.setattr(fusion, "_sum_enclosure", unit_wide)
         for k in (0, 1, 2, 3, 10, 40, 101):
             for oracle, level, alternating in (
                 (verlinde_trig_oracle, k, False),
@@ -655,7 +651,7 @@ class TestOracles:
 
     def test_non_finite_enclosure_triggers_doubling(self, monkeypatch):
         def probe(m, n, bits, alternating):
-            return (5 << bits, 5 << bits) if bits >= 256 else None
+            return (5 << bits, 5 << bits) if bits >= 256 else (0, 1 << bits)
 
         monkeypatch.setattr(fusion, "_sum_enclosure", probe)
         certified = verlinde_trig_oracle(12, 40)
@@ -924,6 +920,15 @@ class TestFixedPointBounds:
         # the guard's bound on hi - lo does not depend on the precision, so the
         # cheapest one shows it
         assert max(hi - lo for lo, hi in zip(*_csc_square_bounds.__wrapped__(n, 64))) <= 2
+
+    @pytest.mark.parametrize("y", [3, 2], ids=["y-equals-rho", "y-below-rho"])
+    def test_sine_ball_reaching_zero_is_an_error(self, monkeypatch, y):
+        # the guard keeps every y above rho; a ball that may reach 0 bounds no
+        # csc^2, and the error names the level, the precision and the index
+        monkeypatch.setattr(fusion, "_sine_balls", lambda n, scale_bits: iter([(1 << scale_bits, 1), (y, 3)]))
+        message = "csc^2 bounds at n=5, 64 bits: the sine ball of j=2 may reach 0"
+        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+            _csc_square_bounds.__wrapped__(5, 64)
 
     def test_rounded_powers_bracket_the_exact_power(self, monkeypatch, isolated_rows):
         # the power rows of the one term x at n = 3 and 64 bits, walked at
