@@ -1,7 +1,7 @@
 """Exact dimension theory of spin-refined surface state spaces.
 
 Verlinde-type dimensions evaluated exactly from csc power sums and
-certified by a fixed-point integer oracle; Arf-invariant
+certified by their residues modulo Phi_n(2^t); Arf-invariant
 combinatorics of spin structures as quadratic refinements over GF(2);
 the graded spin dimension formulas and their refinement identities; the
 twisted group algebra of projections; a finite Heisenberg group with its

@@ -3,16 +3,19 @@
 Each suite returns a list of CheckResult records; a suite passes when all
 of its records do.  The suites deliberately recompute quantities along
 independent routes (brute-force enumeration against closed forms, the
-exact power-sum dimensions against interval-certified trigonometric sums)
-rather than trusting the primary implementation.  An exact value meets its
-certified oracle in ``_oracle_record`` alone, which the CLI's verlinde table
-shares; a cell the oracle cannot certify is a failed record.  A suite whose
-grid has no cell, a genus range below 1 included, raises ValueError rather
-than pass vacuously, and so does a suite given a genus or level below the
-least it takes, before its first cell, or a grid larger than
-``MAX_RANGE_VALUES``.  ``run_suite`` takes the options of ``spinverlinde
-check`` and reads one table, ``_OPTIONS``, for the keyword argument each
-option sets and the grid check each suite runs before any suite does.
+exact power-sum dimensions against the trigonometric sums certified by
+their residues modulo Phi_n(2^t)) rather than trusting the primary
+implementation.  An exact value meets its certified oracle in
+``_oracle_record`` alone, which the CLI's verlinde table shares; the record
+passes when the values agree and the certificate pins one integer,
+2 bound < modulus.  A cell the oracle cannot certify is a failed record.
+A suite whose grid has no cell, a genus range below 1 included, raises
+ValueError rather than pass vacuously, and so does a suite given a genus
+or level below the least it takes, before its first cell, or a grid
+larger than ``MAX_RANGE_VALUES``.  ``run_suite`` takes the options of
+``spinverlinde check`` and reads one table, ``_OPTIONS``, for the keyword
+argument each option sets and the grid check each suite runs before any
+suite does.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` make
@@ -30,7 +33,6 @@ stopped at a counterexample before making them.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import eq
 from typing import Any, Callable, Iterable, Sequence
 
@@ -386,10 +388,7 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# exact dimensions against the interval oracle
-
-
-_HALF = Fraction(1, 2)
+# exact dimensions against the modular oracle
 
 
 def _oracle_record(
@@ -401,7 +400,7 @@ def _oracle_record(
         certificate = oracle(*args)
     except CertificationError as exc:
         return CheckResult(name, False, str(exc)), None
-    passed = series_value == certificate.value and certificate.width < _HALF
+    passed = series_value == certificate.value and 2 * certificate.bound < certificate.modulus
     return CheckResult(name, passed, f"series {series_value}, oracle {certificate.value}"), certificate
 
 

@@ -170,16 +170,14 @@ def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
     """The row and the certification check of one (g, k) cell."""
     dim = verlinde_dim(g, k)
     check, certificate = _oracle_record(f"certified (g={g}, k={k})", dim, verlinde_trig_oracle, g, k)
-    width = bits = None
-    if certificate is not None:
-        width, bits = float(certificate.width), certificate.precision_bits
-    row = {"g": g, "k": k, "dim": dim, "oracle_interval_width": width, "oracle_precision_bits": bits}
+    bits = None if certificate is None else certificate.precision_bits
+    row = {"g": g, "k": k, "dim": dim, "oracle_precision_bits": bits}
     return row, check
 
 
 def _cmd_verlinde(args) -> int:
     # level-major, so that every genus reads a level's power-sum table and
-    # enclosures while they are cached; an invalid genus or level is the
+    # residue tables while they are cached; an invalid genus or level is the
     # first of its sorted list, so the first cell raises in either order
     cells = {(g, k): _verlinde_cell(g, k) for k in args.level for g in args.genus}
     ordered = [cells[g, k] for g in args.genus for k in args.level]
@@ -189,11 +187,15 @@ def _cmd_verlinde(args) -> int:
 
 
 def _cmd_spin_dims(args) -> int:
-    extrapolated_convention = args.convention != "bm"
+    # --convention pairs SO3 levels with p; a level p given as such resolves none
     if args.p is not None:
-        levels = args.p
+        if args.convention is not None:
+            raise ValueError("spin-dims --p: --convention does not apply; it resolves --so3-level only")
+        levels, resolved = args.p, {}
     else:
-        levels = sorted({_level_p(k, args.convention) for k in args.so3_level})
+        resolved = {"convention": args.convention or "bm"}
+        levels = sorted({_level_p(k, resolved["convention"]) for k in args.so3_level})
+    extrapolated_convention = args.convention == "corollary"
     rows, checks = [], []
     for g in args.genus:
         extrapolated = g == 1 or extrapolated_convention
@@ -220,7 +222,7 @@ def _cmd_spin_dims(args) -> int:
                     f"sum over spin structures {even_total}, unrefined {unrefined}",
                 )
             )
-    params = {"genus": args.genus, "p": levels, "arf": args.arf, "convention": args.convention}
+    params = {"genus": args.genus, "p": levels, "arf": args.arf, **resolved}
     return _emit(args, "spin-dims", params, rows, checks)
 
 
@@ -330,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="SO3 levels, resolved to p per --convention",
     )
     p_spin.add_argument("--arf", type=_parse_bits, default=[0, 1])
-    p_spin.add_argument("--convention", choices=("bm", "corollary"), default="bm")
+    p_spin.add_argument(
+        "--convention", choices=("bm", "corollary"), default=None,
+        help="pairing of --so3-level with p (default bm); not with --p",
+    )
     p_spin.add_argument("--allow-genus-one", action="store_true")
     _add_common(p_spin)
 

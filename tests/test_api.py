@@ -1,6 +1,6 @@
-"""The public names of the package are a contract: changing them means
-changing this list on purpose.  Importing the CLI loads no module that it
-does not use."""
+"""The public names of the package, and the fields of its certificate,
+are a contract: changing them means changing this file on purpose.
+Importing the CLI loads no module that it does not use."""
 
 import os
 import subprocess
@@ -73,6 +73,12 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_public_name_resolves():
     for name in spinverlinde.__all__:
         assert hasattr(spinverlinde, name), name
+
+
+def test_certificate_fields_are_pinned():
+    # the oracles' certificate is a contract too: the integer, the bound on
+    # the sum, the modulus of its residue and the precision that gave it
+    assert spinverlinde.CertifiedInteger._fields == ("value", "bound", "modulus", "precision_bits")
 
 
 @pytest.mark.parametrize("module", ["mpmath", "dataclasses", "inspect"])

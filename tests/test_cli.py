@@ -2,8 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,12 +24,19 @@ def run_json(capsys, *argv):
 
 
 def uncertifiable_above_genus_one(monkeypatch):
-    """Make every sum above genus one enclose no integer, [2^-Q, 2^(1-Q)], so
-    its certification fails; the genus-one sums stay exact."""
-    honest = fusion._sum_enclosure
+    """Make every sum above genus one read the residue (n - 1) n^{3m} + 1,
+    past its bound (n - 1)(n/2)^{3m}, so its certification fails; the
+    genus-one sums stay exact."""
+    honest = fusion._sum_residue
     monkeypatch.setattr(
-        fusion, "_sum_enclosure", lambda m, n, bits, alternating: honest(m, n, bits, alternating) if m == 0 else (1, 2)
+        fusion,
+        "_sum_residue",
+        lambda m, n, bits, alternating: honest(m, n, bits, alternating) if m == 0 else (n - 1) * n ** (3 * m) + 1,
     )
+
+
+# the message of a residue outside its bound
+OUTSIDE_THE_BOUND = r"residue 0x[0-9a-f]+ at \d+ bits exceeds the bound 0x[0-9a-f]+$"
 
 
 class TestVerlindeCommand:
@@ -46,14 +53,14 @@ class TestVerlindeCommand:
         assert code == 0
         rows = {(r["g"], r["k"]): r for r in payload["rows"]}
         assert rows[(2, 2)]["dim"] == 10
-        assert rows[(2, 2)]["oracle_interval_width"] < 0.5
+        assert rows[(2, 2)]["oracle_precision_bits"] == 128
         assert all(c["passed"] for c in payload["checks"])
 
     def test_genus_one_row(self, capsys):
         code, payload, _ = run_json(capsys, "verlinde", "--genus", "1", "--level", "5")
         assert code == 0
         assert payload["rows"] == [
-            {"g": 1, "k": 5, "dim": 6, "oracle_interval_width": 0.0, "oracle_precision_bits": 128}
+            {"g": 1, "k": 5, "dim": 6, "oracle_precision_bits": 128}
         ]
 
     def test_malformed_range_is_usage_error(self, capsys):
@@ -140,7 +147,7 @@ class TestVerlindeCommand:
         value = 10**5000 + 1
         monkeypatch.setattr(cli, "verlinde_dim", lambda g, k: value)
         monkeypatch.setattr(
-            cli, "verlinde_trig_oracle", lambda g, k: fusion.CertifiedInteger(value, Fraction(value), Fraction(value), 128)
+            cli, "verlinde_trig_oracle", lambda g, k: fusion.CertifiedInteger(value, value, 2 * value + 1, 128)
         )
         limited = hasattr(sys, "set_int_max_str_digits")
         before = sys.get_int_max_str_digits() if limited else None
@@ -190,39 +197,37 @@ class TestVerlindeCommand:
         assert code == 1
         payload = json.loads(out, parse_constant=reject)
         certified, failed = payload["rows"]
-        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == (0.0, 128)
-        assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == (None, None)
+        assert "oracle_interval_width" not in certified
+        assert (certified["oracle_precision_bits"], failed["oracle_precision_bits"]) == (128, None)
         assert [c["passed"] for c in payload["checks"]] == [True, False]
-        assert "verlinde(g=30, k=40): enclosure [" in payload["checks"][1]["details"]
-        assert payload["checks"][1]["details"].endswith("contains no integer")
+        assert re.match(f"verlinde\\(g=30, k=40\\): {OUTSIDE_THE_BOUND}", payload["checks"][1]["details"])
 
     def test_failed_certification_cells_are_empty(self, capsys, monkeypatch):
         uncertifiable_above_genus_one(monkeypatch)
         code, out, _ = run_cli(capsys, *self.FAILED_CELL)
         assert code == 1
         header, certified, failed = out.splitlines()[:3]
-        assert header.split()[-2:] == ["oracle_interval_width", "oracle_precision_bits"]
-        assert certified.split()[-2:] == ["0.0", "128"]
+        assert header.split() == ["g", "k", "dim", "oracle_precision_bits"]
+        assert certified.split() == ["1", "40", "41", "128"]
         assert failed.split() == ["30", "40", str(cli.verlinde_dim(30, 40))]
         code, out, _ = run_cli(capsys, *self.FAILED_CELL, "--format", "csv")
         assert code == 1
         certified, failed = csv.DictReader(io.StringIO(out))
-        assert (certified["oracle_interval_width"], certified["oracle_precision_bits"]) == ("0.0", "128")
-        assert (failed["oracle_interval_width"], failed["oracle_precision_bits"]) == ("", "")
+        assert list(certified) == ["g", "k", "dim", "oracle_precision_bits"]
+        assert (certified["oracle_precision_bits"], failed["oracle_precision_bits"]) == ("128", "")
 
-    def test_enclosure_beyond_the_float_range_is_a_failed_record(self, capsys, monkeypatch):
-        # an enclosure without an integer near 2^1200, past the largest float
-        monkeypatch.setattr(
-            fusion, "_sum_enclosure", lambda m, n, bits, alternating: ((2**1200 << bits) + 1, (2**1200 << bits) + 2)
-        )
+    def test_residue_beyond_the_float_range_is_a_failed_record(self, capsys, monkeypatch):
+        # a residue outside its bound near 2^1200, past the largest float
+        monkeypatch.setattr(fusion, "_sum_residue", lambda m, n, bits, alternating: 2**1200 + 1)
         code, payload, err = run_json(capsys, "verlinde", "--genus", "5", "--level", "10")
         assert (code, err) == (1, "")
         (row,) = payload["rows"]
-        assert (row["dim"], row["oracle_interval_width"], row["oracle_precision_bits"]) == (129443600, None, None)
+        assert row == {"g": 5, "k": 10, "dim": 129443600, "oracle_precision_bits": None}
         (check,) = payload["checks"]
         assert check["passed"] is False
-        assert check["details"].startswith("verlinde(g=5, k=10): enclosure [0x1000")
-        assert check["details"].endswith("2] * 2^-128 contains no integer")
+        # the bound at n = 12, m = 4 is 11 * 6^12
+        bound = hex(11 * 6**12)
+        assert check["details"] == f"verlinde(g=5, k=10): residue {hex(2**1200 + 1)} at 128 bits exceeds the bound {bound}"
 
 
 @pytest.mark.parametrize("command", ["verlinde", "spin-dims", "check"])
@@ -245,13 +250,26 @@ def test_genus_help_names_the_negative_range_spelling(command, capsys):
         (("levels", "--bm", "8", "--to", "bhmv"), "no conversion from bm to bhmv"),
         (("spin-dims", "--genus", "2", "--so3-level", "2"), "convention 'bm' pairs only positive odd levels, got k=2"),
         (
+            ("spin-dims", "--genus", "2", "--p", "8", "--convention", "corollary"),
+            "spin-dims --p: --convention does not apply; it resolves --so3-level only",
+        ),
+        (
             ("verlinde", "--genus", "2", "--level", "2", "--out", "{missing}"),
             "cannot write --out '{missing}': No such file or directory",
         ),
         (("check", "levels", "--max-m", "1000000000000"), "check levels: --max-m 1000000000000 is more than 100000"),
         (("check", "nonsense"), f"unknown check suite 'nonsense'; known: {', '.join(sorted(checks.SUITES))}, all"),
     ],
-    ids=["two-sources", "no-source", "no-conversion", "so3-level-parity", "unwritable-out", "max-m", "unknown-suite"],
+    ids=[
+        "two-sources",
+        "no-source",
+        "no-conversion",
+        "so3-level-parity",
+        "p-convention",
+        "unwritable-out",
+        "max-m",
+        "unknown-suite",
+    ],
 )
 def test_refusal_after_parsing_returns_usage_error(argv, message, capsys, tmp_path):
     # one path for every request refused after argparse: main returns 2 and
@@ -314,6 +332,19 @@ class TestSpinDimsCommand:
         code, payload, _ = run_json(capsys, "spin-dims", "--genus", "2", "--so3-level", "1")
         assert code == 0
         assert {r["p"] for r in payload["rows"]} == {8}
+        assert payload["params"]["convention"] == "bm"
+        assert not any("extrapolated" in r for r in payload["rows"])
+
+    def test_p_resolves_no_convention(self, capsys):
+        # a level p names its level itself: no convention in the params, and
+        # no row marked extrapolated by one; --convention bm is refused too
+        code, payload, _ = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8,16")
+        assert code == 0
+        assert payload["params"] == {"genus": [2], "p": [8, 16], "arf": [0, 1]}
+        assert not any("extrapolated" in r for r in payload["rows"])
+        code, out, err = run_cli(capsys, "spin-dims", "--genus", "2", "--p", "8", "--convention", "bm")
+        assert (code, out) == (2, "")
+        assert err == "error: spin-dims --p: --convention does not apply; it resolves --so3-level only\n"
 
     def test_so3_level_parity_per_convention(self, capsys):
         code, _, _ = run_cli(capsys, "spin-dims", "--genus", "2", "--so3-level", "2")
@@ -415,20 +446,21 @@ class TestCheckCommand:
         code, payload, _ = run_json(capsys, "check", "levels")
         assert code == 0
 
-    def test_sine_ball_reaching_zero_is_a_failed_record(self, capsys, monkeypatch, cold_caches):
-        # a csc^2 bound whose sine ball may reach 0 fails its cell, not the command
-        monkeypatch.setattr(fusion, "_sine_balls", lambda n, scale_bits: iter([(0, 1)] * (n // 2)))
+    def test_term_not_a_unit_is_a_failed_record(self, capsys, monkeypatch, cold_caches):
+        # a folded term that is not a unit modulo M fails its cell, not the
+        # command: here M = 2^130 and w -> 2, so every term is even
+        monkeypatch.setattr(fusion, "_modulus", lambda n, bits: (1, 1 << bits + 2))
         code, payload, err = run_json(capsys, "check", "verlinde", "--genus", "2", "--level", "3")
         assert (code, err) == (1, "")
         assert payload["checks"] == [
             {
                 "name": "verlinde trace = oracle (g=2, k=3)",
                 "passed": False,
-                "details": "csc^2 bounds at n=5, 128 bits: the sine ball of j=1 may reach 0",
+                "details": "residue table at n=5, 128 bits: the term of j=1 is not a unit",
             }
         ]
-        # the error caches no bounds, so none reaches a later test
-        assert fusion._csc_square_bounds.cache_info().currsize == 0
+        # the error caches no table, so none reaches a later test
+        assert fusion._residue_table.cache_info().currsize == 0
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "check", "nonsense")
@@ -554,13 +586,13 @@ class TestCheckCommand:
         certified, failed = payload["checks"]
         assert (certified["name"], certified["passed"]) == (name.format(1), True)
         assert (failed["name"], failed["passed"]) == (name.format(400), False)
-        assert failed["details"].endswith("contains no integer")
+        assert re.search(OUTSIDE_THE_BOUND, failed["details"])
 
     @pytest.mark.parametrize(
         "suite, level", [("verlinde", ("--level", "40")), ("twisted", ("--p", "84"))], ids=["verlinde", "twisted"]
     )
     def test_high_genus_cell_certifies(self, capsys, suite, level):
-        # g = 400 needs a 4741-bit enclosure bound, past the old 4096-bit ceiling
+        # g = 400 certifies at 8192 bits, past the old 4096-bit ceiling
         code, payload, err = run_json(capsys, "check", suite, "--genus", "2,400", *level)
         assert (code, err) == (0, "")
         assert [c["passed"] for c in payload["checks"]] == [True, True]
@@ -630,15 +662,20 @@ class TestBenchmarkReferences:
 
 
     def test_sweep_certificates_are_pinned(self, cli_json):
-        # the width and precision of every sweep certificate, as the oracle of
-        # fusion.py before its power rows gave them; the reference holds no
-        # certificates, so the digest stands for them
+        # the precision of every sweep certificate; the reference holds no
+        # certificates, so the digest stands for them.  They are the interval
+        # oracle's but in nine genus-24 cells, where the modular bound, looser
+        # than the interval enclosure, needs one doubling more
         code, payload = cli_json("verlinde", "--genus", "2..8,24", "--level", "0..48")
         assert code == 0
-        certificates = [[r["g"], r["k"], r["oracle_interval_width"], r["oracle_precision_bits"]] for r in payload["rows"]]
+        certificates = [[r["g"], r["k"], r["oracle_precision_bits"]] for r in payload["rows"]]
         assert len(certificates) == 392
         digest = hashlib.sha256(json.dumps(certificates).encode()).hexdigest()
-        assert digest == "06356aab1f78344100a7ffa934f4b8b43c438b5b4d1446d94044119a8f434a4b"
+        assert digest == "d81000effc010a9173dcd7cfc2e426ddaa3613bbee99ae2da853fe0eb17cd064"
+        doubled = {6, 7, 26, 28, 29, 30, 31, 32, 33}
+        interval = [[g, k, bits // 2 if g == 24 and k in doubled else bits] for g, k, bits in certificates]
+        digest = hashlib.sha256(json.dumps(interval).encode()).hexdigest()
+        assert digest == "f09862f83a23e4347bd4e93a65c614fd2e6d927b98454ebed6a278a2e1757d98"
 
 
 class TestLevelsCommand:

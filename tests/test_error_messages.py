@@ -204,21 +204,24 @@ class TestFusionLabels:
         with raises_exactly(ArithmeticError, "twisted_dim(g=2, p=8): power-sum value -3/4 is not an integer"):
             fusion.twisted_dim.__wrapped__(2, 8)
 
-    def test_enclosure_without_an_integer(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (1, 2))
+    def test_residue_outside_the_bound(self, monkeypatch):
+        # the bounds (n - 1)(n/2)^{3m}, rounded up: 8 * 4.5^6 at n = 9, m = 2,
+        # and 3 * 2^3 at n = 4, m = 1
+        monkeypatch.setattr(fusion, "_sum_residue", lambda m, n, bits, alternating: -(1 << 40))
         with raises_exactly(
-            CertificationError, "verlinde(g=3, k=7): enclosure [0x1, 0x2] * 2^-128 contains no integer"
+            CertificationError, "verlinde(g=3, k=7): residue -0x10000000000 at 128 bits exceeds the bound 0x1037f"
         ):
             verlinde_trig_oracle(3, 7)
         with raises_exactly(
-            CertificationError, "twisted(g=2, p=8): enclosure [0x1, 0x2] * 2^-256 contains no integer"
+            CertificationError, "twisted(g=2, p=8): residue -0x10000000000 at 256 bits exceeds the bound 0x18"
         ):
             twisted_trig_oracle(2, 8, 256)
 
-    def test_no_certificate(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (0, 1 << bits))
-        proved = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
-        with raises_exactly(CertificationError, f"verlinde(g=12, k=40): {proved}"):
+    def test_no_certificate(self, monkeypatch, cold_caches):
+        # w -> 2 modulo 2^(bits + 2): every folded term is even, not a unit;
+        # the bound of n = 42, m = 11 has 151 bits, so the walk goes on to 256 bits
+        monkeypatch.setattr(fusion, "_modulus", lambda n, bits: (1, 1 << bits + 2))
+        with raises_exactly(CertificationError, "residue table at n=42, 256 bits: the term of j=1 is not a unit"):
             verlinde_trig_oracle(12, 40)
-        with raises_exactly(CertificationError, f"twisted(g=12, p=84): {proved}"):
-            twisted_trig_oracle(12, 84)
+        with raises_exactly(CertificationError, "residue table at n=42, 512 bits: the term of j=1 is not a unit"):
+            twisted_trig_oracle(12, 84, 512)

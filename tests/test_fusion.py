@@ -1,11 +1,11 @@
 import math
 import random
-import re
 import sys
 import threading
 import time
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mpmath.libmp import fone, from_int, fzero, mpf_pi, round_ceiling, round_floor
 from mpmath.libmp.libmpi import (
     mpi_add,
-    mpi_cos_sin,
     mpi_div,
     mpi_mul,
     mpi_pow_int,
@@ -24,20 +23,14 @@ from mpmath.libmp.libmpi import (
 
 from spinverlinde import fusion
 from spinverlinde.fusion import (
-    DEFAULT_PRECISION_BITS,
     CertificationError,
-    CertifiedInteger,
-    _csc_square_bounds,
-    _exp_i_ball,
     _extend_power_sums,
-    _pi_ball,
-    _power_row,
+    _modulus,
     _power_sum_table,
     _PowerSumTable,
+    _residue_table,
     _scaled_power_sum,
-    _sine_balls,
-    _sum_enclosure,
-    _unit_root_ball,
+    _sum_residue,
     twisted_dim,
     twisted_trig_oracle,
     verlinde_dim,
@@ -149,70 +142,85 @@ def table_power_sum(m, n):
 
 
 # ---------------------------------------------------------------------------
-# per-term rounded powers: the oracle's sums before its power rows, with a
-# binary powering chain for each bound of each folded term
+# the residue's own oracles: Phi_n by exact polynomial division, and the
+# unfolded sum with each term inverted by itself
 
 
-def scaled_power(x, m, bits, up):
-    """(x 2^-bits)^m at scale 2^bits, for x >= 0, with every product rounded
-    down, or up if ``up``."""
-    result = 1 << bits
-    for bit in bin(m)[2:]:
-        result *= result
-        result = -(-result >> bits) if up else result >> bits
-        if bit == "1":
-            result *= x
-            result = -(-result >> bits) if up else result >> bits
-    return result
+def _poly_divide(numerator, divisor):
+    """numerator / divisor for integer polynomials, lowest coefficient first,
+    with a monic divisor; the division must be exact."""
+    remainder, degree = list(numerator), len(divisor) - 1
+    quotient = [0] * (len(numerator) - degree)
+    for i in range(len(quotient) - 1, -1, -1):
+        quotient[i] = remainder[i + degree]
+        for j, coefficient in enumerate(divisor):
+            remainder[i + j] -= quotient[i] * coefficient
+    assert not any(remainder)
+    return quotient
 
 
-@lru_cache(maxsize=1)
-def per_term_powers(m, n, bits, fine_bits):
-    """[(low, high)]: each folded term's rounded powers, one chain each; the
-    last call is kept, for the other sum."""
-    shift = fine_bits - bits
-    return [
-        (scaled_power(lo << shift, m, fine_bits, up=False), scaled_power(hi << shift, m, fine_bits, up=True))
-        for lo, hi in zip(*_csc_square_bounds(n, bits))
-    ]
+@cache
+def cyclotomic_polynomial(n):
+    """Phi_n, lowest coefficient first: x^n - 1 over Phi_d for every proper divisor d of n."""
+    polynomial = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            polynomial = _poly_divide(polynomial, cyclotomic_polynomial(d))
+    return tuple(polynomial)
+
+
+def cyclotomic_value(n, t):
+    """Phi_n(2^t), by Horner's rule."""
+    value = 0
+    for coefficient in reversed(cyclotomic_polynomial(n)):
+        value = (value << t) + coefficient
+    return value
+
+
+def reference_modulus(n, bits):
+    """(t, M): t = ceil(bits / phi(n)), phi by counting, and
+    M = Phi_n(2^t) / gcd(Phi_n(2^t), n)."""
+    t = -(-bits // sum(math.gcd(j, n) == 1 for j in range(1, n + 1)))
+    value = cyclotomic_value(n, t)
+    return t, value // math.gcd(value, n)
+
+
+def unfolded_residue(m, n, bits, alternating):
+    """V modulo M in (-M/2, M/2], with one term for every 1 <= j < n, each
+    inverted by itself; production folds j <-> n - j and batch-inverts."""
+    t, modulus = reference_modulus(n, bits)
+    total = 0
+    for j in range(1, n):
+        term = 2 - pow(2, t * j, modulus) - pow(2, t * (n - j), modulus)
+        sign = -1 if alternating and j % 2 == 0 else 1
+        total += sign * pow(term, -m, modulus)
+    residue = pow(2 * n, m, modulus) * total % modulus
+    return residue - modulus if 2 * residue > modulus else residue
 
 
 def fold_weights(n, alternating):
     """The signed weight of each folded term 1 <= j <= n/2 of the sum over j < n.
 
-    csc^2(pi j / n) = csc^2(pi (n - j) / n), so j and n - j are one term of
-    weight 2; the middle j = n/2 of an even n is its own mirror, weight 1.
-    In the alternating sum, at even n, a term keeps the sign (-1)^{j+1} of j.
+    The terms of j and n - j are equal, so they are one term of weight 2;
+    the middle j = n/2 of an even n is its own mirror, weight 1.  In the
+    alternating sum, at even n, a term keeps the sign (-1)^{j+1} of j.
     """
     return [(1 if 2 * j == n else 2) * (-1 if alternating and j % 2 == 0 else 1) for j in range(1, n // 2 + 1)]
 
 
-def folded_enclosure(m, n, bits, alternating, powers):
-    """The enclosure of the sum at scale 2^bits from the rounded powers
-    [(low, high)] of its folded terms at the oracle's finer scale, weighted
-    one term at a time: the oracle of ``_sum_enclosure``'s slice sums."""
-    lower = upper = 0
-    for weight, (low, high) in zip(fold_weights(n, alternating), powers, strict=True):
-        lower += weight * (low if weight > 0 else high)
-        upper += weight * (high if weight > 0 else low)
-    shift = m + 2 * n.bit_length() + 4
-    return n**m * lower >> shift, -(-(n**m) * upper >> shift)
-
-
-def per_term_sum_enclosure(m, n, bits, alternating):
-    """``_sum_enclosure`` from the same bounds, folded here, one chain per power."""
-    if alternating and n % 2:
-        return 0, 0
-    if _csc_square_bounds(n, bits) is None:
-        return None
-    fine_bits = bits + 2 * n.bit_length() + 4
-    return folded_enclosure(m, n, bits, alternating, per_term_powers(m, n, bits, fine_bits))
-
-
 # ---------------------------------------------------------------------------
 # mpmath interval arithmetic, the route production took before its integer
-# oracle: outward-rounded libmpi operations on raw endpoint pairs, and the
+# oracles: outward-rounded libmpi operations on raw endpoint pairs, and the
 # doubling loop on them; the oracles below are its sums
+
+
+class Enclosure(NamedTuple):
+    """The integer that a raw interval enclosure narrower than 1/2 pins."""
+
+    value: int
+    lower: Fraction
+    upper: Fraction
+    precision_bits: int
 
 
 def endpoint_fraction(endpoint):
@@ -250,7 +258,7 @@ def interval_certify(evaluate, precision_bits, label, max_prec=4096):
     while True:
         lower, upper = interval_fractions(evaluate(prec))
         if lower is not None and upper is not None and upper - lower < Fraction(1, 2):
-            return CertifiedInteger(math.ceil(lower), lower, upper, prec)
+            return Enclosure(math.ceil(lower), lower, upper, prec)
         if prec >= max_prec:
             raise CertificationError(f"{label}: not tight at {prec} bits")
         prec = min(2 * prec, max_prec)
@@ -292,9 +300,9 @@ def unfolded_twisted_oracle(g, p, precision_bits=128):
 
 
 # ---------------------------------------------------------------------------
-# folded interval oracle: the production oracle before its integer route,
-# csc^2 enclosed per folded term and cached per (n, prec); the integer
-# enclosures must intersect these and hold what these hold
+# folded interval oracle: the production oracle before its integer routes,
+# csc^2 enclosed per folded term and cached per (n, prec); each certified
+# value must lie in these, and each certificate's bound must hold them
 
 
 @cache
@@ -521,9 +529,10 @@ class TestHighGenus:
                 assert twisted_dim(g, p) == twisted_trig_oracle(g, p).value
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"high-genus sweep took {elapsed:.2f}s"
-        # spot cells against the rational recurrence: dim(g, 100) = 51^{g-1} p_{g-1}(102)
+        # spot cells against the rational recurrence, dim(g, 100) = 51^{g-1} p_{g-1}(102),
+        # the exact path and the oracle alike
         for g in (2, 17, 64, 200):
-            assert values[g] == 51 ** (g - 1) * fraction_power_sum(g - 1, 102)
+            assert values[g] == 51 ** (g - 1) * fraction_power_sum(g - 1, 102) == verlinde_trig_oracle(g, 100).value
         assert all(isinstance(v, int) and v > 0 for v in values.values())
 
 
@@ -554,8 +563,10 @@ class TestOracles:
     def test_verlinde_oracle_certifies(self):
         certified = verlinde_trig_oracle(2, 2, 128)
         assert certified.value == 10
-        assert certified.width < Fraction(1, 10**30)
-        assert certified.lower <= 10 <= certified.upper
+        # |V| <= (n - 1)(n/2)^{3m} = 3 * 2^3 at n = 4, m = 1
+        assert certified.bound == 24
+        assert 2 * certified.bound < certified.modulus
+        assert (certified.modulus, certified.precision_bits) == (reference_modulus(4, 128)[1], 128)
 
     def test_exact_genus_one_sum(self):
         certified = verlinde_trig_oracle(1, 5)
@@ -586,8 +597,8 @@ class TestOracles:
                 assert isinstance(t, int) and t >= 0
 
     def test_precision_doubling_on_large_values(self):
-        # at 128 starting bits the enclosure is wider than 1/2 and the
-        # oracle must retry before certifying
+        # at 128 starting bits the modulus is below twice the bound, and the
+        # oracle must double before certifying
         certified = verlinde_trig_oracle(12, 40, 128)
         assert certified.precision_bits > 128
         assert certified.value == verlinde_dim(12, 40)
@@ -596,81 +607,64 @@ class TestOracles:
         # g = 20, k = 200 certifies within 4096 bits
         certified = verlinde_trig_oracle(20, 200)
         assert certified.precision_bits <= 4096
-        assert certified.width < Fraction(1, 2)
-
-    # the probes stand in for the sums at n = 42, where the walk tries 128
-    # bits and then 256, the first doubling at or above its 138-bit stop
-
-    def test_unbounded_enclosure_never_certifies(self, monkeypatch):
-        tried = []
-
-        def unit_wide(m, n, bits, alternating):
-            tried.append(bits)
-            return 0, 1 << bits
-
-        # an enclosure one unit wide at every precision never narrows below
-        # 1/2; the walk raises instead of doubling for ever
-        monkeypatch.setattr(fusion, "_sum_enclosure", unit_wide)
-        stop = "no certificate at 256 bits, though the enclosure is proved narrower than 1/2 from 138 bits on"
-        with pytest.raises(CertificationError, match=stop):
-            verlinde_trig_oracle(12, 40)
-        assert tried == [128, 256]
-        tried.clear()
-        with pytest.raises(CertificationError, match=stop):
-            twisted_trig_oracle(12, 84, 64)
-        assert tried == [128, 256]
-        # where the enclosure is exact (m = 0) the first attempt is the last
-        tried.clear()
-        with pytest.raises(CertificationError, match="no certificate at 128 bits"):
-            verlinde_trig_oracle(1, 0)
-        assert tried == [128]
+        assert 2 * certified.bound < certified.modulus
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 12, 40, 120])
-    def test_walk_stops_only_where_the_sum_certifies(self, g, monkeypatch):
-        # the stop rule's upper bound: at the precision where a walk over
-        # enclosures one unit wide gives up, the honest enclosure is narrower
-        # than 1/2, n = 2 and the odd-n twisted sums included
-        honest = fusion._sum_enclosure
-        tried = []
-
-        def unit_wide(m, n, bits, alternating):
-            tried.append(bits)
-            return 0, 1 << bits
-
-        monkeypatch.setattr(fusion, "_sum_enclosure", unit_wide)
+    def test_walk_stops_only_where_the_sum_certifies(self, g):
+        # the walk stops at the first doubling whose modulus exceeds twice
+        # the bound (n - 1)(n/2)^{3m}, rounded up; n = 2 and the twisted sums
+        # at odd n, of bound 0, included
+        m = g - 1
         for k in (0, 1, 2, 3, 10, 40, 101):
+            n = k + 2
             for oracle, level, alternating in (
                 (verlinde_trig_oracle, k, False),
-                (twisted_trig_oracle, 2 * (k + 2), True),
+                (twisted_trig_oracle, 2 * n, True),
             ):
-                tried.clear()
-                with pytest.raises(CertificationError, match="no certificate at"):
-                    oracle(g, level)
-                lower, upper = honest(g - 1, k + 2, tried[-1], alternating)
-                assert 2 * (upper - lower) < 1 << tried[-1], (g, level)
+                bound = 0 if alternating and n % 2 else math.ceil(Fraction((n - 1) * n ** (3 * m), 2 ** (3 * m)))
+                for start in (64, 128):
+                    certified = oracle(g, level, start)
+                    bits = certified.precision_bits
+                    assert certified.bound == bound
+                    assert bits in [start << i for i in range(12)]
+                    assert certified.modulus == reference_modulus(n, bits)[1] > 2 * bound
+                    if bits > start:
+                        assert reference_modulus(n, bits // 2)[1] <= 2 * bound
 
-    def test_non_finite_enclosure_triggers_doubling(self, monkeypatch):
-        def probe(m, n, bits, alternating):
-            return (5 << bits, 5 << bits) if bits >= 256 else (0, 1 << bits)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(2, 300), st.integers(0, 40), st.sampled_from([64, 128, 256]), st.booleans())
+    def test_certificate_properties_sampled(self, n, m, start, alternating):
+        # M divides Phi_n(2^t) and is prime to 2n, M > 2 bound, and every
+        # inverse in the table times its term is 1 modulo M
+        certified = fusion._certified_sum(m, n, alternating, start, ("sampled(m={}, n={})", m, n))
+        bits = certified.precision_bits
+        t, modulus = fusion._modulus(n, bits)
+        reference_t, reference = reference_modulus(n, bits)
+        assert (t, modulus) == (reference_t, certified.modulus)
+        assert cyclotomic_value(n, t) % modulus == 0
+        assert math.gcd(modulus, 2 * n) == 1
+        assert 2 * certified.bound < modulus
+        table_modulus, inverses = _residue_table(n, bits)
+        assert table_modulus == modulus and len(inverses) == n // 2
+        for j, inverse in enumerate(inverses, start=1):
+            term = 2 - pow(2, t * j, modulus) - pow(2, t * (n - j), modulus)
+            assert inverse * term % modulus == 1
+        exact = twisted_dim(m + 1, 2 * n) if alternating else verlinde_dim(m + 1, n - 2)
+        assert certified.value == exact
 
-        monkeypatch.setattr(fusion, "_sum_enclosure", probe)
-        certified = verlinde_trig_oracle(12, 40)
-        assert (certified.value, certified.precision_bits) == (5, 256)
-
-    def test_enclosure_without_an_integer_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_sum_enclosure", lambda m, n, bits, alternating: (1, 2))
-        with pytest.raises(CertificationError, match=r"\[0x1, 0x2\] \* 2\^-128 contains no integer"):
+    def test_residue_outside_the_bound_is_an_error(self, monkeypatch):
+        # the genus-one sum at n = 2 is bounded by 1, so a residue of 2 is a wrong proof
+        monkeypatch.setattr(fusion, "_sum_residue", lambda m, n, bits, alternating: 2)
+        with pytest.raises(CertificationError, match=r"^verlinde\(g=1, k=0\): residue 0x2 at 128 bits exceeds the bound 0x1$"):
             verlinde_trig_oracle(1, 0)
 
-    def test_enclosure_beyond_the_float_range_is_reported(self, monkeypatch):
+    def test_residue_beyond_the_float_range_is_reported(self, monkeypatch):
         # about 2^1200, past the largest float; the message must not overflow
-        monkeypatch.setattr(
-            fusion, "_sum_enclosure", lambda m, n, bits, alternating: ((2**1200 << bits) + 1, (2**1200 << bits) + 2)
-        )
+        monkeypatch.setattr(fusion, "_sum_residue", lambda m, n, bits, alternating: 2**1200 + 1)
         with pytest.raises(CertificationError) as info:
             verlinde_trig_oracle(5, 10)
-        lower, upper = hex((2**1200 << 128) + 1), hex((2**1200 << 128) + 2)
-        assert str(info.value) == f"verlinde(g=5, k=10): enclosure [{lower}, {upper}] * 2^-128 contains no integer"
+        # the bound at n = 12, m = 4 is 11 * 6^12
+        assert str(info.value) == f"verlinde(g=5, k=10): residue {hex(2**1200 + 1)} at 128 bits exceeds the bound {hex(11 * 6**12)}"
 
     @pytest.mark.parametrize("g", [*range(1, 9), 24])
     def test_folded_equals_unfolded_oracle(self, g):
@@ -681,103 +675,90 @@ class TestOracles:
                 (twisted_trig_oracle(g, 2 * (k + 2)), unfolded_twisted_oracle(g, 2 * (k + 2))),
             ):
                 assert folded.value == unfolded.value
-                assert folded.width < Fraction(1, 2)
-                assert folded.precision_bits <= unfolded.precision_bits
+                assert 2 * folded.bound < folded.modulus
 
     def test_fold_covers_each_term_once(self):
         for n in range(2, 40):
-            los, his = _csc_square_bounds(n, 128)
-            assert len(los) == len(his) == n // 2
-            # each j < n lands in the folded term min(j, n - j), once
             weights = fold_weights(n, False)
+            assert len(weights) == len(_residue_table(n, 128)[1]) == n // 2
+            # each j < n lands in the folded term min(j, n - j), once
             assert sorted(min(j, n - j) for j in range(1, n)) == [
                 j for j, weight in enumerate(weights, start=1) for _ in range(weight)
             ]
             # the alternating sum keeps the sign of j on each folded term
             assert fold_weights(n, True) == [(-1) ** (j + 1) * w for j, w in enumerate(weights, start=1)]
-            # the slice sums of a row are its weighted sums; the twisted sum
-            # at odd n is exactly 0
+            # the folded, batch-inverted residues are the unfolded ones; the
+            # twisted sum at odd n is exactly 0
             for m in (0, 1, 6, 13):
                 for alternating in (False, True):
-                    expected = (
-                        (0, 0)
-                        if alternating and n % 2
-                        else folded_enclosure(m, n, 128, alternating, zip(*_power_row(n, 128, m)))
-                    )
-                    assert _sum_enclosure(m, n, 128, alternating) == expected, (n, m, alternating)
+                    expected = unfolded_residue(m, n, 128, alternating)
+                    assert _sum_residue(m, n, 128, alternating) == expected, (n, m, alternating)
+                    if alternating and n % 2:
+                        assert expected == 0
 
-    def test_enclosures_not_reused_across_precisions(self):
+    def test_tables_not_reused_across_precisions(self, cold_caches):
         assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128
         certified = verlinde_trig_oracle(3, 10, 256)
         assert certified.precision_bits == 256
-        assert certified.width < Fraction(1, 2**200)
-        coarse = _csc_square_bounds(12, 128)
-        fine = _csc_square_bounds(12, 256)
-        # (hi - lo) 2^-256 < (hi - lo) 2^-128, term by term
-        assert all(fh - fl < (ch - cl) << 128 for (cl, ch), (fl, fh) in zip(zip(*coarse), zip(*fine)))
+        coarse, fine = _residue_table(12, 128), _residue_table(12, 256)
+        assert certified.modulus == fine[0] > coarse[0] << 100
+        assert _residue_table.cache_info().currsize == 2
 
     def test_caches_are_bounded(self, cold_caches):
-        # every cache of the module, empty after the cold-cache fixture; only
-        # the value caches, one integer per cell, are unbounded
+        """Every cache of the module, empty after the cold-cache fixture; only
+        the value caches, one integer per cell, are unbounded.  A residue
+        table holds M and n/2 inverses below it: by sys.getsizeof, about
+        1.4 KB at n = 50, Q = 128, and 2.2 MB at n = 1000, Q = 32768, the
+        precision of (g, k) = (1000, 1000), where M has 32 868 bits."""
         caches = {name: value for name, value in vars(fusion).items() if hasattr(value, "cache_info")}
         assert {name: cache.cache_info()[2:] for name, cache in caches.items()} == {
             "verlinde_dim": (None, 0),
             "twisted_dim": (None, 0),
             "_power_sum_table": (128, 0),
-            "_pi_ball": (32, 0),
-            "_csc_square_bounds": (256, 0),
-            "_power_row": (64, 0),
+            "_modulus": (256, 0),
+            "_residue_table": (64, 0),
         }
-        # the power rows keep the 64 most recently used of the more walked
-        for k in range(12):
-            for g in range(2, k + 3):
+        modulus, inverses = _residue_table(50, 128)
+        size = sys.getsizeof((modulus, inverses)) + sys.getsizeof(inverses) + sum(map(sys.getsizeof, (modulus, *inverses)))
+        assert 1000 < size < 2000
+        # the tables keep the 64 most recently used
+        for k in range(80):
+            for g in (2, 3):
                 assert verlinde_trig_oracle(g, k).value == verlinde_dim(g, k)
-        info = _power_row.cache_info()
+        info = _residue_table.cache_info()
         assert info.misses > info.maxsize == info.currsize == 64
-        # the last cell's rows, its prefixes included, are among them
-        assert verlinde_trig_oracle(13, 11).value == verlinde_dim(13, 11)
-        assert _power_row.cache_info().misses == info.misses
+        assert verlinde_trig_oracle(4, 79).value == verlinde_dim(4, 79)
+        assert _residue_table.cache_info().misses == info.misses
+        assert _modulus.cache_info().currsize <= 256
 
     def test_genus_one_oracle_is_exact(self):
-        # csc2^0 = 1 exactly, so the sum of the fold weights is exact
+        # at m = 0 the bound is the number of terms, n - 1 = k + 1, the sum itself
         for k in range(0, 65):
-            assert verlinde_trig_oracle(1, k).width == 0
+            certified = verlinde_trig_oracle(1, k)
+            assert certified.value == certified.bound == k + 1
 
     def test_low_precision_rejected(self):
         with pytest.raises(ValueError):
             verlinde_trig_oracle(2, 2, 32)
 
     def test_twisted_oracle_at_odd_n_builds_no_bounds(self, cold_caches):
-        # at odd n = p/2 every folded pair cancels, so the sum is exactly 0
+        # at odd n = p/2 every folded pair cancels, so the sum is exactly 0,
+        # of bound 0, at the starting precision and with no table
         for g, p, bits in ((1, 6, 128), (3, 102, 128), (2, 10, 256), (400, 806, 64)):
             certified = twisted_trig_oracle(g, p, bits)
-            assert (certified.value, certified.width, certified.precision_bits) == (0, 0, bits)
-        assert _csc_square_bounds.cache_info().misses == 0
-        assert _power_row.cache_info().currsize == 0
+            assert (certified.value, certified.bound, certified.precision_bits) == (0, 0, bits)
+        assert _residue_table.cache_info().misses == 0
         with pytest.raises(ValueError):
             twisted_trig_oracle(3, 102, 32)
 
 
 class TestRawIntervalOracle:
-    """The integer oracle against the libmpi interval route it replaced."""
-
-    @pytest.mark.parametrize("prec", [64, 128, 256, 512])
-    def test_bounds_contain_libmpi_intervals(self, prec):
-        # every [lo, hi] 2^-prec holds the (2 prec + 64)-bit interval enclosure
-        scale = 1 << prec
-        for n in range(2, 41):
-            bounds = _csc_square_bounds(n, prec)
-            reference = interval_csc_squares(n, 2 * prec + 64)
-            assert fold_weights(n, False) == [weight for weight, _ in reference]
-            for lo, hi, (_, csc2) in zip(*bounds, reference):
-                ref_lo, ref_hi = interval_fractions(csc2)
-                assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale)
+    """The modular oracle against the libmpi interval sums."""
 
     @pytest.mark.parametrize("g", [*range(1, 9), 24])
     def test_certificates_intersect_libmpi(self, g):
-        # the interval route tries every precision from 128 bits up, so a
-        # precision no higher than its own also shows that the skip rule never
-        # passes a precision that would certify
+        # each certified value lies in the libmpi enclosure that pins the
+        # same integer, from 128 bits up
         for k in range(0, 49):
             p = 2 * (k + 2)
             for certified, reference, exact in (
@@ -792,279 +773,36 @@ class TestRawIntervalOracle:
                     twisted_dim(g, p),
                 ),
             ):
-                assert certified.lower <= reference.upper and reference.lower <= certified.upper
-                assert certified.lower <= exact <= certified.upper
-                assert reference.lower <= exact <= reference.upper
-                assert certified.precision_bits <= reference.precision_bits
+                assert certified.value == reference.value == exact
+                assert reference.lower <= certified.value <= reference.upper
+                assert 2 * certified.bound < certified.modulus
 
-    @pytest.mark.parametrize("bits", [64, 256])
-    def test_sum_enclosures_contain_libmpi(self, bits):
-        # at a fixed precision, certifying or not, each sum's [L, U] 2^-bits
-        # holds its (2 bits + 64)-bit interval enclosure
-        scale = 1 << bits
-        prec = 2 * bits + 64
-        for g in (1, 2, 3, 5, 9):
+    def test_bound_holds_the_libmpi_sums(self):
+        # each sum's 192-bit interval enclosure meets [-bound, bound]: a sum
+        # above Jordan's bound would put the whole enclosure above it.  The
+        # bound is tight at n = 2, and 0 for the twisted sum at odd n
+        for g in (1, 2, 3, 5, 9, 24):
             for k in range(0, 31):
                 p = 2 * (k + 2)
-                for enclosure, reference in (
-                    (_sum_enclosure(g - 1, k + 2, bits, False), interval_verlinde_evaluate(g, k)(prec)),
-                    (_sum_enclosure(g - 1, k + 2, bits, True), interval_twisted_evaluate(g, p)(prec)),
+                for certified, reference in (
+                    (verlinde_trig_oracle(g, k), interval_verlinde_evaluate(g, k)(192)),
+                    (twisted_trig_oracle(g, p), interval_twisted_evaluate(g, p)(192)),
                 ):
-                    ref_lo, ref_hi = interval_fractions(reference)
-                    assert Fraction(enclosure[0], scale) <= ref_lo
-                    assert ref_hi <= Fraction(enclosure[1], scale)
-
-    def test_skipped_precisions_cannot_certify(self, monkeypatch):
-        honest = fusion._sum_enclosure
-        calls = []
-
-        def recording(m, n, bits, alternating):
-            calls.append((m, n, bits, alternating))
-            return honest(m, n, bits, alternating)
-
-        monkeypatch.setattr(fusion, "_sum_enclosure", recording)
-        skipped = {verlinde_trig_oracle: 0, twisted_trig_oracle: 0}
-        for g in (2, 5, 9, 12, 17, 24, 33, 48, 64, 90, 120):
-            for k in (1, 2, 5, 16, 40, 100):
-                for oracle, level in ((verlinde_trig_oracle, k), (twisted_trig_oracle, 2 * (k + 2))):
-                    calls.clear()
-                    certified = oracle(g, level)
-                    # the walk doubles from its first attempt, start, to the one that certifies
-                    (m, n, start, alternating), *_ = calls
-                    assert [bits for _, _, bits, _ in calls] == [start << i for i in range(len(calls))]
-                    assert certified.precision_bits == calls[-1][2]
-                    # every precision the walk skipped is one at which the sum cannot certify
-                    prec = DEFAULT_PRECISION_BITS
-                    while prec < start:
-                        lower, upper = honest(m, n, prec, alternating)
-                        assert 2 * (upper - lower) >= 1 << prec
-                        prec *= 2
-                        skipped[oracle] += 1
-        assert all(skipped.values())
+                    lower, upper = interval_fractions(reference)
+                    assert lower <= certified.bound and -certified.bound <= upper, (g, k)
 
     @pytest.mark.parametrize("g, bits", [(300, 4096), (400, 8192)])
-    def test_skip_reaches_high_genus_without_interval_work(self, g, bits, monkeypatch):
-        # bounds of 3553 and 4741 bits: the walk skips straight to the
-        # precision that certifies, with one enclosure and no other
-        honest = fusion._sum_enclosure
-        tried = []
-
-        def recording(m, n, bits, alternating):
-            tried.append(bits)
-            return honest(m, n, bits, alternating)
-
-        monkeypatch.setattr(fusion, "_sum_enclosure", recording)
-        # the twisted sum at even n = 42 has the same bound
+    def test_walk_builds_one_table_at_high_genus(self, g, bits, cold_caches):
+        # the walk doubles on the modulus alone and builds only the table of
+        # the precision that certifies; the twisted sum at even n = 42 reads it
         for oracle, level, exact in ((verlinde_trig_oracle, 40, verlinde_dim), (twisted_trig_oracle, 84, twisted_dim)):
-            tried.clear()
             certified = oracle(g, level)
-            assert (certified.value, certified.precision_bits, tried) == (exact(g, level), bits, [bits])
+            assert (certified.value, certified.precision_bits) == (exact(g, level), bits)
+        info = _residue_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_invalid_precisions_rejected_before_the_skip(self):
         with pytest.raises(ValueError):
             verlinde_trig_oracle(400, 40, 32)
         with pytest.raises(ValueError):
             twisted_trig_oracle(400, 84, 63)
-
-
-PRECISIONS = [64 << i for i in range(7)]
-
-
-@pytest.fixture
-def isolated_rows():
-    """Empty the power rows before and after the test, so that rows built
-    from fake bounds never reach another test."""
-    _power_row.cache_clear()
-    yield
-    _power_row.cache_clear()
-
-
-class TestFixedPointBounds:
-    """The integer sine balls and csc^2 bounds, and the directed roundings of the sums."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
-    def test_sine_balls_contain_the_sines(self, n):
-        # 4200 bits is where the series behind e^{i pi/n} are longest; there the
-        # reference sines of n = 1000 take seconds, so every 25th j and the last
-        for scale_bits in (80, 4200):
-            balls = list(_sine_balls(n, scale_bits))
-            stride = 25 if n * scale_bits > 10**6 else 1
-            for j in {*range(1, len(balls) + 1, stride), len(balls)}:
-                y, rho = balls[j - 1]
-                sine = mpi_shift(interval_sine(j, n, 2 * scale_bits + 64), scale_bits)
-                ref_lo, ref_hi = interval_fractions(sine)
-                assert y - rho <= ref_lo and ref_hi <= y + rho, (n, j, scale_bits)
-            assert all(0 < rho <= 3 * j for j, (_, rho) in enumerate(balls, start=1))
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(
-        # a case costs about n bits^1.5, so higher precisions draw smaller n
-        st.sampled_from(PRECISIONS).flatmap(
-            lambda bits: st.tuples(st.integers(2, min(5000, (1 << 20) // bits)), st.just(bits))
-        ),
-        st.data(),
-    )
-    def test_sampled_bounds_contain_libmpi_enclosures(self, case, data):
-        n, bits = case
-        los, his = _csc_square_bounds.__wrapped__(n, bits)
-        assert all(0 < hi - lo <= 2 for lo, hi in zip(los, his))
-        prec = 2 * bits + 64
-        scale = 1 << bits
-        for j in data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6)):
-            lo, hi = los[j - 1], his[j - 1]
-            ref_lo, ref_hi = interval_fractions(mpi_pow_int(interval_sine(j, n, prec), -2, prec))
-            assert Fraction(lo, scale) <= ref_lo and ref_hi <= Fraction(hi, scale), (n, j, bits)
-
-    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
-    def test_guard_keeps_the_largest_levels_tight(self, n):
-        # the guard's bound on hi - lo does not depend on the precision, so the
-        # cheapest one shows it
-        assert max(hi - lo for lo, hi in zip(*_csc_square_bounds.__wrapped__(n, 64))) <= 2
-
-    @pytest.mark.parametrize("y", [3, 2], ids=["y-equals-rho", "y-below-rho"])
-    def test_sine_ball_reaching_zero_is_an_error(self, monkeypatch, y):
-        # the guard keeps every y above rho; a ball that may reach 0 bounds no
-        # csc^2, and the error names the level, the precision and the index
-        monkeypatch.setattr(fusion, "_sine_balls", lambda n, scale_bits: iter([(1 << scale_bits, 1), (y, 3)]))
-        message = "csc^2 bounds at n=5, 64 bits: the sine ball of j=2 may reach 0"
-        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
-            _csc_square_bounds.__wrapped__(5, 64)
-
-    def test_rounded_powers_bracket_the_exact_power(self, monkeypatch, isolated_rows):
-        # the power rows of the one term x at n = 3 and 64 bits, walked at
-        # 72 bits, are the chains
-        for x in (0, 1, 2**64 - 1, 2**64, 3 * 2**70 + 12345, 7**40):
-            _power_row.cache_clear()
-            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n, bits: ((x,), (x,)))
-            for m in range(0, 40):
-                exact = Fraction(x**m, 2 ** (64 * (m - 1))) if m else Fraction(2**64)
-                low = scaled_power(x, m, 64, up=False)
-                high = scaled_power(x, m, 64, up=True)
-                assert low <= exact <= high
-                # a rounding costs one unit, scaled by the later factors' size
-                assert high - low <= 2 * m * (1 + (high >> 64))
-                chains = [scaled_power(x << 8, m, 72, up=False)], [scaled_power(x << 8, m, 72, up=True)]
-                assert _power_row(3, 64, m) == chains
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50, 51, 1000])
-    def test_power_rows_equal_the_per_term_chains(self, n, cold_caches):
-        # in a shuffled order of m, a row is built on prefix rows kept from
-        # earlier rows, or walked anew down to m = 0
-        for bits in (64, 128, 512):
-            order = list(range(65))
-            random.Random(bits + n).shuffle(order)
-            for m in order:
-                for alternating in (False, True):
-                    expected = per_term_sum_enclosure(m, n, bits, alternating)
-                    assert _sum_enclosure(m, n, bits, alternating) == expected, (m, bits, alternating)
-
-    def test_concurrent_rows_stay_exact_and_bounded(self, cold_caches):
-        # 120 rows at three levels, more than the cache keeps, asked for by
-        # eight threads in their own orders
-        cases = [(m, n) for n in (12, 13, 50) for m in range(40)]
-        expected = {case: per_term_sum_enclosure(*case, 128, False) for case in cases}
-        bad = []
-
-        def worker(seed):
-            order = cases[:]
-            random.Random(seed).shuffle(order)
-            for m, n in order:
-                if _sum_enclosure(m, n, 128, False) != expected[m, n]:
-                    bad.append((m, n))
-                if _power_row.cache_info().currsize > 64:
-                    bad.append(("size", _power_row.cache_info().currsize))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert bad == []
-
-    def test_high_genus_cells_share_prefix_rows(self, cold_caches):
-        # g 100..120 at k 100 certify at one precision, so each distinct
-        # prefix m >> s of m = 99..119, 0 included, is walked once
-        for g in range(100, 121):
-            assert verlinde_trig_oracle(g, 100).precision_bits == 2048
-        prefixes = {m >> s for m in range(99, 120) for s in range(m.bit_length() + 1)}
-        assert _power_row.cache_info().misses == len(prefixes) == 46
-        for m in (99, 119):
-            assert _sum_enclosure(m, 102, 2048, False) == per_term_sum_enclosure(m, 102, 2048, False)
-
-    @pytest.mark.parametrize("large", [False, True])
-    def test_sum_roundings_are_outward(self, monkeypatch, isolated_rows, large):
-        # point bounds lo = hi leave only the roundings of the powers and of
-        # the prefactor, which must still enclose the exact sum
-        bits = 64
-        for n in (3, 4, 7, 12):
-            values = tuple(
-                ((2 * j + 3) ** 3 << bits) + 1 if large else (1 << bits) + (2 * j + 1) * 12345
-                for j in range(1, n // 2 + 1)
-            )
-            monkeypatch.setattr(fusion, "_csc_square_bounds", lambda n_, bits_: (values, values))
-            for m in (1, 2, 5, 9):
-                for alternating in (False, True):
-                    lower, upper = _sum_enclosure(m, n, bits, alternating)
-                    sign = [(-1) ** (j + 1) if alternating else 1 for j in range(n)]
-                    exact = Fraction(n, 2) ** m * sum(
-                        (sign[j] + (2 * j != n) * sign[n - j]) * Fraction(x, 1 << bits) ** m
-                        for j, x in enumerate(values, start=1)
-                    )
-                    assert Fraction(lower, 1 << bits) <= exact <= Fraction(upper, 1 << bits)
-
-
-# past 4096 bits, where high-genus cells certify, and the series run some
-# guard bits above the oracle's precision
-SERIES_BITS = [1, 64, 80, 1000, 4200, 8300]
-SERIES_LEVELS = [2, 3, 4, 7, 50, 51, 1000, 2**16]
-
-
-def disc_holds(c, s, r, cos_sin, bits):
-    """Whether the disc of centre (c + i s) 2^-bits and radius r 2^-bits holds
-    the box of a raw ``mpi_cos_sin`` result."""
-    scale = 1 << bits
-    (cos_lo, cos_hi), (sin_lo, sin_hi) = (interval_fractions(part) for part in cos_sin)
-    dx = max(abs(c - cos_lo * scale), abs(c - cos_hi * scale))
-    dy = max(abs(s - sin_lo * scale), abs(s - sin_hi * scale))
-    return dx * dx + dy * dy <= r * r
-
-
-class TestSeriesBalls:
-    """The integer series for pi and e^{iu} against mpmath's."""
-
-    @pytest.mark.parametrize("bits", SERIES_BITS)
-    def test_pi_ball_holds_mpmath_pi(self, bits):
-        p, r = _pi_ball(bits)
-        prec = bits + 64
-        lower = math.floor(endpoint_fraction(mpf_pi(prec, round_floor)) * 2**bits)
-        upper = math.ceil(endpoint_fraction(mpf_pi(prec, round_ceiling)) * 2**bits)
-        assert p - r <= lower and upper <= p + r
-        # the bound the guard of _unit_root_ball relies on
-        assert 10 * r < 43 * bits + 400
-
-    @pytest.mark.parametrize("bits", SERIES_BITS)
-    def test_exp_i_ball_holds_mpmath_cos_sin(self, bits):
-        prec = 2 * bits + 64
-        p, _ = _pi_ball(bits)
-        for n in SERIES_LEVELS:
-            u = p // n
-            angle = mpi_shift(int_interval(u, prec), -bits)
-            c, s, r = _exp_i_ball(u, bits)
-            assert disc_holds(c, s, r, mpi_cos_sin(angle, prec), bits), n
-            assert r <= 3 * max(bits, 9) + 6
-
-    @pytest.mark.parametrize("bits", SERIES_BITS)
-    def test_unit_root_ball_holds_mpmath_cos_sin(self, bits):
-        prec = 2 * bits + 64
-        pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-        for n in SERIES_LEVELS:
-            c, s, r_w = _unit_root_ball(n, bits)
-            angle = mpi_div(pi, int_interval(n, prec), prec)
-            assert disc_holds(c, s, r_w, mpi_cos_sin(angle, prec), bits), n
-            assert 0 < r_w <= 2

@@ -40,7 +40,7 @@ def rebuilt(value):
     if isinstance(value, MonomialMatrix):
         return MonomialMatrix(value.columns, value.phases)
     if isinstance(value, CertifiedInteger):
-        return CertifiedInteger(value.value, value.lower, value.upper, value.precision_bits)
+        return CertifiedInteger(value.value, value.bound, value.modulus, value.precision_bits)
     raise TypeError(type(value).__name__)
 
 
@@ -199,7 +199,8 @@ def test_trace_functional_checks_w2_only_with_a_nontrivial_term():
     ],
 )
 def test_certificates_equal_their_validated_rebuilds(oracle, g, level):
-    # exact, at 128 bits, after a doubling, and twisted; the width too
+    # exact, at 128 bits, after a doubling, and twisted; each pins one integer
     certificate = oracle(g, level)
     assert_same_as_rebuilt(certificate)
-    assert certificate.width == certificate.upper - certificate.lower < Fraction(1, 2)
+    assert -certificate.bound <= certificate.value <= certificate.bound
+    assert 2 * certificate.bound < certificate.modulus

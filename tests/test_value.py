@@ -7,7 +7,6 @@ record with the same attributes.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -45,9 +44,9 @@ RECORDS = {
         ("columns", "phases"),
     ),
     "CertifiedInteger": (
-        lambda: CertifiedInteger(10, Fraction(19, 2), Fraction(21, 2), 128),
-        CertifiedInteger(10, Fraction(19, 2), Fraction(21, 2), 256),
-        ("value", "lower", "upper", "precision_bits"),
+        lambda: CertifiedInteger(10, 10, 21, 128),
+        CertifiedInteger(10, 10, 21, 256),
+        ("value", "bound", "modulus", "precision_bits"),
     ),
     "GradedDimension": (lambda: GradedDimension(1, 0), GradedDimension(0, 1), ("even", "odd")),
     "LevelValue": (lambda: LevelValue(Lattice.BM, 8), LevelValue(Lattice.SO3, 8), ("lattice", "value")),
@@ -143,7 +142,7 @@ def test_repr_reads_as_the_constructor():
 def test_public_constructors_validate():
     with pytest.raises(ValueError, match="bit mask 16 out of range for dimension 4"):
         F2Vector(16, 4)
-    with pytest.raises(ValueError, match="certificate violated: 12 outside"):
-        CertifiedInteger(12, Fraction(19, 2), Fraction(21, 2), 128)
+    with pytest.raises(ValueError, match=r"^certificate violated: 12 outside \[-10, 10\]$"):
+        CertifiedInteger(12, 10, 21, 128)
     with pytest.raises(ValueError, match="BM levels are positive multiples of 8, got 12"):
         LevelValue(Lattice.BM, 12)
