@@ -791,6 +791,22 @@ class TestRawIntervalOracle:
                     lower, upper = interval_fractions(reference)
                     assert lower <= certified.bound and -certified.bound <= upper, (g, k)
 
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_sum_enclosures_contain_libmpi(self, bits):
+        # at a fixed precision, certifying or not, each sum's residue class
+        # modulo the M of (n, bits) holds the integer its libmpi enclosure pins
+        for g in (1, 2, 3, 5, 9):
+            for k in range(0, 31):
+                m, n = g - 1, k + 2
+                modulus = _modulus(n, bits)[1]
+                for alternating, evaluate in (
+                    (False, interval_verlinde_evaluate(g, k)),
+                    (True, interval_twisted_evaluate(g, 2 * n)),
+                ):
+                    reference = interval_certify(evaluate, 128, "interval sum")
+                    residue = _sum_residue(m, n, bits, alternating)
+                    assert (residue - reference.value) % modulus == 0, (g, k, alternating)
+
     @pytest.mark.parametrize("g, bits", [(300, 4096), (400, 8192)])
     def test_walk_builds_one_table_at_high_genus(self, g, bits, cold_caches):
         # the walk doubles on the modulus alone and builds only the table of
