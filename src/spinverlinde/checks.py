@@ -560,6 +560,23 @@ def check_traces(
     return results
 
 
+def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tuple[int, int]], int, int]:
+    """The graded dimensions (even, odd) of the cell (g, p) at Arf invariants 0
+    and 1, each evaluated once, and the even and odd totals over all 2^{2g}
+    spin structures, each Arf value weighted by its number of structures;
+    ``spin-dims`` and ``check decomp`` both read them."""
+    n_even, n_odd = count_by_arf(g)
+    dims = [
+        (
+            bm_even_dim(g, p, eps, allow_genus_one=allow_genus_one),
+            bm_odd_dim(g, p, eps, allow_genus_one=allow_genus_one),
+        )
+        for eps in (0, 1)
+    ]
+    (even0, odd0), (even1, odd1) = dims
+    return dims, n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
+
+
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
@@ -567,10 +584,8 @@ def check_decomposition(
     levels_p = _levels_kept("decomp", levels_p)
     results = []
     for g in genera:
-        n_even, n_odd = count_by_arf(g)
         for p in levels_p:
-            (even0, odd0), (even1, odd1) = [(bm_even_dim(g, p, eps), bm_odd_dim(g, p, eps)) for eps in (0, 1)]
-            refined = n_even * even0 + n_odd * even1
+            _, refined, odd_total = _graded_cell(g, p)
             unrefined = verlinde_dim(g, p // 2 - 2)
             results.append(
                 CheckResult(
@@ -579,7 +594,7 @@ def check_decomposition(
                     f"sum over spin structures {refined}, unrefined {unrefined}",
                 )
             )
-            graded_total = refined + n_even * odd0 + n_odd * odd1
+            graded_total = refined + odd_total
             expected = unrefined + twisted_dim(g, p)
             results.append(
                 CheckResult(

@@ -17,14 +17,8 @@ import io
 import json
 import sys
 
-from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _oracle_record, _table_record, run_suite
-from .dimensions import (
-    IdentityViolationError,
-    IntegralityError,
-    _level_p,
-    bm_even_dim,
-    bm_odd_dim,
-)
+from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _graded_cell, _oracle_record, _table_record, run_suite
+from .dimensions import IdentityViolationError, IntegralityError, _level_p
 from .fusion import CertificationError, verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
@@ -38,7 +32,6 @@ from .levels import (
     so3_from_su2,
     su2_from_bhmv,
 )
-from .spin import count_by_arf
 
 # argparse reads "--genus -2..0" as an option with no value
 GENUS_HELP = "genera such as 2, 1..5 or 2,4..6; write a range below 0 as --genus=-2..0"
@@ -199,16 +192,9 @@ def _cmd_spin_dims(args) -> int:
     rows, checks = [], []
     for g in args.genus:
         extrapolated = g == 1 or extrapolated_convention
-        n_even, n_odd = count_by_arf(g)
         for p in levels:
             # both Arf values, whichever rows are asked for: the checksum weights both
-            dims = [
-                (bm_even_dim(g, p, eps, allow_genus_one=args.allow_genus_one),
-                 bm_odd_dim(g, p, eps, allow_genus_one=args.allow_genus_one))
-                for eps in (0, 1)
-            ]
-            (even0, odd0), (even1, odd1) = dims
-            even_total, odd_total = n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
+            dims, even_total, odd_total = _graded_cell(g, p, args.allow_genus_one)
             for arf, even, odd in [(eps, *dims[eps]) for eps in args.arf] + [("*", even_total, odd_total)]:
                 row = {"g": g, "p": p, "arf": arf, "even": even, "odd": odd}
                 if extrapolated:

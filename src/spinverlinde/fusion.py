@@ -10,23 +10,19 @@ and its twisted, alternating-sign analogue
 
 are real trigonometric sums with integer values.  This module evaluates
 them exactly through the power sums p_m(n) = sum_{j=1}^{n-1} csc^{2m}(pi j / n)
-(Zagier, "Elementary aspects of the Verlinde formula", 1996).  With
-s = sin^2 z, sin nz / (n sin z) = sum_r c_r s^r is a hypergeometric series
-whose log has the coefficients -p_i(n) / (2i), so a Newton recurrence gives
-p_1(n), ..., p_m(n) in one pass of O(m^2) steps, whatever the level.  One
-table per n holds them, grows on demand and is shared by every genus; the
-twisted sum reads the tables at n = p/2 and p/4.  The table runs in integers
-only, on the scaled roots: with scale mu = n for odd n and mu = 2n for even
-n, C_r = mu^r c_r are integers, and so are P_i = mu^i p_i(n), which the
-recurrence P_i = -2 i C_i - sum_{r<i} C_r P_{i-r} builds from them.  For odd n,
-sin nz / sin z = U_{n-1}(cos z) is an integer polynomial in s with constant
-term n, so C_r = n^{r-1} a_r.  For even n it is cos z times such a
-polynomial, and the s^a coefficient of cos z = (1 - s)^{1/2} has a
-denominator dividing 2^{2a-1}, which (2n)^r / n supplies for a <= r (n is
-even).  (mu = n fails for even n, first at n = 6, r = 2.)  A runtime guard
-raises ``ArithmeticError`` should a division ever be inexact.  The same
-numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1}; the tests
-keep that trace and the rational recurrence as oracles.
+(Zagier, "Elementary aspects of the Verlinde formula", 1996).  The terms
+pair up, j with n - j, over the d = (n - 1) // 2 roots s_j = sin^2(pi j / n)
+of the polynomial prod_{j<=d} (1 - s / s_j); an even n adds the middle term
+j = n/2, whose csc is 1.  A Newton recurrence on that polynomial's
+coefficients gives p_1(n), ..., p_m(n) in one pass of O(m min(m, n/2))
+products.  It runs in integers only, on one scale mu = n at every n: the
+coefficients F_r = n^r f_r have a closed form in binomials, and the sums
+P_i = n^i p_i(n) need no division.  One table per n holds them, grows on
+demand and is shared by every genus; the twisted sum reads the tables at
+n = p/2 and p/4.  The only exactness check is the final division by 2^m.
+The same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
+the tests keep that trace, the rational hypergeometric recurrence and its
+integer form on the scale 2n at even n as oracles.
 
 Every value is certified against the trigonometric sums by its residue
 modulo M = Phi_n(2^t) / gcd(Phi_n(2^t), n), t = ceil(Q / phi(n)), which
@@ -64,50 +60,55 @@ class CertificationError(ArithmeticError):
 # exact dimension values
 
 
-def _extend_power_sums(n: int, scale: int, coefficients: tuple, sums: tuple, m: int) -> tuple:
-    """(C_0..C_m, P_0..P_m) at n, grown from a shorter prefix of both.
-
-    C_r = scale^r c_r are the scaled coefficients of
-    sin nz / (n sin z) = sum_r c_r s^r, and P_i = scale^i p_i(n) the scaled
-    power sums, from the Newton recurrence P_i = -2 i C_i - sum_{r<i} C_r P_{i-r}.
+def _root_coefficient(n: int, r: int) -> int:
+    """F_r = n^r f_r, r >= 1, where f_r is the s^r coefficient of
+    prod_{j=1}^{d} (1 - s / s_j), s_j = sin^2(pi j / n), d = (n - 1) // 2,
+    and 0 past d.  The product is sin nz / (n sin z) at odd n and
+    sin nz / (n sin z cos z) at even n, in s = sin^2 z, and n f_r =
+    (-4)^r (C(ceil(n/2) + r, 2r + 1) + C(floor(n/2) + r, 2r + 1)), an integer.
     """
-    c, p = list(coefficients), list(sums)
-    for i in range(len(p), m + 1):
-        r = i - 1
-        numerator = scale * c[r] * ((2 * r + 1) ** 2 - n * n)
-        denominator = 2 * (2 * r + 3) * (r + 1)
-        coefficient, remainder = divmod(numerator, denominator)
-        if remainder:
-            raise ArithmeticError(
-                f"csc power sums at n={n}: scaled coefficient C_r at r={i} is "
-                f"{numerator}/{denominator}, not an integer"
-            )
-        c.append(coefficient)
-        p.append(-2 * i * coefficient - sum(map(mul, c[1:i], p[i - 1 : 0 : -1])))
-    return tuple(c), tuple(p)
+    binomials = math.comb((n + 1) // 2 + r, 2 * r + 1) + math.comb(n // 2 + r, 2 * r + 1)
+    return n ** (r - 1) * (-4) ** r * binomials
+
+
+def _extend_power_sums(n: int, coefficients: tuple, sums: tuple, m: int) -> tuple:
+    """(F_0..F_min(m,d), R_0..R_m) at n, grown from a shorter prefix of both.
+
+    R_i = 2 n^i sum_{j=1}^{d} s_j^-i are the scaled power sums of the roots
+    of ``_root_coefficient``, from the Newton recurrence
+    R_i = -2 i F_i - sum_{r=1}^{min(i-1,d)} F_r R_{i-r}, with F_i = 0 past d.
+    """
+    d = (n - 1) // 2
+    f, r = list(coefficients), list(sums)
+    f.extend(_root_coefficient(n, k) for k in range(len(f), min(m, d) + 1))
+    for i in range(len(r), m + 1):
+        top = min(i - 1, d)
+        head = -2 * i * f[i] if i <= d else 0
+        r.append(head - sum(map(mul, f[1 : top + 1], r[i - 1 : i - 1 - top : -1])))
+    return tuple(f), tuple(r)
 
 
 class _PowerSumTable:
-    """The scaled csc power sums P_i = scale^i p_i(n), i = 0, 1, ..., at one n.
+    """The scaled csc power sums P_i = n^i p_i(n), i = 0, 1, ..., at one n.
 
     The table grows on demand and every genus reads it.  A growth builds new
     tuples and stores them in one assignment, so a concurrent reader sees
     either the old prefix or the new one, never a half-grown table.
     """
 
-    __slots__ = ("n", "scale", "_rows")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.scale = n if n % 2 else 2 * n
-        # (C_0..C_t, P_0..P_t), with p_0(n) = n - 1
-        self._rows = ((1,), (n - 1,))
+        # (F_0..F_t, R_0..R_t'), with R_0 = 2d
+        self._rows = ((1,), ((n - 1) // 2 * 2,))
 
     def scaled_sum(self, m: int) -> int:
         rows = self._rows
         if m >= len(rows[1]):
-            rows = self._rows = _extend_power_sums(self.n, self.scale, *rows, m)
-        return rows[1][m]
+            rows = self._rows = _extend_power_sums(self.n, *rows, m)
+        # the middle term j = n/2 of an even n, csc = 1, has no mirror
+        return rows[1][m] + (1 - self.n % 2) * self.n**m
 
 
 @lru_cache(maxsize=128)
@@ -117,16 +118,17 @@ def _power_sum_table(n: int) -> _PowerSumTable:
     The cache holds 128 tables, more than the distinct n of any CLI
     workload grid (the verlinde sweep reaches 49, spin-dims 24); the
     verlinde command evaluates its cells level-major, so a wider sweep
-    still builds each table once.  A table
-    up to m holds O(m^2 log n) bits: about 3 KB at m = 23 and n <= 130, and
-    300 KB for the table behind verlinde_dim(400, 100) (n = 102, m = 399;
-    sys.getsizeof of both tuples and their integers).
+    still builds each table once.  A table up to m keeps every R_i,
+    O(m^2 log n) bits: about 3 KB at m = 23 and n <= 130, 195 KB for the
+    table behind verlinde_dim(400, 100) (n = 102, m = 399), 650 KB at
+    n = 18, m = 999 and 2.1 MB at n = 1002, m = 999 (sys.getsizeof of both
+    tuples and their integers).
     """
     return _PowerSumTable(n)
 
 
 def _scaled_power_sum(m: int, n: int) -> int:
-    """scale^m p_m(n), with scale = n for odd n and 2n for even n."""
+    """n^m p_m(n)."""
     return _power_sum_table(n).scaled_sum(m)
 
 
@@ -169,9 +171,8 @@ def _twisted_terms(g: int, p: int) -> tuple[int, int]:
 def verlinde_dim(g: int, k: int) -> int:
     """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
     m, n = _verlinde_terms(g, k)
-    # (n/2)^m p_m(n) = (n / (2 scale))^m P_m(n): P_m(n) / 2^m for odd n, / 4^m for even n
-    shift = m if n % 2 else 2 * m
-    return _integral(_scaled_power_sum(m, n), shift, ("verlinde_dim(g={}, k={})", g, k))
+    # (n/2)^m p_m(n) = P_m(n) / 2^m
+    return _integral(_scaled_power_sum(m, n), m, ("verlinde_dim(g={}, k={})", g, k))
 
 
 @lru_cache(maxsize=None)
@@ -186,11 +187,9 @@ def twisted_dim(g: int, p: int) -> int:
     if n % 2:
         return 0
     h = n // 2
-    # (n/2)^m (p_m(n) - 2 p_m(h)) = (P_m(n) - 2 (2n / scale_h)^m P_m(h)) / 4^m,
-    # where 2n / scale_h is 4 for odd h and 2 for even h
-    ratio_bits = 2 * m if h % 2 else m
-    numerator = _scaled_power_sum(m, n) - (_scaled_power_sum(m, h) << (ratio_bits + 1))
-    return _integral(numerator, 2 * m, ("twisted_dim(g={}, p={})", g, p))
+    # (n/2)^m (p_m(n) - 2 p_m(h)) = (P_m(n) - 2^{m+1} P_m(h)) / 2^m, as n^m = 2^m h^m
+    numerator = _scaled_power_sum(m, n) - (_scaled_power_sum(m, h) << m + 1)
+    return _integral(numerator, m, ("twisted_dim(g={}, p={})", g, p))
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,9 @@ class TestSpinDimsCommand:
 
     def test_checksum_sums_the_printed_rows(self, capsys, monkeypatch):
         # one more at eps = 0: the rows read 2 and 0, so the checksum is 10 * 2 + 6 * 0
-        honest = cli.bm_even_dim
-        monkeypatch.setattr(cli, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
+        # the graded cell, which spin-dims shares with check decomp, reads bm_even_dim in checks
+        honest = checks.bm_even_dim
+        monkeypatch.setattr(checks, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
         code, payload, err = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
         assert (code, err) == (1, "")
         assert [(r["arf"], r["even"], r["odd"]) for r in payload["rows"]] == [(0, 2, 0), (1, 0, 1), ("*", 20, 6)]

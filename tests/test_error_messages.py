@@ -197,11 +197,11 @@ class TestIdentityViolations:
 
 class TestFusionLabels:
     def test_non_integral_power_sum(self, monkeypatch):
-        # every scaled power sum reads 1: 1/2 at (2, 1) and -3/4 at (2, 8)
+        # every scaled power sum reads 1: 1/2 at (2, 1) and -3/2 at (2, 8)
         monkeypatch.setattr(fusion, "_scaled_power_sum", lambda m, n: 1)
         with raises_exactly(ArithmeticError, "verlinde_dim(g=2, k=1): power-sum value 1/2 is not an integer"):
             fusion.verlinde_dim.__wrapped__(2, 1)
-        with raises_exactly(ArithmeticError, "twisted_dim(g=2, p=8): power-sum value -3/4 is not an integer"):
+        with raises_exactly(ArithmeticError, "twisted_dim(g=2, p=8): power-sum value -3/2 is not an integer"):
             fusion.twisted_dim.__wrapped__(2, 8)
 
     def test_residue_outside_the_bound(self, monkeypatch):

@@ -5,6 +5,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 import pytest
@@ -22,13 +23,14 @@ from mpmath.libmp.libmpi import (
 )
 
 from spinverlinde import fusion
+from spinverlinde.dimensions import bm_even_dim
 from spinverlinde.fusion import (
     CertificationError,
-    _extend_power_sums,
     _modulus,
     _power_sum_table,
     _PowerSumTable,
     _residue_table,
+    _root_coefficient,
     _scaled_power_sum,
     _sum_residue,
     twisted_dim,
@@ -112,8 +114,9 @@ def twisted_trace_dim(g, k):
 
 
 # ---------------------------------------------------------------------------
-# rational csc power-sum oracle: the recurrence of Zagier (1996) in Fraction
-# arithmetic, one pass per call; production runs it in integers on one table per n
+# csc power-sum oracles: the hypergeometric recurrence of Zagier (1996), in
+# Fraction arithmetic and in integers on a scale that depends on the parity;
+# production runs a finite recurrence over the roots on one table per n
 
 
 def fraction_power_sums(m, n):
@@ -136,9 +139,29 @@ def fraction_power_sum(m, n):
     return fraction_power_sums(m, n)[m]
 
 
+def series_power_sums(m, n):
+    """[P_0, ..., P_m], P_i = mu^i p_i(n) with mu = n for odd n and 2n for even n.
+
+    The series of ``fraction_power_sums`` in integers: C_r = mu^r c_r and
+    P_i = -2 i C_i - sum_{r<i} C_r P_{i-r}.  sin nz / sin z is an integer
+    polynomial in s at odd n, and cos z times one at even n, where the s^a
+    coefficient of cos z = (1 - s)^{1/2} has a denominator dividing
+    2^{2a-1}, which (2n)^r / n supplies; every step must divide exactly.
+    """
+    mu = n if n % 2 else 2 * n
+    c, p = [1], [n - 1]
+    for i in range(1, m + 1):
+        r = i - 1
+        coefficient, remainder = divmod(mu * c[r] * ((2 * r + 1) ** 2 - n * n), 2 * (2 * r + 3) * (r + 1))
+        assert remainder == 0, (n, i)
+        c.append(coefficient)
+        p.append(-2 * i * coefficient - sum(map(mul, c[1:i], p[i - 1 : 0 : -1])))
+    return p
+
+
 def table_power_sum(m, n):
-    """p_m(n) as the production table gives it, scale^m p_m(n) over scale^m."""
-    return Fraction(_scaled_power_sum(m, n), (n if n % 2 else 2 * n) ** m)
+    """p_m(n) as the production table gives it, n^m p_m(n) over n^m."""
+    return Fraction(_scaled_power_sum(m, n), n**m)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +440,7 @@ class TestVerlindeDim:
         assert verlinde_dim(3, 1) == 8
 
     def test_non_integral_series_value_raises(self, monkeypatch):
-        # every scaled power sum reads 1: 1/2 at (2, 1) and -3/4 at (2, 8)
+        # every scaled power sum reads 1: 1/2 at (2, 1) and -3/2 at (2, 8)
         monkeypatch.setattr(fusion, "_scaled_power_sum", lambda m, n: 1)
         with pytest.raises(ArithmeticError, match=r"verlinde_dim\(g=2, k=1\)"):
             verlinde_dim.__wrapped__(2, 1)
@@ -434,8 +457,27 @@ class TestVerlindeDim:
 class TestPowerSumTable:
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_equals_fraction_recurrence(self, parity):
-        for n in range(2 if parity == "even" else 3, 151, 2):
-            assert [table_power_sum(m, n) for m in range(41)] == fraction_power_sums(40, n)
+        # at n <= 40, m runs well past the order d = (n - 1) // 2 of the root
+        # recurrence: to 80 against the Fraction recurrence, to 200 against the series
+        for n in range(2 if parity == "even" else 1, 151, 2):
+            top = 80 if n <= 40 else 40
+            assert [table_power_sum(m, n) for m in range(top + 1)] == fraction_power_sums(top, n)
+        for n in range(2 if parity == "even" else 1, 41, 2):
+            # the series' scale over n is 1 at odd n and 2 at even n
+            ratio = 1 if n % 2 else 2
+            assert [_scaled_power_sum(m, n) * ratio**m for m in range(201)] == series_power_sums(200, n)
+
+    def test_root_coefficients_equal_ratio_recurrence(self):
+        # f_{r+1} = f_r ((2r + 1 + e)^2 - n^2) / ((2r + 2)(2r + 3)), e = 1 - n mod 2: the
+        # hypergeometric series of sin nz / (n sin z) at odd n and of
+        # sin nz / (n sin z cos z) = 2F1(1 + n/2, 1 - n/2; 3/2; s) at even n; both stop after d
+        for n in range(1, 200):
+            d, e = (n - 1) // 2, 1 - n % 2
+            f = [Fraction(1)]
+            for r in range(d + 3):
+                f.append(f[r] * ((2 * r + 1 + e) ** 2 - n * n) / ((2 * r + 2) * (2 * r + 3)))
+            assert [_root_coefficient(n, r) for r in range(1, d + 4)] == [n**r * f[r] for r in range(1, d + 4)]
+            assert f[d] != 0 and not any(f[d + 1 :])
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 64), st.integers(2, 2000))
@@ -460,6 +502,8 @@ class TestPowerSumTable:
         assert ascending._rows == descending._rows == jump._rows
         assert all(isinstance(row, tuple) for row in ascending._rows)
         assert len(ascending._rows[1]) == top + 1
+        # the root coefficients stop at the order d = (n - 1) // 2
+        assert len(ascending._rows[0]) == min(top, (n - 1) // 2) + 1
 
     def test_growth_replaces_rows_and_keeps_the_prefix(self):
         table = _PowerSumTable(40)
@@ -468,12 +512,21 @@ class TestPowerSumTable:
         table.scaled_sum(30)
         assert table._rows is not before
         assert table._rows[0][:11] == before[0] and table._rows[1][:11] == before[1]
+        assert len(table._rows[0]) == 20
         table.scaled_sum(20)
         assert table._rows[1][:31] == table._rows[1]
 
+    def test_wide_level_at_low_genus_grows_few_coefficients(self):
+        n = 10**6 + 2
+        table = _PowerSumTable(n)
+        assert Fraction(table.scaled_sum(2), n**2) == Fraction((n * n - 1) * (n * n + 11), 45)
+        assert tuple(map(len, table._rows)) == (3, 3)
+
     def test_concurrent_growth_never_shows_a_partial_table(self):
         top = 120
-        expected = [_PowerSumTable(50).scaled_sum(m) for m in range(top + 1)]
+        reference = _PowerSumTable(50)
+        expected = [reference.scaled_sum(m) for m in range(top + 1)]
+        full = reference._rows
         table, bad = _PowerSumTable(50), []
 
         def reader(seed):
@@ -483,7 +536,8 @@ class TestPowerSumTable:
                 if table.scaled_sum(m) != expected[m]:
                     bad.append(("value", m))
                 coefficients, sums = table._rows
-                if len(coefficients) != len(sums) or list(sums) != expected[: len(sums)]:
+                # F stops at d = 24 while R grows to m
+                if len(coefficients) != min(len(sums), 25) or sums != full[1][: len(sums)]:
                     bad.append(("rows", len(coefficients), len(sums)))
 
         interval = sys.getswitchinterval()
@@ -506,14 +560,6 @@ class TestPowerSumTable:
         assert (info.misses, info.currsize) == (1, 1)
         assert len(_power_sum_table(42)._rows[1]) == 29
 
-    def test_unscaled_even_coefficients_are_not_integral(self):
-        # scale = n for even n fails: C_2 at n = 6 is 5670/20
-        with pytest.raises(ArithmeticError, match=r"n=6: .* r=2 is 5670/20, not an integer"):
-            _extend_power_sums(6, 6, (1,), (5,), 3)
-        # the production scale 2n is integral there
-        sums = _extend_power_sums(6, 12, (1,), (5,), 3)[1]
-        assert list(sums) == [12**m * p for m, p in enumerate(fraction_power_sums(3, 6))]
-
 
 class TestHighGenus:
     """Genera well past the sweep grid, cold, against the oracles."""
@@ -534,6 +580,17 @@ class TestHighGenus:
         for g in (2, 17, 64, 200):
             assert values[g] == 51 ** (g - 1) * fraction_power_sum(g - 1, 102) == verlinde_trig_oracle(g, 100).value
         assert all(isinstance(v, int) and v > 0 for v in values.values())
+
+    def test_small_levels_cold_within_budget(self, cold_caches):
+        # the root recurrence has order 3 at n = 8 and 1 at n = 4, whatever the genus
+        start = time.perf_counter()
+        even, twisted, wide = bm_even_dim(1000, 16, 0), twisted_dim(1000, 16), verlinde_dim(2000, 6)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"small-level high-genus cells took {elapsed:.2f}s"
+        # bm_even_dim(g, 16, 0) = (dim(g, 6) + 4^{g-1} (2^g - 1)) / 2^{2g}
+        assert even << 2000 == verlinde_trig_oracle(1000, 6).value + 4**999 * ((1 << 1000) - 1)
+        assert twisted == twisted_trig_oracle(1000, 16).value
+        assert wide == verlinde_trig_oracle(2000, 6).value
 
 
 class TestTwistedDim:
