@@ -27,7 +27,10 @@ vectors repeat, and ``heisenberg`` keeps its representation matrices in a
 list indexed by element rather than a dict keyed by the elements.  The
 ``heisenberg`` commutator record reads the products of central part 0 that
 the homomorphism record has made, and multiplies only where that record
-stopped at a counterexample before making them.
+stopped at a counterexample before making them.  The suites over a genus x
+level grid evaluate their cells level-major through ``_level_major``, as the
+CLI's tables do, and list them genus-major; ``integrality`` walks the same
+order and keeps no value.
 """
 
 from __future__ import annotations
@@ -156,6 +159,16 @@ def _levels_kept(suite: str, levels_p: Iterable[int]) -> list[int]:
     if not kept:
         raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
     return kept
+
+
+def _level_major(genera: Sequence[int], levels: Sequence[int], cell: Callable[[int, int], Any]) -> list:
+    """cell(g, level) on every cell of the grid, evaluated level-major, so that a
+    level's power-sum and residue tables serve every genus while the bounded
+    caches of ``fusion`` hold them, and returned genus-major, the order of every
+    table and record list.  The CLI's lists are sorted, so an invalid genus or
+    level is the first of its list and the first cell raises in either order."""
+    by_level = [[cell(g, level) for g in genera] for level in levels]
+    return [result for row in zip(*by_level) for result in row]
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +422,12 @@ def check_verlinde(
 ) -> list[CheckResult]:
     genera = _genera_from("verlinde", genera)
     su2_levels = _su2_levels_from(su2_levels)
-    results = []
-    for g in genera:
-        for k in su2_levels:
-            name = f"verlinde trace = oracle (g={g}, k={k})"
-            results.append(_oracle_record(name, verlinde_dim(g, k), verlinde_trig_oracle, g, k)[0])
-    return results
+
+    def cell(g: int, k: int) -> CheckResult:
+        name = f"verlinde trace = oracle (g={g}, k={k})"
+        return _oracle_record(name, verlinde_dim(g, k), verlinde_trig_oracle, g, k)[0]
+
+    return _level_major(genera, su2_levels, cell)
 
 
 def check_twisted(
@@ -424,12 +437,12 @@ def check_twisted(
     if levels_p is None:
         levels_p = [2 * (k + 2) for k in range(0, 17)]
     levels_p = _levels_kept("twisted", levels_p)
-    results = []
-    for g in genera:
-        for p in levels_p:
-            name = f"twisted trace = oracle (g={g}, p={p})"
-            results.append(_oracle_record(name, twisted_dim(g, p), twisted_trig_oracle, g, p)[0])
-    return results
+
+    def cell(g: int, p: int) -> CheckResult:
+        name = f"twisted trace = oracle (g={g}, p={p})"
+        return _oracle_record(name, twisted_dim(g, p), twisted_trig_oracle, g, p)[0]
+
+    return _level_major(genera, levels_p, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -534,30 +547,20 @@ def check_traces(
 ) -> list[CheckResult]:
     genera = _genera_from("traces", genera)
     levels_p = _levels_kept("traces", levels_p)
-    results = []
-    for g in genera:
-        for p in levels_p:
-            lam = p // 4 - 1
-            for eps in (0, 1):
-                via_traces = dims_via_traces(g, eps, verlinde_dim(g, p // 2 - 2), lam, 0)
-                closed = bm_even_dim(g, p, eps)
-                results.append(
-                    CheckResult(
-                        f"trace route = even closed form (g={g}, p={p}, eps={eps})",
-                        via_traces == closed,
-                        f"traces {via_traces}, closed {closed}",
-                    )
-                )
-                via_traces_odd = dims_via_traces(g, eps, twisted_dim(g, p), lam, 1)
-                closed_odd = bm_odd_dim(g, p, eps)
-                results.append(
-                    CheckResult(
-                        f"trace route = odd closed form (g={g}, p={p}, eps={eps})",
-                        via_traces_odd == closed_odd,
-                        f"traces {via_traces_odd}, closed {closed_odd}",
-                    )
-                )
-    return results
+
+    def cell(g: int, p: int) -> list[CheckResult]:
+        lam = p // 4 - 1
+        # (graded part, its base dimension, its closed form) at parity 0 and 1
+        parts = [("even", verlinde_dim(g, p // 2 - 2), bm_even_dim), ("odd", twisted_dim(g, p), bm_odd_dim)]
+        records = []
+        for eps in (0, 1):
+            for parity, (part, base, closed_form) in enumerate(parts):
+                via_traces, closed = dims_via_traces(g, eps, base, lam, parity), closed_form(g, p, eps)
+                name = f"trace route = {part} closed form (g={g}, p={p}, eps={eps})"
+                records.append(CheckResult(name, via_traces == closed, f"traces {via_traces}, closed {closed}"))
+        return records
+
+    return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
 
 
 def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tuple[int, int]], int, int]:
@@ -577,33 +580,34 @@ def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tu
     return dims, n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
 
 
+def _refinement_record(name: str, g: int, p: int, refined: int) -> tuple[CheckResult, int]:
+    """The record that ``refined``, the even total of the cell (g, p) over all
+    spin structures, equals the unrefined dimension, and that dimension:
+    the ``spin-dims`` checksum and the ``decomp`` refinement identity."""
+    unrefined = verlinde_dim(g, p // 2 - 2)
+    details = f"sum over spin structures {refined}, unrefined {unrefined}"
+    return CheckResult(f"{name} (g={g}, p={p})", refined == unrefined, details), unrefined
+
+
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
     genera = _genera_from("decomp", genera)
     levels_p = _levels_kept("decomp", levels_p)
-    results = []
-    for g in genera:
-        for p in levels_p:
-            _, refined, odd_total = _graded_cell(g, p)
-            unrefined = verlinde_dim(g, p // 2 - 2)
-            results.append(
-                CheckResult(
-                    f"refinement identity (g={g}, p={p})",
-                    refined == unrefined,
-                    f"sum over spin structures {refined}, unrefined {unrefined}",
-                )
-            )
-            graded_total = refined + odd_total
-            expected = unrefined + twisted_dim(g, p)
-            results.append(
-                CheckResult(
-                    f"total dimension identity (g={g}, p={p})",
-                    graded_total == expected,
-                    f"graded total {graded_total}, expected {expected}",
-                )
-            )
-    return results
+
+    def cell(g: int, p: int) -> tuple[CheckResult, CheckResult]:
+        _, refined, odd_total = _graded_cell(g, p)
+        refinement, unrefined = _refinement_record("refinement identity", g, p, refined)
+        graded_total = refined + odd_total
+        expected = unrefined + twisted_dim(g, p)
+        total = CheckResult(
+            f"total dimension identity (g={g}, p={p})",
+            graded_total == expected,
+            f"graded total {graded_total}, expected {expected}",
+        )
+        return refinement, total
+
+    return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
 
 
 def _require_integrality_cells(max_genus: int = 6, max_p: int = 64) -> None:
@@ -622,11 +626,12 @@ def _require_integrality_cells(max_genus: int = 6, max_p: int = 64) -> None:
 
 
 def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
-    """Sweep the full grid; the formulas themselves raise on a non-integral or negative value."""
+    """Sweep the full grid level-major, as ``_level_major`` does, but keeping no
+    value; the formulas themselves raise on a non-integral or negative value."""
     _require_integrality_cells(max_genus, max_p)
     cells = 0
-    for g in range(2, max_genus + 1):
-        for p in range(8, max_p + 1, 8):
+    for p in range(8, max_p + 1, 8):
+        for g in range(2, max_genus + 1):
             for eps in (0, 1):
                 bm_even_dim(g, p, eps)
                 bm_odd_dim(g, p, eps)

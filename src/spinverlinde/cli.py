@@ -1,12 +1,14 @@
 """Command-line surface: dimension tables, identity suites, level conversions.
 
-Exit codes are a stable contract: 0 success, 1 identity or certification
-failure, 2 usage error.  A parse error prints argparse's usage line and
-raises SystemExit(2); every later refusal, a grid bound of ``checks``
-included (which ``run_suite`` holds too), prints ``error: <message>`` and
-``main`` returns 2.  Sweep rows are emitted genus-major, so output ordering
-is deterministic; the verlinde sweep evaluates its cells level-major, so
-that each level's cached tables serve every genus.
+Exit codes are a stable contract: 0 success, 1 identity, integrality or
+certification failure (any ArithmeticError, a power sum that is not an
+integer included), 2 usage error.  A parse error prints argparse's usage
+line and raises SystemExit(2); every later refusal, a grid bound of
+``checks`` included (which ``run_suite`` holds too), prints
+``error: <message>`` and ``main`` returns 2, or 1 for an ArithmeticError.
+Every genus x level grid is evaluated level-major (``checks._level_major``),
+so that each level's cached tables serve every genus, and emitted
+genus-major, so output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import io
 import json
 import sys
 
-from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _graded_cell, _oracle_record, _table_record, run_suite
-from .dimensions import IdentityViolationError, IntegralityError, _level_p
-from .fusion import CertificationError, verlinde_dim, verlinde_trig_oracle
+from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _graded_cell, _level_major, _oracle_record
+from .checks import _refinement_record, _table_record, run_suite
+from .dimensions import _level_p
+from .fusion import verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
     LevelValue,
@@ -41,6 +44,11 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _require_count(text: str, values: set[int]) -> None:
+    if len(values) > MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(f"{text!r} lists more than {MAX_RANGE_VALUES} values")
+
+
 def _parse_int_range(text: str) -> list[int]:
     """Parse '4', '1..5' and comma-combinations thereof into a sorted list."""
     values: set[int] = set()
@@ -60,15 +68,13 @@ def _parse_int_range(text: str) -> list[int]:
                     f"range {atom!r} has {hi - lo + 1} values, more than {MAX_RANGE_VALUES}"
                 )
             values.update(range(lo, hi + 1))
-            if len(values) > MAX_RANGE_VALUES:
-                raise argparse.ArgumentTypeError(
-                    f"{text!r} lists more than {MAX_RANGE_VALUES} values"
-                )
         else:
             try:
                 values.add(int(atom))
             except ValueError:
                 raise argparse.ArgumentTypeError(f"malformed range entry {atom!r}") from None
+        # after every atom, so that many ranges never build more than one past the bound
+        _require_count(text, values)
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return sorted(values)
@@ -102,6 +108,7 @@ def _parse_bm_levels(text: str) -> list[int]:
                     f"--p values must be positive multiples of 8, got {value}"
                 )
             values.add(value)
+        _require_count(text, values)
     return sorted(values)
 
 
@@ -169,12 +176,8 @@ def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
 
 
 def _cmd_verlinde(args) -> int:
-    # level-major, so that every genus reads a level's power-sum table and
-    # residue tables while they are cached; an invalid genus or level is the
-    # first of its sorted list, so the first cell raises in either order
-    cells = {(g, k): _verlinde_cell(g, k) for k in args.level for g in args.genus}
-    ordered = [cells[g, k] for g in args.genus for k in args.level]
-    rows, checks = [row for row, _ in ordered], [check for _, check in ordered]
+    cells = _level_major(args.genus, args.level, _verlinde_cell)
+    rows, checks = [row for row, _ in cells], [check for _, check in cells]
     params = {"genus": args.genus, "level": args.level}
     return _emit(args, "verlinde", params, rows, checks)
 
@@ -188,26 +191,21 @@ def _cmd_spin_dims(args) -> int:
     else:
         resolved = {"convention": args.convention or "bm"}
         levels = sorted({_level_p(k, resolved["convention"]) for k in args.so3_level})
-    extrapolated_convention = args.convention == "corollary"
-    rows, checks = [], []
-    for g in args.genus:
-        extrapolated = g == 1 or extrapolated_convention
-        for p in levels:
-            # both Arf values, whichever rows are asked for: the checksum weights both
-            dims, even_total, odd_total = _graded_cell(g, p, args.allow_genus_one)
-            for arf, even, odd in [(eps, *dims[eps]) for eps in args.arf] + [("*", even_total, odd_total)]:
-                row = {"g": g, "p": p, "arf": arf, "even": even, "odd": odd}
-                if extrapolated:
-                    row["extrapolated"] = True
-                rows.append(row)
-            unrefined = verlinde_dim(g, p // 2 - 2)
-            checks.append(
-                CheckResult(
-                    f"decomposition checksum (g={g}, p={p})",
-                    even_total == unrefined,
-                    f"sum over spin structures {even_total}, unrefined {unrefined}",
-                )
-            )
+
+    def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
+        """The rows and the checksum record of one (g, p) cell."""
+        # both Arf values, whichever rows are asked for: the checksum weights both
+        dims, even_total, odd_total = _graded_cell(g, p, args.allow_genus_one)
+        flag = {"extrapolated": True} if g == 1 or args.convention == "corollary" else {}
+        rows = [
+            {"g": g, "p": p, "arf": arf, "even": even, "odd": odd, **flag}
+            for arf, even, odd in [(eps, *dims[eps]) for eps in args.arf] + [("*", even_total, odd_total)]
+        ]
+        return rows, _refinement_record("decomposition checksum", g, p, even_total)[0]
+
+    cells = _level_major(args.genus, levels, cell)
+    rows = [row for cell_rows, _ in cells for row in cell_rows]
+    checks = [check for _, check in cells]
     params = {"genus": args.genus, "p": levels, "arf": args.arf, **resolved}
     return _emit(args, "spin-dims", params, rows, checks)
 
@@ -360,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except (IdentityViolationError, IntegralityError, CertificationError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (ValueError, TypeError) as exc:

@@ -115,14 +115,14 @@ class _PowerSumTable:
 def _power_sum_table(n: int) -> _PowerSumTable:
     """The table at n that every genus shares.
 
-    The cache holds 128 tables, more than the distinct n of any CLI
-    workload grid (the verlinde sweep reaches 49, spin-dims 24); the
-    verlinde command evaluates its cells level-major, so a wider sweep
-    still builds each table once.  A table up to m keeps every R_i,
-    O(m^2 log n) bits: about 3 KB at m = 23 and n <= 130, 195 KB for the
-    table behind verlinde_dim(400, 100) (n = 102, m = 399), 650 KB at
-    n = 18, m = 999 and 2.1 MB at n = 1002, m = 999 (sys.getsizeof of both
-    tuples and their integers).
+    The cache holds 128 tables.  Every genus x level grid, of the CLI and
+    of the check suites, is evaluated level-major (``checks._level_major``),
+    so the tables of a level serve every genus while they are cached, and a
+    grid of more than 128 levels builds each table about once, not once per
+    genus.  A table up to m keeps every R_i, O(m^2 log n) bits: about 3 KB
+    at m = 23 and n <= 130, 195 KB for the table behind verlinde_dim(400,
+    100) (n = 102, m = 399), 650 KB at n = 18, m = 999 and 2.1 MB at
+    n = 1002, m = 999 (sys.getsizeof of both tuples and their integers).
     """
     return _PowerSumTable(n)
 

@@ -261,14 +261,6 @@ class HeisenbergElement(Value):
             raise ValueError(f"central part must be reduced mod 4, got {central}")
         self._store(central=central, vector=vector)
 
-    @classmethod
-    def _trusted(cls, central: int, vector: F2Vector) -> "HeisenbergElement":
-        """The element (central, vector) without validation, for values valid by construction."""
-        element = _new(cls)
-        _setattr(element, "central", central)
-        _setattr(element, "vector", vector)
-        return element
-
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         v, w = self.vector, other.vector
         dim = v.dim

@@ -87,6 +87,31 @@ class TestVerlindeCommand:
         assert excinfo.value.code == 2
         assert f"0..{10**12}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("option", "listed"),
+        [
+            # 100 001 single values, and nine ranges of 12 500 multiples of 8 or fewer each
+            ("--genus", ",".join(map(str, range(1, cli.MAX_RANGE_VALUES + 2)))),
+            ("--p", ",".join(f"{start}..{start + 99_999}" for start in range(0, 900_000, 100_000))),
+        ],
+        ids=["genus-values", "p-ranges"],
+    )
+    def test_oversized_comma_list_is_usage_error(self, capsys, option, listed):
+        command = ["verlinde", "--level", "1"] if option == "--genus" else ["spin-dims", "--genus", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, option, listed])
+        assert excinfo.value.code == 2
+        assert f"lists more than {cli.MAX_RANGE_VALUES} values" in capsys.readouterr().err
+
+    def test_non_integral_power_sum_is_a_failure(self, capsys, monkeypatch, cold_caches):
+        # the exactness guard of fusion raises a plain ArithmeticError, the base
+        # of every failure that exits 1; P_1(3) = 8 reads 9 here
+        honest = fusion._scaled_power_sum
+        monkeypatch.setattr(fusion, "_scaled_power_sum", lambda m, n: honest(m, n) + 1)
+        code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: verlinde_dim(g=2, k=1): power-sum value 9/2 is not an integer\n"
+
     def test_json_round_trips(self, capsys):
         _, payload, _ = run_json(capsys, "verlinde", "--genus", "1..2", "--level", "0..3")
         assert json.loads(json.dumps(payload)) == payload
@@ -168,22 +193,6 @@ class TestVerlindeCommand:
         finally:
             if limited:
                 sys.set_int_max_str_digits(before)
-
-    def test_sweep_builds_each_power_sum_table_once(self, capsys, cold_caches):
-        # 130 levels are more distinct n than the 128 tables the cache holds, so
-        # a genus-major evaluation would evict every table before the next genus
-        code, out, _ = run_cli(capsys, "verlinde", "--genus", "1..2", "--level", "0..129", "--format", "json")
-        assert code == 0
-        assert fusion._power_sum_table.cache_info().misses == 130
-        # byte for byte the genus-major output: the one-genus sweeps, concatenated
-        singles = [run_json(capsys, "verlinde", "--genus", str(g), "--level", "0..129")[1] for g in (1, 2)]
-        expected = {
-            "command": "verlinde",
-            "params": {"genus": [1, 2], "level": list(range(130))},
-            "rows": singles[0]["rows"] + singles[1]["rows"],
-            "checks": singles[0]["checks"] + singles[1]["checks"],
-        }
-        assert out == json.dumps(expected) + "\n"
 
     # (1, 40) certifies at 128 bits, (30, 40) cannot: one row of each kind
     FAILED_CELL = ("verlinde", "--genus", "1,30", "--level", "40")
@@ -297,6 +306,45 @@ def test_parse_errors_exit_through_argparse(argv, message, capsys):
     assert message in err
 
 
+class TestLevelMajorWalk:
+    """Every genus x level grid reads a level's cached tables for every genus.
+
+    Each grid below needs more power-sum tables than the 128 the cache
+    holds, or more residue tables than its 64, so a genus-major walk would
+    evict a level's tables before the next genus reads them and build every
+    table once per genus.
+    """
+
+    @pytest.mark.parametrize(
+        ("argv", "genera", "tables", "residues"),
+        [
+            pytest.param(("verlinde", "--level", "0..129"), (1, 2), 130, 130, id="verlinde"),
+            pytest.param(("check", "verlinde", "--level", "0..129"), (1, 2), 130, 130, id="check-verlinde"),
+            pytest.param(("check", "twisted", "--p", "4..1024"), (2, 3), 449, 256, id="check-twisted"),
+            pytest.param(("check", "traces", "--p", "8..1024"), (2, 3), 193, 0, id="check-traces"),
+            pytest.param(("check", "decomp", "--p", "8..1024"), (2, 3), 193, 0, id="check-decomp"),
+            pytest.param(("spin-dims", "--p", "8..1024"), (2, 3), 193, 0, id="spin-dims"),
+            # the sweep takes 2 <= g <= 3 from the largest genus given
+            pytest.param(("check", "integrality", "--p", "1024"), (3,), 193, 0, id="check-integrality"),
+        ],
+    )
+    def test_sweep_builds_each_power_sum_table_once(self, capsys, cold_caches, argv, genera, tables, residues):
+        genus = ",".join(map(str, genera))
+        code, out, _ = run_cli(capsys, *argv, "--genus", genus, "--format", "json")
+        assert code == 0
+        misses = fusion._power_sum_table.cache_info().misses, fusion._residue_table.cache_info().misses
+        assert misses == (tables, residues)
+        # byte for byte the genus-major output: the one-genus sweeps, concatenated
+        singles = [run_json(capsys, *argv, "--genus", str(g))[1] for g in genera]
+        expected = {
+            **singles[0],
+            "params": {**singles[0]["params"], "genus": list(genera)},
+            "rows": [row for single in singles for row in single["rows"]],
+            "checks": [check for single in singles for check in single["checks"]],
+        }
+        assert out == json.dumps(expected) + "\n"
+
+
 class TestSpinDimsCommand:
     def test_level_eight_rows_and_checksum(self, capsys):
         code, payload, _ = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
@@ -379,8 +427,9 @@ class TestSpinDimsCommand:
         assert (record["passed"], record["details"]) == (False, "sum over spin structures 20, unrefined 10")
 
     def test_failed_checksum_names_both_numbers(self, capsys, monkeypatch):
-        honest = cli.verlinde_dim
-        monkeypatch.setattr(cli, "verlinde_dim", lambda g, k: honest(g, k) + 1)
+        # the checksum record is built in checks, where it looks the dimension up
+        honest = checks.verlinde_dim
+        monkeypatch.setattr(checks, "verlinde_dim", lambda g, k: honest(g, k) + 1)
         code, out, err = run_cli(capsys, "spin-dims", "--genus", "2", "--p", "8")
         assert (code, err) == (1, "")
         # the whole table, then the failed record
