@@ -11,11 +11,11 @@ passes when the values agree and the certificate pins one integer,
 2 bound < modulus.  A cell the oracle cannot certify is a failed record.
 A suite whose grid has no cell, a genus range below 1 included, raises
 ValueError rather than pass vacuously, and so does a suite given a genus
-or level below the least it takes, before its first cell, or a grid
-larger than ``MAX_RANGE_VALUES``.  ``run_suite`` takes the options of
-``spinverlinde check`` and reads one table, ``_OPTIONS``, for the keyword
-argument each option sets and the grid check each suite runs before any
-suite does.
+or level below the least it takes, before its first cell, a grid
+larger than ``MAX_RANGE_VALUES``, or an oracle level whose certified sum
+has more terms than that.  ``run_suite`` takes the options of ``spinverlinde
+check`` and reads one table, ``_OPTIONS``, for the keyword argument each
+option sets and the grid check each suite runs before any suite does.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` make
@@ -30,7 +30,8 @@ the homomorphism record has made, and multiplies only where that record
 stopped at a counterexample before making them.  The suites over a genus x
 level grid evaluate their cells level-major through ``_level_major``, as the
 CLI's tables do, and list them genus-major; ``integrality`` walks the same
-order and keeps no value.
+order and keeps no value.  The graded suites read ``dimensions._graded_cell``
+and ``_level_bases``; a violated trace route fails its record.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from operator import eq
 from typing import Any, Callable, Iterable, Sequence
 
 from ._value import Value
-from .dimensions import bm_even_dim, bm_odd_dim, dims_via_traces
+from .dimensions import IdentityViolationError, _graded_cell, _level_bases, dims_via_traces
 from .f2 import F2Vector, SymplecticF2Space
-from .fusion import CertificationError, CertifiedInteger, twisted_dim, twisted_trig_oracle
-from .fusion import verlinde_dim, verlinde_trig_oracle
+from .fusion import MAX_RANGE_VALUES, CertificationError, CertifiedInteger, _require_terms, twisted_dim
+from .fusion import twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from .heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -112,11 +113,6 @@ def _counted(
     return CheckResult(name, True, f"{checked} {counted}")
 
 
-#: Most values one integer-range option may list, the largest ``max_m`` and
-#: the most (g, p) cells of the integrality sweep; a larger request is a usage error.
-MAX_RANGE_VALUES = 100_000
-
-
 def _require_genera(suite: str, max_genus: int) -> None:
     """Before a sweep over genus 1..max_genus starts: a ValueError naming the
     suite if the range is empty, and the EnumerationCapError the sweep would reach."""
@@ -140,10 +136,13 @@ def _genera_from(suite: str, genera: Iterable[int]) -> list[int]:
 
 
 def _su2_levels_from(su2_levels: Iterable[int]) -> list[int]:
-    """The levels k of the verlinde suite as a list; a ValueError if one is negative."""
+    """The levels k of the verlinde suite as a list; a ValueError if one is
+    negative, or if the oracle's sum over j < k + 2 at one is too long."""
     su2_levels = list(su2_levels)
     if su2_levels and min(su2_levels) < 0:
         raise ValueError(f"check verlinde: level must be >= 0, got {min(su2_levels)}")
+    if su2_levels:
+        _require_terms(max(su2_levels) + 2, ("check verlinde: level k={}", max(su2_levels)))
     return su2_levels
 
 
@@ -153,11 +152,14 @@ _LEVEL_FILTERS = {"twisted": (4, 2), "traces": (8, 8), "decomp": (8, 8)}
 
 def _levels_kept(suite: str, levels_p: Iterable[int]) -> list[int]:
     """The levels p >= least that are multiples of step, by the suite's filter;
-    a ValueError naming the suite if none is."""
+    a ValueError naming the suite if none is, or, for twisted, if the oracle's
+    sum over j < p/2 at one is too long."""
     least, step = _LEVEL_FILTERS[suite]
     kept = [p for p in levels_p if p >= least and p % step == 0]
     if not kept:
         raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
+    if suite == "twisted":
+        _require_terms(max(kept) // 2, ("check twisted: level p={}", max(kept)))
     return kept
 
 
@@ -545,48 +547,37 @@ def check_trace_decomposition(
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
+    """The trace route of each graded part against the cell's closed form; a
+    violation that ``dims_via_traces`` raises fails its record."""
     genera = _genera_from("traces", genera)
     levels_p = _levels_kept("traces", levels_p)
 
     def cell(g: int, p: int) -> list[CheckResult]:
-        lam = p // 4 - 1
-        # (graded part, its base dimension, its closed form) at parity 0 and 1
-        parts = [("even", verlinde_dim(g, p // 2 - 2), bm_even_dim), ("odd", twisted_dim(g, p), bm_odd_dim)]
+        dims = _graded_cell(g, p)[0]
+        *bases, correction_base = _level_bases(g, p)
         records = []
         for eps in (0, 1):
-            for parity, (part, base, closed_form) in enumerate(parts):
-                via_traces, closed = dims_via_traces(g, eps, base, lam, parity), closed_form(g, p, eps)
+            for parity, part in enumerate(("even", "odd")):
                 name = f"trace route = {part} closed form (g={g}, p={p}, eps={eps})"
+                closed = dims[eps][parity]
+                try:
+                    via_traces = dims_via_traces(g, eps, bases[parity], correction_base - 1, parity)
+                except IdentityViolationError as exc:
+                    records.append(CheckResult(name, False, str(exc)))
+                    continue
                 records.append(CheckResult(name, via_traces == closed, f"traces {via_traces}, closed {closed}"))
         return records
 
     return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
 
 
-def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tuple[int, int]], int, int]:
-    """The graded dimensions (even, odd) of the cell (g, p) at Arf invariants 0
-    and 1, each evaluated once, and the even and odd totals over all 2^{2g}
-    spin structures, each Arf value weighted by its number of structures;
-    ``spin-dims`` and ``check decomp`` both read them."""
-    n_even, n_odd = count_by_arf(g)
-    dims = [
-        (
-            bm_even_dim(g, p, eps, allow_genus_one=allow_genus_one),
-            bm_odd_dim(g, p, eps, allow_genus_one=allow_genus_one),
-        )
-        for eps in (0, 1)
-    ]
-    (even0, odd0), (even1, odd1) = dims
-    return dims, n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
-
-
-def _refinement_record(name: str, g: int, p: int, refined: int) -> tuple[CheckResult, int]:
+def _refinement_record(name: str, g: int, p: int, refined: int) -> CheckResult:
     """The record that ``refined``, the even total of the cell (g, p) over all
-    spin structures, equals the unrefined dimension, and that dimension:
-    the ``spin-dims`` checksum and the ``decomp`` refinement identity."""
-    unrefined = verlinde_dim(g, p // 2 - 2)
+    spin structures, equals the unrefined dimension: the ``spin-dims``
+    checksum and the ``decomp`` refinement identity."""
+    unrefined = _level_bases(g, p)[0]
     details = f"sum over spin structures {refined}, unrefined {unrefined}"
-    return CheckResult(f"{name} (g={g}, p={p})", refined == unrefined, details), unrefined
+    return CheckResult(f"{name} (g={g}, p={p})", refined == unrefined, details)
 
 
 def check_decomposition(
@@ -597,9 +588,9 @@ def check_decomposition(
 
     def cell(g: int, p: int) -> tuple[CheckResult, CheckResult]:
         _, refined, odd_total = _graded_cell(g, p)
-        refinement, unrefined = _refinement_record("refinement identity", g, p, refined)
-        graded_total = refined + odd_total
-        expected = unrefined + twisted_dim(g, p)
+        refinement = _refinement_record("refinement identity", g, p, refined)
+        base_even, base_odd, _ = _level_bases(g, p)
+        graded_total, expected = refined + odd_total, base_even + base_odd
         total = CheckResult(
             f"total dimension identity (g={g}, p={p})",
             graded_total == expected,
@@ -632,10 +623,8 @@ def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
     cells = 0
     for p in range(8, max_p + 1, 8):
         for g in range(2, max_genus + 1):
-            for eps in (0, 1):
-                bm_even_dim(g, p, eps)
-                bm_odd_dim(g, p, eps)
-                cells += 1
+            _graded_cell(g, p)
+            cells += 2
     return [
         CheckResult(
             f"integrality sweep g<={max_genus} p<={max_p}",

@@ -8,7 +8,10 @@ line and raises SystemExit(2); every later refusal, a grid bound of
 ``error: <message>`` and ``main`` returns 2, or 1 for an ArithmeticError.
 Every genus x level grid is evaluated level-major (``checks._level_major``),
 so that each level's cached tables serve every genus, and emitted
-genus-major, so output ordering is deterministic.
+genus-major, so output ordering is deterministic.  ``spin-dims`` reads each
+cell from ``dimensions._graded_cell``, as the graded check suites do, and
+``verlinde`` refuses a level whose certified sum is longer than
+``MAX_RANGE_VALUES`` terms before its first cell.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import io
 import json
 import sys
 
-from .checks import MAX_RANGE_VALUES, SUITES, CheckResult, _graded_cell, _level_major, _oracle_record
-from .checks import _refinement_record, _table_record, run_suite
-from .dimensions import _level_p
-from .fusion import verlinde_dim, verlinde_trig_oracle
+from .checks import SUITES, CheckResult, _level_major, _oracle_record, _refinement_record, _table_record, run_suite
+from .dimensions import _graded_cell, _level_p
+from .fusion import MAX_RANGE_VALUES, _require_terms, verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
     LevelValue,
@@ -176,6 +178,8 @@ def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
 
 
 def _cmd_verlinde(args) -> int:
+    # the levels are sorted: the last has the longest certified sum, over j < k + 2
+    _require_terms(args.level[-1] + 2, ("verlinde: level k={}", args.level[-1]))
     cells = _level_major(args.genus, args.level, _verlinde_cell)
     rows, checks = [row for row, _ in cells], [check for _, check in cells]
     params = {"genus": args.genus, "level": args.level}
@@ -201,7 +205,7 @@ def _cmd_spin_dims(args) -> int:
             {"g": g, "p": p, "arf": arf, "even": even, "odd": odd, **flag}
             for arf, even, odd in [(eps, *dims[eps]) for eps in args.arf] + [("*", even_total, odd_total)]
         ]
-        return rows, _refinement_record("decomposition checksum", g, p, even_total)[0]
+        return rows, _refinement_record("decomposition checksum", g, p, even_total)
 
     cells = _level_major(args.genus, levels, cell)
     rows = [row for cell_rows, _ in cells for row in cell_rows]

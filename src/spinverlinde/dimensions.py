@@ -13,7 +13,9 @@ test: any non-exact division raises, it is never rounded away.
 The same numbers arise by averaging lifted [Z]-actions over the group of
 two-torsion classes (``dims_via_traces``), which this module computes
 both in closed form and termwise as the trace of the averaging
-projection P_sigma, insisting the two agree exactly.
+projection P_sigma, insisting the two agree exactly.  Every formula calls
+``_numerator``, the bases of a level p are ``_level_bases``, and
+``_graded_cell`` evaluates each (g, p, eps) of a cell once for all readers.
 """
 
 from __future__ import annotations
@@ -91,9 +93,14 @@ def _exact_quotient(numerator: int, g: int, where: tuple) -> int:
     return quotient
 
 
-def _correction(g: int, eps: int) -> int:
-    # (-1)^eps 2^g - 1
-    return (1 << g) - 1 if eps == 0 else -(1 << g) - 1
+def _numerator(g: int, eps: int, base: int, sign: int, correction_base: int) -> int:
+    """2^{2g} times a graded dimension, base + sign c^{g-1} ((-1)^eps 2^g - 1), c = correction_base."""
+    return base + sign * correction_base ** (g - 1) * ((1 << g) - 1 if eps == 0 else -(1 << g) - 1)
+
+
+def _level_bases(g: int, p: int) -> tuple[int, int, int]:
+    """The bases of the level p: the dimensions at levels p/2 - 2 and p (twisted), and p/4."""
+    return verlinde_dim(g, p // 2 - 2), twisted_dim(g, p), p // 4
 
 
 def bm_even_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> int:
@@ -103,7 +110,7 @@ def bm_even_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> i
     _require_bm_level(p, where)
     _require_bit(eps, "eps", where)
     base = verlinde_dim(g, p // 2 - 2)
-    numerator = base + (p // 4) ** (g - 1) * _correction(g, eps)
+    numerator = _numerator(g, eps, base, 1, p // 4)
     return _exact_quotient(numerator, g, ("bm_even_dim(g={}, p={}, eps={}) [base dim {}]", g, p, eps, base))
 
 
@@ -114,7 +121,7 @@ def bm_odd_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> in
     _require_bm_level(p, where)
     _require_bit(eps, "eps", where)
     base = twisted_dim(g, p)
-    numerator = base - (p // 4) ** (g - 1) * _correction(g, eps)
+    numerator = _numerator(g, eps, base, -1, p // 4)
     return _exact_quotient(numerator, g, ("bm_odd_dim(g={}, p={}, eps={}) [twisted base dim {}]", g, p, eps, base))
 
 
@@ -164,8 +171,7 @@ def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, i
     Under either reading the bases are the dimensions at levels p/2 - 2
     and p, and the correction base is p/4.
     """
-    p = _level_p(k, convention)
-    return verlinde_dim(g, p // 2 - 2), twisted_dim(g, p), p // 4
+    return _level_bases(g, _level_p(k, convention))
 
 
 def corollary_dims(
@@ -194,14 +200,13 @@ def corollary_dims(
         base_even = resolved[0] if base_even is None else base_even
         base_odd = resolved[1] if base_odd is None else base_odd
         correction_base = resolved[2] if correction_base is None else correction_base
-    term = correction_base ** (g - 1) * _correction(g, eps)
     where = (
         "corollary_dims(g={}, k={}, eps={}, convention={!r}) [bases ({}, {}), correction base {}]",
         g, k, eps, convention, base_even, base_odd, correction_base,
     )
     return GradedDimension(
-        even=_exact_quotient(base_even + term, g, where),
-        odd=_exact_quotient(base_odd - term, g, where),
+        even=_exact_quotient(_numerator(g, eps, base_even, 1, correction_base), g, where),
+        odd=_exact_quotient(_numerator(g, eps, base_odd, -1, correction_base), g, where),
     )
 
 
@@ -232,12 +237,24 @@ def dims_via_traces(
 
     sigma = QuadraticRefinement.canonical(SymplecticF2Space(g), eps)
     termwise = trace_functional(projection(sigma), base_dim, lambda_rho, w2) * (1 << (2 * g))
-    closed = base_dim + (-1) ** w2 * _correction(g, eps) * (lambda_rho + 1) ** (g - 1)
+    closed = _numerator(g, eps, base_dim, (-1) ** w2, lambda_rho + 1)
     if termwise != closed:
         raise IdentityViolationError(
             f"{_label(where)}: termwise trace sum {termwise} != closed form {closed}"
         )
     return _exact_quotient(closed, g, where)
+
+
+def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tuple[int, int]], int, int]:
+    """The graded dimensions (even, odd) of the cell (g, p) at Arf invariants 0
+    and 1, each evaluated once, and the even and odd totals over all 2^{2g}
+    spin structures, each Arf value weighted by its number of structures;
+    ``sum_over_spin``, ``spin-dims`` and the graded suites all read them."""
+    n_even, n_odd = count_by_arf(g)
+    flag = {"allow_genus_one": allow_genus_one}
+    dims = [(bm_even_dim(g, p, eps, **flag), bm_odd_dim(g, p, eps, **flag)) for eps in (0, 1)]
+    (even0, odd0), (even1, odd1) = dims
+    return dims, n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
 
 
 def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
@@ -250,11 +267,8 @@ def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
     where = "sum_over_spin(g={}, p={})", g, p
     _require_genus(g, allow_genus_one, where)
     _require_bm_level(p, where)
-    n_even, n_odd = count_by_arf(g)
-    total = n_even * bm_even_dim(g, p, 0, allow_genus_one=allow_genus_one) + n_odd * bm_even_dim(
-        g, p, 1, allow_genus_one=allow_genus_one
-    )
-    expected = verlinde_dim(g, p // 2 - 2)
+    total = _graded_cell(g, p, allow_genus_one)[1]
+    expected = _level_bases(g, p)[0]
     if total != expected:
         raise IdentityViolationError(
             f"{_label(where)}: spin-structure sum {total} != unrefined dimension {expected}"

@@ -51,6 +51,11 @@ from ._value import Value
 
 DEFAULT_PRECISION_BITS = 128
 
+#: Most terms j = 1..n-1 a certified sum may have, most values one
+#: integer-range option of the CLI may list, the largest ``max_m`` and the
+#: most (g, p) cells of the integrality sweep; a larger request is a usage error.
+MAX_RANGE_VALUES = 100_000
+
 
 class CertificationError(ArithmeticError):
     """The modular oracle could not certify a unique integer value."""
@@ -307,6 +312,13 @@ def _sum_residue(m: int, n: int, bits: int, alternating: bool) -> int:
     return residue - modulus if 2 * residue > modulus else residue
 
 
+def _require_terms(n: int, label: tuple) -> None:
+    """A ValueError naming ``label`` if the sum over 1 <= j <= n - 1 has more
+    than MAX_RANGE_VALUES terms; it is raised before any modulus is built."""
+    if n - 1 > MAX_RANGE_VALUES:
+        raise ValueError(f"{_label(label)}: the certified sum has {n - 1} terms, more than {MAX_RANGE_VALUES}")
+
+
 def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label: tuple) -> CertifiedInteger:
     """V = (n/2)^m sum_{j=1}^{n-1} s_j csc^{2m}(pi j / n), certified by its
     residue modulo the M of (n, Q) at the first precision Q of the doubling
@@ -325,8 +337,10 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     residue in (-M/2, M/2] is V, as V is an integer, which the oracle takes
     as given and the exact path's guard checks.  M is at least
     (2^t - 1)^phi(n) / n and grows with Q, so the walk ends.  A residue
-    outside the bound would be a wrong proof, and raises.
+    outside the bound would be a wrong proof, and raises.  A sum of more than
+    MAX_RANGE_VALUES terms is refused before its modulus is built.
     """
+    _require_terms(n, label)
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
     bound = 0 if alternating and n % 2 else -(-(n - 1) * n ** (3 * m) >> 3 * m)

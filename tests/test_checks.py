@@ -381,6 +381,28 @@ class TestSuiteAll:
         with pytest.raises(ValueError, match="^unknown check suite 'nonsense'; known: arf, .*, verlinde, all$"):
             checks.run_suite("nonsense")
 
+    def test_one_range_bound(self):
+        # the CLI's lists, the suites' grids and the oracle's sums read one constant
+        from spinverlinde import fusion
+
+        assert checks.MAX_RANGE_VALUES is cli.MAX_RANGE_VALUES is fusion.MAX_RANGE_VALUES == 100_000
+
+    def test_oracle_levels_are_bounded_before_any_suite_runs(self, monkeypatch):
+        def ran(**params):
+            raise AssertionError("a suite ran before the oracle's levels were bounded")
+
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, ran)
+        with pytest.raises(ValueError, match=r"^check verlinde: level k=100000: the certified sum has 100001 terms"):
+            checks.run_suite("all", level=[100_000])
+        with pytest.raises(ValueError, match=r"^check twisted: level p=200004: the certified sum has 100001 terms"):
+            checks.run_suite("twisted", p=[200_004, 8])
+        # the suites raise the same before their first cell
+        with pytest.raises(ValueError, match=r"^check verlinde: level k=100000: "):
+            checks.check_verlinde([2], [100_000])
+        with pytest.raises(ValueError, match=r"^check twisted: level p=200004: "):
+            checks.check_twisted([2], [200_004])
+
     def test_integrality_grid_is_bounded_before_the_suite_runs(self, monkeypatch, capsys):
         # one listed level implies the grid 2..max(genus) x 8..max(p) below it
         def ran(**params):

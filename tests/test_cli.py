@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -417,9 +418,9 @@ class TestSpinDimsCommand:
 
     def test_checksum_sums_the_printed_rows(self, capsys, monkeypatch):
         # one more at eps = 0: the rows read 2 and 0, so the checksum is 10 * 2 + 6 * 0
-        # the graded cell, which spin-dims shares with check decomp, reads bm_even_dim in checks
-        honest = checks.bm_even_dim
-        monkeypatch.setattr(checks, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
+        # the graded cell, which spin-dims shares with the suites, reads bm_even_dim in dimensions
+        honest = dimensions.bm_even_dim
+        monkeypatch.setattr(dimensions, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
         code, payload, err = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
         assert (code, err) == (1, "")
         assert [(r["arf"], r["even"], r["odd"]) for r in payload["rows"]] == [(0, 2, 0), (1, 0, 1), ("*", 20, 6)]
@@ -427,9 +428,9 @@ class TestSpinDimsCommand:
         assert (record["passed"], record["details"]) == (False, "sum over spin structures 20, unrefined 10")
 
     def test_failed_checksum_names_both_numbers(self, capsys, monkeypatch):
-        # the checksum record is built in checks, where it looks the dimension up
-        honest = checks.verlinde_dim
-        monkeypatch.setattr(checks, "verlinde_dim", lambda g, k: honest(g, k) + 1)
+        # the checksum record is built in checks, where it looks the level bases up
+        honest = checks._level_bases
+        monkeypatch.setattr(checks, "_level_bases", lambda g, p: (honest(g, p)[0] + 1, *honest(g, p)[1:]))
         code, out, err = run_cli(capsys, "spin-dims", "--genus", "2", "--p", "8")
         assert (code, err) == (1, "")
         # the whole table, then the failed record
@@ -476,6 +477,24 @@ class TestOneEvaluationPerCell:
         assert len(results) == 32 and all(r.passed for r in results)
         assert calls == {"bm_even_dim": 32, "bm_odd_dim": 32, "sum_over_spin": 0}
 
+    def test_trace_suite(self, capsys, calls):
+        code, payload, _ = run_json(capsys, "check", "traces", "--genus", "2..4", "--p", "8..32")
+        # four records per cell read the cell's two Arf values once
+        assert (code, len(payload["checks"])) == (0, 48)
+        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+
+    def test_integrality_suite(self, capsys, calls):
+        code, payload, _ = run_json(capsys, "check", "integrality", "--genus", "4", "--p", "32")
+        assert code == 0
+        assert payload["checks"][0]["details"] == "24 graded cells, all non-negative integers"
+        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+
+    def test_sum_over_spin(self, calls):
+        for g in range(2, 5):
+            for p in range(8, 33, 8):
+                assert dimensions.sum_over_spin(g, p) == fusion.verlinde_dim(g, p // 2 - 2)
+        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 12}
+
 
 class TestCheckCommand:
     def test_projs_suite(self, capsys):
@@ -511,6 +530,91 @@ class TestCheckCommand:
         ]
         # the error caches no table, so none reaches a later test
         assert fusion._residue_table.cache_info().currsize == 0
+
+    def test_trace_route_violation_is_a_failed_record(self, capsys, monkeypatch):
+        # one more on the trace of P_sigma at (g, eps, w2) = (3, 1, 1), p = 16:
+        # that record fails with the violation, and every other cell still runs
+        honest = dimensions.trace_functional
+        odd_base = fusion.twisted_dim(3, 16)
+
+        def broken(x, base_dim, lambda_rho, w2):
+            trace = honest(x, base_dim, lambda_rho, w2)
+            broken_here = (x.spin.space.genus, x.spin.arf(), base_dim, lambda_rho, w2) == (3, 1, odd_base, 3, 1)
+            return trace + broken_here
+
+        monkeypatch.setattr(dimensions, "trace_functional", broken)
+        code, payload, err = run_json(capsys, "check", "traces", "--genus", "2..3", "--p", "8,16")
+        assert (code, err, len(payload["checks"])) == (1, "", 16)
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        closed = dimensions._numerator(3, 1, odd_base, -1, 4)
+        assert failed == [
+            {
+                "name": "trace route = odd closed form (g=3, p=16, eps=1)",
+                "passed": False,
+                "details": f"dims_via_traces(g=3, eps=1, base_dim={odd_base}, lambda_rho=3, w2=1): "
+                f"termwise trace sum {closed + 64} != closed form {closed}",
+            }
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("verlinde", "--genus", "2", "--level", "1000000000"),
+                "verlinde: level k=1000000000: the certified sum has 1000000001 terms, more than 100000",
+            ),
+            (
+                ("check", "twisted", "--p", "1000000000"),
+                "check twisted: level p=1000000000: the certified sum has 499999999 terms, more than 100000",
+            ),
+            (
+                ("check", "all", "--level", "1000000000"),
+                "check verlinde: level k=1000000000: the certified sum has 1000000001 terms, more than 100000",
+            ),
+            (
+                ("check", "verlinde", "--level", "5,100000"),
+                "check verlinde: level k=100000: the certified sum has 100001 terms, more than 100000",
+            ),
+            (
+                ("check", "twisted", "--p", "8,200004"),
+                "check twisted: level p=200004: the certified sum has 100001 terms, more than 100000",
+            ),
+        ],
+        ids=["verlinde", "check-twisted", "check-all", "check-verlinde-first-past", "check-twisted-first-past"],
+    )
+    def test_sum_past_the_range_bound_is_refused_before_any_cell(self, capsys, monkeypatch, argv, message):
+        def ran(*arguments, **keywords):
+            raise AssertionError("a cell ran before the level was bounded")
+
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, ran)
+        monkeypatch.setattr(cli, "verlinde_dim", ran)
+        monkeypatch.setattr(fusion, "_modulus", ran)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verlinde", "--genus", "2", "--level", "99999"),
+            ("check", "verlinde", "--genus", "2", "--level", "99999"),
+            ("check", "twisted", "--genus", "2", "--p", "200002"),
+        ],
+        ids=["verlinde", "check-verlinde", "check-twisted"],
+    )
+    def test_largest_sum_within_the_range_bound_is_certified(self, capsys, monkeypatch, argv):
+        # the oracle reaches its modulus; building it is not this test's business
+        class ReachedTheModulus(Exception):
+            pass
+
+        def reached(n, bits):
+            raise ReachedTheModulus(n)
+
+        monkeypatch.setattr(fusion, "_modulus", reached)
+        with pytest.raises(ReachedTheModulus, match="^100001$"):
+            main([*argv, "--format", "json"])
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "check", "nonsense")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -752,6 +753,34 @@ class TestOracles:
                     assert _sum_residue(m, n, 128, alternating) == expected, (n, m, alternating)
                     if alternating and n % 2:
                         assert expected == 0
+
+    @pytest.mark.parametrize(
+        "oracle, level, message",
+        [
+            (verlinde_trig_oracle, 10**9, "verlinde(g=2, k=1000000000): the certified sum has 1000000001 terms"),
+            (twisted_trig_oracle, 2 * 10**9, "twisted(g=2, p=2000000000): the certified sum has 999999999 terms"),
+            (verlinde_trig_oracle, 100_000, "verlinde(g=2, k=100000): the certified sum has 100001 terms"),
+            (twisted_trig_oracle, 200_004, "twisted(g=2, p=200004): the certified sum has 100001 terms"),
+        ],
+        ids=["verlinde", "twisted", "verlinde-first-past", "twisted-first-past"],
+    )
+    def test_sum_past_the_range_bound_is_refused(self, cold_caches, oracle, level, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, more than 100000$"):
+            oracle(2, level)
+        # refused before any modulus or table was built
+        assert fusion._modulus.cache_info().currsize == fusion._residue_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("oracle, level", [(verlinde_trig_oracle, 99_999), (twisted_trig_oracle, 200_002)])
+    def test_largest_sum_within_the_range_bound_reaches_the_modulus(self, monkeypatch, oracle, level):
+        class ReachedTheModulus(Exception):
+            pass
+
+        def reached(n, bits):
+            raise ReachedTheModulus(n)
+
+        monkeypatch.setattr(fusion, "_modulus", reached)
+        with pytest.raises(ReachedTheModulus, match="^100001$"):
+            oracle(2, level)
 
     def test_tables_not_reused_across_precisions(self, cold_caches):
         assert verlinde_trig_oracle(3, 10, 128).precision_bits == 128

@@ -1,5 +1,6 @@
-"""Property tests past the enumeration cap, and exact dimensions against the
-interval oracles at sampled cells of the certified envelope g <= 20, k <= 512.
+"""Property tests past the enumeration cap, graded cells past the default
+grids, and exact dimensions against the interval oracles at sampled cells
+of the certified envelope g <= 20, k <= 512.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same cases and stores no failing examples between runs.
@@ -8,6 +9,7 @@ run draws the same cases and stores no failing examples between runs.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinverlinde.dimensions import _graded_cell, bm_even_dim, bm_odd_dim, sum_over_spin
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from spinverlinde.spin import QuadraticRefinement, lift_sign
@@ -122,3 +124,14 @@ def test_exact_dimensions_equal_interval_oracles(g, k):
     assert verlinde_dim(g, k) == verlinde_trig_oracle(g, k).value
     p = 2 * (k + 2)
     assert twisted_dim(g, p) == twisted_trig_oracle(g, p).value
+
+
+@settings(deterministic, max_examples=40)
+@given(st.integers(2, 60), st.integers(1, 128).map(lambda i: 8 * i))
+@example(60, 1024)
+def test_graded_cell_past_the_default_grids(g, p):
+    dims, even_total, odd_total = _graded_cell(g, p)
+    assert dims == [(bm_even_dim(g, p, eps), bm_odd_dim(g, p, eps)) for eps in (0, 1)]
+    unrefined = verlinde_dim(g, p // 2 - 2)
+    assert even_total == unrefined == sum_over_spin(g, p)
+    assert even_total + odd_total == unrefined + twisted_dim(g, p)
