@@ -21,9 +21,10 @@ import csv
 import io
 import json
 import sys
+from typing import Callable
 
 from .checks import SUITES, CheckResult, _level_major, _oracle_record, _refinement_record, _table_record, run_suite
-from .dimensions import _graded_cell, _level_p
+from .dimensions import _graded_cell, _level_p, _pairs
 from .fusion import MAX_RANGE_VALUES, _require_terms, verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
@@ -89,29 +90,53 @@ def _parse_bits(text: str) -> list[int]:
     return values
 
 
+def _parse_levels(text: str, keeps: Callable[[int], bool], level_of: Callable[[int], int], kind: str) -> list[int]:
+    """The levels a list such as '8', '1..5' or '8,24..40' names.  A range a..b
+    names ``level_of`` each of its values that ``keeps``, and one that keeps
+    none is a ValueError naming it and ``kind``; a listed value names
+    ``level_of`` itself, which raises ValueError for a value it does not keep.
+    Malformed input raises as in ``_parse_int_range``."""
+    levels: set[int] = set()
+    for atom in text.split(","):
+        atom = atom.strip()
+        if ".." in atom:
+            in_range = [level_of(value) for value in _parse_int_range(atom) if keeps(value)]
+            if not in_range:
+                raise ValueError(f"range {atom!r} contains no {kind}")
+            levels.update(in_range)
+        else:
+            (value,) = _parse_int_range(atom)
+            levels.add(level_of(value))
+        _require_count(text, levels)
+    return sorted(levels)
+
+
+def _is_bm_level(p: int) -> bool:
+    return p > 0 and p % 8 == 0
+
+
+def _bm_level(p: int) -> int:
+    if not _is_bm_level(p):
+        raise ValueError(f"--p values must be positive multiples of 8, got {p}")
+    return p
+
+
 def _parse_bm_levels(text: str) -> list[int]:
     """Levels p for the graded sweep.  A range a..b sweeps the multiples of 8
     it contains; an explicitly listed value must itself be a positive
     multiple of 8."""
-    values: set[int] = set()
-    for atom in text.split(","):
-        atom = atom.strip()
-        if ".." in atom:
-            in_range = [p for p in _parse_int_range(atom) if p > 0 and p % 8 == 0]
-            if not in_range:
-                raise argparse.ArgumentTypeError(
-                    f"range {atom!r} contains no positive multiple of 8"
-                )
-            values.update(in_range)
-        else:
-            (value,) = _parse_int_range(atom)
-            if value <= 0 or value % 8:
-                raise argparse.ArgumentTypeError(
-                    f"--p values must be positive multiples of 8, got {value}"
-                )
-            values.add(value)
-        _require_count(text, values)
-    return sorted(values)
+    try:
+        return _parse_levels(text, _is_bm_level, _bm_level, "positive multiple of 8")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_so3_levels(text: str) -> str:
+    """The text of --so3-level, once ``_parse_int_range`` takes it, bound on
+    its count included.  Which of its levels pair depends on --convention, so
+    ``_cmd_spin_dims`` reads them after parsing, as ``_parse_bm_levels`` reads --p."""
+    _parse_int_range(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +218,11 @@ def _cmd_spin_dims(args) -> int:
             raise ValueError("spin-dims --p: --convention does not apply; it resolves --so3-level only")
         levels, resolved = args.p, {}
     else:
-        resolved = {"convention": args.convention or "bm"}
-        levels = sorted({_level_p(k, resolved["convention"]) for k in args.so3_level})
+        convention = args.convention or "bm"
+        resolved = {"convention": convention}
+        kind = f"level that convention {convention!r} pairs"
+        pairs, level_p = (lambda k: _pairs(k, convention)), (lambda k: _level_p(k, convention))
+        levels = _parse_levels(args.so3_level, pairs, level_p, kind)
 
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""
@@ -316,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_level = p_spin.add_mutually_exclusive_group(required=True)
     p_level.add_argument("--p", type=_parse_bm_levels, default=None, help="levels p = 0 mod 8")
     p_level.add_argument(
-        "--so3-level", type=_parse_int_range, default=None,
-        help="SO3 levels, resolved to p per --convention",
+        "--so3-level", type=_parse_so3_levels, default=None,
+        help="SO3 levels, resolved to p per --convention; a range keeps the levels it pairs",
     )
     p_spin.add_argument("--arf", type=_parse_bits, default=[0, 1])
     p_spin.add_argument(

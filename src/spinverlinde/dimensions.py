@@ -24,6 +24,7 @@ from ._value import Value
 from .f2 import SymplecticF2Space
 from .fusion import _label, twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
+from .levels import bm_from_so3
 from .spin import QuadraticRefinement, count_by_arf
 
 #: Base-dimension bindings exposed for the shifted-level reading ("bm",
@@ -140,21 +141,29 @@ def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> 
     )
 
 
+def _pairs(k: int, convention: str) -> bool:
+    """Whether ``convention`` pairs the integer level k with a level p: k
+    positive and odd under "bm", non-negative and even under "corollary"."""
+    if convention == "bm":
+        return k >= 1 and k % 2 == 1
+    return k >= 0 and k % 2 == 0
+
+
 def _level_p(k: int, convention: str) -> int:
     """The level p an integer level k is paired with under ``convention``.
 
-    "bm": k positive and odd, p = 4(k+1); "corollary": k non-negative and
-    even, p = 4(k+2).
+    "bm": k positive and odd, p = 4(k+1) by ``bm_from_so3``; "corollary": k
+    non-negative and even, p = 4(k+2), the bm pairing after the metaplectic
+    shift k -> k + 1.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    if not _pairs(k, convention):
+        levels = "positive odd" if convention == "bm" else "non-negative even"
+        raise ValueError(f"convention {convention!r} pairs only {levels} levels, got k={k}")
     if convention == "bm":
-        if k % 2 == 0 or k < 1:
-            raise ValueError(f"convention 'bm' pairs only positive odd levels, got k={k}")
-        return 4 * (k + 1)
-    if k % 2 or k < 0:
-        raise ValueError(f"convention 'corollary' pairs only non-negative even levels, got k={k}")
-    return 4 * (k + 2)
+        return bm_from_so3(k).value
+    return bm_from_so3(k + 1).value
 
 
 def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, int]:

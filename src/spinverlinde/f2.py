@@ -167,9 +167,7 @@ class SymplecticF2Space(Value):
         if v.dim != 2 * self.genus or w.dim != 2 * self.genus:
             self._check_member(v)
             self._check_member(w)
-        # v against the functional of w, with _dual_mask inlined
-        a_mask, bits = self._a_mask, w.bits
-        return (v.bits & (((bits & a_mask) << 1) | ((bits >> 1) & a_mask))).bit_count() & 1
+        return (v.bits & self._dual_mask(w.bits)).bit_count() & 1
 
     def _check_enumeration_cap(self) -> None:
         """Refuse anything that walks or stores all 2^{2g} vectors above the cap."""

@@ -7,6 +7,13 @@ on the 2g basis vectors, and the set of refinements is a free transitive
 H^1-torsor under q -> q + <l, .>.  The Arf invariant classifies the two
 orbits under the symplectic group and doubles as the mod-2 index of the
 Dirac operator of the corresponding spin structure.
+
+``QuadraticRefinement._value`` is the one spelling of q on a bit mask, which
+``evaluate`` and the lift signs call.  The refinement keeps its own
+``__eq__`` and ``__hash__``, with plain attribute loads, because they pay a
+little: ``check all`` compares 4911 pairs of refinements, and the generic
+``Value`` pair costs about 1.4 us more per comparison, about 7 ms or 1-2% of
+the suites (timed in process on a 2-vCPU machine, Python 3.11).
 """
 
 from __future__ import annotations
@@ -64,13 +71,9 @@ class QuadraticRefinement(Value):
 
     def evaluate(self, v: F2Vector) -> int:
         """q(v) in {0, 1}."""
-        space = self.space
-        if v.dim != 2 * space.genus:
-            space._check_member(v)
-        # _value, inlined
-        bits = v.bits
-        linear = (self.basis_values & bits).bit_count()
-        return (linear + (bits & (bits >> 1) & space._a_mask).bit_count()) & 1
+        if v.dim != 2 * self.space.genus:
+            self.space._check_member(v)
+        return self._value(v.bits)
 
     __call__ = evaluate
 

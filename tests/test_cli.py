@@ -406,6 +406,37 @@ class TestSpinDimsCommand:
         assert {r["p"] for r in payload["rows"]} == {16}
         assert all(r.get("extrapolated") for r in payload["rows"])
 
+    @pytest.mark.parametrize("levels, convention", [("1..21", "bm"), ("0..20", "corollary")])
+    def test_so3_level_range_keeps_the_levels_it_pairs(self, levels, convention, capsys):
+        code, payload, _ = run_json(
+            capsys,
+            "spin-dims", "--genus", "1..5", "--so3-level", levels,
+            "--convention", convention, "--allow-genus-one",
+        )
+        assert code == 0
+        assert payload["params"]["p"] == list(range(8, 89, 8))
+        assert [r["p"] for r in payload["rows"] if r["g"] == 2 and r["arf"] == 0] == list(range(8, 89, 8))
+
+    @pytest.mark.parametrize(
+        "levels, convention, message",
+        [
+            ("1,2", "bm", "convention 'bm' pairs only positive odd levels, got k=2"),
+            ("1..3,4", "bm", "convention 'bm' pairs only positive odd levels, got k=4"),
+            ("2..2", "bm", "range '2..2' contains no level that convention 'bm' pairs"),
+            ("1..1", "corollary", "range '1..1' contains no level that convention 'corollary' pairs"),
+            ("-3..-1", "corollary", "range '-3..-1' contains no level that convention 'corollary' pairs"),
+        ],
+    )
+    def test_so3_level_refusals_name_the_convention(self, levels, convention, message, capsys):
+        argv = ["spin-dims", "--genus", "2", f"--so3-level={levels}", "--convention", convention]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_malformed_so3_level_is_a_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spin-dims", "--genus", "2", "--so3-level", "1..x"])
+        assert excinfo.value.code == 2
+        assert "error: argument --so3-level: malformed range '1..x'" in capsys.readouterr().err
+
     def test_requires_exactly_one_level_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["spin-dims", "--genus", "2"])

@@ -1,6 +1,7 @@
 """Property tests past the enumeration cap, graded cells past the default
-grids, and exact dimensions against the interval oracles at sampled cells
-of the certified envelope g <= 20, k <= 512.
+grids, exact dimensions against the interval oracles at sampled cells
+of the certified envelope g <= 20, k <= 512, and the level dictionary past
+the m <= 50 of ``check levels``.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same cases and stores no failing examples between runs.
@@ -9,9 +10,26 @@ run draws the same cases and stores no failing examples between runs.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinverlinde.dimensions import _graded_cell, bm_even_dim, bm_odd_dim, sum_over_spin
+from spinverlinde.dimensions import (
+    _graded_cell,
+    bm_even_dim,
+    bm_odd_dim,
+    corollary_bases,
+    corollary_dims,
+    sum_over_spin,
+)
 from spinverlinde.f2 import SymplecticF2Space
 from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from spinverlinde.levels import (
+    beta_pullback,
+    bhmv_from_su2,
+    bm_from_so3,
+    so3_from_bm,
+    so3_from_su2,
+    so3_level,
+    su2_from_bhmv,
+    su2_level,
+)
 from spinverlinde.spin import QuadraticRefinement, lift_sign
 
 MAX_GENUS = 64
@@ -135,3 +153,29 @@ def test_graded_cell_past_the_default_grids(g, p):
     unrefined = verlinde_dim(g, p // 2 - 2)
     assert even_total == unrefined == sum_over_spin(g, p)
     assert even_total + odd_total == unrefined + twisted_dim(g, p)
+
+
+@settings(deterministic)
+@given(st.integers(1, 500_000).map(lambda m: 2 * m - 1))
+@example(999_999)
+def test_bm_pairing_past_check_levels(k):
+    # odd SO(3) levels up to 10^6: bm and bhmv-after-pullback agree, and bm inverts
+    assert bm_from_so3(k).value == bhmv_from_su2(beta_pullback(k)).value
+    assert so3_from_bm(bm_from_so3(k)) == so3_level(k)
+
+
+@settings(deterministic)
+@given(st.integers(0, 10**6))
+@example(10**6)
+def test_round_trips_past_check_levels(k):
+    assert su2_from_bhmv(bhmv_from_su2(k)) == su2_level(k)
+    assert so3_from_su2(beta_pullback(k)) == so3_level(k)
+
+
+@settings(deterministic, max_examples=40)
+@given(st.integers(2, 10), st.integers(0, 100).map(lambda i: 2 * i), st.integers(0, 1))
+@example(10, 200, 1)
+def test_corollary_reading_is_bm_after_the_shift(g, k, eps):
+    # the corollary reading at even k is the bm reading at k + 1
+    assert corollary_bases(g, k, "corollary") == corollary_bases(g, k + 1)
+    assert corollary_dims(g, k, eps, convention="corollary") == corollary_dims(g, k + 1, eps)
