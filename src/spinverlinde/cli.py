@@ -2,10 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 1 identity, integrality or
 certification failure (any ArithmeticError, a power sum that is not an
-integer included), 2 usage error.  A parse error prints argparse's usage
-line and raises SystemExit(2); every later refusal, a grid bound of
-``checks`` included (which ``run_suite`` holds too), prints
-``error: <message>`` and ``main`` returns 2, or 1 for an ArithmeticError.
+integer included), 2 usage error.  argparse refuses only an unknown, missing
+or conflicting option, a value outside an option's choices, and a malformed
+integer or a malformed or over-long list: it prints its usage line and
+raises SystemExit(2).  Every refusal of a well-formed value, a value of
+--p, --so3-level or --arf and a grid bound of ``checks`` included (which
+``run_suite`` holds too), prints ``error: <message>`` and ``main`` returns
+2, or 1 for an ArithmeticError.
 Every genus x level grid is evaluated level-major (``checks._level_major``),
 so that each level's cached tables serve every genus, and emitted
 genus-major, so output ordering is deterministic.  ``spin-dims`` reads each
@@ -29,6 +32,7 @@ from .fusion import MAX_RANGE_VALUES, _require_terms, verlinde_dim, verlinde_tri
 from .levels import (
     Lattice,
     LevelValue,
+    _is_bm_level,
     beta_pullback,
     bhmv_from_su2,
     bm_from_so3,
@@ -45,11 +49,6 @@ GENUS_HELP = "genera such as 2, 1..5 or 2,4..6; write a range below 0 as --genus
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _require_count(text: str, values: set[int]) -> None:
-    if len(values) > MAX_RANGE_VALUES:
-        raise argparse.ArgumentTypeError(f"{text!r} lists more than {MAX_RANGE_VALUES} values")
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -77,17 +76,18 @@ def _parse_int_range(text: str) -> list[int]:
             except ValueError:
                 raise argparse.ArgumentTypeError(f"malformed range entry {atom!r}") from None
         # after every atom, so that many ranges never build more than one past the bound
-        _require_count(text, values)
+        if len(values) > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(f"{text!r} lists more than {MAX_RANGE_VALUES} values")
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return sorted(values)
 
 
-def _parse_bits(text: str) -> list[int]:
-    values = _parse_int_range(text)
-    if any(v not in (0, 1) for v in values):
-        raise argparse.ArgumentTypeError(f"arf values must be bits, got {text!r}")
-    return values
+def _level_text(text: str) -> str:
+    """The text of --p or --so3-level, once ``_parse_int_range`` takes it.
+    Which of its values name levels is read after parsing, by ``_parse_levels``."""
+    _parse_int_range(text)
+    return text
 
 
 def _parse_levels(text: str, keeps: Callable[[int], bool], level_of: Callable[[int], int], kind: str) -> list[int]:
@@ -95,7 +95,7 @@ def _parse_levels(text: str, keeps: Callable[[int], bool], level_of: Callable[[i
     names ``level_of`` each of its values that ``keeps``, and one that keeps
     none is a ValueError naming it and ``kind``; a listed value names
     ``level_of`` itself, which raises ValueError for a value it does not keep.
-    Malformed input raises as in ``_parse_int_range``."""
+    The text is one that ``_level_text`` has taken."""
     levels: set[int] = set()
     for atom in text.split(","):
         atom = atom.strip()
@@ -105,38 +105,14 @@ def _parse_levels(text: str, keeps: Callable[[int], bool], level_of: Callable[[i
                 raise ValueError(f"range {atom!r} contains no {kind}")
             levels.update(in_range)
         else:
-            (value,) = _parse_int_range(atom)
-            levels.add(level_of(value))
-        _require_count(text, levels)
+            levels.add(level_of(int(atom)))
     return sorted(levels)
-
-
-def _is_bm_level(p: int) -> bool:
-    return p > 0 and p % 8 == 0
 
 
 def _bm_level(p: int) -> int:
     if not _is_bm_level(p):
         raise ValueError(f"--p values must be positive multiples of 8, got {p}")
     return p
-
-
-def _parse_bm_levels(text: str) -> list[int]:
-    """Levels p for the graded sweep.  A range a..b sweeps the multiples of 8
-    it contains; an explicitly listed value must itself be a positive
-    multiple of 8."""
-    try:
-        return _parse_levels(text, _is_bm_level, _bm_level, "positive multiple of 8")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_so3_levels(text: str) -> str:
-    """The text of --so3-level, once ``_parse_int_range`` takes it, bound on
-    its count included.  Which of its levels pair depends on --convention, so
-    ``_cmd_spin_dims`` reads them after parsing, as ``_parse_bm_levels`` reads --p."""
-    _parse_int_range(text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +192,17 @@ def _cmd_spin_dims(args) -> int:
     if args.p is not None:
         if args.convention is not None:
             raise ValueError("spin-dims --p: --convention does not apply; it resolves --so3-level only")
-        levels, resolved = args.p, {}
+        text, keeps, level_of, kind = args.p, _is_bm_level, _bm_level, "positive multiple of 8"
+        resolved = {}
     else:
         convention = args.convention or "bm"
+        text, kind = args.so3_level, f"level that convention {convention!r} pairs"
+        keeps, level_of = (lambda k: _pairs(k, convention)), (lambda k: _level_p(k, convention))
         resolved = {"convention": convention}
-        kind = f"level that convention {convention!r} pairs"
-        pairs, level_p = (lambda k: _pairs(k, convention)), (lambda k: _level_p(k, convention))
-        levels = _parse_levels(args.so3_level, pairs, level_p, kind)
+    levels = _parse_levels(text, keeps, level_of, kind)
+    for eps in args.arf:
+        if eps not in (0, 1):
+            raise ValueError(f"--arf values must be bits, got {eps}")
 
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""
@@ -342,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spin = sub.add_parser("spin-dims", help="graded spin dimension table")
     p_spin.add_argument("--genus", type=_parse_int_range, required=True, help=GENUS_HELP)
     p_level = p_spin.add_mutually_exclusive_group(required=True)
-    p_level.add_argument("--p", type=_parse_bm_levels, default=None, help="levels p = 0 mod 8")
+    p_level.add_argument("--p", type=_level_text, default=None, help="levels p = 0 mod 8")
     p_level.add_argument(
-        "--so3-level", type=_parse_so3_levels, default=None,
+        "--so3-level", type=_level_text, default=None,
         help="SO3 levels, resolved to p per --convention; a range keeps the levels it pairs",
     )
-    p_spin.add_argument("--arf", type=_parse_bits, default=[0, 1])
+    p_spin.add_argument("--arf", type=_parse_int_range, default=[0, 1])
     p_spin.add_argument(
         "--convention", choices=("bm", "corollary"), default=None,
         help="pairing of --so3-level with p (default bm); not with --p",

@@ -24,7 +24,7 @@ from ._value import Value
 from .f2 import SymplecticF2Space
 from .fusion import _label, twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
-from .levels import bm_from_so3
+from .levels import _is_bm_level, _pairs_with_spin, bm_from_so3
 from .spin import QuadraticRefinement, count_by_arf
 
 #: Base-dimension bindings exposed for the shifted-level reading ("bm",
@@ -74,7 +74,7 @@ def _require_genus(g: int, allow_genus_one: bool, where: tuple) -> None:
 
 
 def _require_bm_level(p: int, where: tuple) -> None:
-    if p <= 0 or p % 8:
+    if not _is_bm_level(p):
         raise ValueError(f"{_label(where)}: level must be a positive multiple of 8, got {p}")
 
 
@@ -143,10 +143,9 @@ def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> 
 
 def _pairs(k: int, convention: str) -> bool:
     """Whether ``convention`` pairs the integer level k with a level p: k
-    positive and odd under "bm", non-negative and even under "corollary"."""
-    if convention == "bm":
-        return k >= 1 and k % 2 == 1
-    return k >= 0 and k % 2 == 0
+    positive and odd under "bm", non-negative and even under "corollary",
+    which reads k as the bm level k + 1."""
+    return _pairs_with_spin(k + (convention == "corollary"))
 
 
 def _level_p(k: int, convention: str) -> int:
@@ -161,9 +160,7 @@ def _level_p(k: int, convention: str) -> int:
     if not _pairs(k, convention):
         levels = "positive odd" if convention == "bm" else "non-negative even"
         raise ValueError(f"convention {convention!r} pairs only {levels} levels, got k={k}")
-    if convention == "bm":
-        return bm_from_so3(k).value
-    return bm_from_so3(k + 1).value
+    return bm_from_so3(k + (convention == "corollary")).value
 
 
 def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, int]:

@@ -27,6 +27,16 @@ class LatticeMismatchError(TypeError):
     """Arithmetic attempted between levels of different lattices."""
 
 
+def _is_bm_level(p: int) -> bool:
+    """Whether p is a level of the spin theory: a positive multiple of 8."""
+    return p > 0 and p % 8 == 0
+
+
+def _pairs_with_spin(k: int) -> bool:
+    """Whether the SO3 level k pairs with the spin theory: k positive and odd."""
+    return k > 0 and k % 2 == 1
+
+
 class LevelValue(Value):
     """An integer level tagged with the lattice it lives in."""
 
@@ -34,7 +44,7 @@ class LevelValue(Value):
     value: int
 
     def __init__(self, lattice: Lattice, value: int) -> None:
-        if lattice is Lattice.BM and (value <= 0 or value % 8):
+        if lattice is Lattice.BM and not _is_bm_level(value):
             raise ValueError(f"BM levels are positive multiples of 8, got {value}")
         if lattice is Lattice.BHMV and value <= 0:
             raise ValueError(f"BHMV levels are positive integers, got {value}")
@@ -105,17 +115,19 @@ def bhmv_from_su2(level: LevelValue | int) -> LevelValue:
 
 
 def su2_from_bhmv(level: LevelValue | int) -> LevelValue:
-    """Inverse correspondence k = p/2 - 2; odd p is rejected."""
+    """Inverse correspondence k = p/2 - 2; odd p and p < 4 are rejected."""
     level = _coerce(level, Lattice.BHMV)
     if level.value % 2:
         raise ValueError(f"BHMV level {level.value} is odd; p = 2(k + 2) has no preimage")
+    if level.value < 4:
+        raise ValueError(f"BHMV level {level.value} is below 4; p = 2(k + 2) has no preimage at k >= 0")
     return su2_level(level.value // 2 - 2)
 
 
 def bm_from_so3(level: LevelValue | int) -> LevelValue:
     """The spin-theory pairing p = 4(k + 1) = 8m at odd SO3 level k = 2m - 1."""
     level = _coerce(level, Lattice.SO3)
-    if level.value < 1 or level.value % 2 == 0:
+    if not _pairs_with_spin(level.value):
         raise ValueError(
             f"only positive odd SO3 levels pair with the spin theory, got {level.value}"
         )

@@ -23,6 +23,7 @@ from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, 
 from spinverlinde.levels import (
     beta_pullback,
     bhmv_from_su2,
+    bhmv_level,
     bm_from_so3,
     so3_from_bm,
     so3_from_su2,
@@ -170,6 +171,15 @@ def test_bm_pairing_past_check_levels(k):
 def test_round_trips_past_check_levels(k):
     assert su2_from_bhmv(bhmv_from_su2(k)) == su2_level(k)
     assert so3_from_su2(beta_pullback(k)) == so3_level(k)
+
+
+@settings(deterministic)
+@given(st.integers(2, 10**6).map(lambda m: 2 * m))
+@example(4)
+@example(2 * 10**6)
+def test_bhmv_round_trip_from_every_even_level(p):
+    # every even p >= 4 is 2(k + 2) at k = p/2 - 2 >= 0, and bhmv_from_su2 takes it back
+    assert bhmv_from_su2(su2_from_bhmv(bhmv_level(p))) == bhmv_level(p)
 
 
 @settings(deterministic, max_examples=40)

@@ -2,7 +2,9 @@
 
 Every ``spinverlinde`` line of the "Command line" block exits 0 in process,
 and each ``levels`` conversion prints the value that ends its trailing
-comment.  The "Library quick tour" block executes, its ``assert`` included,
+comment.  Each refusal of that section written as "`spinverlinde <args>`
+prints `error: <message>`" returns 2 in process and prints that message
+alone on stderr.  The "Library quick tour" block executes, its ``assert`` included,
 and each bare expression whose comment starts with an integer evaluates to
 that integer.
 """
@@ -15,6 +17,14 @@ from pathlib import Path
 from spinverlinde.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def section(heading: str) -> str:
+    """The text of the level-2 ``heading``, up to the next level-2 heading."""
+    text = README.read_text()
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -38,6 +48,28 @@ def test_command_line_examples_exit_zero(capsys):
             conversions.append(to_value)
     assert any("--so3-level" in line and ".." in line for line in lines)
     assert conversions == [8, 8, 6]
+
+
+# an example spans lines as the prose wraps; Markdown reads a line break as a space
+REFUSAL = re.compile(r"`spinverlinde ([^`]+)` prints `(error: [^`]+)`")
+
+
+def test_refusal_examples_print_their_message(capsys):
+    examples = REFUSAL.findall(" ".join(section("Command line").split()))
+    for command, message in examples:
+        code = main(shlex.split(command))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message + "\n"), command
+    commands = {command for command, _ in examples}
+    assert {
+        "levels --bm 8 --to bhmv",
+        "spin-dims --genus 2 --so3-level 1,2",
+        "spin-dims --genus 2 --p 8 --convention corollary",
+        "check decomp --genus 1",
+        "levels --table --so3 3",
+        "check heisenberg --genus 8",
+        "spin-dims --genus 2 --p 12",
+    } <= commands
 
 
 def test_library_quick_tour_runs_with_its_values():
