@@ -19,9 +19,12 @@ option sets and the grid check each suite runs before any suite does:
 ``_grid_check`` for every suite but ``integrality``, which bounds its cells itself.
 
 Every case still runs, in order, but a suite computes each sub-result that
-its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` make
-their sums, pairings and refinement values once per distinct argument and
-hand ``_counted`` the verdicts, so that a case evaluates only its own part.
+its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` evaluate
+each function once per vector, into a table of its values by bit mask, and
+hand ``_counted`` the verdicts, each a few lookups in that table: the
+pairing's bilinear and symmetric records read one table of <v, w> over
+ordered pairs, and ``_quadratic_law`` checks f(v + w) = f(v) + f(w) + <v, w>
+on the table of each refinement q and of each Arf difference.
 The projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from operator import eq
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .dimensions import IdentityViolationError, _graded_cell, _level_bases, dims_via_traces
@@ -189,15 +192,16 @@ def check_pairing(max_genus: int = 4) -> list[CheckResult]:
         vectors = list(space.vectors())
         basis = space.basis()
         pair = space.pair
-        # <v, x> by the mask of v, for each basis x; v + w once per (v, w)
-        at_basis = [list(map(pair, itertools.repeat(v), basis)) for v in vectors]
+        # <v, w> once per ordered pair, by the masks of v and w
+        table = [list(map(pair, itertools.repeat(v), vectors)) for v in vectors]
+        masks = [x.bits for x in basis]
 
         def bilinear():
-            for v, v_at in zip(vectors, at_basis):
-                for w, w_at in zip(vectors, at_basis):
-                    vw = v + w
-                    for x, a, b in zip(basis, v_at, w_at):
-                        yield pair(vw, x) == (a ^ b)
+            for v, v_at in zip(vectors, table):
+                for w, w_at in zip(vectors, table):
+                    vw_at = table[(v + w).bits]
+                    for x in masks:
+                        yield vw_at[x] == v_at[x] ^ w_at[x]
 
         results.append(
             _counted(
@@ -212,8 +216,6 @@ def check_pairing(max_genus: int = 4) -> list[CheckResult]:
             f"pairing alternating g={g}", vectors, lambda v: pair(v, v) == 0, "vectors v", "v mask"
         )
         results.append(alternating)
-        # <v, w> once per ordered pair, against its transpose
-        table = [list(map(pair, itertools.repeat(v), vectors)) for v in vectors]
         results.append(
             _counted(
                 f"pairing symmetric g={g}",
@@ -273,6 +275,19 @@ def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
 # quadratic refinements
 
 
+def _quadratic_law(
+    tables: Iterable[Sequence[int]], space: SymplecticF2Space, vectors: Sequence[F2Vector], basis: Iterable[F2Vector]
+) -> Iterator[bool]:
+    """The verdicts f[v + w] == f[v] ^ f[w] ^ <v, w> over (f, v, basis w), in that order,
+    for each table f of a function's values by vector mask; ``vectors`` lists the
+    space in mask order.  v + w and <v, w> are made once per (v, w)."""
+    steps = [[((v + w).bits, w.bits, space.pair(v, w)) for w in basis] for v in vectors]
+    for f in tables:
+        for fv, row in zip(f, steps):
+            for vw, w, pair in row:
+                yield f[vw] == fv ^ f[w] ^ pair
+
+
 def check_refinements(max_genus: int = 3) -> list[CheckResult]:
     _require_genera("refinement", max_genus)
     results = []
@@ -281,23 +296,12 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
         vectors = list(space.vectors())
         basis = space.basis()
         refinements = list(QuadraticRefinement.all_refinements(space))
-        # v + w and <v, w> once per (v, basis w), q(w) once per (q, w) and
-        # q(v) once per (q, v): a case evaluates only q(v + w)
-        steps = [[(v + w, space.pair(v, w)) for w in basis] for v in vectors]
-
-        def law():
-            for q in refinements:
-                q_basis = list(map(q, basis))
-                for v, row in zip(vectors, steps):
-                    qv = q(v)
-                    for (vw, pair), qw in zip(row, q_basis):
-                        yield q(vw) == (qv ^ qw ^ pair)
-
+        values = [list(map(q, vectors)) for q in refinements]
         results.append(
             _counted(
                 f"refinement law g={g}",
                 itertools.product(refinements, vectors, basis),
-                law(),
+                _quadratic_law(values, space, vectors, basis),
                 "triples (q, v, basis w)",
                 "(q, v, w) masks",
             )
@@ -378,26 +382,13 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
             )
         # the shift-then-Arf route, independent of lift_sign: the table of
         # d(z) = arf(sigma + z) - arf(sigma) over the masks of z, once per sigma
-        differences = []
-        for sigma in refinements:
-            arf = sigma.arf()
-            differences.append([sigma.shift(z).arf() ^ arf for z in vectors])
+        differences = [[sigma.shift(z).arf() ^ sigma.arf() for z in vectors] for sigma in refinements]
         basis = space.basis()
-        # (z + w).bits and <z, w> once per (z, basis w), and d(w) once per sigma
-        steps = [[((z + w).bits, space.pair(z, w)) for w in basis] for z in vectors]
-
-        def quadratic():
-            for d in differences:
-                d_basis = [d[w.bits] for w in basis]
-                for dz, row in zip(d, steps):
-                    for (zw, pair), dw in zip(row, d_basis):
-                        yield d[zw] == dz ^ dw ^ pair
-
         results.append(
             _counted(
                 f"arf difference is a quadratic refinement g={g}",
                 itertools.product(refinements, vectors, basis),
-                quadratic(),
+                _quadratic_law(differences, space, vectors, basis),
                 "triples (sigma, z, basis w)",
                 "(sigma, z, w) masks",
             )

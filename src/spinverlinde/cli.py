@@ -78,8 +78,6 @@ def _parse_int_range(text: str) -> list[int]:
         # after every atom, so that many ranges never build more than one past the bound
         if len(values) > MAX_RANGE_VALUES:
             raise argparse.ArgumentTypeError(f"{text!r} lists more than {MAX_RANGE_VALUES} values")
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return sorted(values)
 
 

@@ -84,11 +84,12 @@ def _require_bit(value: int, name: str, where: tuple) -> None:
 
 
 def _exact_quotient(numerator: int, g: int, where: tuple) -> int:
-    quotient, remainder = divmod(numerator, 1 << (2 * g))
-    if remainder:
+    # a mask and a shift, as fusion._integral divides
+    if numerator & ((1 << (2 * g)) - 1):
         raise IntegralityError(
             f"{_label(where)}: numerator {numerator} is not divisible by 2^{2 * g}"
         )
+    quotient = numerator >> (2 * g)
     if quotient < 0:
         raise IntegralityError(f"{_label(where)}: dimension came out negative ({quotient})")
     return quotient

@@ -146,12 +146,12 @@ def _label(label: tuple) -> str:
 
 def _integral(numerator: int, shift: int, label: tuple) -> int:
     """numerator / 2^shift, which must be an integer."""
-    value, remainder = divmod(numerator, 1 << shift)
-    if remainder:
+    # a mask and a shift, exact for negative numerators too; divmod by 2^shift is long division
+    if numerator & ((1 << shift) - 1):
         raise ArithmeticError(
             f"{_label(label)}: power-sum value {Fraction(numerator, 1 << shift)} is not an integer"
         )
-    return value
+    return numerator >> shift
 
 
 def _verlinde_terms(g: int, k: int) -> tuple[int, int]:

@@ -38,7 +38,8 @@ def _pairs_with_spin(k: int) -> bool:
 
 
 class LevelValue(Value):
-    """An integer level tagged with the lattice it lives in."""
+    """An integer level tagged with the lattice it lives in: k >= 0 on SO3 and
+    SU2, p >= 1 on BHMV and a positive multiple of 8 on BM."""
 
     lattice: Lattice
     value: int
@@ -48,6 +49,8 @@ class LevelValue(Value):
             raise ValueError(f"BM levels are positive multiples of 8, got {value}")
         if lattice is Lattice.BHMV and value <= 0:
             raise ValueError(f"BHMV levels are positive integers, got {value}")
+        if lattice in (Lattice.SO3, Lattice.SU2) and value < 0:
+            raise ValueError(f"{lattice.name} levels are non-negative integers, got {value}")
         self._store(lattice=lattice, value=value)
 
     def _require(self, lattice: Lattice, operation: str) -> None:
@@ -109,8 +112,6 @@ def so3_from_su2(level: LevelValue | int) -> LevelValue:
 def bhmv_from_su2(level: LevelValue | int) -> LevelValue:
     """The index correspondence p = 2(k + 2) at SU2 level k >= 0."""
     level = _coerce(level, Lattice.SU2)
-    if level.value < 0:
-        raise ValueError(f"SU2 level must be non-negative here, got {level.value}")
     return bhmv_level(2 * (level.value + 2))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from spinverlinde import checks, cli, dimensions, fusion
 from spinverlinde.cli import main
+from spinverlinde.levels import CorrespondenceTable
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +276,9 @@ def test_genus_help_names_the_negative_range_spelling(command, capsys):
         (("spin-dims", "--genus", "2", "--p", "9..15"), "range '9..15' contains no positive multiple of 8"),
         (("spin-dims", "--genus", "2", "--p", "8", "--arf", "2"), "--arf values must be bits, got 2"),
         (("levels", "--bhmv", "2", "--to", "su2"), "BHMV level 2 is below 4; p = 2(k + 2) has no preimage at k >= 0"),
+        (("levels", "--so3=-1", "--to", "su2"), "SO3 levels are non-negative integers, got -1"),
+        (("levels", "--su2=-4", "--to", "so3"), "SU2 levels are non-negative integers, got -4"),
+        (("levels", "--so3=-3", "--shift"), "SO3 levels are non-negative integers, got -3"),
     ],
     ids=[
         "two-sources",
@@ -290,6 +294,9 @@ def test_genus_help_names_the_negative_range_spelling(command, capsys):
         "p-range-keeps-none",
         "arf-bit",
         "bhmv-below-four",
+        "negative-so3",
+        "negative-su2",
+        "negative-so3-shift",
     ],
 )
 def test_refusal_after_parsing_returns_usage_error(argv, message, capsys, tmp_path):
@@ -319,6 +326,13 @@ def test_parse_errors_exit_through_argparse(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: spinverlinde {argv[0]} ")
     assert message in err
+
+
+@pytest.mark.parametrize("text", ["", ",", " ", "1,"])
+def test_an_empty_atom_is_a_malformed_entry(text):
+    # every atom adds a value or raises, so a list of no values fails at its empty atom
+    with pytest.raises(argparse.ArgumentTypeError, match=r"\Amalformed range entry ''\Z"):
+        cli._parse_int_range(text)
 
 
 # every option of build_parser() that takes an integer list
@@ -577,6 +591,20 @@ class TestCheckCommand:
     def test_levels_suite(self, capsys):
         code, payload, _ = run_json(capsys, "check", "levels")
         assert code == 0
+
+    def test_table_validation_failure_is_a_failed_record(self, capsys, monkeypatch):
+        def fails(table):
+            raise ValueError("correspondence table validation failed: forced")
+
+        monkeypatch.setattr(CorrespondenceTable, "validate", fails)
+        code, payload, err = run_json(capsys, "check", "levels", "--max-m", "2")
+        assert (code, err) == (1, "")
+        assert payload["checks"][-1] == {
+            "name": "correspondence table validates",
+            "passed": False,
+            "details": "correspondence table validation failed: forced",
+        }
+        assert all(c["passed"] for c in payload["checks"][:-1])
 
     def test_term_not_a_unit_is_a_failed_record(self, capsys, monkeypatch, cold_caches):
         # a folded term that is not a unit modulo M fails its cell, not the
@@ -910,6 +938,11 @@ class TestLevelsCommand:
         code, payload, _ = run_json(capsys, "levels", "--su2", "4", "--shift")
         assert code == 0
         assert payload["rows"][0]["to_value"] == 6
+
+    def test_target_lattice_is_the_source_lattice(self, capsys):
+        code, payload, _ = run_json(capsys, "levels", "--so3", "1", "--to", "so3")
+        assert code == 0
+        assert payload["rows"] == [{"from_lattice": "so3", "from_value": 1, "to_lattice": "so3", "to_value": 1}]
 
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "levels", "--table")

@@ -143,3 +143,25 @@ class TestCharacterSum:
         space = SymplecticF2Space(g)
         for b in space.vectors():
             assert space.character_sum(b) == brute_character_sum(space, b)
+
+
+class TestRefusals:
+    def test_genus_below_one(self):
+        with pytest.raises(ValueError, match=r"\Agenus must be a positive integer, got 0\Z"):
+            SymplecticF2Space(0)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_coordinate_out_of_range(self, index):
+        with pytest.raises(IndexError, match=rf"\Acoordinate index {index} out of range for dimension 4\Z"):
+            SymplecticF2Space(2).zero.coordinate(index)
+
+    def test_basis_vectors_outside_the_genus(self):
+        space = SymplecticF2Space(2)
+        with pytest.raises(IndexError, match=r"\Aa_0 does not exist at genus 2\Z"):
+            space.basis_a(0)
+        with pytest.raises(IndexError, match=r"\Ab_3 does not exist at genus 2\Z"):
+            space.basis_b(3)
+
+    def test_coordinates_must_be_bits(self):
+        with pytest.raises(ValueError, match=r"\Acoordinates must be bits, got 2\Z"):
+            SymplecticF2Space(1).vector([0, 2])

@@ -85,6 +85,14 @@ class TestAlgebraElements:
         assert one * x == x
         assert x * one == x
 
+    def test_support_and_repr(self, g1):
+        space, sigma = g1
+        x = TwistedAlgebraElement(sigma, {0b01: Fraction(2, 3), 0b11: Fraction(-1, 5)})
+        assert x.support() == [space.basis_a(1), space.basis_a(1) + space.basis_b(1)]
+        assert repr(x) == "2/3*[a1] + -1/5*[a1+b1]"
+        zero = TwistedAlgebraElement.zero(sigma)
+        assert (zero.support(), repr(zero)) == ([], "0")
+
     def test_bilinearity(self, g1):
         space, sigma = g1
         z1 = TwistedAlgebraElement.symbol(sigma, space.basis_a(1))

@@ -33,6 +33,12 @@ class TestLevelValues:
         with pytest.raises(ValueError):
             bhmv_level(0)
 
+    @pytest.mark.parametrize("lattice, name", [(Lattice.SO3, "SO3"), (Lattice.SU2, "SU2")])
+    def test_negative_levels_rejected(self, lattice, name):
+        assert LevelValue(lattice, 0).value == 0
+        with pytest.raises(ValueError, match=rf"\A{name} levels are non-negative integers, got -1\Z"):
+            LevelValue(lattice, -1)
+
     def test_same_lattice_arithmetic(self):
         assert so3_level(1) + so3_level(2) == so3_level(3)
 

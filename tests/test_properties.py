@@ -1,16 +1,19 @@
 """Property tests past the enumeration cap, graded cells past the default
 grids, exact dimensions against the interval oracles at sampled cells
-of the certified envelope g <= 20, k <= 512, and the level dictionary past
-the m <= 50 of ``check levels``.
+of the certified envelope g <= 20, k <= 512, the exact halvings against
+``divmod``, and the level dictionary past the m <= 50 of ``check levels``.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same cases and stores no failing examples between runs.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinverlinde.dimensions import (
+    IntegralityError,
+    _exact_quotient,
     _graded_cell,
     bm_even_dim,
     bm_odd_dim,
@@ -19,8 +22,10 @@ from spinverlinde.dimensions import (
     sum_over_spin,
 )
 from spinverlinde.f2 import SymplecticF2Space
-from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from spinverlinde.fusion import _integral, twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from spinverlinde.levels import (
+    Lattice,
+    LevelValue,
     beta_pullback,
     bhmv_from_su2,
     bhmv_level,
@@ -189,3 +194,72 @@ def test_corollary_reading_is_bm_after_the_shift(g, k, eps):
     # the corollary reading at even k is the bm reading at k + 1
     assert corollary_bases(g, k, "corollary") == corollary_bases(g, k + 1)
     assert corollary_dims(g, k, eps, convention="corollary") == corollary_dims(g, k + 1, eps)
+
+
+@st.composite
+def halvings(draw):
+    """(numerator, g): numerator = quotient 2^{2g} + remainder, of either sign,
+    with a remainder of 0 in about half the draws."""
+    g = draw(st.integers(1, 200))
+    quotient = draw(st.integers(-(1 << 600), 1 << 600))
+    remainder = draw(st.one_of(st.just(0), st.integers(1, (1 << 2 * g) - 1)))
+    return (quotient << 2 * g) + remainder, g
+
+
+@deterministic
+@given(halvings())
+@example((-(1 << 2), 1))
+@example((-(1 << 2) + 1, 1))
+def test_exact_halvings_agree_with_divmod(case):
+    numerator, g = case
+    quotient, remainder = divmod(numerator, 1 << 2 * g)
+    if remainder:
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            _integral(numerator, 2 * g, ("cell {}", g))
+        with pytest.raises(IntegralityError, match=f"is not divisible by 2\\^{2 * g}"):
+            _exact_quotient(numerator, g, ("cell {}", g))
+        return
+    assert _integral(numerator, 2 * g, ("cell {}", g)) == quotient
+    if quotient < 0:
+        with pytest.raises(IntegralityError, match=rf"dimension came out negative \({quotient}\)"):
+            _exact_quotient(numerator, g, ("cell {}", g))
+    else:
+        assert _exact_quotient(numerator, g, ("cell {}", g)) == quotient
+
+
+# each conversion of the level dictionary: its source lattice, the rule a level
+# of that lattice must meet besides, and the conversion that takes its image back
+CONVERSIONS = {
+    "beta_pullback": (Lattice.SO3, lambda k: True, beta_pullback, so3_from_su2),
+    "so3_from_su2": (Lattice.SU2, lambda k: k % 2 == 0, so3_from_su2, beta_pullback),
+    "bhmv_from_su2": (Lattice.SU2, lambda k: True, bhmv_from_su2, su2_from_bhmv),
+    "su2_from_bhmv": (Lattice.BHMV, lambda p: p % 2 == 0 and p >= 4, su2_from_bhmv, bhmv_from_su2),
+    "bm_from_so3": (Lattice.SO3, lambda k: k % 2 == 1, bm_from_so3, so3_from_bm),
+    "so3_from_bm": (Lattice.BM, lambda p: True, so3_from_bm, bm_from_so3),
+}
+
+
+def _is_level(lattice, value):
+    try:
+        LevelValue(lattice, value)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deterministic, max_examples=300)
+@given(st.sampled_from(sorted(CONVERSIONS)), st.integers(-(10**6), 10**6))
+@example("beta_pullback", -1)
+@example("so3_from_su2", -4)
+@example("bhmv_from_su2", -2)
+def test_every_accepted_level_round_trips(name, value):
+    # a conversion takes exactly the levels of its source lattice that meet
+    # its own rule, and its inverse takes each image back
+    lattice, rule, convert, inverse = CONVERSIONS[name]
+    try:
+        image = convert(value)
+    except ValueError:
+        assert not (_is_level(lattice, value) and rule(value))
+        return
+    assert _is_level(lattice, value) and rule(value)
+    assert inverse(image) == LevelValue(lattice, value)

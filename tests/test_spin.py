@@ -226,3 +226,19 @@ class TestSigns:
                         diff[(z + w).bits]
                         == diff[z.bits] ^ diff[w.bits] ^ space.pair(z, w)
                     )
+
+
+class TestRefusals:
+    def test_count_by_arf_below_genus_one(self):
+        with pytest.raises(ValueError, match=r"\Agenus must be a positive integer, got 0\Z"):
+            count_by_arf(0)
+
+    def test_basis_values_out_of_range(self):
+        space = SymplecticF2Space(2)
+        with pytest.raises(ValueError, match=r"\Abasis_values 16 out of range for dimension 4\Z"):
+            QuadraticRefinement(space, 1 << 4)
+
+    def test_evaluate_on_a_vector_of_another_dimension(self):
+        q = QuadraticRefinement(SymplecticF2Space(2), 0)
+        with pytest.raises(ValueError, match=r"\Adimension mismatch: vector has dimension 2, space has 4\Z"):
+            q.evaluate(SymplecticF2Space(1).zero)

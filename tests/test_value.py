@@ -139,6 +139,10 @@ def test_repr_reads_as_the_constructor():
     )
 
 
+def test_certified_integer_converts_to_its_value():
+    assert int(CertifiedInteger(-7, 10, 21, 128)) == -7
+
+
 def test_public_constructors_validate():
     with pytest.raises(ValueError, match="bit mask 16 out of range for dimension 4"):
         F2Vector(16, 4)
