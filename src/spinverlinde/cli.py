@@ -270,17 +270,14 @@ def _cmd_levels(args) -> int:
     level = LevelValue(lattice, value)
     if args.shift:
         level = metaplectic_shift(level)
-    if args.to is None:
+    target_lattice = level.lattice if args.to is None else Lattice(args.to)
+    if target_lattice is level.lattice:
         target = level
     else:
-        target_lattice = Lattice(args.to)
-        if target_lattice is level.lattice:
-            target = level
-        else:
-            converter = _CONVERSIONS.get((level.lattice, target_lattice))
-            if converter is None:
-                raise ValueError(f"no conversion from {level.lattice.value} to {target_lattice.value}")
-            target = converter(level)
+        converter = _CONVERSIONS.get((level.lattice, target_lattice))
+        if converter is None:
+            raise ValueError(f"no conversion from {level.lattice.value} to {target_lattice.value}")
+        target = converter(level)
     params = {
         "from_lattice": lattice.value,
         "from_value": value,

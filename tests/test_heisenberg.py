@@ -41,6 +41,24 @@ def dense_mul(a, b):
     return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
+def every_column_map(n):
+    """Matrices on every column map, a permutation or not; every phase vector for n <= 2."""
+    phase_vectors = list(itertools.product(range(4), repeat=n)) if n <= 2 else [(0, 1, 2), (3, 3, 1)]
+    return [
+        MonomialMatrix(columns, phases)
+        for columns in itertools.product(range(n), repeat=n)
+        for phases in phase_vectors
+    ]
+
+
+# per-row oracle for the product: row x of a @ b picks row a.columns[x] of b,
+# so it holds b's column there and the sum of the two phases
+def per_row_product(a, b):
+    columns = tuple(b.columns[c] for c in a.columns)
+    phases = tuple((t + b.phases[c]) % 4 for c, t in zip(a.columns, a.phases))
+    return columns, phases
+
+
 
 # literal oracle for the group-algebra product: the XOR convolution of two
 # {mask: Fraction} coefficient dicts, accumulated entry by entry
@@ -518,15 +536,30 @@ class TestHeisenbergRep:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_product_with_non_injective_columns_matches_dense_oracle(self, n):
-        # every column map, a permutation or not; every phase vector for n <= 2
-        phase_vectors = list(itertools.product(range(4), repeat=n)) if n <= 2 else [(0, 1, 2), (3, 3, 1)]
-        matrices = [
-            MonomialMatrix(columns, phases)
-            for columns in itertools.product(range(n), repeat=n)
-            for phases in phase_vectors
-        ]
+        matrices = every_column_map(n)
         for a, b in itertools.product(matrices, matrices):
             assert dense(a @ b) == dense_mul(dense(a), dense(b))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_product_and_unary_operations_match_the_per_row_oracle(self, n):
+        matrices = every_column_map(n)
+        for a, b in itertools.product(matrices, matrices):
+            product = a @ b
+            assert (product.columns, product.phases) == per_row_product(a, b)
+            assert product == MonomialMatrix(*per_row_product(a, b))
+        for a in matrices:
+            assert (-a).phases == tuple((t + 2) % 4 for t in a.phases) and (-a).columns == a.columns
+            assert a.times_i().phases == tuple((t + 1) % 4 for t in a.phases)
+            assert a.times_i().columns == a.columns
+            fixed = [POWERS_OF_I[t] for x, (c, t) in enumerate(zip(a.columns, a.phases)) if c == x]
+            assert a.trace() == (sum(re for re, _ in fixed), sum(im for _, im in fixed))
+
+    def test_empty_matrix(self):
+        empty = MonomialMatrix((), ())
+        assert empty @ empty == empty == MonomialMatrix.identity(0)
+        assert (empty @ empty).trace() == (0, 0)
+        assert -empty == empty.times_i() == empty
+        assert repr(empty @ empty) == "MonomialMatrix(columns=(), phases=())"
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_unary_operations_and_trace_match_dense_oracle(self, g):

@@ -1,11 +1,14 @@
 """Property tests past the enumeration cap, graded cells past the default
 grids, exact dimensions against the interval oracles at sampled cells
 of the certified envelope g <= 20, k <= 512, the exact halvings against
-``divmod``, and the level dictionary past the m <= 50 of ``check levels``.
+``divmod``, the level dictionary past the m <= 50 of ``check levels``, and
+the Heisenberg product past the table of elements it keeps.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same cases and stores no failing examples between runs.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +24,9 @@ from spinverlinde.dimensions import (
     corollary_dims,
     sum_over_spin,
 )
-from spinverlinde.f2 import SymplecticF2Space
+from spinverlinde.f2 import F2Vector, SymplecticF2Space
 from spinverlinde.fusion import _integral, twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from spinverlinde.heisenberg import HeisenbergElement, _element
 from spinverlinde.levels import (
     Lattice,
     LevelValue,
@@ -139,6 +143,45 @@ def test_lift_sign_follows_the_refinement(case, w2_bundle, w2_rho):
     _, sigma, (z,) = case
     arf_difference = sigma.shift(z).arf() ^ sigma.arf()
     assert lift_sign(sigma, z, w2_bundle, w2_rho) == (-1) ** (w2_bundle + w2_rho * arf_difference)
+
+
+@st.composite
+def heisenberg_rows(draw, length=128):
+    """A genus g <= 10, one element x of its Heisenberg group and ``length`` elements y,
+    the row y from a ``Random`` of drawn seed, so that it is spread out and cheap to draw."""
+    space = draw(spaces(max_genus=10))
+    x = HeisenbergElement(draw(st.integers(0, 3)), draw(vectors(space)))
+    rng, dim = random.Random(draw(st.integers(0, 2**32 - 1))), space.dimension
+    ys = [HeisenbergElement(rng.randrange(4), F2Vector(rng.getrandbits(dim), dim)) for _ in range(length)]
+    return space.genus, x, ys
+
+
+def literal_product(g, x, y):
+    """(t + t' + 2 sum_i a_i(v) b_i(w), v + w), read off the coordinates a1, b1, ..., ag, bg."""
+    v, w = x.vector.coordinates(), y.vector.coordinates()
+    cocycle = sum(v[2 * i] * w[2 * i + 1] for i in range(g)) % 2
+    vector = F2Vector(x.vector.bits ^ y.vector.bits, 2 * g)
+    return HeisenbergElement((x.central + y.central + 2 * cocycle) % 4, vector)
+
+
+def test_heisenberg_product_is_the_cocycle_formula_past_its_table():
+    # rows of 256 products up to genus 10 make more distinct products than the
+    # table of elements behind ``__mul__`` holds, so it evicts while they run;
+    # the second x * y of a pair is read from the table
+    before = _element.cache_info()
+
+    @deterministic
+    @given(heisenberg_rows())
+    def rows(case):
+        g, x, ys = case
+        for y in ys:
+            for left, right in ((x, y), (y, x)):
+                expected = literal_product(g, left, right)
+                assert left * right == expected and left * right == expected
+
+    rows()
+    after = _element.cache_info()
+    assert after.misses - before.misses > after.maxsize
 
 
 @settings(deterministic, max_examples=8)

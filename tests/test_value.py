@@ -137,6 +137,11 @@ def test_repr_reads_as_the_constructor():
     assert repr(QuadraticRefinement(SymplecticF2Space(1), 2)) == (
         "QuadraticRefinement(space=SymplecticF2Space(genus=1, enumeration_cap=6), basis_values=2)"
     )
+    # a monomial matrix stores its point map, and shows and reads back its constructor's tuples
+    matrix = MonomialMatrix((1, 0), (0, 3))
+    assert repr(matrix) == "MonomialMatrix(columns=(1, 0), phases=(0, 3))"
+    assert (matrix.columns, matrix.phases) == ((1, 0), (0, 3))
+    assert vars(matrix) == {"images": (4, 5, 6, 7, 3, 0, 1, 2)}
 
 
 def test_certified_integer_converts_to_its_value():
