@@ -9,14 +9,15 @@ implementation.  An exact value meets its certified oracle in
 ``_oracle_record`` alone, which the CLI's verlinde table shares; the record
 passes when the values agree and the certificate pins one integer,
 2 bound < modulus.  A cell the oracle cannot certify is a failed record.
-A suite whose grid has no cell, a genus range below 1 included, raises
-ValueError rather than pass vacuously, and so does a suite given a genus
-or level below the least it takes, before its first cell, a grid
-larger than ``MAX_RANGE_VALUES``, or an oracle level whose certified sum
-has more terms than that.  ``run_suite`` takes the options of ``spinverlinde
-check`` and reads one table, ``_OPTIONS``, for the keyword argument each
-option sets and the grid check each suite runs before any suite does:
-``_grid_check`` for every suite but ``integrality``, which bounds its cells itself.
+A suite whose grid has no cell, a genus range below 1 and an empty list
+of genera or levels included, raises ValueError rather than pass
+vacuously, and so does a suite given a genus or level below the least it
+takes, before its first cell, a grid larger than ``MAX_RANGE_VALUES``, or
+an oracle level whose certified sum has more terms than that.
+``run_suite`` takes the options of ``spinverlinde check`` and reads one
+table, ``_OPTIONS``, for the keyword argument each option sets and the
+grid check each suite runs before any suite does: ``_grid_check`` for
+every suite but ``integrality``, which bounds its cells itself.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` evaluate
@@ -28,13 +29,11 @@ on the table of each refinement q and of each Arf difference.
 The projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
-list indexed by element rather than a dict keyed by the elements.  The
-``heisenberg`` commutator record reads the products of central part 0 that
-the homomorphism record has made, and multiplies only where that record
-stopped at a counterexample before making them; without that store the
-benchmark workload ``identities`` (``check all``) took 0.423 s against 0.406 s,
-medians of 5 alternating runs of wall_s at reference speed.  The suites over
-a genus x level grid, ``integrality`` included, evaluate their cells
+list indexed by element rather than a dict keyed by the elements.  Its
+commutator record reads the homomorphism record's verdict: once that record
+has passed, rep(x) @ rep(y) is rep(x * y), which the commutator looks up,
+and otherwise it multiplies both products itself.  The suites over a
+genus x level grid, ``integrality`` included, evaluate their cells
 level-major through ``_level_major``, as the CLI's tables do, and list them
 genus-major.  The graded suites read ``dimensions._graded_cell``
 and ``_level_bases``; a violated trace route fails its record.
@@ -72,6 +71,9 @@ from .spin import QuadraticRefinement, arf_gauss_sum, count_by_arf, lift_sign
 
 DEFAULT_GENERA = (2, 3, 4, 5)
 DEFAULT_LEVELS_P = (8, 16, 24, 32)
+# the base dimensions and the lambda_rho of the ``tracedecomp`` suite
+TRACE_BASE_DIMS = (10, 84)
+TRACE_LAMBDAS = (1, 3)
 
 
 class CheckResult(Value):
@@ -133,22 +135,26 @@ _LEAST_GENUS = {"verlinde": 1, "twisted": 1, "traces": 2, "decomp": 2}
 
 
 def _genera_from(suite: str, genera: Iterable[int]) -> list[int]:
-    """The genera as a list; a ValueError naming the suite if one is below its least genus."""
+    """The genera as a list; a ValueError naming the suite if there is none or
+    one is below its least genus."""
     genera = list(genera)
+    if not genera:
+        raise ValueError(f"check {suite}: no genus given")
     least = _LEAST_GENUS[suite]
-    if genera and min(genera) < least:
+    if min(genera) < least:
         raise ValueError(f"check {suite}: genus must be >= {least}, got {min(genera)}")
     return genera
 
 
 def _su2_levels_from(su2_levels: Iterable[int]) -> list[int]:
-    """The levels k of the verlinde suite as a list; a ValueError if one is
-    negative, or if the oracle's sum over j < k + 2 at one is too long."""
+    """The levels k of the verlinde suite as a list; a ValueError if there is
+    none, if one is negative, or if the oracle's sum over j < k + 2 at one is too long."""
     su2_levels = list(su2_levels)
-    if su2_levels and min(su2_levels) < 0:
+    if not su2_levels:
+        raise ValueError("check verlinde: no level given")
+    if min(su2_levels) < 0:
         raise ValueError(f"check verlinde: level must be >= 0, got {min(su2_levels)}")
-    if su2_levels:
-        _require_terms(max(su2_levels) + 2, ("check verlinde: level k={}", max(su2_levels)))
+    _require_terms(max(su2_levels) + 2, ("check verlinde: level k={}", max(su2_levels)))
     return su2_levels
 
 
@@ -511,16 +517,14 @@ def check_projections(max_genus: int = 3) -> list[CheckResult]:
     return results
 
 
-def check_trace_decomposition(
-    max_genus: int = 3, base_dims: Sequence[int] = (10, 84), lambdas: Sequence[int] = (1, 3)
-) -> list[CheckResult]:
+def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
     _require_genera("tracedecomp", max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
-        for base in base_dims:
-            for lam in lambdas:
+        for base in TRACE_BASE_DIMS:
+            for lam in TRACE_LAMBDAS:
                 total = sum(
                     trace_functional(projection(sigma), base, lam, 0) for sigma in refinements
                 )
@@ -646,45 +650,31 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         def rep(el: HeisenbergElement) -> MonomialMatrix:
             return reps[(el.vector.bits << 2) | el.central]
 
-        dim = group.space.dimension
-        # rep(x) @ rep(y) for x, y of central part 0, at index (x mask << 2g) | y mask:
-        # the homomorphism record makes all 4^{2g} of them, both (x, y) and (y, x),
-        # and the commutator record reads them back instead of multiplying again.
-        # Where the product == rep(x * y), the store keeps that equal matrix of
-        # reps, so it holds references, not 4^{2g} more matrices.
-        products = [None] * (1 << 2 * dim)
-
         def homomorphism():
-            # rep(x) @ rep(y) == rep(x * y) over 4^{2g+2} pairs, with what x alone gives hoisted
+            # rep(x) @ rep(y) == rep(x * y) over 4^{2g+2} pairs
             for x, rx in zip(elements, reps):
-                t, row = x.central, x.vector.bits << dim
                 for y, ry in zip(elements, reps):
                     xy = x * y
-                    product = rx @ ry
-                    expected = reps[(xy.vector.bits << 2) | xy.central]
-                    holds = product == expected
-                    if not (t or y.central):
-                        products[row | y.vector.bits] = expected if holds else product
-                    yield holds
+                    yield rx @ ry == reps[(xy.vector.bits << 2) | xy.central]
 
         n = 1 << g
-        results.append(
-            _counted(
-                f"heisenberg rep is a homomorphism g={g}",
-                itertools.product(elements, elements),
-                homomorphism(),
-                "pairs (x, y)",
-                "(x, y) as (t, mask)",
-            )
+        homomorphic = _counted(
+            f"heisenberg rep is a homomorphism g={g}",
+            itertools.product(elements, elements),
+            homomorphism(),
+            "pairs (x, y)",
+            "(x, y) as (t, mask)",
         )
+        results.append(homomorphic)
         vector_elements = [el for el in elements if el.central == 0]
 
         def commutator(case):
-            # a product is made here only if the homomorphism record stopped before it
+            # once the homomorphism record has passed, rep(x * y) is rep(x) @ rep(y)
             x, y = case
-            v, w = x.vector.bits, y.vector.bits
-            xy = products[(v << dim) | w] or rep(x) @ rep(y)
-            yx = products[(w << dim) | v] or rep(y) @ rep(x)
+            if homomorphic.passed:
+                xy, yx = rep(x * y), rep(y * x)
+            else:
+                xy, yx = rep(x) @ rep(y), rep(y) @ rep(x)
             return xy == (yx if group.space.pair(x.vector, y.vector) == 0 else -yx)
 
         results.append(
@@ -845,11 +835,13 @@ def run_suite(name: str, **options) -> list[CheckResult]:
     ``p`` and ``level``, and the integer ``max_m``.  _OPTIONS turns them into
     each suite's keyword arguments; a ``max_genus`` or ``max_p`` is the
     largest value of its option.  An unknown suite and an option the named
-    suite does not take are ValueErrors, while 'all' passes each suite only
-    the options it takes.  Every suite's grid is checked before the first
-    suite runs, its size included: a ``max_m`` above ``MAX_RANGE_VALUES`` and
-    an integrality grid of more cells are ValueErrors, for a library caller
-    as for the CLI, which reads its bound from here.
+    suite does not take are ValueErrors, and so is an empty list, before
+    any ``max`` is taken, while 'all' passes each suite only the options it
+    takes, each list read once.  Every suite's grid is checked before the
+    first suite runs, its size included: a ``max_m`` above
+    ``MAX_RANGE_VALUES`` and an integrality grid of more cells are
+    ValueErrors, for a library caller as for the CLI, which reads its bound
+    from here.
     """
     if name == "all":
         names = list(SUITES)
@@ -862,6 +854,12 @@ def run_suite(name: str, **options) -> list[CheckResult]:
     if unusable:
         flags = ["--" + option.replace("_", "-") for option in (unusable[0], *takes)]
         raise ValueError(f"check {name}: {flags[0]} does not apply; the suite takes {', '.join(flags[1:])}")
+    for option in ("genus", "p", "level"):
+        if option in options:
+            # a list once, so that every suite under 'all' reads the same values
+            options[option] = list(options[option])
+            if not options[option]:
+                raise ValueError(f"check {name}: no value given for --{option}")
     runs = []
     for suite in names:
         keywords, grid = _OPTIONS[suite]

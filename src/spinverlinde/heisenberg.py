@@ -223,9 +223,8 @@ def trace_functional(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w
     [0] traces to the base dimension; a non-trivial [Z] traces to its
     lift sign times (lambda_rho + 1)^{g-1}.
     """
+    _check_w2_bits(w2, 1)
     terms = [(mask, n) for mask, n in enumerate(x.numerators[1:], start=1) if n]
-    if terms:
-        _check_w2_bits(w2, 1)
     signed = sum(n * _lift_sign(x.spin, mask, w2, 1) for mask, n in terms)
     weight = (lambda_rho + 1) ** (x.spin.space.genus - 1)
     return Fraction(x.numerators[0] * base_dim + signed * weight, x.denominator)

@@ -1,5 +1,6 @@
 """The check suites: genus-range and enumeration-cap failures before any work, counted details, the options table and the record list of `check all`."""
 
+import inspect
 import itertools
 import json
 import re
@@ -208,6 +209,50 @@ class TestCountedDetails:
         assert all(r.passed for r in results)
         # one product per homomorphism pair, 4^{2g+2} at each genus, and none more
         assert len(made) == 256 + 4096
+
+    @pytest.mark.parametrize("broken_at", [(1, 1, 0, 2), (0, 1, 0, 2)])
+    def test_heisenberg_commutator_multiplies_after_a_failed_homomorphism(self, broken_at, monkeypatch):
+        # (0, a1)(0, b1) is a pair of central part 0, so reading rep(x * y) there
+        # would fail the commutator record too
+        honest_mul, honest_matmul = HeisenbergElement.__mul__, MonomialMatrix.__matmul__
+        made = []
+
+        def broken(x, y):
+            product = honest_mul(x, y)
+            if (x.central, x.vector.bits, y.central, y.vector.bits) == broken_at:
+                return HeisenbergElement((product.central + 1) % 4, product.vector)
+            return product
+
+        def counted(a, b):
+            made.append(None)
+            return honest_matmul(a, b)
+
+        monkeypatch.setattr(HeisenbergElement, "__mul__", broken)
+        monkeypatch.setattr(MonomialMatrix, "__matmul__", counted)
+        results = {r.name: r for r in checks.check_heisenberg(max_genus=2)}
+        products = len(made)
+        runs = 0
+        for g in (1, 2):
+            homomorphism = results[f"heisenberg rep is a homomorphism g={g}"]
+            commutator = results[f"heisenberg commutator pairing g={g}"]
+            assert not homomorphism.passed
+            runs += int(homomorphism.details.split()[0]) + 2 * int(commutator.details.split()[0])
+            # the record that a literal per-case recomputation makes
+            space = SymplecticF2Space(g)
+            vectors = [HeisenbergElement(0, v) for v in space.vectors()]
+
+            def literal(case, pair=space.pair):
+                x, y = case
+                xy = honest_matmul(heisenberg_rep(x), heisenberg_rep(y))
+                yx = honest_matmul(heisenberg_rep(y), heisenberg_rep(x))
+                return xy == (yx if pair(x.vector, y.vector) == 0 else -yx)
+
+            cases = itertools.product(vectors, vectors)
+            labels = ("pairs (x, y) of central part 0", "(x, y) as (t, mask)")
+            assert commutator == checks._counted(commutator.name, cases, literal, *labels)
+            assert commutator.details == f"{len(vectors) ** 2} pairs (x, y) of central part 0"
+        # one product per homomorphism pair run, then two per commutator case
+        assert products == runs
 
 
 def per_case_records(g):
@@ -492,6 +537,61 @@ class TestParameters:
         with pytest.raises(type(by_suite.value)) as up_front:
             checks.run_suite(suite, **options)
         assert str(up_front.value) == str(by_suite.value)
+
+    def test_every_suite_takes_the_keywords_of_its_options(self):
+        # a keyword that no `check` option sets could only ever run at its default
+        for name, suite in checks.SUITES.items():
+            assert list(inspect.signature(suite).parameters) == list(checks._OPTIONS[name][0].values()), name
+
+    @pytest.mark.parametrize("suite, arguments, message", [
+        (checks.check_verlinde, {"genera": []}, "check verlinde: no genus given"),
+        (checks.check_verlinde, {"su2_levels": []}, "check verlinde: no level given"),
+        (checks.check_twisted, {"genera": []}, "check twisted: no genus given"),
+        (checks.check_traces, {"genera": []}, "check traces: no genus given"),
+        (checks.check_decomposition, {"genera": []}, "check decomp: no genus given"),
+    ])
+    def test_an_empty_list_is_refused_before_any_cell(self, suite, arguments, message, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran on an empty list")
+
+        monkeypatch.setattr(checks, "_level_major", no_cell)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite(**arguments)
+
+    @pytest.mark.parametrize("name, options, option", [
+        ("verlinde", {"genus": []}, "genus"),
+        ("verlinde", {"genus": [2], "level": []}, "level"),
+        ("twisted", {"p": []}, "p"),
+        ("pairing", {"genus": []}, "genus"),
+        ("all", {"genus": []}, "genus"),
+        ("all", {"genus": [2], "p": []}, "p"),
+    ])
+    def test_run_suite_refuses_an_empty_option_before_any_suite(self, name, options, option, monkeypatch):
+        def ran(**arguments):
+            raise AssertionError("a suite ran on an empty option")
+
+        for suite in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, suite, ran)
+        with pytest.raises(ValueError, match=f"^check {name}: no value given for --{option}$"):
+            checks.run_suite(name, **options)
+        iterators = {key: iter(value) for key, value in options.items()}
+        with pytest.raises(ValueError, match=f"^check {name}: no value given for --{option}$"):
+            checks.run_suite(name, **iterators)
+
+    def test_run_suite_reads_each_option_once(self, monkeypatch):
+        # under 'all', a one-pass iterable serves every suite that takes its option
+        for suite in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, suite, lambda **arguments: [arguments])
+        runs = checks.run_suite("all", genus=iter([2, 3]), p=iter([8, 16]), level=iter([3]), max_m=2)
+        assert dict(zip(checks.SUITES, runs)) == {
+            **{suite: {"max_genus": 3} for suite in checks.SUITES},
+            "verlinde": {"genera": [2, 3], "su2_levels": [3]},
+            "twisted": {"genera": [2, 3], "levels_p": [8, 16]},
+            "traces": {"genera": [2, 3], "levels_p": [8, 16]},
+            "decomp": {"genera": [2, 3], "levels_p": [8, 16]},
+            "integrality": {"max_genus": 3, "max_p": 16},
+            "levels": {"max_m": 2},
+        }
 
     @pytest.mark.parametrize("suite", list(checks.SUITES))
     def test_default_grids_have_cells(self, suite, monkeypatch):

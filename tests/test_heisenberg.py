@@ -401,10 +401,12 @@ class TestProjectionChecks:
             checks.check_projections(max_genus=2)
 
     def test_trace_decomposition_reports_spin_structures(self):
-        results = checks.check_trace_decomposition(max_genus=2, base_dims=(10,), lambdas=(1,))
+        results = checks.check_trace_decomposition(max_genus=2)
         assert [r.details for r in results] == [
-            "total 10 over 4 spin structures",
-            "total 10 over 16 spin structures",
+            f"total {base} over {spins} spin structures"
+            for spins in (4, 16)
+            for base in checks.TRACE_BASE_DIMS
+            for _ in checks.TRACE_LAMBDAS
         ]
 
 

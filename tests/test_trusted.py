@@ -179,14 +179,17 @@ def test_lift_sign_errors_keep_their_order():
         lift_sign(sigma, F2Vector(1, 4), 0, 1)
 
 
-def test_trace_functional_checks_w2_only_with_a_nontrivial_term():
+def test_trace_functional_checks_w2_on_every_element():
     space = SymplecticF2Space(2)
     sigma = QuadraticRefinement(space, 0)
-    with pytest.raises(ValueError, match="w2 inputs must be bits, got 2, 1"):
-        trace_functional(projection(sigma), 10, 1, 2)
-    # [0] alone never reads a lift sign
     identity = TwistedAlgebraElement.symbol(sigma, space.zero)
-    assert trace_functional(identity, 10, 1, 2) == 10
+    # [0] alone and the zero element read no lift sign, and still refuse a w2 that is not a bit
+    for element in (projection(sigma), identity, TwistedAlgebraElement.zero(sigma)):
+        for w2 in (2, 7, "x"):
+            with pytest.raises(ValueError, match=f"^w2 inputs must be bits, got {w2!r}, 1$"):
+                trace_functional(element, 10, 1, w2)
+    assert trace_functional(identity, 10, 1, 1) == 10
+    assert trace_functional(TwistedAlgebraElement.zero(sigma), 10, 1, 1) == 0
 
 
 @pytest.mark.parametrize(
