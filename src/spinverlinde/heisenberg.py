@@ -19,7 +19,12 @@ internally; no identification between them is claimed.
 time on these products, so both are built for speed: a ``MonomialMatrix``
 stores the map it induces on the 4n points i^s e_x, which makes ``@`` one
 C-level gather, and ``__mul__`` computes its cocycle and vector on every call
-but takes the element itself from a bounded table (see ``_element``).
+but takes the element itself from a bounded table (see ``_element``).  The
+projection suite builds P_sigma and P_(sigma+ell) rebased by ell for every
+case, so those builders skip what a case cannot change: ``projection`` is
+trusted to be in lowest terms, and ``rebase`` reads the signs
+(-1)^{<Z, ell>} from a table of 64 sign vectors keyed by the dual mask of
+ell (see ``_signs``) and moves the reference through that same mask.
 """
 
 from __future__ import annotations
@@ -180,22 +185,36 @@ class TwistedAlgebraElement:
         An element expressed over sigma + ell becomes the same element
         expressed over sigma; rebasing twice by the same ell is the identity.
         """
-        space = self.spin.space
-        dual = space.dual_bits(ell)
-        # signs[m] = (-1)^{<Z, ell>} for Z of mask m, doubled over the coordinates:
-        # the masks with bit j set repeat the signs below them, negated if dual has bit j
-        signs = [1]
-        for j in range(space.dimension):
-            signs += [-s for s in signs] if dual >> j & 1 else signs
-        numerators = tuple(map(mul, self.numerators, signs))
-        # sign flips keep the gcd, so the result is still in lowest terms
-        return self._trusted(self.spin.shift(ell), numerators, self.denominator)
+        spin = self.spin
+        space = spin.space
+        space._check_member(ell)
+        dual = space._dual_mask(ell.bits)
+        numerators = tuple(map(mul, self.numerators, _signs(space.dimension, dual)))
+        # sign flips keep the gcd, so the result is still in lowest terms; the
+        # reference is spin.shift(ell), built from the dual mask already in hand
+        moved = QuadraticRefinement._trusted(space, spin.basis_values ^ dual)
+        return self._trusted(moved, numerators, self.denominator)
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
         dim = self.spin.space.dimension
         return " + ".join(f"{v}*[{F2Vector(m, dim)}]" for m, v in self.coeffs.items())
+
+
+@lru_cache(maxsize=64)
+def _signs(dimension: int, dual: int) -> tuple[int, ...]:
+    """signs[m] = (-1)^{<Z, ell>} for Z of mask m, where dual is the mask of <ell, .>.
+
+    Doubled over the coordinates: the masks with bit j set repeat the signs
+    below them, negated if dual has bit j.  The table keeps 64 sign vectors of
+    2^dimension entries each (sys.getsizeof 552 bytes at genus 3, 32.8 KB at
+    the default enumeration cap, genus 6, so at most 2.1 MB there).
+    """
+    signs = [1]
+    for j in range(dimension):
+        signs += [-s for s in signs] if dual >> j & 1 else signs
+    return tuple(signs)
 
 
 def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
@@ -207,7 +226,8 @@ def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
     """
     sigma.space._check_enumeration_cap()
     size = 1 << sigma.space.dimension
-    return TwistedAlgebraElement._reduced(sigma, (1,) * size, size)
+    # the numerators (1, ..., 1) over 2^{2g} are already in lowest terms
+    return TwistedAlgebraElement._trusted(sigma, (1,) * size, size)
 
 
 def orthogonality_check(sigma: QuadraticRefinement, ell: F2Vector) -> bool:
@@ -382,6 +402,8 @@ class MonomialMatrix(Value):
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
+        if n < 0:
+            raise ValueError(f"matrix size must be non-negative, got {n}")
         return cls(tuple(range(n)), (0,) * n)
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
@@ -392,7 +414,9 @@ class MonomialMatrix(Value):
                 f"size mismatch: {len(images) >> 2} x {len(other.images) >> 2} monomial matrices"
             )
         # itemgetter() with no index raises, so the 0 x 0 product is the empty one
-        return MonomialMatrix._trusted(itemgetter(*images)(other.images) if images else ())
+        product = _new(MonomialMatrix)
+        _setattr(product, "images", itemgetter(*images)(other.images) if images else ())
+        return product
 
     def __neg__(self) -> "MonomialMatrix":
         return MonomialMatrix._trusted(tuple([image ^ 2 for image in self.images]))

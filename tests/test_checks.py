@@ -393,10 +393,12 @@ class TestSharedSubResults:
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("suite", ["pairing", "refinement", "liftsign"])
+@pytest.mark.parametrize("suite", ["pairing", "refinement", "liftsign", "projs", "heisenberg"])
 def test_genus_four_output_matches_its_golden(suite, capsys):
     # the records past the genus 3 of `check all`, byte for byte as the per-case
-    # closures printed them before the suites read tables of values
+    # closures printed them before the GF(2) suites read tables of values, and
+    # as the projections and the Heisenberg model printed them before their
+    # operands came from the trusted builders and the sign table of rebase
     code = cli.main(["check", suite, "--genus", "4", "--format", "json"])
     golden = (GOLDEN / f"check_{suite}_genus4.json").read_bytes()
     assert (code, capsys.readouterr().out.encode()) == (0, golden)

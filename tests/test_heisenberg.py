@@ -13,6 +13,7 @@ from spinverlinde.heisenberg import (
     HeisenbergGroup,
     MonomialMatrix,
     TwistedAlgebraElement,
+    _signs,
     heisenberg_rep,
     orthogonality_check,
     projection,
@@ -288,14 +289,30 @@ class TestRebase:
             refinements[-1],
             {v.bits: Fraction((v.bits % 3 - 1) * (v.bits + 1), 7) for v in space.vectors()},
         )
+        # every P_sigma, so every operand P_(sigma+ell) of the orthogonality record
         elements = [projection(sigma) for sigma in refinements] + [mixed]
         for ell in space.vectors():
+            dual = space.dual_bits(ell)
+            popcounts = [(m & dual).bit_count() for m in range(1 << space.dimension)]
+            assert _signs(space.dimension, dual) == tuple((-1) ** c for c in popcounts)
             for x in elements:
                 moved = x.rebase(ell)
                 assert (moved.spin, moved.numerators, moved.denominator) == rebase_oracle(x, ell)
 
 
 class TestProjections:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_equals_the_reduced_and_the_validated_build(self, g):
+        space = SymplecticF2Space(g)
+        size = 1 << space.dimension
+        for sigma in QuadraticRefinement.all_refinements(space):
+            p = projection(sigma)
+            r = TwistedAlgebraElement._reduced(sigma, [1] * size, size)
+            assert (p.spin, p.numerators, p.denominator) == (r.spin, r.numerators, r.denominator)
+        # no sigma changes the numerators, so once per genus against the validating constructor
+        validated = TwistedAlgebraElement(sigma, {m: Fraction(1, size) for m in range(size)})
+        assert (p.numerators, p.denominator) == (validated.numerators, validated.denominator)
+
     def test_coefficients_at_genus_one(self, g1):
         space, sigma = g1
         p = projection(sigma)
@@ -638,6 +655,10 @@ class TestHeisenbergRep:
             MonomialMatrix((0, 1), (0,))
         with pytest.raises(ValueError, match="mod 4"):
             MonomialMatrix((0,), (4,))
+        # the 0 x 0 identity is test_empty_matrix's; a negative size is no size
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=f"non-negative, got {n}"):
+                MonomialMatrix.identity(n)
 
     def test_central_part_validated(self):
         space = SymplecticF2Space(1)

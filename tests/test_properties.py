@@ -1,14 +1,16 @@
 """Property tests past the enumeration cap, graded cells past the default
 grids, exact dimensions against the interval oracles at sampled cells
 of the certified envelope g <= 20, k <= 512, the exact halvings against
-``divmod``, the level dictionary past the m <= 50 of ``check levels``, and
-the Heisenberg product past the table of elements it keeps.
+``divmod``, the level dictionary past the m <= 50 of ``check levels``, the
+Heisenberg product past the table of elements it keeps, and the rebase of
+the twisted algebra past its table of sign vectors.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same cases and stores no failing examples between runs.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from spinverlinde.dimensions import (
 )
 from spinverlinde.f2 import F2Vector, SymplecticF2Space
 from spinverlinde.fusion import _integral, twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
-from spinverlinde.heisenberg import HeisenbergElement, _element
+from spinverlinde.heisenberg import HeisenbergElement, TwistedAlgebraElement, _element, _signs, projection
 from spinverlinde.levels import (
     Lattice,
     LevelValue,
@@ -181,6 +183,44 @@ def test_heisenberg_product_is_the_cocycle_formula_past_its_table():
 
     rows()
     after = _element.cache_info()
+    assert after.misses - before.misses > after.maxsize
+
+
+@st.composite
+def rebase_rows(draw, length=4):
+    """A genus 4 <= g <= 6, a projection and an element of mixed signs over one
+    refinement of it, and ``length`` shifts ell; the numerators and the shifts
+    come from a ``Random`` of drawn seed."""
+    space = draw(spaces(min_genus=4, max_genus=6))
+    sigma = draw(refinements(space))
+    rng, dim = random.Random(draw(st.integers(0, 2**32 - 1))), space.dimension
+    mixed = TwistedAlgebraElement(sigma, {m: Fraction(rng.randrange(-3, 4), 5) for m in range(1 << dim)})
+    ells = [F2Vector(rng.getrandbits(dim), dim) for _ in range(length)]
+    return space, [projection(sigma), mixed], ells
+
+
+def test_rebase_is_the_per_mask_sign_past_its_table():
+    # rows of shifts at genus 4 to 6 ask for more sign vectors than the table
+    # behind ``rebase`` holds, so it evicts while they run
+    before = _signs.cache_info()
+
+    @deterministic
+    @given(rebase_rows())
+    def rows(case):
+        space, elements, ells = case
+        for ell in ells:
+            dual = space.dual_bits(ell)
+            for x in elements:
+                signed = tuple(-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(x.numerators))
+                moved = x.rebase(ell)
+                assert (moved.spin, moved.numerators, moved.denominator) == (
+                    x.spin.shift(ell),
+                    signed,
+                    x.denominator,
+                )
+
+    rows()
+    after = _signs.cache_info()
     assert after.misses - before.misses > after.maxsize
 
 

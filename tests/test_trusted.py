@@ -164,6 +164,8 @@ def test_vector_dimension_mismatch_still_raises():
     with pytest.raises(ValueError, match="vector has dimension 4, space has 2"):
         q.shift(F2Vector(1, 4))
     with pytest.raises(ValueError, match="vector has dimension 4, space has 2"):
+        projection(q).rebase(F2Vector(1, 4))
+    with pytest.raises(ValueError, match="vector has dimension 4, space has 2"):
         space.pair(space.zero, F2Vector(1, 4))
     with pytest.raises(ValueError, match="vector has dimension 4, space has 2"):
         space.pair(F2Vector(1, 4), space.zero)
