@@ -30,13 +30,23 @@ The projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
 list indexed by element rather than a dict keyed by the elements.  Its
-commutator record reads the homomorphism record's verdict: once that record
-has passed, rep(x) @ rep(y) is rep(x * y), which the commutator looks up,
-and otherwise it multiplies both products itself.  The suites over a
+homomorphism record compares the point map of each product rep(x) @ rep(y)
+with that of rep(x * y), which decides their equality without a call to
+``MonomialMatrix.__eq__``.  Its commutator record reads the homomorphism
+record's verdict: once that record has passed, rep(x) @ rep(y) is
+rep(x * y), which the commutator looks up, and otherwise it multiplies
+both products itself.  The suites over a
 genus x level grid, ``integrality`` included, evaluate their cells
 level-major through ``_level_major``, as the CLI's tables do, and list them
 genus-major.  The graded suites read ``dimensions._graded_cell``
 and ``_level_bases``; a violated trace route fails its record.
+``tracedecomp`` walks the spin structures outermost and adds each trace
+of P_sigma to the total of its (base, lambda), so that the lift-sign
+table of sigma (``heisenberg._lift_signs``, 64 entries) serves the four
+totals in a row at any genus, not only while a genus has at most 64 spin
+structures; its records and details are those of the (base, lambda)-outer
+walk.  ``traces`` checks every genus of its list against the enumeration
+cap before its first cell, as the suites over a genus range do.
 """
 
 from __future__ import annotations
@@ -126,7 +136,13 @@ def _require_genera(suite: str, max_genus: int) -> None:
     suite if the range is empty, and the EnumerationCapError the sweep would reach."""
     if max_genus < 1:
         raise ValueError(f"check {suite}: no genus g with 1 <= g <= {max_genus}")
-    for g in range(1, max_genus + 1):
+    _require_enumerable(range(1, max_genus + 1))
+
+
+def _require_enumerable(genera: Iterable[int]) -> None:
+    """The EnumerationCapError of the first of the genera over the enumeration
+    cap, which a walk over the 2^{2g} classes of each genus in turn would reach."""
+    for g in genera:
         SymplecticF2Space(g)._check_enumeration_cap()
 
 
@@ -388,7 +404,10 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
             )
         # the shift-then-Arf route, independent of lift_sign: the table of
         # d(z) = arf(sigma + z) - arf(sigma) over the masks of z, once per sigma
-        differences = [[sigma.shift(z).arf() ^ sigma.arf() for z in vectors] for sigma in refinements]
+        differences = [
+            [sigma.shift(z).arf() ^ arf for z in vectors]
+            for sigma, arf in zip(refinements, map(QuadraticRefinement.arf, refinements))
+        ]
         basis = space.basis()
         results.append(
             _counted(
@@ -527,18 +546,19 @@ def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
-        for base in TRACE_BASE_DIMS:
-            for lam in TRACE_LAMBDAS:
-                total = sum(
-                    trace_functional(projection(sigma), base, lam, 0) for sigma in refinements
+        # sigma outermost, so that each sigma's sign table serves all four totals
+        totals = dict.fromkeys(itertools.product(TRACE_BASE_DIMS, TRACE_LAMBDAS), 0)
+        for sigma in refinements:
+            for base, lam in totals:
+                totals[base, lam] += trace_functional(projection(sigma), base, lam, 0)
+        for (base, lam), total in totals.items():
+            results.append(
+                CheckResult(
+                    f"sum of projection traces g={g} base={base} lambda={lam}",
+                    total == base,
+                    f"total {total} over {len(refinements)} spin structures",
                 )
-                results.append(
-                    CheckResult(
-                        f"sum of projection traces g={g} base={base} lambda={lam}",
-                        total == base,
-                        f"total {total} over {len(refinements)} spin structures",
-                    )
-                )
+            )
     return results
 
 
@@ -553,6 +573,7 @@ def check_traces(
     violation that ``dims_via_traces`` raises fails its record."""
     genera = _genera_from("traces", genera)
     levels_p = _levels_kept("traces", levels_p)
+    _require_enumerable(genera)
 
     def cell(g: int, p: int) -> list[CheckResult]:
         dims = _graded_cell(g, p)[0]
@@ -650,6 +671,8 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         # the elements come in the order (t, v) -> 4 v + t, so the rep of (t, v)
         # sits at index 4 v + t, an index that hashes no record
         reps = list(map(heisenberg_rep, elements))
+        # two monomial matrices are equal exactly when their point maps are
+        images = [r.images for r in reps]
 
         def rep(el: HeisenbergElement) -> MonomialMatrix:
             return reps[(el.vector.bits << 2) | el.central]
@@ -659,7 +682,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             for x, rx in zip(elements, reps):
                 for y, ry in zip(elements, reps):
                     xy = x * y
-                    yield rx @ ry == reps[(xy.vector.bits << 2) | xy.central]
+                    yield (rx @ ry).images == images[(xy.vector.bits << 2) | xy.central]
 
         n = 1 << g
         homomorphic = _counted(
@@ -673,20 +696,20 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         vector_elements = [el for el in elements if el.central == 0]
         pair = group.space.pair
 
-        def commutator(case):
+        def commutator():
             # once the homomorphism record has passed, rep(x * y) is rep(x) @ rep(y)
-            x, y = case
-            if homomorphic.passed:
-                xy, yx = rep(x * y), rep(y * x)
-            else:
-                xy, yx = rep(x) @ rep(y), rep(y) @ rep(x)
-            return xy == (yx if pair(x.vector, y.vector) == 0 else -yx)
+            for x, y in itertools.product(vector_elements, vector_elements):
+                if homomorphic.passed:
+                    xy, yx = rep(x * y), rep(y * x)
+                else:
+                    xy, yx = rep(x) @ rep(y), rep(y) @ rep(x)
+                yield xy == (yx if pair(x.vector, y.vector) == 0 else -yx)
 
         results.append(
             _counted(
                 f"heisenberg commutator pairing g={g}",
                 itertools.product(vector_elements, vector_elements),
-                commutator,
+                commutator(),
                 "pairs (x, y) of central part 0",
                 "(x, y) as (t, mask)",
             )
@@ -804,6 +827,9 @@ def _grid_check(suite: str, arguments: dict) -> None:
         _su2_levels_from(arguments["su2_levels"])
     if "levels_p" in arguments:
         _levels_kept(suite, arguments["levels_p"])
+    if suite == "traces" and "genera" in arguments:
+        # each cell's trace route walks the 2^{2g} classes of its genus
+        _require_enumerable(arguments["genera"])
     if "max_m" in arguments:
         _require_max_m(arguments["max_m"])
 

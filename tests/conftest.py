@@ -43,6 +43,28 @@ def cold_caches():
             value.cache_clear()
 
 
+@pytest.fixture
+def lift_sign_flipped_at_a1(monkeypatch):
+    """Flip the lift sign of [a1], the class of mask 1, at the name
+    ``heisenberg._lift_sign`` that the trace route's sign tables call.  The
+    tables are emptied before the patch, so that one an earlier test built
+    does not hide it, and after the test, so that none built from the
+    flipped sign outlives it."""
+    from spinverlinde import heisenberg
+
+    honest = heisenberg._lift_sign
+
+    def one_sign_flipped(sigma, bits, w2_bundle, w2_rho):
+        sign = honest(sigma, bits, w2_bundle, w2_rho)
+        return -sign if bits == 1 else sign
+
+    heisenberg._lift_signs.cache_clear()
+    monkeypatch.setattr(heisenberg, "_lift_sign", one_sign_flipped)
+    yield
+    monkeypatch.undo()
+    heisenberg._lift_signs.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def cli_json():
     """Run ``spinverlinde <argv> --format json`` in process, once per argv for

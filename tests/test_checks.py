@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spinverlinde import checks, cli
+from spinverlinde import checks, cli, dimensions
 from spinverlinde.f2 import EnumerationCapError, F2Vector, SymplecticF2Space
 from spinverlinde.heisenberg import HeisenbergElement, MonomialMatrix, heisenberg_rep
 from spinverlinde.spin import QuadraticRefinement
@@ -59,6 +59,20 @@ class TestCapBeforeWork:
     @pytest.mark.parametrize("suite", ["heisenberg", "projs", "pairing", "arf"])
     def test_cli_exit_code_and_message(self, suite, capsys):
         assert cli.main(["check", suite, "--genus", "8"]) == 2
+        assert capsys.readouterr().err == "error: genus 7 exceeds enumeration cap 6\n"
+
+    def test_traces_refuses_a_genus_over_the_cap_before_any_trace(self, monkeypatch, capsys):
+        # level-major, the cell (6, 8) would trace four projections before
+        # the cell (7, 8) reached the cap
+        def no_trace(*args):
+            raise AssertionError("traces ran the trace route before checking its genera")
+
+        monkeypatch.setattr(dimensions, "trace_functional", no_trace)
+        with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
+            checks.run_suite("traces", genus=[6, 7], p=[8, 16])
+        with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
+            checks.check_traces(genera=[6, 7], levels_p=[8, 16])
+        assert cli.main(["check", "traces", "--genus", "6,7"]) == 2
         assert capsys.readouterr().err == "error: genus 7 exceeds enumeration cap 6\n"
 
     def test_arf_suite_runs_up_to_the_cap(self, capsys):
@@ -404,6 +418,18 @@ def test_genus_four_output_matches_its_golden(suite, capsys):
     assert (code, capsys.readouterr().out.encode()) == (0, golden)
 
 
+@pytest.mark.parametrize("argv, golden", [
+    # past the 64 sign tables of the trace route: 1024 spin structures at genus 5
+    (["check", "tracedecomp", "--genus", "5"], "check_tracedecomp_genus5.json"),
+    (["check", "traces", "--genus", "2..6", "--p", "8..64"], "check_traces_genus2-6.json"),
+])
+def test_trace_route_output_matches_its_golden(argv, golden, capsys):
+    # byte for byte as the trace route printed them when it evaluated every
+    # lift sign on every call, and tracedecomp walked sigma innermost
+    code = cli.main([*argv, "--format", "json"])
+    assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / golden).read_bytes())
+
+
 class TestSuiteAll:
     def test_default_record_list(self, cli_json):
         # the record list `check all` prints; a dropped or extra record changes it
@@ -524,6 +550,9 @@ class TestParameters:
         ("traces", ({"genus": [1], "p": [12]}, {"genera": [1], "levels_p": [12]})),
         ("decomp", ({"genus": [1, 3]}, {"genera": [1, 3]})),
         ("decomp", ({"genus": [0], "p": [8]}, {"genera": [0], "levels_p": [8]})),
+        # the first genus of the list over the enumeration cap, after the level check
+        ("traces", ({"genus": [9, 2, 7]}, {"genera": [9, 2, 7]})),
+        ("traces", ({"genus": [7], "p": [12]}, {"genera": [7], "levels_p": [12]})),
     ]
 
     @pytest.mark.parametrize("suite, params", EMPTY_GRIDS)

@@ -169,18 +169,10 @@ class TestDimsViaTraces:
         with pytest.raises(IntegralityError):
             dims_via_traces(2, 0, 11, 1, 0)
 
-    def test_termwise_disagreement_raises(self, monkeypatch):
-        # flip the lift sign of [a1] at the name trace_functional looks up; it
-        # moves the termwise sum by 2 (lambda + 1)^{g-1} = 4 off the closed form
-        import spinverlinde.heisenberg as heisenberg
-
-        honest = heisenberg._lift_sign
-
-        def one_sign_flipped(sigma, bits, w2_bundle, w2_rho):
-            sign = honest(sigma, bits, w2_bundle, w2_rho)
-            return -sign if bits == 1 else sign
-
-        monkeypatch.setattr(heisenberg, "_lift_sign", one_sign_flipped)
+    def test_termwise_disagreement_raises(self, lift_sign_flipped_at_a1):
+        # the lift sign of [a1], flipped at the name the sign tables of
+        # trace_functional call, moves the termwise sum by
+        # 2 (lambda + 1)^{g-1} = 4 off the closed form
         with pytest.raises(IdentityViolationError, match="termwise trace sum 12 != closed form 16"):
             dims_via_traces(2, 0, 10, 1, 0)
 

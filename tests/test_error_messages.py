@@ -178,16 +178,7 @@ class TestIdentityViolations:
         ):
             sum_over_spin(2, 8)
 
-    def test_dims_via_traces(self, monkeypatch):
-        import spinverlinde.heisenberg as heisenberg
-
-        honest = heisenberg._lift_sign
-
-        def one_sign_flipped(sigma, bits, w2_bundle, w2_rho):
-            sign = honest(sigma, bits, w2_bundle, w2_rho)
-            return -sign if bits == 1 else sign
-
-        monkeypatch.setattr(heisenberg, "_lift_sign", one_sign_flipped)
+    def test_dims_via_traces(self, lift_sign_flipped_at_a1):
         with raises_exactly(
             IdentityViolationError,
             "dims_via_traces(g=2, eps=0, base_dim=10, lambda_rho=1, w2=0): termwise trace sum 12 != closed form 16",

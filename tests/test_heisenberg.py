@@ -6,20 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from spinverlinde import checks
+from spinverlinde import checks, heisenberg
 from spinverlinde.f2 import EnumerationCapError, F2Vector, SymplecticF2Space
 from spinverlinde.heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
     MonomialMatrix,
     TwistedAlgebraElement,
+    _lift_signs,
     _signs,
     heisenberg_rep,
     orthogonality_check,
     projection,
     trace_functional,
 )
-from spinverlinde.spin import QuadraticRefinement
+from spinverlinde.spin import QuadraticRefinement, _lift_sign
 
 # dense oracle: a monomial matrix expanded to n x n exact Gaussian integers (re, im)
 POWERS_OF_I = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -76,6 +77,21 @@ def rebase_oracle(x, ell):
     dual = x.spin.space.dual_bits(ell)
     numerators = [-n if (m & dual).bit_count() & 1 else n for m, n in enumerate(x.numerators)]
     return x.spin.shift(ell), tuple(numerators), x.denominator
+
+
+# literal oracle for trace_functional: the lift sign of each non-zero mask in
+# the support, evaluated for every call
+def trace_oracle(x, base_dim, lambda_rho, w2):
+    terms = [(mask, n) for mask, n in enumerate(x.numerators[1:], start=1) if n]
+    signed = sum(n * _lift_sign(x.spin, mask, w2, 1) for mask, n in terms)
+    weight = (lambda_rho + 1) ** (x.spin.space.genus - 1)
+    return Fraction(x.numerators[0] * base_dim + signed * weight, x.denominator)
+
+
+def random_element(sigma, rng):
+    """A seeded element over sigma: signed numerators, about half of them zero, over one denominator."""
+    numerators = [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(1 << sigma.space.dimension)]
+    return TwistedAlgebraElement._reduced(sigma, numerators, rng.randint(1, 12))
 
 
 def assert_lowest_terms(x):
@@ -478,6 +494,56 @@ class TestTraceFunctional:
                     assert trace_functional(
                         projection(sigma), base_odd, lam, 1
                     ) == dims_via_traces(g, eps, base_odd, lam, 1)
+
+
+class TestLiftSignTable:
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        _lift_signs.cache_clear()
+        yield
+        _lift_signs.cache_clear()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_matches_the_per_mask_oracle_on_every_spin_structure(self, g):
+        rng = random.Random(35 + g)
+        for sigma in QuadraticRefinement.all_refinements(SymplecticF2Space(g)):
+            for x in (projection(sigma), random_element(sigma, rng), TwistedAlgebraElement.zero(sigma)):
+                for w2 in (0, 1):
+                    for base, lam in ((10, 1), (84, 3), (7, 2)):
+                        assert trace_functional(x, base, lam, w2) == trace_oracle(x, base, lam, w2)
+
+    def test_matches_the_oracle_past_the_table_size(self):
+        # two passes over 96 (sigma, w2) at genus 4 to 6, more than the 64
+        # tables kept, so that the second pass finds its tables evicted
+        rng = random.Random(35)
+        cases = [
+            (random_element(QuadraticRefinement(space, rng.randrange(1 << space.dimension)), rng), w2)
+            for space in map(SymplecticF2Space, (4, 5, 6))
+            for _ in range(16)
+            for w2 in (0, 1)
+        ]
+        for x, w2 in cases + cases:
+            assert trace_functional(x, 10, 1, w2) == trace_oracle(x, 10, 1, w2)
+        info = _lift_signs.cache_info()
+        assert info.misses > info.maxsize == info.currsize == 64
+
+    def test_each_sign_once_per_spin_structure_and_w2(self, monkeypatch):
+        # a sign per (sigma, non-zero mask, w2) that the suites trace:
+        # 4 * 3 + 16 * 15 + 64 * 63 at g <= 3 for tracedecomp (w2 = 0), and
+        # for traces 4 (eps, w2) at each default genus 2..5, of 4^g - 1 masks
+        honest = heisenberg._lift_sign
+        made = []
+
+        def counted(*args):
+            made.append(None)
+            return honest(*args)
+
+        monkeypatch.setattr(heisenberg, "_lift_sign", counted)
+        assert all(r.passed for r in checks.check_trace_decomposition(3))
+        assert len(made) == 4284
+        made.clear()
+        assert all(r.passed for r in checks.check_traces())
+        assert len(made) == 5424 == 4 * sum(4**g - 1 for g in checks.DEFAULT_GENERA)
 
 
 class TestHeisenbergGroup:
