@@ -14,10 +14,11 @@ of genera or levels included, raises ValueError rather than pass
 vacuously, and so does a suite given a genus or level below the least it
 takes, before its first cell, a grid larger than ``MAX_RANGE_VALUES``, or
 an oracle level whose certified sum has more terms than that.
-``run_suite`` takes the options of ``spinverlinde check`` and reads one
-table, ``_OPTIONS``, for the keyword argument each option sets and the
-grid check each suite runs before any suite does: ``_grid_check`` for
-every suite but ``integrality``, which bounds its cells itself.
+A suite is one function under ``@_suite(name)``, which registers it in
+``SUITES`` and records in ``_OPTIONS`` the ``spinverlinde check`` option
+that sets each of its keyword arguments.  Each suite opens with
+``_grid``, the one spelling of its preconditions, and ``run_suite`` calls
+the same ``_grid`` on every suite it will run before the first one runs.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` evaluate
@@ -131,14 +132,6 @@ def _counted(
     return CheckResult(name, True, f"{checked} {counted}")
 
 
-def _require_genera(suite: str, max_genus: int) -> None:
-    """Before a sweep over genus 1..max_genus starts: a ValueError naming the
-    suite if the range is empty, and the EnumerationCapError the sweep would reach."""
-    if max_genus < 1:
-        raise ValueError(f"check {suite}: no genus g with 1 <= g <= {max_genus}")
-    _require_enumerable(range(1, max_genus + 1))
-
-
 def _require_enumerable(genera: Iterable[int]) -> None:
     """The EnumerationCapError of the first of the genera over the enumeration
     cap, which a walk over the 2^{2g} classes of each genus in turn would reach."""
@@ -146,49 +139,104 @@ def _require_enumerable(genera: Iterable[int]) -> None:
         SymplecticF2Space(g)._check_enumeration_cap()
 
 
-# the least genus that each suite over a list of genera takes
-_LEAST_GENUS = {"verlinde": 1, "twisted": 1, "traces": 2, "decomp": 2}
+# ---------------------------------------------------------------------------
+# registry
 
 
-def _genera_from(suite: str, genera: Iterable[int]) -> list[int]:
-    """The genera as a list; a ValueError naming the suite if there is none or
-    one is below its least genus."""
-    genera = list(genera)
-    if not genera:
-        raise ValueError(f"check {suite}: no genus given")
-    least = _LEAST_GENUS[suite]
-    if min(genera) < least:
-        raise ValueError(f"check {suite}: genus must be >= {least}, got {min(genera)}")
-    return genera
+# the ``check`` option that sets each keyword argument a suite may take
+_OPTION_OF = {
+    "max_genus": "genus", "genera": "genus", "su2_levels": "level", "levels_p": "p", "max_p": "p", "max_m": "max_m"
+}
+
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {}
+#: For each suite: the ``check`` options it takes, each with the keyword argument it sets.
+_OPTIONS: dict[str, dict[str, str]] = {}
+#: For each suite: its keyword arguments' defaults, which ``run_suite`` checks where no option sets them.
+_DEFAULTS: dict[str, dict[str, Any]] = {}
 
 
-def _su2_levels_from(su2_levels: Iterable[int]) -> list[int]:
-    """The levels k of the verlinde suite as a list; a ValueError if there is
-    none, if one is negative, or if the oracle's sum over j < k + 2 at one is too long."""
-    su2_levels = list(su2_levels)
-    if not su2_levels:
-        raise ValueError("check verlinde: no level given")
-    if min(su2_levels) < 0:
-        raise ValueError(f"check verlinde: level must be >= 0, got {min(su2_levels)}")
-    _require_terms(max(su2_levels) + 2, ("check verlinde: level k={}", max(su2_levels)))
-    return su2_levels
+def _suite(name: str) -> Callable[[Callable], Callable]:
+    """Register the decorated suite as ``name``, in definition order, with the
+    ``check`` option of each of its keyword arguments; a keyword that no option
+    sets is a TypeError, and one with no default a ValueError, before anything
+    is registered."""
+
+    def register(check: Callable) -> Callable:
+        code = check.__code__
+        keywords = code.co_varnames[: code.co_argcount]
+        try:
+            options = {_OPTION_OF[keyword]: keyword for keyword in keywords}
+        except KeyError as exc:
+            raise TypeError(f"check {name}: no check option sets the keyword {exc}") from None
+        # every keyword has a default, which `check all` runs
+        defaults = dict(zip(keywords, check.__defaults__ or (), strict=True))
+        SUITES[name], _OPTIONS[name], _DEFAULTS[name] = check, options, defaults
+        return check
+
+    return register
 
 
-# (least, step) of the levels p that each level-filtering suite keeps
-_LEVEL_FILTERS = {"twisted": (4, 2), "traces": (8, 8), "decomp": (8, 8)}
+def _grid(suite: str, **arguments) -> list:
+    """Raise what ``suite`` raises on its keyword ``arguments`` before its first
+    cell, and return their values in order, each list of genera or levels as the
+    list of those the suite keeps.
 
-
-def _levels_kept(suite: str, levels_p: Iterable[int]) -> list[int]:
-    """The levels p >= least that are multiples of step, by the suite's filter;
-    a ValueError naming the suite if none is, or, for twisted, if the oracle's
-    sum over j < p/2 at one is too long."""
-    least, step = _LEVEL_FILTERS[suite]
-    kept = [p for p in levels_p if p >= least and p % step == 0]
-    if not kept:
-        raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
-    if suite == "twisted":
-        _require_terms(max(kept) // 2, ("check twisted: level p={}", max(kept)))
-    return kept
+    A genus range below 1 and a genus over the enumeration cap that the sweep
+    would reach, an empty list, a genus or level below the least the suite
+    takes, a level filter that keeps none, an oracle level whose certified sum
+    is too long and a grid larger than ``MAX_RANGE_VALUES`` all raise.
+    """
+    if suite == "integrality":
+        max_genus, max_p = arguments["max_genus"], arguments["max_p"]
+        grid = f"(g, p) with 2 <= g <= {max_genus} and p a multiple of 8 in 8..{max_p}"
+        if max_genus < 2 or max_p < 8:
+            raise ValueError(f"check integrality: no cell {grid}")
+        # the sweep covers the whole grid below the largest genus and level given
+        cells = (max_genus - 1) * (max_p // 8)
+        if cells > MAX_RANGE_VALUES:
+            raise ValueError(f"check integrality: {cells} cells {grid}, more than {MAX_RANGE_VALUES}")
+        return [max_genus, max_p]
+    values = []
+    for keyword, value in arguments.items():
+        if keyword == "max_genus":
+            if value < 1:
+                raise ValueError(f"check {suite}: no genus g with 1 <= g <= {value}")
+            _require_enumerable(range(1, value + 1))
+        elif keyword == "genera":
+            value = list(value)
+            if not value:
+                raise ValueError(f"check {suite}: no genus given")
+            least = 2 if suite in ("traces", "decomp") else 1
+            if min(value) < least:
+                raise ValueError(f"check {suite}: genus must be >= {least}, got {min(value)}")
+        elif keyword == "su2_levels":
+            value = list(value)
+            if not value:
+                raise ValueError("check verlinde: no level given")
+            if min(value) < 0:
+                raise ValueError(f"check verlinde: level must be >= 0, got {min(value)}")
+            # the oracle sums over j < k + 2
+            _require_terms(max(value) + 2, ("check verlinde: level k={}", max(value)))
+        elif keyword == "levels_p":
+            # twisted keeps the even levels from 4, the graded suites the multiples of 8
+            least, step = (4, 2) if suite == "twisted" else (8, 8)
+            value = [p for p in value if p >= least and p % step == 0]
+            if not value:
+                raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
+            if suite == "twisted":
+                # the oracle sums over j < p/2
+                _require_terms(max(value) // 2, ("check twisted: level p={}", max(value)))
+        elif keyword == "max_m":
+            if value < 1:
+                raise ValueError(f"check levels: max_m must be >= 1, got {value}")
+            # the suite walks 1..max_m and 0..2 max_m - 1
+            if value > MAX_RANGE_VALUES:
+                raise ValueError(f"check levels: --max-m {value} is more than {MAX_RANGE_VALUES}")
+        values.append(value)
+    if suite == "traces":
+        # after the level filter: each cell's trace route walks the 2^{2g} classes of its genus
+        _require_enumerable(values[0])
+    return values
 
 
 def _level_major(genera: Sequence[int], levels: Sequence[int], cell: Callable[[int, int], Any]) -> list:
@@ -205,8 +253,9 @@ def _level_major(genera: Sequence[int], levels: Sequence[int], cell: Callable[[i
 # symplectic pairing and character sums
 
 
+@_suite("pairing")
 def check_pairing(max_genus: int = 4) -> list[CheckResult]:
-    _require_genera("pairing", max_genus)
+    _grid("pairing", max_genus=max_genus)
     results = []
     # full bilinearity sweeps are exhaustive only up to genus 3
     for g in range(1, min(max_genus, 3) + 1):
@@ -267,8 +316,9 @@ def brute_character_sum(space: SymplecticF2Space, b: F2Vector) -> int:
     return sum(1 - 2 * space.pair(b, ell) for ell in space.vectors())
 
 
+@_suite("charsum")
 def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
-    _require_genera("charsum", max_genus)
+    _grid("charsum", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -310,8 +360,9 @@ def _quadratic_law(
                 yield f[vw] == fv ^ f[w] ^ pair
 
 
+@_suite("refinement")
 def check_refinements(max_genus: int = 3) -> list[CheckResult]:
-    _require_genera("refinement", max_genus)
+    _grid("refinement", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -358,8 +409,9 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
     return results
 
 
+@_suite("arf")
 def check_arf(max_genus: int = 4) -> list[CheckResult]:
-    _require_genera("arf", max_genus)
+    _grid("arf", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -384,8 +436,9 @@ def check_arf(max_genus: int = 4) -> list[CheckResult]:
     return results
 
 
+@_suite("liftsign")
 def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
-    _require_genera("liftsign", max_genus)
+    _grid("liftsign", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -438,11 +491,11 @@ def _oracle_record(
     return CheckResult(name, passed, f"series {series_value}, oracle {certificate.value}"), certificate
 
 
+@_suite("verlinde")
 def check_verlinde(
     genera: Iterable[int] = range(1, 7), su2_levels: Iterable[int] = range(0, 17)
 ) -> list[CheckResult]:
-    genera = _genera_from("verlinde", genera)
-    su2_levels = _su2_levels_from(su2_levels)
+    genera, su2_levels = _grid("verlinde", genera=genera, su2_levels=su2_levels)
 
     def cell(g: int, k: int) -> CheckResult:
         name = f"verlinde trace = oracle (g={g}, k={k})"
@@ -451,13 +504,11 @@ def check_verlinde(
     return _level_major(genera, su2_levels, cell)
 
 
+@_suite("twisted")
 def check_twisted(
-    genera: Iterable[int] = range(1, 7), levels_p: Iterable[int] | None = None
+    genera: Iterable[int] = range(1, 7), levels_p: Iterable[int] = range(4, 37, 2)
 ) -> list[CheckResult]:
-    genera = _genera_from("twisted", genera)
-    if levels_p is None:
-        levels_p = [2 * (k + 2) for k in range(0, 17)]
-    levels_p = _levels_kept("twisted", levels_p)
+    genera, levels_p = _grid("twisted", genera=genera, levels_p=levels_p)
 
     def cell(g: int, p: int) -> CheckResult:
         name = f"twisted trace = oracle (g={g}, p={p})"
@@ -493,6 +544,7 @@ def _once_per_vector_pair(holds: Callable[[Any, Any], bool]) -> Callable[[Any, A
     return verdict
 
 
+@_suite("projs")
 def check_projections(max_genus: int = 3) -> list[CheckResult]:
     """Idempotence of every P_sigma and orthogonality of every P_(sigma+ell) P_sigma.
 
@@ -503,10 +555,9 @@ def check_projections(max_genus: int = 3) -> list[CheckResult]:
     ell, and once per genus for the squares.  The inputs are cheap to
     build: ``projection`` skips the gcd of (1, ..., 1), which is 1, and
     ``rebase`` reads its signs from a table keyed by ell's dual mask
-    (``heisenberg._signs``).  In process the suite takes about 33 ms at the
-    defaults, against 52-56 ms when each case also recomputed those.
+    (``heisenberg._signs``).
     """
-    _require_genera("projs", max_genus)
+    _grid("projs", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -540,8 +591,9 @@ def check_projections(max_genus: int = 3) -> list[CheckResult]:
     return results
 
 
+@_suite("tracedecomp")
 def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
-    _require_genera("tracedecomp", max_genus)
+    _grid("tracedecomp", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
@@ -566,14 +618,13 @@ def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
 # dimension identities
 
 
+@_suite("traces")
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
     """The trace route of each graded part against the cell's closed form; a
     violation that ``dims_via_traces`` raises fails its record."""
-    genera = _genera_from("traces", genera)
-    levels_p = _levels_kept("traces", levels_p)
-    _require_enumerable(genera)
+    genera, levels_p = _grid("traces", genera=genera, levels_p=levels_p)
 
     def cell(g: int, p: int) -> list[CheckResult]:
         dims = _graded_cell(g, p)[0]
@@ -603,11 +654,11 @@ def _refinement_record(name: str, g: int, p: int, refined: int) -> CheckResult:
     return CheckResult(f"{name} (g={g}, p={p})", refined == unrefined, details)
 
 
+@_suite("decomp")
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
 ) -> list[CheckResult]:
-    genera = _genera_from("decomp", genera)
-    levels_p = _levels_kept("decomp", levels_p)
+    genera, levels_p = _grid("decomp", genera=genera, levels_p=levels_p)
 
     def cell(g: int, p: int) -> tuple[CheckResult, CheckResult]:
         _, refined, odd_total = _graded_cell(g, p)
@@ -624,25 +675,11 @@ def check_decomposition(
     return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
 
 
-def _require_integrality_cells(max_genus: int = 6, max_p: int = 64) -> None:
-    if max_genus < 2 or max_p < 8:
-        raise ValueError(
-            f"check integrality: no cell (g, p) with 2 <= g <= {max_genus} "
-            f"and p a multiple of 8 in 8..{max_p}"
-        )
-    # the sweep covers the whole grid below the largest genus and level given
-    cells = (max_genus - 1) * (max_p // 8)
-    if cells > MAX_RANGE_VALUES:
-        raise ValueError(
-            f"check integrality: {cells} cells (g, p) with 2 <= g <= {max_genus} "
-            f"and p a multiple of 8 in 8..{max_p}, more than {MAX_RANGE_VALUES}"
-        )
-
-
+@_suite("integrality")
 def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
     """Sweep the full grid through ``_level_major``, keeping only the number of
     graded cells; the formulas themselves raise on a non-integral or negative value."""
-    _require_integrality_cells(max_genus, max_p)
+    _grid("integrality", max_genus=max_genus, max_p=max_p)
 
     def cell(g: int, p: int) -> int:
         _graded_cell(g, p)
@@ -662,8 +699,9 @@ def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
 # Heisenberg model
 
 
+@_suite("heisenberg")
 def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
-    _require_genera("heisenberg", max_genus)
+    _grid("heisenberg", max_genus=max_genus)
     results = []
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
@@ -746,14 +784,6 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
 # levels
 
 
-def _require_max_m(max_m: int) -> None:
-    if max_m < 1:
-        raise ValueError(f"check levels: max_m must be >= 1, got {max_m}")
-    # the suite walks 1..max_m and 0..2 max_m - 1
-    if max_m > MAX_RANGE_VALUES:
-        raise ValueError(f"check levels: --max-m {max_m} is more than {MAX_RANGE_VALUES}")
-
-
 def _table_record(name: str) -> CheckResult:
     """The record, named ``name``, that the correspondence table passes its own
     validation: the number of checks it ran, or the first that failed."""
@@ -764,8 +794,9 @@ def _table_record(name: str) -> CheckResult:
     return CheckResult(name, True, f"{len(performed)} checks")
 
 
+@_suite("levels")
 def check_levels(max_m: int = 50) -> list[CheckResult]:
-    _require_max_m(max_m)
+    _grid("levels", max_m=max_m)
     return [
         _counted(
             f"bm/so3/su2/bhmv consistency m<={max_m}",
@@ -794,71 +825,6 @@ def check_levels(max_m: int = 50) -> list[CheckResult]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# registry
-
-
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
-    "pairing": check_pairing,
-    "charsum": check_character_sums,
-    "refinement": check_refinements,
-    "arf": check_arf,
-    "liftsign": check_lift_signs,
-    "verlinde": check_verlinde,
-    "twisted": check_twisted,
-    "projs": check_projections,
-    "tracedecomp": check_trace_decomposition,
-    "traces": check_traces,
-    "decomp": check_decomposition,
-    "integrality": check_integrality,
-    "heisenberg": check_heisenberg,
-    "levels": check_levels,
-}
-
-
-def _grid_check(suite: str, arguments: dict) -> None:
-    """Raise what ``suite`` raises on ``arguments`` before its first cell: each
-    keyword present is checked, in the order in which the suites check them."""
-    if "max_genus" in arguments:
-        _require_genera(suite, arguments["max_genus"])
-    if "genera" in arguments:
-        _genera_from(suite, arguments["genera"])
-    if "su2_levels" in arguments:
-        _su2_levels_from(arguments["su2_levels"])
-    if "levels_p" in arguments:
-        _levels_kept(suite, arguments["levels_p"])
-    if suite == "traces" and "genera" in arguments:
-        # each cell's trace route walks the 2^{2g} classes of its genus
-        _require_enumerable(arguments["genera"])
-    if "max_m" in arguments:
-        _require_max_m(arguments["max_m"])
-
-
-#: For each suite: the ``check`` options it takes, each with the keyword
-#: argument it sets, and the grid check that raises, before the suite runs,
-#: what the suite raises on those arguments when their grid has no cell or
-#: a genus or level below the least the suite takes.
-_OPTIONS: dict[str, tuple[dict[str, str], Callable[[str, dict], None]]] = {
-    "pairing": ({"genus": "max_genus"}, _grid_check),
-    "charsum": ({"genus": "max_genus"}, _grid_check),
-    "refinement": ({"genus": "max_genus"}, _grid_check),
-    "arf": ({"genus": "max_genus"}, _grid_check),
-    "liftsign": ({"genus": "max_genus"}, _grid_check),
-    "verlinde": ({"genus": "genera", "level": "su2_levels"}, _grid_check),
-    "twisted": ({"genus": "genera", "p": "levels_p"}, _grid_check),
-    "projs": ({"genus": "max_genus"}, _grid_check),
-    "tracedecomp": ({"genus": "max_genus"}, _grid_check),
-    "traces": ({"genus": "genera", "p": "levels_p"}, _grid_check),
-    "decomp": ({"genus": "genera", "p": "levels_p"}, _grid_check),
-    "integrality": (
-        {"genus": "max_genus", "p": "max_p"},
-        lambda suite, arguments: _require_integrality_cells(**arguments),
-    ),
-    "heisenberg": ({"genus": "max_genus"}, _grid_check),
-    "levels": ({"max_m": "max_m"}, _grid_check),
-}
-
-
 def run_suite(name: str, **options) -> list[CheckResult]:
     """Run one named suite, or every suite for name = 'all', on the given ``check`` options.
 
@@ -869,7 +835,8 @@ def run_suite(name: str, **options) -> list[CheckResult]:
     suite does not take are ValueErrors, and so is an empty list, before
     any ``max`` is taken, while 'all' passes each suite only the options it
     takes, each list read once.  Every suite's grid is checked before the
-    first suite runs, its size included: a ``max_m`` above
+    first suite runs, by the ``_grid`` that the suite opens with, on the
+    options given over the suite's defaults, its size included: a ``max_m`` above
     ``MAX_RANGE_VALUES`` and an integrality grid of more cells are
     ValueErrors, for a library caller as for the CLI, which reads its bound
     from here.
@@ -880,7 +847,7 @@ def run_suite(name: str, **options) -> list[CheckResult]:
         names = [name]
     else:
         raise ValueError(f"unknown check suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
-    takes = dict.fromkeys(option for suite in names for option in _OPTIONS[suite][0])
+    takes = dict.fromkeys(option for suite in names for option in _OPTIONS[suite])
     unusable = [option for option in options if option not in takes]
     if unusable:
         flags = ["--" + option.replace("_", "-") for option in (unusable[0], *takes)]
@@ -893,12 +860,11 @@ def run_suite(name: str, **options) -> list[CheckResult]:
                 raise ValueError(f"check {name}: no value given for --{option}")
     runs = []
     for suite in names:
-        keywords, grid = _OPTIONS[suite]
         arguments = {
             keyword: max(options[option]) if keyword in ("max_genus", "max_p") else options[option]
-            for option, keyword in keywords.items()
+            for option, keyword in _OPTIONS[suite].items()
             if option in options
         }
-        grid(suite, arguments)
+        _grid(suite, **(_DEFAULTS[suite] | arguments))
         runs.append((suite, arguments))
     return [result for suite, arguments in runs for result in SUITES[suite](**arguments)]

@@ -201,6 +201,12 @@ def _cmd_spin_dims(args) -> int:
     for eps in args.arf:
         if eps not in (0, 1):
             raise ValueError(f"--arf values must be bits, got {eps}")
+    # the genera are sorted: genus 1 is the first cell's unless one below it is
+    if args.genus[:1] == [1] and not args.allow_genus_one:
+        raise ValueError(
+            "spin-dims --genus 1: genus 1 sits outside the moduli-space derivation; "
+            "pass --allow-genus-one to extrapolate"
+        )
 
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""

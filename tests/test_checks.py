@@ -430,6 +430,13 @@ def test_trace_route_output_matches_its_golden(argv, golden, capsys):
     assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / golden).read_bytes())
 
 
+def test_check_all_matches_its_golden(capsys):
+    # byte for byte as `check all` printed it when each suite was written in
+    # the registry, the options table and a grid check besides its own def
+    code = cli.main(["check", "all", "--format", "json"])
+    assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / "check_all.json").read_bytes())
+
+
 class TestSuiteAll:
     def test_default_record_list(self, cli_json):
         # the record list `check all` prints; a dropped or extra record changes it
@@ -502,7 +509,7 @@ class TestSuiteAll:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: check integrality: 625000000 cells {grid.format(10**9)}\n")
         # the bound counts cells, not genera: 5 x 20 000 cells pass, 5 x 20 001 do not
-        checks._require_integrality_cells(6, 8 * 20_000)
+        checks._grid("integrality", max_genus=6, max_p=8 * 20_000)
         with pytest.raises(ValueError, match="^check integrality: 100005 cells "):
             checks.run_suite("all", genus=[6], p=[8 * 20_001])
         with pytest.raises(ValueError, match="^check integrality: 199998 cells "):
@@ -512,11 +519,11 @@ class TestSuiteAll:
 class TestParameters:
     # (option, value) pairs small enough to run every suite that takes them
     SMALL = {"genus": [2], "p": [8], "level": [3], "max_m": 2}
-    PAIRS = [(suite, option) for suite, (takes, _) in checks._OPTIONS.items() for option in takes]
+    PAIRS = [(suite, option) for suite, takes in checks._OPTIONS.items() for option in takes]
 
     def test_parser_takes_exactly_the_table_options(self):
         namespace = cli.build_parser().parse_args(["check", "all"])
-        table = {option for takes, _ in checks._OPTIONS.values() for option in takes}
+        table = {option for takes in checks._OPTIONS.values() for option in takes}
         assert set(vars(namespace)) - {"command", "suite", "format", "out"} == table
 
     @pytest.mark.parametrize("suite, option", PAIRS, ids=[f"{s}-{o}" for s, o in PAIRS])
@@ -572,7 +579,19 @@ class TestParameters:
     def test_every_suite_takes_the_keywords_of_its_options(self):
         # a keyword that no `check` option sets could only ever run at its default
         for name, suite in checks.SUITES.items():
-            assert list(inspect.signature(suite).parameters) == list(checks._OPTIONS[name][0].values()), name
+            assert list(inspect.signature(suite).parameters) == list(checks._OPTIONS[name].values()), name
+
+    @pytest.mark.parametrize("check, error, message", [
+        # a keyword that no option sets could only ever run at its default
+        (lambda max_genus=3, depth=2: [], TypeError, "^check new: no check option sets the keyword 'depth'$"),
+        # `check all` runs every suite with no argument
+        (lambda max_genus: [], ValueError, "shorter"),
+    ])
+    def test_a_suite_is_refused_before_registration(self, check, error, message):
+        before = dict(checks.SUITES), dict(checks._OPTIONS), dict(checks._DEFAULTS)
+        with pytest.raises(error, match=message):
+            checks._suite("new")(check)
+        assert (checks.SUITES, checks._OPTIONS, checks._DEFAULTS) == before
 
     @pytest.mark.parametrize("suite, arguments, message", [
         (checks.check_verlinde, {"genera": []}, "check verlinde: no genus given"),

@@ -416,12 +416,27 @@ class TestSpinDimsCommand:
     def test_genus_one_requires_flag(self, capsys):
         code, _, err = run_cli(capsys, "spin-dims", "--genus", "1", "--p", "8")
         assert code == 2
-        assert "allow_genus_one" in err
+        assert "--allow-genus-one" in err
         code, payload, _ = run_json(
             capsys, "spin-dims", "--genus", "1", "--p", "8", "--allow-genus-one"
         )
         assert code == 0
         assert all(r.get("extrapolated") for r in payload["rows"])
+
+    GENUS_ONE = (
+        "error: spin-dims --genus 1: genus 1 sits outside the moduli-space derivation; "
+        "pass --allow-genus-one to extrapolate\n"
+    )
+
+    @pytest.mark.parametrize("argv, message", [
+        # the CLI option, not the library's keyword allow_genus_one
+        (("--genus", "1", "--p", "8"), GENUS_ONE),
+        (("--genus", "1..3", "--so3-level", "1", "--format", "json"), GENUS_ONE),
+        # a genus below 1 is the first cell's error still
+        (("--genus", "0,1", "--p", "8"), "error: genus must be a positive integer, got 0\n"),
+    ])
+    def test_genus_one_refusal_names_the_flag(self, argv, message, capsys):
+        assert run_cli(capsys, "spin-dims", *argv) == (2, "", message)
 
     def test_so3_level_input_default_convention(self, capsys):
         code, payload, _ = run_json(capsys, "spin-dims", "--genus", "2", "--so3-level", "1")
