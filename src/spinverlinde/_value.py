@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 # bound once, so that a store or a trusted constructor in a hot loop
 # skips the lookup of the attribute on ``object`` at every call
 _new = object.__new__
@@ -17,15 +19,18 @@ class Value:
     ``vars()``, ``pickle`` and ``copy`` see them.  Assigning or deleting an
     attribute raises AttributeError.  ``==`` holds between instances of one
     class with equal fields, ``hash`` is the hash of the tuple of fields, and
-    ``repr`` reads ``Name(field=value, ...)``.  A class compared in a hot
-    loop spells out ``__eq__`` and ``__hash__`` with plain attribute loads.
+    ``repr`` reads ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", {}))
+        # the tuple of fields; attrgetter reads them at C level, but of a single
+        # name it returns the bare value, whose hash is not that of the tuple
+        key = attrgetter(*fields)
+        cls._key = staticmethod(key if len(fields) > 1 else lambda record: (key(record),))
 
     def _store(self, **fields) -> None:
         # object.__setattr__ (as _setattr), not a write to __dict__, which would
@@ -34,16 +39,14 @@ class Value:
         for name, value in fields.items():
             _setattr(self, name, value)
 
-    def _field_values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._field_values() == other._field_values()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._field_values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -14,12 +14,12 @@ from typing import Iterable, Iterator
 from ._value import Value, _new, _setattr
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
-#: is permitted by default (2^12 = 4096 vectors at the cap).
+#: is permitted (2^12 = 4096 vectors at the cap).
 DEFAULT_ENUMERATION_CAP = 6
 
 
 class EnumerationCapError(ValueError):
-    """A brute-force sweep would exceed the configured genus cap."""
+    """A brute-force sweep would exceed the enumeration cap."""
 
 
 def _a_positions_mask(genus: int) -> int:
@@ -49,8 +49,12 @@ class F2Vector(Value):
         return vector
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        try:
+            other_dim = other.dim
+        except AttributeError:
+            return NotImplemented
+        if self.dim != other_dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other_dim}")
         return F2Vector._trusted(self.bits ^ other.bits, self.dim)
 
     __xor__ = __add__
@@ -91,22 +95,12 @@ class SymplecticF2Space(Value):
     """
 
     genus: int
-    enumeration_cap: int
 
-    def __init__(self, genus: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    def __init__(self, genus: int) -> None:
         if genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus}")
         # _a_mask is read by every pairing and refinement evaluation; it is not a field
-        self._store(genus=genus, enumeration_cap=enumeration_cap, _a_mask=_a_positions_mask(genus))
-
-    # equality and hash go by the genus alone, not the enumeration cap
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.genus == other.genus
-
-    def __hash__(self) -> int:
-        return hash((self.genus,))
+        self._store(genus=genus, _a_mask=_a_positions_mask(genus))
 
     @property
     def dimension(self) -> int:
@@ -171,9 +165,9 @@ class SymplecticF2Space(Value):
 
     def _check_enumeration_cap(self) -> None:
         """Refuse anything that walks or stores all 2^{2g} vectors above the cap."""
-        if self.genus > self.enumeration_cap:
+        if self.genus > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"genus {self.genus} exceeds enumeration cap {self.enumeration_cap}"
+                f"genus {self.genus} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
 
     def vectors(self) -> Iterator[F2Vector]:

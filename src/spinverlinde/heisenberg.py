@@ -29,8 +29,7 @@ ell (see ``_signs``) and moves the reference through that same mask.
 structure from a table of 64 sign vectors keyed by (spin structure, w2)
 (see ``_lift_signs``), so the trace route evaluates each sign once per
 (sigma, w2) rather than once per trace: 4284 + 5424 evaluations in the
-``tracedecomp`` and ``traces`` suites at their defaults instead of
-17 136 + 21 696.
+``tracedecomp`` and ``traces`` suites at their defaults.
 """
 
 from __future__ import annotations
@@ -149,6 +148,8 @@ class TwistedAlgebraElement:
         return same_scale and self.numerators == other.numerators
 
     def __add__(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
+        if not isinstance(other, TwistedAlgebraElement):
+            return NotImplemented
         self._require_same_spin(other)
         denominator = math.lcm(self.denominator, other.denominator)
         left, right = denominator // self.denominator, denominator // other.denominator
@@ -159,6 +160,8 @@ class TwistedAlgebraElement:
         return self._reduced(self.spin, [-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
+        if not isinstance(other, TwistedAlgebraElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -308,7 +311,11 @@ class HeisenbergElement(Value):
         symplectic pairing.  It is not symmetric; its antisymmetrization is
         <v, w>, which is what makes the extension genuinely non-commutative.
         """
-        v, w = self.vector, other.vector
+        try:
+            w = other.vector
+        except AttributeError:
+            return NotImplemented
+        v = self.vector
         dim = v.dim
         if dim != w.dim:
             raise ValueError("dimension mismatch between Heisenberg elements")
@@ -329,9 +336,9 @@ def _element(central: int, bits: int, dim: int) -> HeisenbergElement:
     """The element (central, F2Vector(bits, dim)), built once while it stays in the table.
 
     4096 entries hold every element up to genus 5.  Building the vector and
-    the element through ``object.__setattr__`` cost more than the cocycle:
-    a genus-3 product took 1.29 us when it built them and takes 0.34 us
-    through the table (timeit, best of 5, 2-vCPU machine, Python 3.11).
+    the element through ``object.__setattr__`` costs more than the cocycle;
+    a genus-3 product takes 0.34 us through the table (timeit, best of 5,
+    2-vCPU machine, Python 3.11).
     """
     element = _new(HeisenbergElement)
     _setattr(element, "central", central)
@@ -404,14 +411,6 @@ class MonomialMatrix(Value):
     def phases(self) -> tuple[int, ...]:
         return tuple([image & 3 for image in self.images[::4]])
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.columns, self.phases))
-
     def __repr__(self) -> str:
         return f"MonomialMatrix(columns={self.columns!r}, phases={self.phases!r})"
 
@@ -430,7 +429,11 @@ class MonomialMatrix(Value):
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         # each point goes through self's map, then through other's
-        images, other_images = self.images, other.images
+        try:
+            other_images = other.images
+        except AttributeError:
+            return NotImplemented
+        images = self.images
         if len(images) != len(other_images):
             raise ValueError(
                 f"size mismatch: {len(images) >> 2} x {len(other_images) >> 2} monomial matrices"
@@ -452,9 +455,7 @@ class MonomialMatrix(Value):
         return sum(re for re, _ in fixed), sum(im for _, im in fixed)
 
 
-def heisenberg_rep(
-    h: HeisenbergElement, representation_cap: int = DEFAULT_REPRESENTATION_CAP
-) -> MonomialMatrix:
+def heisenberg_rep(h: HeisenbergElement) -> MonomialMatrix:
     """The 2^g-dimensional monomial representation of a Heisenberg element.
 
     On functions f : GF(2)^g -> C the vector part acts by
@@ -464,8 +465,10 @@ def heisenberg_rep(
     entries in {+/-1, +/-i}.
     """
     genus = h.vector.dim // 2
-    if genus > representation_cap:
-        raise ValueError(f"genus {genus} exceeds the representation cap {representation_cap}")
+    if genus > DEFAULT_REPRESENTATION_CAP:
+        raise ValueError(
+            f"genus {genus} exceeds the representation cap {DEFAULT_REPRESENTATION_CAP}"
+        )
     xs = range(1 << genus)
     a_bits = _compressed_part(h.vector, 0)
     b_bits = _compressed_part(h.vector, 1)

@@ -9,11 +9,7 @@ orbits under the symplectic group and doubles as the mod-2 index of the
 Dirac operator of the corresponding spin structure.
 
 ``QuadraticRefinement._value`` is the one spelling of q on a bit mask, which
-``evaluate`` and the lift signs call.  The refinement keeps its own
-``__eq__`` and ``__hash__``, with plain attribute loads, because they pay a
-little: ``check all`` compares 4911 pairs of refinements, and the generic
-``Value`` pair costs about 1.4 us more per comparison, about 7 ms or 1-2% of
-the suites (timed in process on a 2-vCPU machine, Python 3.11).
+``evaluate`` and the lift signs call.
 """
 
 from __future__ import annotations
@@ -41,14 +37,6 @@ class QuadraticRefinement(Value):
                 f"basis_values {basis_values} out of range for dimension {space.dimension}"
             )
         self._store(space=space, basis_values=basis_values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.basis_values == other.basis_values and self.space == other.space
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.basis_values))
 
     @classmethod
     def _trusted(cls, space: SymplecticF2Space, basis_values: int) -> "QuadraticRefinement":

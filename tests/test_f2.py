@@ -117,11 +117,6 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             next(space.vectors())
 
-    def test_cap_override(self):
-        space = SymplecticF2Space(2, enumeration_cap=1)
-        with pytest.raises(EnumerationCapError):
-            next(space.vectors())
-
 
 class TestCharacterSum:
     def test_zero_class_gives_group_order(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -103,6 +104,30 @@ def assert_lowest_terms(x):
 def g1():
     space = SymplecticF2Space(1)
     return space, QuadraticRefinement.canonical(space, 0)
+
+
+def projection_g1():
+    return projection(QuadraticRefinement(SymplecticF2Space(1), 0))
+
+
+# per case: the left operand's class, the operator, and the operation with an int on the right
+OTHER_TYPE_OPERANDS = [
+    ("F2Vector", "+", lambda: F2Vector(1, 2) + 1),
+    ("F2Vector", "^", lambda: F2Vector(1, 2) ^ 1),
+    ("HeisenbergElement", "*", lambda: HeisenbergGroup(1).identity * 1),
+    ("MonomialMatrix", "@", lambda: MonomialMatrix.identity(2) @ 1),
+    ("TwistedAlgebraElement", "+", lambda: projection_g1() + 1),
+    ("TwistedAlgebraElement", "-", lambda: projection_g1() - 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name, symbol, operation", [pytest.param(*case, id=" ".join(case[:2])) for case in OTHER_TYPE_OPERANDS]
+)
+def test_an_operand_of_another_type_raises_type_error(name, symbol, operation):
+    message = rf"^unsupported operand type\(s\) for {re.escape(symbol)}: '{name}' and 'int'$"
+    with pytest.raises(TypeError, match=message):
+        operation()
 
 
 class TestAlgebraElements:
@@ -263,12 +288,6 @@ class TestAlgebraElements:
             tracemalloc.stop()
         # 2^40 entries would be terabytes; the guard fires first
         assert peak < 1 << 20
-
-    def test_dense_element_honours_a_lowered_cap(self):
-        space = SymplecticF2Space(2, enumeration_cap=1)
-        sigma = QuadraticRefinement.canonical(space, 0)
-        with pytest.raises(EnumerationCapError):
-            TwistedAlgebraElement.zero(sigma)
 
 
 class TestRebase:
@@ -712,9 +731,10 @@ class TestHeisenbergRep:
                 assert sum(entry != (0, 0) for entry in row) == 1
 
     def test_representation_cap(self):
-        group = HeisenbergGroup(4)
-        with pytest.raises(ValueError, match="cap"):
-            heisenberg_rep(group.identity, representation_cap=3)
+        # the cap is checked before any of the 2^11 rows is built
+        group = HeisenbergGroup(heisenberg.DEFAULT_REPRESENTATION_CAP + 1)
+        with pytest.raises(ValueError, match="^genus 11 exceeds the representation cap 10$"):
+            heisenberg_rep(group.identity)
 
     def test_monomial_matrix_validated(self):
         with pytest.raises(ValueError, match="one entry per row"):
