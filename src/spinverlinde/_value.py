@@ -14,8 +14,9 @@ class Value:
     """An immutable record, compared, hashed and shown by its fields.
 
     A subclass names its fields by annotating them in its class body, in
-    order.  Its ``__init__`` validates the arguments and then stores them
-    with ``_store``; the fields live in the instance ``__dict__``, so
+    order, after the fields of the record class it extends.  Its
+    ``__init__`` validates the arguments and then stores them with
+    ``_store``; the fields live in the instance ``__dict__``, so
     ``vars()``, ``pickle`` and ``copy`` see them.  Assigning or deleting an
     attribute raises AttributeError.  ``==`` holds between instances of one
     class with equal fields, ``hash`` is the hash of the tuple of fields, and
@@ -26,7 +27,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", {}))
         # the tuple of fields; attrgetter reads them at C level, but of a single
         # name it returns the bare value, whose hash is not that of the tuple
         key = attrgetter(*fields)

@@ -37,7 +37,7 @@ class IntegralityError(ArithmeticError):
     """A dimension formula produced a non-integral or negative value.
 
     This signals a level-convention bug, never a rounding situation; the
-    message carries every input so the offending convention is visible.
+    message carries every input and names the level p the formula read.
     """
 
 
@@ -182,39 +182,23 @@ def corollary_bases(g: int, k: int, convention: str = "bm") -> tuple[int, int, i
 
 
 def corollary_dims(
-    g: int,
-    k: int,
-    eps: int,
-    base_even: int | None = None,
-    base_odd: int | None = None,
-    correction_base: int | None = None,
-    *,
-    convention: str = "bm",
-    allow_genus_one: bool = False,
+    g: int, k: int, eps: int, *, convention: str = "bm", allow_genus_one: bool = False
 ) -> GradedDimension:
-    """Graded dimensions from explicitly supplied base dimensions.
+    """Graded dimensions at the level p that ``convention`` pairs with the
+    integer level k, by ``bm_even_dim`` and ``bm_odd_dim``.
 
-    Callers may pass the bases directly to exercise any reading of the
-    level conventions; omitted values are resolved by ``corollary_bases``
-    under ``convention``.  Under the default binding this coincides with
-    ``bm_even_dim`` / ``bm_odd_dim``.
+    The genus and eps are checked first, under this function's name; the
+    level p is ``_level_p(k, convention)``, which refuses an unknown
+    convention and a k the convention does not pair.  A non-integral or
+    negative value raises the IntegralityError of ``bm_even_dim`` or
+    ``bm_odd_dim``, which names the level p they read.
     """
     where = "corollary_dims(g={}, k={}, eps={}, convention={!r})", g, k, eps, convention
     _require_genus(g, allow_genus_one, where)
     _require_bit(eps, "eps", where)
-    if base_even is None or base_odd is None or correction_base is None:
-        resolved = corollary_bases(g, k, convention)
-        base_even = resolved[0] if base_even is None else base_even
-        base_odd = resolved[1] if base_odd is None else base_odd
-        correction_base = resolved[2] if correction_base is None else correction_base
-    where = (
-        "corollary_dims(g={}, k={}, eps={}, convention={!r}) [bases ({}, {}), correction base {}]",
-        g, k, eps, convention, base_even, base_odd, correction_base,
-    )
-    return GradedDimension(
-        even=_exact_quotient(_numerator(g, eps, base_even, 1, correction_base), g, where),
-        odd=_exact_quotient(_numerator(g, eps, base_odd, -1, correction_base), g, where),
-    )
+    p = _level_p(k, convention)
+    flag = {"allow_genus_one": allow_genus_one}
+    return GradedDimension(bm_even_dim(g, p, eps, **flag), bm_odd_dim(g, p, eps, **flag))
 
 
 def dims_via_traces(

@@ -114,7 +114,7 @@ class TwistedAlgebraElement:
     def symbol(cls, spin: QuadraticRefinement, z: F2Vector, coefficient=1) -> "TwistedAlgebraElement":
         """The single symbol coefficient * [Z]."""
         spin.space._check_member(z)
-        return cls(spin, {z.bits: Fraction(coefficient)})
+        return cls(spin, {z.bits: coefficient})
 
     @classmethod
     def zero(cls, spin: QuadraticRefinement) -> "TwistedAlgebraElement":

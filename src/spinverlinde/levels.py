@@ -45,6 +45,8 @@ class LevelValue(Value):
     value: int
 
     def __init__(self, lattice: Lattice, value: int) -> None:
+        if not isinstance(value, int):
+            raise TypeError(f"levels are integers, got {type(value).__name__} {value!r}")
         if lattice is Lattice.BM and not _is_bm_level(value):
             raise ValueError(f"BM levels are positive multiples of 8, got {value}")
         if lattice is Lattice.BHMV and value <= 0:
@@ -89,7 +91,7 @@ def bm_level(p: int) -> LevelValue:
 
 
 def _coerce(level: LevelValue | int, lattice: Lattice) -> LevelValue:
-    if isinstance(level, int):
+    if not isinstance(level, LevelValue):
         return LevelValue(lattice, level)
     level._require(lattice, "conversion")
     return level

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from _acceptance_report import criterion
+from spinverlinde import dimensions
 from spinverlinde.dimensions import (
     IntegralityError,
     bm_even_dim,
@@ -197,7 +198,9 @@ def test_criterion_11_integrality_sweep():
                     odd = bm_odd_dim(g, p, eps)
                     assert isinstance(even, int) and even >= 0
                     assert isinstance(odd, int) and odd >= 0
-        with pytest.raises(IntegralityError) as excinfo:
-            corollary_dims(2, 1, 0, base_even=11, base_odd=6, correction_base=2)
-        assert "convention='bm'" in str(excinfo.value)
+        # a base off by one: 11 + 2 * 3 = 17 is not divisible by 16
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(IntegralityError) as excinfo:
+            patch.setattr(dimensions, "verlinde_dim", lambda g, k: 11)
+            corollary_dims(2, 1, 0)
+        assert "p=8" in str(excinfo.value)
         assert "11" in str(excinfo.value)

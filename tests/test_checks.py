@@ -130,6 +130,18 @@ class TestCountedDetails:
         assert not record.passed
         assert record.details == "4 vectors b; first counterexample b mask = 3"
 
+    def test_character_sum_records_read_the_enumerated_sums(self, monkeypatch):
+        # a pairing broken at the one pair (a1, a1): the brute-force sum at b = a1
+        # reads -2, and the dichotomy fails there as the closed form does
+        honest = SymplecticF2Space.pair
+        monkeypatch.setattr(SymplecticF2Space, "pair", lambda self, v, w: honest(self, v, w) ^ (v.bits == w.bits == 1))
+        records = checks.check_character_sums(max_genus=2)
+        assert [(r.name, r.passed, r.details) for r in records] == [
+            (f"character sum {law} g={g}", False, "2 vectors b; first counterexample b mask = 1")
+            for g in (1, 2)
+            for law in ("closed form = brute force", "dichotomy")
+        ]
+
     def test_lift_sign_counts(self):
         details = {r.name: r.details for r in checks.check_lift_signs(max_genus=2)}
         assert details["lift sign sum identity g=2 w2=1"] == (

@@ -859,6 +859,7 @@ class TestCheckCommand:
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+GOLDEN = Path(__file__).parent / "golden"
 
 #: The benchmark's workloads: name, argv without ``--format`` and the row fields the harness compares.
 WORKLOADS = [
@@ -920,6 +921,15 @@ class TestBenchmarkReferences:
             (c["name"], c["passed"]) for c in reference["checks"]
         ]
 
+    @pytest.mark.parametrize("workload, golden", [
+        ("sweep", "verlinde_genus2-8_24_level0-48.json"),
+        ("spin-table", "spin_dims_genus2-10_p8-128.json"),
+    ])
+    def test_workload_output_matches_its_golden(self, workload, golden, capsys):
+        # the whole output byte for byte: values, certificates, records and params
+        argv = next(argv for name, argv, _ in WORKLOADS if name == workload)
+        code = main([*argv, "--format", "json"])
+        assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / golden).read_bytes())
 
     def test_sweep_certificates_are_pinned(self, cli_json):
         # the precision of every sweep certificate; the reference holds no

@@ -1,6 +1,6 @@
 import pytest
 
-from spinverlinde import dimensions
+from spinverlinde import dimensions, fusion
 from spinverlinde.dimensions import (
     GradedDimension,
     IdentityViolationError,
@@ -88,12 +88,17 @@ class TestSpinCsDims:
 
 class TestCorollaryDims:
     def test_explicit_bases_match_bm(self):
-        assert corollary_dims(2, 1, 0, 10, 6, 2) == GradedDimension(1, 0)
-        assert corollary_dims(2, 1, 1, 10, 6, 2) == GradedDimension(0, 1)
+        # given bases reach the same formula through the trace route, with lambda_rho = p/4 - 1
+        assert corollary_dims(2, 1, 0) == GradedDimension(1, 0) == GradedDimension(
+            dims_via_traces(2, 0, 10, 1, 0), dims_via_traces(2, 0, 6, 1, 1)
+        )
+        assert corollary_dims(2, 1, 1) == GradedDimension(0, 1) == GradedDimension(
+            dims_via_traces(2, 1, 10, 1, 0), dims_via_traces(2, 1, 6, 1, 1)
+        )
 
     def test_explicit_level_sixteen(self):
-        dims = corollary_dims(2, 3, 0, 84, twisted_dim(2, 16), 4)
-        assert dims.even == 6
+        assert corollary_dims(2, 3, 0).even == dims_via_traces(2, 0, 84, 3, 0) == 6
+        assert corollary_dims(2, 2, 0, convention="corollary") == corollary_dims(2, 3, 0)
 
     def test_default_binding_coincides_with_bm(self):
         for g in (2, 3):
@@ -126,14 +131,19 @@ class TestCorollaryDims:
         with pytest.raises(ValueError, match="convention"):
             corollary_bases(2, 1, "other")
 
-    def test_non_integral_raises_with_convention(self):
-        with pytest.raises(IntegralityError, match="convention='bm'"):
-            corollary_dims(2, 1, 0, 11, 6, 2)
+    def test_non_integral_raises_with_convention(self, monkeypatch):
+        # a base off by one: the message names the level p each convention pairs k with
+        monkeypatch.setattr(dimensions, "verlinde_dim", lambda g, k: fusion.verlinde_dim(g, k) + 1)
+        with pytest.raises(IntegralityError, match=r"^bm_even_dim\(g=2, p=8, eps=0\) \[base dim 11\]"):
+            corollary_dims(2, 1, 0)
+        with pytest.raises(IntegralityError, match=r"^bm_even_dim\(g=2, p=16, eps=0\) \[base dim 85\]"):
+            corollary_dims(2, 2, 0, convention="corollary")
 
-    def test_negative_raises(self):
-        # odd part (2 - 6 * 3) / 16 = -1: exactly divisible but negative
+    def test_negative_raises(self, monkeypatch):
+        # odd part (-10 - 2 * 3) / 16 = -1: exactly divisible but negative
+        monkeypatch.setattr(dimensions, "twisted_dim", lambda g, p: -10)
         with pytest.raises(IntegralityError, match="negative"):
-            corollary_dims(2, 1, 0, 30, 2, 6)
+            corollary_dims(2, 1, 0)
 
     def test_base_past_the_str_digit_limit(self, monkeypatch):
         # a 5001-digit base, past CPython's default limit of 4300 digits for

@@ -130,30 +130,25 @@ class TestIntegralityErrors:
             sum_over_spin(2, 8)
 
     def test_corollary(self, base_off_by_one):
-        # bases (10 + 1, 6), term 2 * 3 = 6: 11 + 6 = 17
+        # corollary_dims evaluates bm_even_dim at the level p = 8 that k = 1 pairs with
         with raises_exactly(
-            IntegralityError,
-            "corollary_dims(g=2, k=1, eps=0, convention='bm') [bases (11, 6), correction base 2]: "
-            "numerator 17 is not divisible by 2^4",
+            IntegralityError, "bm_even_dim(g=2, p=8, eps=0) [base dim 11]: numerator 17 is not divisible by 2^4"
         ):
             corollary_dims(2, 1, 0)
 
     def test_corollary_odd_part(self, twisted_base_off_by_one):
-        # 6 + 1 - 6 = 1
+        # 44 + 1 - 4 * 3 = 33, at the level p = 16 that k = 2 pairs with under "corollary"
         with raises_exactly(
-            IntegralityError,
-            "corollary_dims(g=2, k=1, eps=0, convention='bm') [bases (10, 7), correction base 2]: "
-            "numerator 1 is not divisible by 2^4",
+            IntegralityError, "bm_odd_dim(g=2, p=16, eps=0) [twisted base dim 45]: numerator 33 is not divisible by 2^4"
+        ):
+            corollary_dims(2, 2, 0, convention="corollary")
+
+    def test_corollary_negative(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "twisted_dim", lambda g, p: -10)
+        with raises_exactly(
+            IntegralityError, "bm_odd_dim(g=2, p=8, eps=0) [twisted base dim -10]: dimension came out negative (-1)"
         ):
             corollary_dims(2, 1, 0)
-
-    def test_corollary_negative(self):
-        with raises_exactly(
-            IntegralityError,
-            "corollary_dims(g=2, k=1, eps=0, convention='bm') [bases (30, 2), correction base 6]: "
-            "dimension came out negative (-1)",
-        ):
-            corollary_dims(2, 1, 0, 30, 2, 6)
 
     def test_dims_via_traces(self):
         # base_dim 10 + 1 off by one: 11 + 6 = 17

@@ -170,6 +170,9 @@ class TestAlgebraElements:
         space, sigma = g1
         with pytest.raises(TypeError):
             TwistedAlgebraElement(sigma, {0: 0.5})
+        # a symbol too, which must not read 0.1 as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="^coefficients must be exact rationals, got float$"):
+            TwistedAlgebraElement.symbol(sigma, space.basis_a(1), 0.1)
 
     def test_support_outside_group_rejected(self, g1):
         space, sigma = g1

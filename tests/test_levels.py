@@ -39,6 +39,22 @@ class TestLevelValues:
         with pytest.raises(ValueError, match=rf"\A{name} levels are non-negative integers, got -1\Z"):
             LevelValue(lattice, -1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: so3_level(2.5),
+            lambda: LevelValue(Lattice.SO3, 2.5),
+            lambda: bm_level(8.0),
+            lambda: beta_pullback(1.5),
+            lambda: bm_from_so3(3.0),
+            lambda: su2_from_bhmv("8"),
+        ],
+        ids=["so3_level", "LevelValue", "bm_level", "beta_pullback", "bm_from_so3", "su2_from_bhmv"],
+    )
+    def test_non_integer_levels_rejected(self, build):
+        with pytest.raises(TypeError, match=r"^levels are integers, got "):
+            build()
+
     def test_same_lattice_arithmetic(self):
         assert so3_level(1) + so3_level(2) == so3_level(3)
 

@@ -131,6 +131,22 @@ def test_copies_round_trip(cls, clone):
         setattr(twin, RECORDS[cls][2][0], 0)
 
 
+def test_a_subclass_keeps_its_parents_fields():
+    class Tagged(F2Vector):
+        pass
+
+    class Labelled(F2Vector):
+        label: str
+
+    tagged = Tagged(5, 4)
+    assert Tagged._fields == ("bits", "dim") and Labelled._fields == ("bits", "dim", "label")
+    assert tagged == Tagged(5, 4) and tagged != Tagged(6, 4)
+    assert hash(tagged) == hash((5, 4)) == hash(F2Vector(5, 4))
+    # equal fields, another class: never equal, either way round
+    assert tagged != F2Vector(5, 4) and F2Vector(5, 4) != tagged
+    assert repr(tagged).endswith("Tagged(bits=5, dim=4)")
+
+
 def test_keyword_and_default_construction():
     assert GradedDimension(even=1, odd=0) == GradedDimension(1, 0)
     assert GradedDimension(even=1, odd=0).total == 1
