@@ -10,6 +10,12 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
+def _require_int(value, kind: str) -> None:
+    """Refuse with TypeError a value that is not an int, or is a bool: ``<kind> are integers, got ...``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{kind} are integers, got {type(value).__name__} {value!r}")
+
+
 class Value:
     """An immutable record, compared, hashed and shown by its fields.
 

@@ -145,10 +145,9 @@ def _emit(args, command: str, params: dict, rows: list[dict], results: list[Chec
         headers = list(dict.fromkeys(key for row in rows for key in row))
         buffer = io.StringIO()
         if args.format == "csv":
-            if rows:
-                writer = csv.DictWriter(buffer, fieldnames=headers, restval="")
-                writer.writeheader()
-                writer.writerows(rows)
+            writer = csv.DictWriter(buffer, fieldnames=headers, restval="")
+            writer.writeheader()
+            writer.writerows(rows)
         else:
             _emit_text(headers, payload, buffer)
         rendered = buffer.getvalue()
@@ -303,8 +302,8 @@ def _cmd_levels(args) -> int:
 # parser setup
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv")) -> None:
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
 
@@ -342,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=_parse_int_range, default=None)
     p_check.add_argument("--level", type=_parse_int_range, default=None)
     p_check.add_argument("--max-m", type=int, default=None)
-    _add_common(p_check)
+    # CSV holds rows only, and a check prints none
+    _add_common(p_check, formats=("text", "json"))
 
     p_levels = sub.add_parser("levels", help="level lattice conversions and the residue table")
     p_levels.add_argument("--so3", type=int, default=None)

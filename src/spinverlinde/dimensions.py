@@ -20,7 +20,7 @@ projection P_sigma, insisting the two agree exactly.  Every formula calls
 
 from __future__ import annotations
 
-from ._value import Value
+from ._value import Value, _require_int
 from .f2 import SymplecticF2Space
 from .fusion import _label, twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
@@ -154,10 +154,12 @@ def _level_p(k: int, convention: str) -> int:
 
     "bm": k positive and odd, p = 4(k+1) by ``bm_from_so3``; "corollary": k
     non-negative and even, p = 4(k+2), the bm pairing after the metaplectic
-    shift k -> k + 1.
+    shift k -> k + 1.  A k that is not an int, or is a bool, is refused as
+    ``LevelValue`` refuses it, before the shift turns a bool into an int.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    _require_int(k, "levels")
     if not _pairs(k, convention):
         levels = "positive odd" if convention == "bm" else "non-negative even"
         raise ValueError(f"convention {convention!r} pairs only {levels} levels, got k={k}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._value import Value, _new, _setattr
+from ._value import Value, _new, _require_int, _setattr
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
 #: is permitted (2^12 = 4096 vectors at the cap).
@@ -34,6 +34,8 @@ class F2Vector(Value):
     dim: int
 
     def __init__(self, bits: int, dim: int) -> None:
+        _require_int(bits, "bit masks")
+        _require_int(dim, "dimensions")
         if dim <= 0 or dim % 2:
             raise ValueError(f"dimension must be a positive even integer, got {dim}")
         if not 0 <= bits < (1 << dim):

@@ -40,7 +40,7 @@ from functools import lru_cache
 from operator import add, itemgetter, mul, sub
 from typing import Iterator
 
-from ._value import Value, _new, _setattr
+from ._value import Value, _new, _require_int, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 from .spin import QuadraticRefinement, _check_w2_bits, _lift_sign
 
@@ -300,6 +300,9 @@ class HeisenbergElement(Value):
     vector: F2Vector
 
     def __init__(self, central: int, vector: F2Vector) -> None:
+        _require_int(central, "central parts")
+        if not isinstance(vector, F2Vector):
+            raise TypeError(f"vectors are F2Vectors, got {type(vector).__name__} {vector!r}")
         if not 0 <= central < 4:
             raise ValueError(f"central part must be reduced mod 4, got {central}")
         self._store(central=central, vector=vector)

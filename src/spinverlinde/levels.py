@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Value
+from ._value import Value, _require_int
 
 
 class Lattice(Enum):
@@ -45,8 +45,7 @@ class LevelValue(Value):
     value: int
 
     def __init__(self, lattice: Lattice, value: int) -> None:
-        if not isinstance(value, int):
-            raise TypeError(f"levels are integers, got {type(value).__name__} {value!r}")
+        _require_int(value, "levels")
         if lattice is Lattice.BM and not _is_bm_level(value):
             raise ValueError(f"BM levels are positive multiples of 8, got {value}")
         if lattice is Lattice.BHMV and value <= 0:

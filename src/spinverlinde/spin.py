@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._value import Value, _new, _setattr
+from ._value import Value, _new, _require_int, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 
 
@@ -32,6 +32,7 @@ class QuadraticRefinement(Value):
     basis_values: int
 
     def __init__(self, space: SymplecticF2Space, basis_values: int) -> None:
+        _require_int(basis_values, "basis values")
         if not 0 <= basis_values < (1 << space.dimension):
             raise ValueError(
                 f"basis_values {basis_values} out of range for dimension {space.dimension}"

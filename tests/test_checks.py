@@ -4,7 +4,6 @@ import inspect
 import itertools
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -414,39 +413,6 @@ class TestSharedSubResults:
     def test_verdicts_out_of_step_with_the_cases_raise(self):
         with pytest.raises(ValueError):
             checks._counted("short", range(3), iter([True, True]), "cases n", "n")
-
-
-GOLDEN = Path(__file__).parent / "golden"
-
-
-@pytest.mark.parametrize("suite", ["pairing", "refinement", "liftsign", "projs", "heisenberg"])
-def test_genus_four_output_matches_its_golden(suite, capsys):
-    # the records past the genus 3 of `check all`, byte for byte as the per-case
-    # closures printed them before the GF(2) suites read tables of values, and
-    # as the projections and the Heisenberg model printed them before their
-    # operands came from the trusted builders and the sign table of rebase
-    code = cli.main(["check", suite, "--genus", "4", "--format", "json"])
-    golden = (GOLDEN / f"check_{suite}_genus4.json").read_bytes()
-    assert (code, capsys.readouterr().out.encode()) == (0, golden)
-
-
-@pytest.mark.parametrize("argv, golden", [
-    # past the 64 sign tables of the trace route: 1024 spin structures at genus 5
-    (["check", "tracedecomp", "--genus", "5"], "check_tracedecomp_genus5.json"),
-    (["check", "traces", "--genus", "2..6", "--p", "8..64"], "check_traces_genus2-6.json"),
-])
-def test_trace_route_output_matches_its_golden(argv, golden, capsys):
-    # byte for byte as the trace route printed them when it evaluated every
-    # lift sign on every call, and tracedecomp walked sigma innermost
-    code = cli.main([*argv, "--format", "json"])
-    assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / golden).read_bytes())
-
-
-def test_check_all_matches_its_golden(capsys):
-    # byte for byte as `check all` printed it when each suite was written in
-    # the registry, the options table and a grid check besides its own def
-    code = cli.main(["check", "all", "--format", "json"])
-    assert (code, capsys.readouterr().out.encode()) == (0, (GOLDEN / "check_all.json").read_bytes())
 
 
 class TestSuiteAll:

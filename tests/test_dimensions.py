@@ -131,6 +131,13 @@ class TestCorollaryDims:
         with pytest.raises(ValueError, match="convention"):
             corollary_bases(2, 1, "other")
 
+    @pytest.mark.parametrize("convention, level", [("bm", True), ("corollary", False)])
+    def test_a_bool_level_is_refused(self, convention, level):
+        # as LevelValue refuses a float: the shift k + 0 would turn True into the level 1
+        message = rf"^levels are integers, got bool {level!r}$"
+        with pytest.raises(TypeError, match=message):
+            corollary_dims(2, level, 0, convention=convention)
+
     def test_non_integral_raises_with_convention(self, monkeypatch):
         # a base off by one: the message names the level p each convention pairs k with
         monkeypatch.setattr(dimensions, "verlinde_dim", lambda g, k: fusion.verlinde_dim(g, k) + 1)

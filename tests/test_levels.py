@@ -48,8 +48,14 @@ class TestLevelValues:
             lambda: beta_pullback(1.5),
             lambda: bm_from_so3(3.0),
             lambda: su2_from_bhmv("8"),
+            lambda: so3_level(True),
+            lambda: LevelValue(Lattice.BHMV, True),
+            lambda: beta_pullback(False),
         ],
-        ids=["so3_level", "LevelValue", "bm_level", "beta_pullback", "bm_from_so3", "su2_from_bhmv"],
+        ids=[
+            "so3_level", "LevelValue", "bm_level", "beta_pullback", "bm_from_so3", "su2_from_bhmv",
+            "so3_level-bool", "LevelValue-bool", "beta_pullback-bool",
+        ],
     )
     def test_non_integer_levels_rejected(self, build):
         with pytest.raises(TypeError, match=r"^levels are integers, got "):

@@ -175,6 +175,29 @@ def test_certified_integer_converts_to_its_value():
     assert int(CertifiedInteger(-7, 10, 21, 128)) == -7
 
 
+VECTOR = F2Vector(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: F2Vector(1.0, 2), "bit masks are integers, got float 1.0"),
+        (lambda: F2Vector(True, 2), "bit masks are integers, got bool True"),
+        (lambda: F2Vector(1, 2.0), "dimensions are integers, got float 2.0"),
+        (lambda: QuadraticRefinement(SymplecticF2Space(1), 1.0), "basis values are integers, got float 1.0"),
+        (lambda: HeisenbergElement(1.0, VECTOR), "central parts are integers, got float 1.0"),
+        (lambda: HeisenbergElement(False, VECTOR), "central parts are integers, got bool False"),
+        (lambda: HeisenbergElement(0, 5), "vectors are F2Vectors, got int 5"),
+    ],
+    ids=["bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector"],
+)
+def test_public_constructors_refuse_fields_of_another_type(build, message):
+    # a float or bool field would compare equal to its integer twin and fail
+    # only later, in +, pair, str or q(v), with an unrelated TypeError
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
+
+
 def test_public_constructors_validate():
     with pytest.raises(ValueError, match="bit mask 16 out of range for dimension 4"):
         F2Vector(16, 4)
