@@ -31,12 +31,12 @@ The projection products depend on the spin structure only through its
 label, so ``projs`` reuses the previous case's product while both factors'
 vectors repeat, and ``heisenberg`` keeps its representation matrices in a
 list indexed by element rather than a dict keyed by the elements.  Its
-homomorphism record compares the point map of each product rep(x) @ rep(y)
-with that of rep(x * y), which decides their equality without a call to
-``MonomialMatrix.__eq__``.  Its commutator record reads the homomorphism
-record's verdict: once that record has passed, rep(x) @ rep(y) is
-rep(x * y), which the commutator looks up, and otherwise it multiplies
-both products itself.  The suites over a
+homomorphism record compares the n basis images of each product
+rep(x) @ rep(y) with those of rep(x * y), which decides their equality
+without a call to ``MonomialMatrix.__eq__``.  Its commutator record reads
+the homomorphism record's verdict: once that record has passed,
+rep(x) @ rep(y) is rep(x * y), which the commutator looks up in that list,
+and otherwise it multiplies both products itself.  The suites over a
 genus x level grid, ``integrality`` included, evaluate their cells
 level-major through ``_level_major``, as the CLI's tables do, and list them
 genus-major.  The graded suites read ``dimensions._graded_cell``
@@ -713,11 +713,8 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
         # the elements come in the order (t, v) -> 4 v + t, so the rep of (t, v)
         # sits at index 4 v + t, an index that hashes no record
         reps = list(map(heisenberg_rep, elements))
-        # two monomial matrices are equal exactly when their point maps are
+        # two monomial matrices are equal exactly when their basis images are
         images = [r.images for r in reps]
-
-        def rep(el: HeisenbergElement) -> MonomialMatrix:
-            return reps[(el.vector.bits << 2) | el.central]
 
         def homomorphism():
             # rep(x) @ rep(y) == rep(x * y) over 4^{2g+2} pairs
@@ -742,9 +739,13 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             # once the homomorphism record has passed, rep(x * y) is rep(x) @ rep(y)
             for x, y in itertools.product(vector_elements, vector_elements):
                 if homomorphic.passed:
-                    xy, yx = rep(x * y), rep(y * x)
+                    xy, yx = x * y, y * x
+                    xy = reps[(xy.vector.bits << 2) | xy.central]
+                    yx = reps[(yx.vector.bits << 2) | yx.central]
                 else:
-                    xy, yx = rep(x) @ rep(y), rep(y) @ rep(x)
+                    # of central part 0, the rep of (0, v) sits at index 4 v
+                    rx, ry = reps[x.vector.bits << 2], reps[y.vector.bits << 2]
+                    xy, yx = rx @ ry, ry @ rx
                 yield xy == (yx if pair(x.vector, y.vector) == 0 else -yx)
 
         results.append(
@@ -767,8 +768,10 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             _counted(
                 f"heisenberg traces g={g}",
                 elements,
-                lambda el: rep(el).trace()
-                == (central_traces[el.central] if el.vector.is_zero else (0, 0)),
+                (
+                    r.trace() == (central_traces[el.central] if el.vector.is_zero else (0, 0))
+                    for el, r in zip(elements, reps)
+                ),
                 "elements",
                 "element (t, mask)",
             )

@@ -60,10 +60,13 @@ class GradedDimension(Value):
 
 
 # Each ``where`` below is a label for ``_label``, a format template and its
-# values, whose text is built only on the path that raises.
+# values, whose text is built only on the path that raises.  A genus, level
+# or bit that is not an int, or is a bool, which would read as 0 or 1, is
+# refused with the TypeError of ``_require_int``.
 
 
 def _require_genus(g: int, allow_genus_one: bool, where: tuple) -> None:
+    _require_int(g, "genera")
     if g < 1:
         raise ValueError(f"{_label(where)}: genus must be a positive integer, got {g}")
     if g == 1 and not allow_genus_one:
@@ -74,6 +77,7 @@ def _require_genus(g: int, allow_genus_one: bool, where: tuple) -> None:
 
 
 def _require_bm_level(p: int, where: tuple) -> None:
+    _require_int(p, "levels")
     if not _is_bm_level(p):
         raise ValueError(f"{_label(where)}: level must be a positive multiple of 8, got {p}")
 
@@ -81,6 +85,8 @@ def _require_bm_level(p: int, where: tuple) -> None:
 def _require_bit(value: int, name: str, where: tuple) -> None:
     if value not in (0, 1):
         raise ValueError(f"{_label(where)}: {name} must be 0 or 1, got {value!r}")
+    if value.__class__ is not int:  # an int builds no kind text
+        _require_int(value, f"{name} values")
 
 
 def _exact_quotient(numerator: int, g: int, where: tuple) -> int:
@@ -133,6 +139,7 @@ def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> 
     The trivial-w2 component carries the even grading and the
     non-trivial-w2 component the odd grading.
     """
+    _require_int(m, "indices")
     if m < 1:
         raise ValueError(f"spin_cs_dims: index m must be a positive integer, got {m}")
     p = 8 * m

@@ -99,6 +99,7 @@ class SymplecticF2Space(Value):
     genus: int
 
     def __init__(self, genus: int) -> None:
+        _require_int(genus, "genera")
         if genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus}")
         # _a_mask is read by every pairing and refinement evaluation; it is not a field

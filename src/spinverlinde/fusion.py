@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from ._value import Value
+from ._value import Value, _new, _require_int, _setattr
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -156,6 +156,8 @@ def _integral(numerator: int, shift: int, label: tuple) -> int:
 
 def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
     """(m, n) = (g - 1, k + 2), the power and the n of the genus-g sum at level k."""
+    _require_int(g, "genera")
+    _require_int(k, "levels")
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
@@ -165,6 +167,8 @@ def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
 
 def _twisted_terms(g: int, p: int) -> tuple[int, int]:
     """(m, n) = (g - 1, p/2), the power and the n of the twisted genus-g sum at level p."""
+    _require_int(g, "genera")
+    _require_int(p, "levels")
     if g < 1:
         raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
@@ -172,7 +176,9 @@ def _twisted_terms(g: int, p: int) -> tuple[int, int]:
     return g - 1, p // 2
 
 
-@lru_cache(maxsize=None)
+# typed, so that the cached value of (2, 1) does not answer (2, True), which
+# _verlinde_terms and _twisted_terms refuse
+@lru_cache(maxsize=None, typed=True)
 def verlinde_dim(g: int, k: int) -> int:
     """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
     m, n = _verlinde_terms(g, k)
@@ -180,7 +186,7 @@ def verlinde_dim(g: int, k: int) -> int:
     return _integral(_scaled_power_sum(m, n), m, ("verlinde_dim(g={}, k={})", g, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def twisted_dim(g: int, p: int) -> int:
     """Twisted genus-g dimension at even level p >= 4, from the csc power sums at n = p/2.
 
@@ -212,9 +218,23 @@ class CertifiedInteger(Value):
     precision_bits: int
 
     def __init__(self, value: int, bound: int, modulus: int, precision_bits: int) -> None:
+        _require_int(value, "certified values")
+        _require_int(bound, "bounds")
+        _require_int(modulus, "moduli")
+        _require_int(precision_bits, "precision bits")
         if not -bound <= value <= bound:
             raise ValueError(f"certificate violated: {value} outside [-{bound}, {bound}]")
         self._store(value=value, bound=bound, modulus=modulus, precision_bits=precision_bits)
+
+    @classmethod
+    def _trusted(cls, value: int, bound: int, modulus: int, precision_bits: int) -> "CertifiedInteger":
+        """The certificate without validation, for a value checked against its bound by ``_certified_sum``."""
+        certificate = _new(cls)
+        _setattr(certificate, "value", value)
+        _setattr(certificate, "bound", bound)
+        _setattr(certificate, "modulus", modulus)
+        _setattr(certificate, "precision_bits", precision_bits)
+        return certificate
 
     def __int__(self) -> int:
         return self.value
@@ -341,6 +361,7 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     MAX_RANGE_VALUES terms is refused before its modulus is built.
     """
     _require_terms(n, label)
+    _require_int(precision_bits, "precision bits")
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
     bound = 0 if alternating and n % 2 else -(-(n - 1) * n ** (3 * m) >> 3 * m)
@@ -353,7 +374,7 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     if abs(value) > bound:
         # hexadecimal, which meets no limit on the decimal digits of an int
         raise CertificationError(f"{_label(label)}: residue {value:#x} at {bits} bits exceeds the bound {bound:#x}")
-    return CertifiedInteger(value, bound, modulus, bits)
+    return CertifiedInteger._trusted(value, bound, modulus, bits)
 
 
 def verlinde_trig_oracle(g: int, k: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:

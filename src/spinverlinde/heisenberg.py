@@ -17,14 +17,16 @@ internally; no identification between them is claimed.
 ``HeisenbergElement.__mul__`` is the one place the cocycle is written;
 ``inverse`` reads c(v, v) off a product.  ``check all`` spends most of its
 time on these products, so both are built for speed: a ``MonomialMatrix``
-stores the map it induces on the 4n points i^s e_x, which makes ``@`` one
-C-level gather, and ``__mul__`` computes its cocycle and vector on every call
-but takes the element itself from a bounded table (see ``_element``).  The
-projection suite builds P_sigma and P_(sigma+ell) rebased by ell for every
-case, so those builders skip what a case cannot change: ``projection`` is
-trusted to be in lowest terms, and ``rebase`` reads the signs
-(-1)^{<Z, ell>} from a table of 64 sign vectors keyed by the dual mask of
-ell (see ``_signs``) and moves the reference through that same mask.
+stores the images of its n basis points e_x and, once it has been a right
+operand, the map it induces on the 4n points i^s e_x, so that ``@`` is one
+C-level gather of n entries; ``__mul__`` computes its cocycle and vector on
+every call but takes the element itself from a bounded table (see
+``_element``).  The projection suite builds P_sigma and P_(sigma+ell)
+rebased by ell for every case, so those builders skip what a case cannot
+change: ``projection`` is trusted to be in lowest terms, and ``rebase``
+reads the signs (-1)^{<Z, ell>} from a table of 64 sign vectors keyed by
+the dual mask of ell (see ``_signs``) and moves the reference through that
+same mask.
 ``trace_functional`` likewise reads the lift signs of its reference spin
 structure from a table of 64 sign vectors keyed by (spin structure, w2)
 (see ``_lift_signs``), so the trace route evaluates each sign once per
@@ -388,10 +390,18 @@ class MonomialMatrix(Value):
     """An exact n x n matrix with a single non-zero entry per row, a power of i.
 
     Row x holds i^phases[x] in column columns[x]; phases are reduced mod 4,
-    and several rows may share a column.  The matrix is stored as the map it
-    induces on the 4n points i^s e_x: images[4x + s] = 4 columns[x] + (phases[x] + s) mod 4,
-    so a product is one gather, and equal matrices compare and hash equal.
+    and several rows may share a column.  The matrix is stored as the images
+    of its n basis points, images[x] = 4 columns[x] + phases[x], the point
+    i^phases[x] e_columns[x] that e_x goes to, so equal matrices compare and
+    hash equal.  A monomial map commutes with multiplication by i, so those n
+    images decide the map on all 4n points i^s e_x: the first time a matrix
+    is a right operand it builds that map (``_points``), a private attribute
+    that is no field, and every product a @ b is then one gather of a's n
+    images from b's point map.
     """
+
+    # the point map of a right operand; a slot, so vars(), pickle and copy carry the field alone
+    __slots__ = ("_points",)
 
     images: tuple[int, ...]
 
@@ -403,23 +413,25 @@ class MonomialMatrix(Value):
         n = len(columns)
         if n and not (0 <= min(columns) and max(columns) < n):
             raise ValueError(f"columns must lie in range({n})")
-        images = tuple([4 * c + ((t + s) & 3) for c, t in zip(columns, phases) for s in range(4)])
-        self._store(images=images)
+        self._store(images=tuple([4 * c + t for c, t in zip(columns, phases)]))
+
+    def __getstate__(self) -> dict:
+        return {"images": self.images}
 
     @property
     def columns(self) -> tuple[int, ...]:
-        return tuple([image >> 2 for image in self.images[::4]])
+        return tuple([image >> 2 for image in self.images])
 
     @property
     def phases(self) -> tuple[int, ...]:
-        return tuple([image & 3 for image in self.images[::4]])
+        return tuple([image & 3 for image in self.images])
 
     def __repr__(self) -> str:
         return f"MonomialMatrix(columns={self.columns!r}, phases={self.phases!r})"
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "MonomialMatrix":
-        """The matrix of the point map images without validation, for values valid by construction."""
+        """The matrix of the basis images without validation, for values valid by construction."""
         matrix = _new(cls)
         _setattr(matrix, "images", images)
         return matrix
@@ -430,20 +442,28 @@ class MonomialMatrix(Value):
             raise ValueError(f"matrix size must be non-negative, got {n}")
         return cls(tuple(range(n)), (0,) * n)
 
+    def _point_map(self) -> tuple[int, ...]:
+        """points[4x + s] = 4 columns[x] + (phases[x] + s) mod 4, the image of i^s e_x; built once."""
+        points = tuple([image & -4 | (image + s) & 3 for image in self.images for s in range(4)])
+        _setattr(self, "_points", points)
+        return points
+
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        # each point goes through self's map, then through other's
+        # e_x goes to the point images[x] under self, and on through other's point map
         try:
-            other_images = other.images
+            points = other._points
         except AttributeError:
-            return NotImplemented
+            if not isinstance(other, MonomialMatrix):
+                return NotImplemented
+            points = other._point_map()
         images = self.images
-        if len(images) != len(other_images):
-            raise ValueError(
-                f"size mismatch: {len(images) >> 2} x {len(other_images) >> 2} monomial matrices"
-            )
-        # itemgetter() with no index raises, so the 0 x 0 product is the empty one
+        n = len(images)
+        if n << 2 != len(points):
+            raise ValueError(f"size mismatch: {n} x {len(points) >> 2} monomial matrices")
+        # itemgetter() with no index raises, and of one index returns the bare item
+        gathered = itemgetter(*images)(points) if n > 1 else tuple([points[i] for i in images])
         product = _new(MonomialMatrix)
-        _setattr(product, "images", itemgetter(*images)(other_images) if images else ())
+        _setattr(product, "images", gathered)
         return product
 
     def __neg__(self) -> "MonomialMatrix":
@@ -454,7 +474,7 @@ class MonomialMatrix(Value):
 
     def trace(self) -> tuple[int, int]:
         """Trace as a Gaussian integer (real part, imaginary part), from the fixed points."""
-        fixed = [_UNITS[image & 3] for x, image in enumerate(self.images[::4]) if image >> 2 == x]
+        fixed = [_UNITS[image & 3] for x, image in enumerate(self.images) if image >> 2 == x]
         return sum(re for re, _ in fixed), sum(im for _, im in fixed)
 
 
@@ -472,10 +492,10 @@ def heisenberg_rep(h: HeisenbergElement) -> MonomialMatrix:
         raise ValueError(
             f"genus {genus} exceeds the representation cap {DEFAULT_REPRESENTATION_CAP}"
         )
-    xs = range(1 << genus)
     a_bits = _compressed_part(h.vector, 0)
     b_bits = _compressed_part(h.vector, 1)
-    return MonomialMatrix(
-        tuple(x ^ a_bits for x in xs),
-        tuple((h.central + 2 * (x & b_bits).bit_count()) & 3 for x in xs),
+    central = h.central
+    # row x: the entry i^{t + 2 (b . x)} in column x + a, as the point 4 (x + a) + phase
+    return MonomialMatrix._trusted(
+        tuple([(x ^ a_bits) << 2 | (central + 2 * (x & b_bits).bit_count()) & 3 for x in range(1 << genus)])
     )

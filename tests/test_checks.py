@@ -235,6 +235,28 @@ class TestCountedDetails:
         # one product per homomorphism pair, 4^{2g+2} at each genus, and none more
         assert len(made) == 256 + 4096
 
+    def test_heisenberg_makes_every_literal_case_at_the_defaults(self, monkeypatch):
+        # a later speed-up that drops a literal case changes one of these counts
+        honest_mul, honest_matmul = HeisenbergElement.__mul__, MonomialMatrix.__matmul__
+        calls = {"@": 0, "*": 0}
+
+        def counted_mul(x, y):
+            calls["*"] += 1
+            return honest_mul(x, y)
+
+        def counted_matmul(a, b):
+            calls["@"] += 1
+            return honest_matmul(a, b)
+
+        monkeypatch.setattr(HeisenbergElement, "__mul__", counted_mul)
+        monkeypatch.setattr(MonomialMatrix, "__matmul__", counted_matmul)
+        results = checks.check_heisenberg()
+        assert all(r.passed for r in results) and len(results) == 3 * 5
+        # each of the 4^{2g+2} homomorphism pairs at g = 1, 2, 3 makes one @ and
+        # one *, 69 888 in all, and each of the 4^{2g} commutator pairs makes
+        # x * y and y * x, 2 * 4368 more
+        assert calls == {"@": 69_888, "*": 78_624}
+
     @pytest.mark.parametrize("broken_at", [(1, 1, 0, 2), (0, 1, 0, 2)])
     def test_heisenberg_commutator_multiplies_after_a_failed_homomorphism(self, broken_at, monkeypatch):
         # (0, a1)(0, b1) is a pair of central part 0, so reading rep(x * y) there

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from spinverlinde import dimensions, fusion
@@ -14,7 +16,7 @@ from spinverlinde.dimensions import (
     sum_over_spin,
 )
 from spinverlinde.f2 import EnumerationCapError
-from spinverlinde.fusion import twisted_dim, verlinde_dim
+from spinverlinde.fusion import twisted_dim, twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from spinverlinde.spin import count_by_arf
 
 GENERA = (2, 3, 4, 5)
@@ -137,6 +139,37 @@ class TestCorollaryDims:
         message = rf"^levels are integers, got bool {level!r}$"
         with pytest.raises(TypeError, match=message):
             corollary_dims(2, level, 0, convention=convention)
+
+    # each call after its int twin, which is equal and hashes equal: were the
+    # caches untyped, verlinde_dim and twisted_dim would answer from them
+    @pytest.mark.parametrize(
+        "function, twin, args, message",
+        [
+            (verlinde_dim, (2, 1), (2, True), "levels are integers, got bool True"),
+            (verlinde_dim, (1, 2), (True, 2), "genera are integers, got bool True"),
+            (verlinde_dim, (2, 2), (2, 2.0), "levels are integers, got float 2.0"),
+            (twisted_dim, (1, 8), (True, 8), "genera are integers, got bool True"),
+            (bm_even_dim, (2, 8, 1), (2, 8, True), "eps values are integers, got bool True"),
+            (bm_odd_dim, (2, 8, 0), (2, 8, False), "eps values are integers, got bool False"),
+            (
+                partial(bm_even_dim, allow_genus_one=True),
+                (1, 8, 0),
+                (True, 8, 0),
+                "genera are integers, got bool True",
+            ),
+            (spin_cs_dims, (2, 1, 0), (2, True, 0), "indices are integers, got bool True"),
+            (verlinde_trig_oracle, (2, 1), (2, True), "levels are integers, got bool True"),
+            (twisted_trig_oracle, (1, 8), (True, 8), "genera are integers, got bool True"),
+        ],
+        ids=[
+            "verlinde-level", "verlinde-genus", "verlinde-float", "twisted-genus", "even-eps", "odd-eps",
+            "even-genus", "spin-cs-index", "verlinde-oracle", "twisted-oracle",
+        ],
+    )
+    def test_a_bool_argument_is_refused_after_its_int_twin(self, function, twin, args, message):
+        function(*twin)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            function(*args)
 
     def test_non_integral_raises_with_convention(self, monkeypatch):
         # a base off by one: the message names the level p each convention pairs k with

@@ -1,11 +1,15 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinverlinde import checks, heisenberg
 from spinverlinde.f2 import EnumerationCapError, F2Vector, SymplecticF2Space
@@ -61,6 +65,19 @@ def per_row_product(a, b):
     phases = tuple((t + b.phases[c]) % 4 for c, t in zip(a.columns, a.phases))
     return columns, phases
 
+
+
+@st.composite
+def matrix_triples(draw, max_size=64):
+    """Three (columns, phases) of one size n <= max_size, each column any of range(n)."""
+    n = draw(st.integers(0, max_size))
+
+    def rows():
+        columns = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+        phases = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return tuple(columns), tuple(phases)
+
+    return rows(), rows(), rows()
 
 
 # literal oracle for the group-algebra product: the XOR convolution of two
@@ -667,6 +684,44 @@ class TestHeisenbergRep:
         assert (empty @ empty).trace() == (0, 0)
         assert -empty == empty.times_i() == empty
         assert repr(empty @ empty) == "MonomialMatrix(columns=(), phases=())"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(matrix_triples())
+    @example(triple=(((0,), (3,)), ((0,), (1,)), ((0,), (2,))))
+    @example(triple=(((), ()), ((), ()), ((), ())))
+    @example(
+        triple=((tuple(range(63, -1, -1)), (1,) * 64), ((0,) * 64, (2,) * 64), (tuple(range(64)), (3,) * 64))
+    )
+    def test_random_products_match_the_oracles(self, triple):
+        # n in 0..64 and column maps that need not be injective; the n = 1 and
+        # n = 0 examples pin the gathers of one index and of none, the n = 64
+        # one the largest size with a reversal, a constant map and the identity
+        a, b, c = (MonomialMatrix(columns, phases) for columns, phases in triple)
+        for m, raw in zip((a, b, c), triple):
+            assert (m.columns, m.phases) == raw
+        product = a @ b
+        assert (product.columns, product.phases) == per_row_product(a, b)
+        assert dense(product) == dense_mul(dense(a), dense(b))
+        assert (a @ b) @ c == a @ (b @ c)
+        assert (-a).columns == a.columns and (-a).phases == tuple((t + 2) % 4 for t in a.phases)
+        assert a.times_i().columns == a.columns
+        assert a.times_i().phases == tuple((t + 1) % 4 for t in a.phases)
+        fixed = [POWERS_OF_I[t] for x, (c, t) in enumerate(zip(a.columns, a.phases)) if c == x]
+        assert a.trace() == (sum(re for re, _ in fixed), sum(im for _, im in fixed))
+        # every one of them has now served as a right operand: it holds its
+        # point map, and still behaves as a fresh copy of itself
+        b @ a
+        for used, raw in zip((a, b, c), triple):
+            fresh = MonomialMatrix(*raw)
+            assert used == fresh and fresh == used and hash(used) == hash(fresh) == hash((used.images,))
+            assert repr(used) == repr(fresh) and vars(used) == vars(fresh) == {"images": used.images}
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                dumped = pickle.dumps(used, protocol)
+                assert dumped == pickle.dumps(fresh, protocol)
+                assert pickle.loads(dumped) == fresh
+            for clone in (copy.copy(used), copy.deepcopy(used)):
+                assert clone == fresh and vars(clone) == vars(fresh)
+                assert clone @ a == fresh @ a
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_unary_operations_and_trace_match_dense_oracle(self, g):

@@ -104,6 +104,7 @@ def test_heisenberg_products(g):
 def test_monomial_products_negations_and_times_i(g):
     reps = [heisenberg_rep(el) for el in HeisenbergGroup(g).elements()]
     for a in reps:
+        assert_same_as_rebuilt(a)
         assert_same_as_rebuilt(-a)
         assert_same_as_rebuilt(a.times_i())
         for b in reps:

@@ -164,11 +164,12 @@ def test_repr_reads_as_the_constructor():
     assert repr(QuadraticRefinement(SymplecticF2Space(1), 2)) == (
         "QuadraticRefinement(space=SymplecticF2Space(genus=1), basis_values=2)"
     )
-    # a monomial matrix stores its point map, and shows and reads back its constructor's tuples
+    # a monomial matrix stores the images of its basis points, and shows and
+    # reads back its constructor's tuples
     matrix = MonomialMatrix((1, 0), (0, 3))
     assert repr(matrix) == "MonomialMatrix(columns=(1, 0), phases=(0, 3))"
     assert (matrix.columns, matrix.phases) == ((1, 0), (0, 3))
-    assert vars(matrix) == {"images": (4, 5, 6, 7, 3, 0, 1, 2)}
+    assert vars(matrix) == {"images": (4, 3)}
 
 
 def test_certified_integer_converts_to_its_value():
@@ -188,8 +189,12 @@ VECTOR = F2Vector(1, 2)
         (lambda: HeisenbergElement(1.0, VECTOR), "central parts are integers, got float 1.0"),
         (lambda: HeisenbergElement(False, VECTOR), "central parts are integers, got bool False"),
         (lambda: HeisenbergElement(0, 5), "vectors are F2Vectors, got int 5"),
+        (lambda: SymplecticF2Space(True), "genera are integers, got bool True"),
+        (lambda: CertifiedInteger(1.0, 2, 5, 128), "certified values are integers, got float 1.0"),
     ],
-    ids=["bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector"],
+    ids=[
+        "bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector", "genus-bool", "certified"
+    ],
 )
 def test_public_constructors_refuse_fields_of_another_type(build, message):
     # a float or bool field would compare equal to its integer twin and fail
