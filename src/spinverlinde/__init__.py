@@ -50,7 +50,6 @@ from .levels import (
     bm_from_so3,
     bm_level,
     correspondence_table,
-    grading_parity,
     metaplectic_shift,
     so3_from_bm,
     so3_from_su2,
@@ -58,7 +57,7 @@ from .levels import (
     su2_from_bhmv,
     su2_level,
 )
-from .spin import QuadraticRefinement, arf_gauss_sum, count_by_arf, lift_sign, q3_sign
+from .spin import QuadraticRefinement, arf_gauss_sum, count_by_arf, lift_sign
 
 __version__ = "0.1.0"
 
@@ -94,13 +93,11 @@ __all__ = [
     "correspondence_table",
     "count_by_arf",
     "dims_via_traces",
-    "grading_parity",
     "heisenberg_rep",
     "lift_sign",
     "metaplectic_shift",
     "orthogonality_check",
     "projection",
-    "q3_sign",
     "so3_from_bm",
     "so3_from_su2",
     "so3_level",

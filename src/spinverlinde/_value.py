@@ -1,4 +1,4 @@
-"""The base of the package's immutable value records."""
+"""The base of the package's immutable value records, and its refusal rules."""
 
 from __future__ import annotations
 
@@ -10,10 +10,37 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
+# The package's refusal rules, each raised here and nowhere else: TypeError for
+# a value of another type, a bool included, and ValueError for an int out of
+# range, its message prefixed by the text of a ``label`` (see ``_labelled``).
+
+
+def _labelled(label: tuple | None, message: str) -> str:
+    """``message`` after the text of ``label``, a format template and its values such as
+    ("verlinde_dim(g={}, k={})", g, k), which callers build only on the path that raises."""
+    return message if label is None else f"{label[0].format(*label[1:])}: {message}"
+
+
 def _require_int(value, kind: str) -> None:
     """Refuse with TypeError a value that is not an int, or is a bool: ``<kind> are integers, got ...``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise TypeError(f"{kind} are integers, got {type(value).__name__} {value!r}")
+
+
+def _require_bit(value, name: str, label: tuple | None = None) -> None:
+    """Refuse a value that is not the int 0 or 1: TypeError by ``_require_int``
+    for another type, a bool included, then ValueError ``<name> must be 0 or 1``."""
+    if value.__class__ is not int:
+        _require_int(value, f"{name} values")
+    if value not in (0, 1):
+        raise ValueError(_labelled(label, f"{name} must be 0 or 1, got {value!r}"))
+
+
+def _require_genus(g, label: tuple | None = None) -> None:
+    """Refuse a genus that is not a positive int: TypeError, then ValueError."""
+    _require_int(g, "genera")
+    if g < 1:
+        raise ValueError(_labelled(label, f"genus must be a positive integer, got {g}"))
 
 
 class Value:

@@ -23,9 +23,11 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from typing import Callable
 
+from ._value import _require_bit, _require_genus
 from .checks import SUITES, CheckResult, _level_major, _oracle_record, _refinement_record, _table_record, run_suite
 from .dimensions import _graded_cell, _level_p, _pairs
 from .fusion import MAX_RANGE_VALUES, _require_terms, verlinde_dim, verlinde_trig_oracle
@@ -51,6 +53,13 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _parse_int(text: str) -> int:
+    """The one integer grammar of every option and range atom: a sign, or none, and ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def _parse_int_range(text: str) -> list[int]:
     """Parse '4', '1..5' and comma-combinations thereof into a sorted list."""
     values: set[int] = set()
@@ -59,8 +68,8 @@ def _parse_int_range(text: str) -> list[int]:
         if ".." in atom:
             lo_text, _, hi_text = atom.partition("..")
             try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
+                lo, hi = _parse_int(lo_text), _parse_int(hi_text)
+            except (argparse.ArgumentTypeError, ValueError):  # ValueError: more digits than int() converts
                 raise argparse.ArgumentTypeError(f"malformed range {atom!r}") from None
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"empty range {atom!r}")
@@ -72,8 +81,8 @@ def _parse_int_range(text: str) -> list[int]:
             values.update(range(lo, hi + 1))
         else:
             try:
-                values.add(int(atom))
-            except ValueError:
+                values.add(_parse_int(atom))
+            except (argparse.ArgumentTypeError, ValueError):
                 raise argparse.ArgumentTypeError(f"malformed range entry {atom!r}") from None
         # after every atom, so that many ranges never build more than one past the bound
         if len(values) > MAX_RANGE_VALUES:
@@ -103,7 +112,7 @@ def _parse_levels(text: str, keeps: Callable[[int], bool], level_of: Callable[[i
                 raise ValueError(f"range {atom!r} contains no {kind}")
             levels.update(in_range)
         else:
-            levels.add(level_of(int(atom)))
+            levels.add(level_of(_parse_int(atom)))
     return sorted(levels)
 
 
@@ -198,10 +207,10 @@ def _cmd_spin_dims(args) -> int:
         resolved = {"convention": convention}
     levels = _parse_levels(text, keeps, level_of, kind)
     for eps in args.arf:
-        if eps not in (0, 1):
-            raise ValueError(f"--arf values must be bits, got {eps}")
-    # the genera are sorted: genus 1 is the first cell's unless one below it is
-    if args.genus[:1] == [1] and not args.allow_genus_one:
+        _require_bit(eps, "--arf")
+    # the genera are sorted: the first is the least, the one the cells would refuse
+    _require_genus(args.genus[0])
+    if args.genus[0] == 1 and not args.allow_genus_one:
         raise ValueError(
             "spin-dims --genus 1: genus 1 sits outside the moduli-space derivation; "
             "pass --allow-genus-one to extrapolate"
@@ -210,7 +219,7 @@ def _cmd_spin_dims(args) -> int:
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""
         # both Arf values, whichever rows are asked for: the checksum weights both
-        dims, even_total, odd_total = _graded_cell(g, p, args.allow_genus_one)
+        dims, even_total, odd_total = _graded_cell(g, p)
         flag = {"extrapolated": True} if g == 1 or args.convention == "corollary" else {}
         rows = [
             {"g": g, "p": p, "arf": arf, "even": even, "odd": odd, **flag}
@@ -340,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--genus", type=_parse_int_range, default=None, help=GENUS_HELP)
     p_check.add_argument("--p", type=_parse_int_range, default=None)
     p_check.add_argument("--level", type=_parse_int_range, default=None)
-    p_check.add_argument("--max-m", type=int, default=None)
+    p_check.add_argument("--max-m", type=_parse_int, default=None)
     # CSV holds rows only, and a check prints none
     _add_common(p_check, formats=("text", "json"))
 
     p_levels = sub.add_parser("levels", help="level lattice conversions and the residue table")
-    p_levels.add_argument("--so3", type=int, default=None)
-    p_levels.add_argument("--su2", type=int, default=None)
-    p_levels.add_argument("--bhmv", type=int, default=None)
-    p_levels.add_argument("--bm", type=int, default=None)
+    p_levels.add_argument("--so3", type=_parse_int, default=None)
+    p_levels.add_argument("--su2", type=_parse_int, default=None)
+    p_levels.add_argument("--bhmv", type=_parse_int, default=None)
+    p_levels.add_argument("--bm", type=_parse_int, default=None)
     p_levels.add_argument("--to", choices=[l.value for l in Lattice], default=None)
     p_levels.add_argument("--shift", action="store_true", help="apply the metaplectic shift first")
     p_levels.add_argument("--table", action="store_true", help="print the correspondence table")

@@ -20,12 +20,13 @@ projection P_sigma, insisting the two agree exactly.  Every formula calls
 
 from __future__ import annotations
 
-from ._value import Value, _require_int
+from . import _value
+from ._value import Value, _labelled, _require_int
 from .f2 import SymplecticF2Space
-from .fusion import _label, twisted_dim, verlinde_dim
+from .fusion import twisted_dim, verlinde_dim
 from .heisenberg import projection, trace_functional
 from .levels import _is_bm_level, _pairs_with_spin, bm_from_so3
-from .spin import QuadraticRefinement, count_by_arf
+from .spin import QuadraticRefinement, _arf_counts
 
 #: Base-dimension bindings exposed for the shifted-level reading ("bm",
 #: the default: level p = 4(k+1) at odd k) and for the literal corollary
@@ -59,45 +60,32 @@ class GradedDimension(Value):
         return self.even + self.odd
 
 
-# Each ``where`` below is a label for ``_label``, a format template and its
-# values, whose text is built only on the path that raises.  A genus, level
-# or bit that is not an int, or is a bool, which would read as 0 or 1, is
-# refused with the TypeError of ``_require_int``.
+# Each ``where`` below is a label for ``_value._labelled``.  A genus and a bit
+# are refused by ``_value._require_genus`` and ``_value._require_bit``, a level
+# by ``_value._require_int`` and the range check here: TypeError for a value
+# that is not an int, or is a bool, and ValueError for an int out of range.
 
 
 def _require_genus(g: int, allow_genus_one: bool, where: tuple) -> None:
-    _require_int(g, "genera")
-    if g < 1:
-        raise ValueError(f"{_label(where)}: genus must be a positive integer, got {g}")
+    _value._require_genus(g, where)
     if g == 1 and not allow_genus_one:
-        raise ValueError(
-            f"{_label(where)}: genus 1 sits outside the moduli-space derivation; "
-            "pass allow_genus_one=True to extrapolate"
-        )
+        message = "genus 1 sits outside the moduli-space derivation; pass allow_genus_one=True to extrapolate"
+        raise ValueError(_labelled(where, message))
 
 
 def _require_bm_level(p: int, where: tuple) -> None:
     _require_int(p, "levels")
     if not _is_bm_level(p):
-        raise ValueError(f"{_label(where)}: level must be a positive multiple of 8, got {p}")
-
-
-def _require_bit(value: int, name: str, where: tuple) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{_label(where)}: {name} must be 0 or 1, got {value!r}")
-    if value.__class__ is not int:  # an int builds no kind text
-        _require_int(value, f"{name} values")
+        raise ValueError(_labelled(where, f"level must be a positive multiple of 8, got {p}"))
 
 
 def _exact_quotient(numerator: int, g: int, where: tuple) -> int:
     # a mask and a shift, as fusion._integral divides
     if numerator & ((1 << (2 * g)) - 1):
-        raise IntegralityError(
-            f"{_label(where)}: numerator {numerator} is not divisible by 2^{2 * g}"
-        )
+        raise IntegralityError(_labelled(where, f"numerator {numerator} is not divisible by 2^{2 * g}"))
     quotient = numerator >> (2 * g)
     if quotient < 0:
-        raise IntegralityError(f"{_label(where)}: dimension came out negative ({quotient})")
+        raise IntegralityError(_labelled(where, f"dimension came out negative ({quotient})"))
     return quotient
 
 
@@ -113,40 +101,46 @@ def _level_bases(g: int, p: int) -> tuple[int, int, int]:
 
 def bm_even_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> int:
     """Even graded dimension at level p (multiple of 8) and Arf invariant eps."""
-    where = "bm_even_dim(g={}, p={}, eps={})", g, p, eps
-    _require_genus(g, allow_genus_one, where)
-    _require_bm_level(p, where)
-    _require_bit(eps, "eps", where)
-    base = verlinde_dim(g, p // 2 - 2)
-    numerator = _numerator(g, eps, base, 1, p // 4)
-    return _exact_quotient(numerator, g, ("bm_even_dim(g={}, p={}, eps={}) [base dim {}]", g, p, eps, base))
+    return _checked_graded_dim(g, p, eps, allow_genus_one, False)
 
 
 def bm_odd_dim(g: int, p: int, eps: int, *, allow_genus_one: bool = False) -> int:
     """Odd graded dimension at level p (multiple of 8) and Arf invariant eps."""
-    where = "bm_odd_dim(g={}, p={}, eps={})", g, p, eps
+    return _checked_graded_dim(g, p, eps, allow_genus_one, True)
+
+
+# the labels of bm_even_dim and bm_odd_dim, by odd, and those of their quotients
+_WHERE = "bm_even_dim(g={}, p={}, eps={})", "bm_odd_dim(g={}, p={}, eps={})"
+_QUOTIENT = _WHERE[0] + " [base dim {}]", _WHERE[1] + " [twisted base dim {}]"
+
+
+def _checked_graded_dim(g: int, p: int, eps: int, allow_genus_one: bool, odd: bool) -> int:
+    where = _WHERE[odd], g, p, eps
     _require_genus(g, allow_genus_one, where)
     _require_bm_level(p, where)
-    _require_bit(eps, "eps", where)
-    base = twisted_dim(g, p)
-    numerator = _numerator(g, eps, base, -1, p // 4)
-    return _exact_quotient(numerator, g, ("bm_odd_dim(g={}, p={}, eps={}) [twisted base dim {}]", g, p, eps, base))
+    _value._require_bit(eps, "eps", where)
+    return _graded_dim(g, p, eps, odd)
+
+
+def _graded_dim(g: int, p: int, eps: int, odd: bool) -> int:
+    """The even (odd false) or odd graded dimension of a (g, p, eps) already checked."""
+    base = twisted_dim(g, p) if odd else verlinde_dim(g, p // 2 - 2)
+    numerator = _numerator(g, eps, base, -1 if odd else 1, p // 4)
+    return _exact_quotient(numerator, g, (_QUOTIENT[odd], g, p, eps, base))
 
 
 def spin_cs_dims(g: int, m: int, eps: int, *, allow_genus_one: bool = False) -> GradedDimension:
     """Graded dimensions of the spin theory at index m >= 1 (level p = 8m).
 
     The trivial-w2 component carries the even grading and the
-    non-trivial-w2 component the odd grading.
+    non-trivial-w2 component the odd grading.  The inputs are checked once,
+    under the name of ``bm_even_dim``.
     """
     _require_int(m, "indices")
     if m < 1:
         raise ValueError(f"spin_cs_dims: index m must be a positive integer, got {m}")
     p = 8 * m
-    return GradedDimension(
-        even=bm_even_dim(g, p, eps, allow_genus_one=allow_genus_one),
-        odd=bm_odd_dim(g, p, eps, allow_genus_one=allow_genus_one),
-    )
+    return GradedDimension(bm_even_dim(g, p, eps, allow_genus_one=allow_genus_one), _graded_dim(g, p, eps, True))
 
 
 def _pairs(k: int, convention: str) -> bool:
@@ -194,9 +188,9 @@ def corollary_dims(
     g: int, k: int, eps: int, *, convention: str = "bm", allow_genus_one: bool = False
 ) -> GradedDimension:
     """Graded dimensions at the level p that ``convention`` pairs with the
-    integer level k, by ``bm_even_dim`` and ``bm_odd_dim``.
+    integer level k, by the formulas of ``bm_even_dim`` and ``bm_odd_dim``.
 
-    The genus and eps are checked first, under this function's name; the
+    The genus and eps are checked once, under this function's name; the
     level p is ``_level_p(k, convention)``, which refuses an unknown
     convention and a k the convention does not pair.  A non-integral or
     negative value raises the IntegralityError of ``bm_even_dim`` or
@@ -204,10 +198,9 @@ def corollary_dims(
     """
     where = "corollary_dims(g={}, k={}, eps={}, convention={!r})", g, k, eps, convention
     _require_genus(g, allow_genus_one, where)
-    _require_bit(eps, "eps", where)
+    _value._require_bit(eps, "eps", where)
     p = _level_p(k, convention)
-    flag = {"allow_genus_one": allow_genus_one}
-    return GradedDimension(bm_even_dim(g, p, eps, **flag), bm_odd_dim(g, p, eps, **flag))
+    return GradedDimension(_graded_dim(g, p, eps, False), _graded_dim(g, p, eps, True))
 
 
 def dims_via_traces(
@@ -232,27 +225,26 @@ def dims_via_traces(
     """
     where = "dims_via_traces(g={}, eps={}, base_dim={}, lambda_rho={}, w2={})", g, eps, base_dim, lambda_rho, w2
     _require_genus(g, allow_genus_one, where)
-    _require_bit(eps, "eps", where)
-    _require_bit(w2, "w2", where)
+    _value._require_bit(eps, "eps", where)
+    _require_int(base_dim, "base dimensions")
+    _require_int(lambda_rho, "lambda_rho values")
+    _value._require_bit(w2, "w2", where)
 
     sigma = QuadraticRefinement.canonical(SymplecticF2Space(g), eps)
     termwise = trace_functional(projection(sigma), base_dim, lambda_rho, w2) * (1 << (2 * g))
     closed = _numerator(g, eps, base_dim, (-1) ** w2, lambda_rho + 1)
     if termwise != closed:
-        raise IdentityViolationError(
-            f"{_label(where)}: termwise trace sum {termwise} != closed form {closed}"
-        )
+        raise IdentityViolationError(_labelled(where, f"termwise trace sum {termwise} != closed form {closed}"))
     return _exact_quotient(closed, g, where)
 
 
-def _graded_cell(g: int, p: int, allow_genus_one: bool = False) -> tuple[list[tuple[int, int]], int, int]:
-    """The graded dimensions (even, odd) of the cell (g, p) at Arf invariants 0
-    and 1, each evaluated once, and the even and odd totals over all 2^{2g}
-    spin structures, each Arf value weighted by its number of structures;
-    ``sum_over_spin``, ``spin-dims`` and the graded suites all read them."""
-    n_even, n_odd = count_by_arf(g)
-    flag = {"allow_genus_one": allow_genus_one}
-    dims = [(bm_even_dim(g, p, eps, **flag), bm_odd_dim(g, p, eps, **flag)) for eps in (0, 1)]
+def _graded_cell(g: int, p: int) -> tuple[list[tuple[int, int]], int, int]:
+    """The graded dimensions (even, odd) of a cell (g, p) its caller has checked
+    at Arf invariants 0 and 1, each evaluated once, and the even and odd totals
+    over all 2^{2g} spin structures, each Arf value weighted by its number of
+    structures; ``sum_over_spin``, ``spin-dims`` and the graded suites read them."""
+    n_even, n_odd = _arf_counts(g)
+    dims = [(_graded_dim(g, p, eps, False), _graded_dim(g, p, eps, True)) for eps in (0, 1)]
     (even0, odd0), (even1, odd1) = dims
     return dims, n_even * even0 + n_odd * even1, n_even * odd0 + n_odd * odd1
 
@@ -267,10 +259,8 @@ def sum_over_spin(g: int, p: int, *, allow_genus_one: bool = False) -> int:
     where = "sum_over_spin(g={}, p={})", g, p
     _require_genus(g, allow_genus_one, where)
     _require_bm_level(p, where)
-    total = _graded_cell(g, p, allow_genus_one)[1]
+    total = _graded_cell(g, p)[1]
     expected = _level_bases(g, p)[0]
     if total != expected:
-        raise IdentityViolationError(
-            f"{_label(where)}: spin-structure sum {total} != unrefined dimension {expected}"
-        )
+        raise IdentityViolationError(_labelled(where, f"spin-structure sum {total} != unrefined dimension {expected}"))
     return total

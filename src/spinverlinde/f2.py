@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._value import Value, _new, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_genus, _require_int, _setattr
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
 #: is permitted (2^12 = 4096 vectors at the cap).
@@ -63,6 +63,7 @@ class F2Vector(Value):
 
     def coordinate(self, index: int) -> int:
         """Coordinate at 0-based position ``index`` in the a1,b1,a2,b2,... order."""
+        _require_int(index, "coordinate indices")
         if not 0 <= index < self.dim:
             raise IndexError(f"coordinate index {index} out of range for dimension {self.dim}")
         return (self.bits >> index) & 1
@@ -99,9 +100,7 @@ class SymplecticF2Space(Value):
     genus: int
 
     def __init__(self, genus: int) -> None:
-        _require_int(genus, "genera")
-        if genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {genus}")
+        _require_genus(genus)
         # _a_mask is read by every pairing and refinement evaluation; it is not a field
         self._store(genus=genus, _a_mask=_a_positions_mask(genus))
 
@@ -122,19 +121,20 @@ class SymplecticF2Space(Value):
             raise ValueError(f"expected {self.dimension} coordinates, got {len(coords)}")
         mask = 0
         for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError(f"coordinates must be bits, got {c!r}")
+            _require_bit(c, "coordinate")
             mask |= c << i
         return F2Vector(mask, self.dimension)
 
     def basis_a(self, i: int) -> F2Vector:
         """The basis vector a_i, 1 <= i <= g."""
+        _require_int(i, "basis indices")
         if not 1 <= i <= self.genus:
             raise IndexError(f"a_{i} does not exist at genus {self.genus}")
         return F2Vector(1 << (2 * (i - 1)), self.dimension)
 
     def basis_b(self, i: int) -> F2Vector:
         """The basis vector b_i, 1 <= i <= g."""
+        _require_int(i, "basis indices")
         if not 1 <= i <= self.genus:
             raise IndexError(f"b_{i} does not exist at genus {self.genus}")
         return F2Vector(1 << (2 * (i - 1) + 1), self.dimension)

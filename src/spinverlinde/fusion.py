@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from ._value import Value, _new, _require_int, _setattr
+from ._value import Value, _labelled, _new, _require_genus, _require_int, _setattr
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -137,29 +137,18 @@ def _scaled_power_sum(m: int, n: int) -> int:
     return _power_sum_table(n).scaled_sum(m)
 
 
-def _label(label: tuple) -> str:
-    """The text of ``label``, a format template and its values, such as
-    ("verlinde_dim(g={}, k={})", g, k).  Callers pass the tuple and build the
-    text only on the path that raises, so a call that succeeds formats nothing."""
-    return label[0].format(*label[1:])
-
-
 def _integral(numerator: int, shift: int, label: tuple) -> int:
     """numerator / 2^shift, which must be an integer."""
     # a mask and a shift, exact for negative numerators too; divmod by 2^shift is long division
     if numerator & ((1 << shift) - 1):
-        raise ArithmeticError(
-            f"{_label(label)}: power-sum value {Fraction(numerator, 1 << shift)} is not an integer"
-        )
+        raise ArithmeticError(_labelled(label, f"power-sum value {Fraction(numerator, 1 << shift)} is not an integer"))
     return numerator >> shift
 
 
 def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
     """(m, n) = (g - 1, k + 2), the power and the n of the genus-g sum at level k."""
-    _require_int(g, "genera")
+    _require_genus(g)
     _require_int(k, "levels")
-    if g < 1:
-        raise ValueError(f"genus must be a positive integer, got {g}")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
     return g - 1, k + 2
@@ -167,10 +156,8 @@ def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
 
 def _twisted_terms(g: int, p: int) -> tuple[int, int]:
     """(m, n) = (g - 1, p/2), the power and the n of the twisted genus-g sum at level p."""
-    _require_int(g, "genera")
+    _require_genus(g)
     _require_int(p, "levels")
-    if g < 1:
-        raise ValueError(f"genus must be a positive integer, got {g}")
     if p % 2 or p < 4:
         raise ValueError(f"the twisted sum needs an even level p >= 4, got {p}")
     return g - 1, p // 2
@@ -336,7 +323,7 @@ def _require_terms(n: int, label: tuple) -> None:
     """A ValueError naming ``label`` if the sum over 1 <= j <= n - 1 has more
     than MAX_RANGE_VALUES terms; it is raised before any modulus is built."""
     if n - 1 > MAX_RANGE_VALUES:
-        raise ValueError(f"{_label(label)}: the certified sum has {n - 1} terms, more than {MAX_RANGE_VALUES}")
+        raise ValueError(_labelled(label, f"the certified sum has {n - 1} terms, more than {MAX_RANGE_VALUES}"))
 
 
 def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label: tuple) -> CertifiedInteger:
@@ -373,7 +360,7 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     value = _sum_residue(m, n, bits, alternating)
     if abs(value) > bound:
         # hexadecimal, which meets no limit on the decimal digits of an int
-        raise CertificationError(f"{_label(label)}: residue {value:#x} at {bits} bits exceeds the bound {bound:#x}")
+        raise CertificationError(_labelled(label, f"residue {value:#x} at {bits} bits exceeds the bound {bound:#x}"))
     return CertifiedInteger._trusted(value, bound, modulus, bits)
 
 

@@ -42,9 +42,9 @@ from functools import lru_cache
 from operator import add, itemgetter, mul, sub
 from typing import Iterator
 
-from ._value import Value, _new, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_int, _setattr
 from .f2 import F2Vector, SymplecticF2Space
-from .spin import QuadraticRefinement, _check_w2_bits, _lift_sign
+from .spin import QuadraticRefinement, _lift_sign
 
 #: Largest genus for which the 2^g-dimensional representation is built.
 DEFAULT_REPRESENTATION_CAP = 10
@@ -255,11 +255,13 @@ def trace_functional(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w
     lift sign times (lambda_rho + 1)^{g-1}.  The signs come from the table
     of x's reference spin structure and w2 (see ``_lift_signs``), so a
     structure traced again, as by every (base, lambda) of ``tracedecomp``
-    and every level of ``traces``, evaluates none of them again; w2 is
-    checked on every call.  The table holds 64 vectors of 4^g small ints,
+    and every level of ``traces``, evaluates none of them again; the inputs
+    are checked on every call.  The table holds 64 vectors of 4^g small ints,
     32.8 KB each at the enumeration cap (genus 6), so at most 2.1 MB.
     """
-    _check_w2_bits(w2, 1)
+    _require_int(base_dim, "base dimensions")
+    _require_int(lambda_rho, "lambda_rho values")
+    _require_bit(w2, "w2")
     signed = sum(map(mul, x.numerators, _lift_signs(x.spin, w2)))
     weight = (lambda_rho + 1) ** (x.spin.space.genus - 1)
     return Fraction(x.numerators[0] * base_dim + signed * weight, x.denominator)
@@ -359,6 +361,7 @@ class HeisenbergGroup:
         self.genus = genus
 
     def element(self, central: int, vector: F2Vector) -> HeisenbergElement:
+        _require_int(central, "central parts")  # before central % 4 turns a bool into an int
         self.space._check_member(vector)
         return HeisenbergElement(central % 4, vector)
 
@@ -408,6 +411,8 @@ class MonomialMatrix(Value):
     def __init__(self, columns: tuple[int, ...], phases: tuple[int, ...]) -> None:
         if len(columns) != len(phases):
             raise ValueError("columns and phases must have one entry per row")
+        for entry in (*columns, *phases):
+            _require_int(entry, "columns and phases")
         if not set(phases) <= {0, 1, 2, 3}:
             raise ValueError("phases must be reduced mod 4")
         n = len(columns)
@@ -438,6 +443,7 @@ class MonomialMatrix(Value):
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
+        _require_int(n, "matrix sizes")
         if n < 0:
             raise ValueError(f"matrix size must be non-negative, got {n}")
         return cls(tuple(range(n)), (0,) * n)
@@ -487,6 +493,8 @@ def heisenberg_rep(h: HeisenbergElement) -> MonomialMatrix:
     assignment is an exact group homomorphism into monomial matrices with
     entries in {+/-1, +/-i}.
     """
+    if not isinstance(h, HeisenbergElement):
+        raise TypeError(f"heisenberg_rep needs a HeisenbergElement, got {type(h).__name__} {h!r}")
     genus = h.vector.dim // 2
     if genus > DEFAULT_REPRESENTATION_CAP:
         raise ValueError(

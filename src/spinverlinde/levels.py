@@ -155,13 +155,6 @@ def metaplectic_shift(level: LevelValue) -> LevelValue:
     )
 
 
-def grading_parity(w2: int) -> str:
-    """Grading of the shifted-level state space by bundle class: w2 = 0 even, w2 = 1 odd."""
-    if w2 not in (0, 1):
-        raise ValueError(f"w2 must be a bit, got {w2!r}")
-    return "odd" if w2 else "even"
-
-
 # ---------------------------------------------------------------------------
 # correspondence table
 

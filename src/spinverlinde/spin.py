@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._value import Value, _new, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_genus, _require_int, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 
 
@@ -97,8 +97,7 @@ class QuadraticRefinement(Value):
 
         arf 0: q = 0 on the basis; arf 1: q(a1) = q(b1) = 1, zero elsewhere.
         """
-        if arf_value not in (0, 1):
-            raise ValueError(f"Arf invariant must be 0 or 1, got {arf_value!r}")
+        _require_bit(arf_value, "Arf invariant")
         return cls(space, 0b11 if arf_value else 0)
 
     @classmethod
@@ -113,8 +112,12 @@ def count_by_arf(genus: int) -> tuple[int, int]:
 
     The closed forms 2^{2g-1} +/- 2^{g-1}; the two entries sum to 2^{2g}.
     """
-    if genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus}")
+    _require_genus(genus)
+    return _arf_counts(genus)
+
+
+def _arf_counts(genus: int) -> tuple[int, int]:
+    """count_by_arf at a genus already checked."""
     half = 1 << (2 * genus - 1)
     offset = 1 << (genus - 1)
     return half + offset, half - offset
@@ -126,17 +129,6 @@ def arf_gauss_sum(genus: int) -> int:
     return even - odd
 
 
-def q3_sign(w2_pairing_value: int) -> int:
-    """Sign picked up by the action under a spin-structure shift on a 3-manifold.
-
-    The caller evaluates the cup product w2(rho P) . ell externally and
-    passes the resulting bit; the sign is (-1)^{bit}.
-    """
-    if w2_pairing_value not in (0, 1):
-        raise ValueError(f"pairing value must be a bit, got {w2_pairing_value!r}")
-    return 1 - 2 * w2_pairing_value
-
-
 def lift_sign(sigma: QuadraticRefinement, z: F2Vector, w2_bundle: int, w2_rho: int) -> int:
     """Sign of the lifted [Z]-action on the Pfaffian line over a fixed point.
 
@@ -146,14 +138,10 @@ def lift_sign(sigma: QuadraticRefinement, z: F2Vector, w2_bundle: int, w2_rho: i
     arf(sigma + <Z, .>) - arf(sigma) = sigma(Z), so the sign is
     (-1)^{w2_bundle + w2_rho * sigma(Z)}: one evaluation of the refinement.
     """
-    _check_w2_bits(w2_bundle, w2_rho)
+    _require_bit(w2_bundle, "w2_bundle")
+    _require_bit(w2_rho, "w2_rho")
     sigma.space._check_member(z)
     return _lift_sign(sigma, z.bits, w2_bundle, w2_rho)
-
-
-def _check_w2_bits(w2_bundle: int, w2_rho: int) -> None:
-    if w2_bundle not in (0, 1) or w2_rho not in (0, 1):
-        raise ValueError(f"w2 inputs must be bits, got {w2_bundle!r}, {w2_rho!r}")
 
 
 def _lift_sign(sigma: QuadraticRefinement, bits: int, w2_bundle: int, w2_rho: int) -> int:

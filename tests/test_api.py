@@ -43,13 +43,11 @@ PUBLIC_API = [
     "correspondence_table",
     "count_by_arf",
     "dims_via_traces",
-    "grading_parity",
     "heisenberg_rep",
     "lift_sign",
     "metaplectic_shift",
     "orthogonality_check",
     "projection",
-    "q3_sign",
     "so3_from_bm",
     "so3_from_su2",
     "so3_level",

@@ -274,7 +274,7 @@ def test_genus_help_names_the_negative_range_spelling(command, capsys):
         (("spin-dims", "--genus", "2", "--p", "12"), "--p values must be positive multiples of 8, got 12"),
         (("spin-dims", "--genus", "2", "--p", "8,12"), "--p values must be positive multiples of 8, got 12"),
         (("spin-dims", "--genus", "2", "--p", "9..15"), "range '9..15' contains no positive multiple of 8"),
-        (("spin-dims", "--genus", "2", "--p", "8", "--arf", "2"), "--arf values must be bits, got 2"),
+        (("spin-dims", "--genus", "2", "--p", "8", "--arf", "2"), "--arf must be 0 or 1, got 2"),
         (("levels", "--bhmv", "2", "--to", "su2"), "BHMV level 2 is below 4; p = 2(k + 2) has no preimage at k >= 0"),
         (("levels", "--so3=-1", "--to", "su2"), "SO3 levels are non-negative integers, got -1"),
         (("levels", "--su2=-4", "--to", "so3"), "SU2 levels are non-negative integers, got -4"),
@@ -318,8 +318,17 @@ def test_refusal_after_parsing_returns_usage_error(argv, message, capsys, tmp_pa
         (("spin-dims", "--genus", "2", "--p", "8", "--arf", "x"), "argument --arf: malformed range entry 'x'"),
         # CSV holds rows only, and check prints none: it would write 0 bytes, even on a failure
         (("check", "all", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
+        # one integer grammar, a sign and ASCII digits, for every list atom and integer option
+        (("verlinde", "--genus", "2", "--level", "1_0"), "argument --level: malformed range entry '1_0'"),
+        (("verlinde", "--genus", "\u0662", "--level", "1"), "argument --genus: malformed range entry '\u0662'"),
+        (("verlinde", "--genus", "2", "--level", "0..1_0"), "argument --level: malformed range '0..1_0'"),
+        (("check", "levels", "--max-m", "1_0"), "argument --max-m: malformed integer '1_0'"),
+        (("levels", "--so3", "\u0663"), "argument --so3: malformed integer '\u0663'"),
     ],
-    ids=["oversized-range", "no-level", "malformed-p", "oversized-p", "malformed-arf", "check-csv"],
+    ids=[
+        "oversized-range", "no-level", "malformed-p", "oversized-p", "malformed-arf", "check-csv",
+        "underscore-level", "arabic-indic-genus", "underscore-range", "underscore-max-m", "arabic-indic-so3",
+    ],
 )
 def test_parse_errors_exit_through_argparse(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -328,6 +337,18 @@ def test_parse_errors_exit_through_argparse(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: spinverlinde {argv[0]} ")
     assert message in err
+
+
+@pytest.mark.parametrize("text, value", [("10", 10), ("+5", 5), ("-3", -3), ("007", 7)])
+def test_an_integer_is_a_sign_and_ascii_digits(text, value):
+    assert cli._parse_int(text) == value
+
+
+# int() reads the first four as 10, 2, 1 and 1; the grammar takes none of these
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "\uff11", " 1", "1.0", "", "+", "--1", "0x10"])
+def test_anything_else_is_a_malformed_integer(text):
+    with pytest.raises(argparse.ArgumentTypeError, match=rf"\Amalformed integer {re.escape(repr(text))}\Z"):
+        cli._parse_int(text)
 
 
 @pytest.mark.parametrize("text", ["", ",", " ", "1,"])
@@ -434,7 +455,7 @@ class TestSpinDimsCommand:
         # the CLI option, not the library's keyword allow_genus_one
         (("--genus", "1", "--p", "8"), GENUS_ONE),
         (("--genus", "1..3", "--so3-level", "1", "--format", "json"), GENUS_ONE),
-        # a genus below 1 is the first cell's error still
+        # a genus below 1 is refused before the first cell, as the cells would refuse it
         (("--genus", "0,1", "--p", "8"), "error: genus must be a positive integer, got 0\n"),
     ])
     def test_genus_one_refusal_names_the_flag(self, argv, message, capsys):
@@ -512,9 +533,11 @@ class TestSpinDimsCommand:
 
     def test_checksum_sums_the_printed_rows(self, capsys, monkeypatch):
         # one more at eps = 0: the rows read 2 and 0, so the checksum is 10 * 2 + 6 * 0
-        # the graded cell, which spin-dims shares with the suites, reads bm_even_dim in dimensions
-        honest = dimensions.bm_even_dim
-        monkeypatch.setattr(dimensions, "bm_even_dim", lambda g, p, eps, **kw: honest(g, p, eps, **kw) + (eps == 0))
+        # the graded cell, which spin-dims shares with the suites, reads the kernel _graded_dim in dimensions
+        honest = dimensions._graded_dim
+        monkeypatch.setattr(
+            dimensions, "_graded_dim", lambda g, p, eps, odd: honest(g, p, eps, odd) + (eps == 0 and not odd)
+        )
         code, payload, err = run_json(capsys, "spin-dims", "--genus", "2", "--p", "8")
         assert (code, err) == (1, "")
         assert [(r["arf"], r["even"], r["odd"]) for r in payload["rows"]] == [(0, 2, 0), (1, 0, 1), ("*", 20, 6)]
@@ -537,13 +560,22 @@ class TestSpinDimsCommand:
 
 
 class TestOneEvaluationPerCell:
-    """Each graded dimension is evaluated once per (g, p, eps) for rows, checksums and records."""
+    """Each graded dimension is evaluated once per (g, p, eps) for rows, checksums
+    and records, by the kernel ``_graded_dim`` ("even" and "odd" count its calls),
+    and the graded cell calls none of the validating public functions."""
 
     NAMES = ("bm_even_dim", "bm_odd_dim", "sum_over_spin")
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        made = dict.fromkeys(self.NAMES, 0)
+        made = dict.fromkeys(("even", "odd", *self.NAMES), 0)
+        kernel = dimensions._graded_dim
+
+        def counted_kernel(g, p, eps, odd):
+            made["odd" if odd else "even"] += 1
+            return kernel(g, p, eps, odd)
+
+        monkeypatch.setattr(dimensions, "_graded_dim", counted_kernel)
 
         def counting(name, function):
             def counted(*args, **kwargs):
@@ -552,7 +584,7 @@ class TestOneEvaluationPerCell:
 
             return counted
 
-        # wrapped where each caller looks it up: sum_over_spin calls bm_even_dim in dimensions
+        # wrapped where each caller looks it up
         for module in (cli, checks, dimensions):
             for name in self.NAMES:
                 if hasattr(module, name):
@@ -564,30 +596,30 @@ class TestOneEvaluationPerCell:
         code, _, _ = run_json(capsys, "spin-dims", "--genus", "2..4", "--p", "8..32", *arf)
         assert code == 0
         # 3 genera and 4 levels, two Arf values each, whichever rows are printed
-        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+        assert calls == {"even": 24, "odd": 24, "bm_even_dim": 0, "bm_odd_dim": 0, "sum_over_spin": 0}
 
     def test_decomposition_suite(self, calls):
         results = checks.check_decomposition()
         assert len(results) == 32 and all(r.passed for r in results)
-        assert calls == {"bm_even_dim": 32, "bm_odd_dim": 32, "sum_over_spin": 0}
+        assert calls == {"even": 32, "odd": 32, "bm_even_dim": 0, "bm_odd_dim": 0, "sum_over_spin": 0}
 
     def test_trace_suite(self, capsys, calls):
         code, payload, _ = run_json(capsys, "check", "traces", "--genus", "2..4", "--p", "8..32")
         # four records per cell read the cell's two Arf values once
         assert (code, len(payload["checks"])) == (0, 48)
-        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+        assert calls == {"even": 24, "odd": 24, "bm_even_dim": 0, "bm_odd_dim": 0, "sum_over_spin": 0}
 
     def test_integrality_suite(self, capsys, calls):
         code, payload, _ = run_json(capsys, "check", "integrality", "--genus", "4", "--p", "32")
         assert code == 0
         assert payload["checks"][0]["details"] == "24 graded cells, all non-negative integers"
-        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 0}
+        assert calls == {"even": 24, "odd": 24, "bm_even_dim": 0, "bm_odd_dim": 0, "sum_over_spin": 0}
 
     def test_sum_over_spin(self, calls):
         for g in range(2, 5):
             for p in range(8, 33, 8):
                 assert dimensions.sum_over_spin(g, p) == fusion.verlinde_dim(g, p // 2 - 2)
-        assert calls == {"bm_even_dim": 24, "bm_odd_dim": 24, "sum_over_spin": 12}
+        assert calls == {"even": 24, "odd": 24, "bm_even_dim": 0, "bm_odd_dim": 0, "sum_over_spin": 12}
 
 
 class TestCheckCommand:

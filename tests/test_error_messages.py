@@ -32,8 +32,8 @@ def raises_exactly(error, message):
         ((bm_even_dim, 2, 12, 0), "bm_even_dim(g=2, p=12, eps=0): level must be a positive multiple of 8, got 12"),
         ((bm_even_dim, 2, -8, 0), "bm_even_dim(g=2, p=-8, eps=0): level must be a positive multiple of 8, got -8"),
         ((bm_even_dim, 2, 8, 2), "bm_even_dim(g=2, p=8, eps=2): eps must be 0 or 1, got 2"),
-        # the context shows str(eps), the complaint its repr
-        ((bm_even_dim, 2, 8, "1"), "bm_even_dim(g=2, p=8, eps=1): eps must be 0 or 1, got '1'"),
+        # a bit that is not an int is refused by the int rule, with no context
+        ((bm_even_dim, 2, 8, "1"), "eps values are integers, got str '1'"),
         # genus, then level, then eps: the first invalid argument is named
         ((bm_odd_dim, -1, 12, 3), "bm_odd_dim(g=-1, p=12, eps=3): genus must be a positive integer, got -1"),
         ((bm_odd_dim, 1, 12, 3), f"bm_odd_dim(g=1, p=12, eps=3): {GENUS_ONE}"),
@@ -69,7 +69,9 @@ def raises_exactly(error, message):
 )
 def test_validation_errors(call, message):
     function, *arguments = call
-    with raises_exactly(ValueError, message):
+    # the int rule refuses with TypeError, every other rule with ValueError
+    error = TypeError if " are integers, got " in message else ValueError
+    with raises_exactly(error, message):
         function(*arguments)
 
 
@@ -166,8 +168,9 @@ class TestIntegralityErrors:
 
 class TestIdentityViolations:
     def test_sum_over_spin(self, monkeypatch):
-        # every summand reads 1: 6 + 10 = 16 against verlinde_dim(2, 2) = 10
-        monkeypatch.setattr(dimensions, "bm_even_dim", lambda g, p, eps, allow_genus_one: 1)
+        # every even summand reads 1: 6 + 10 = 16 against verlinde_dim(2, 2) = 10
+        honest = dimensions._graded_dim
+        monkeypatch.setattr(dimensions, "_graded_dim", lambda g, p, eps, odd: honest(g, p, eps, odd) if odd else 1)
         with raises_exactly(
             IdentityViolationError, "sum_over_spin(g=2, p=8): spin-structure sum 16 != unrefined dimension 10"
         ):

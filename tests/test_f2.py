@@ -158,5 +158,7 @@ class TestRefusals:
             space.basis_b(3)
 
     def test_coordinates_must_be_bits(self):
-        with pytest.raises(ValueError, match=r"\Acoordinates must be bits, got 2\Z"):
+        with pytest.raises(ValueError, match=r"\Acoordinate must be 0 or 1, got 2\Z"):
             SymplecticF2Space(1).vector([0, 2])
+        with pytest.raises(TypeError, match=r"\Acoordinate values are integers, got bool True\Z"):
+            SymplecticF2Space(1).vector([0, True])

@@ -788,6 +788,11 @@ class TestHeisenbergRep:
                 assert set(row) <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
                 assert sum(entry != (0, 0) for entry in row) == 1
 
+    @pytest.mark.parametrize("value", [True, 3, None], ids=["bool", "int", "none"])
+    def test_refuses_what_is_not_a_heisenberg_element(self, value):
+        with pytest.raises(TypeError, match=rf"^heisenberg_rep needs a HeisenbergElement, got {type(value).__name__} "):
+            heisenberg_rep(value)
+
     def test_representation_cap(self):
         # the cap is checked before any of the 2^11 rows is built
         group = HeisenbergGroup(heisenberg.DEFAULT_REPRESENTATION_CAP + 1)

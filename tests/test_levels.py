@@ -10,7 +10,6 @@ from spinverlinde.levels import (
     bm_from_so3,
     bm_level,
     correspondence_table,
-    grading_parity,
     metaplectic_shift,
     so3_from_bm,
     so3_from_su2,
@@ -150,17 +149,10 @@ class TestMetaplecticShift:
 
 
 class TestGradingParity:
-    def test_values(self):
-        assert grading_parity(0) == "even"
-        assert grading_parity(1) == "odd"
-        with pytest.raises(ValueError):
-            grading_parity(2)
-
     def test_wiring_into_spin_dims(self):
         # the trivial-w2 component is the even one
         from spinverlinde.dimensions import bm_even_dim, spin_cs_dims
 
-        assert grading_parity(0) == "even"
         assert spin_cs_dims(2, 1, 0).even == bm_even_dim(2, 8, 0)
 
 

@@ -8,7 +8,6 @@ from spinverlinde.spin import (
     arf_gauss_sum,
     count_by_arf,
     lift_sign,
-    q3_sign,
 )
 
 
@@ -159,12 +158,6 @@ class TestArfCombinatorics:
 
 
 class TestSigns:
-    def test_q3_sign(self):
-        assert q3_sign(0) == 1
-        assert q3_sign(1) == -1
-        with pytest.raises(ValueError):
-            q3_sign(2)
-
     def test_lift_sign_trivial_class(self):
         space = SymplecticF2Space(1)
         sigma = QuadraticRefinement(space, 0b00)
@@ -206,9 +199,9 @@ class TestSigns:
     def test_lift_sign_rejects_bad_inputs(self):
         space = SymplecticF2Space(2)
         sigma = QuadraticRefinement(space, 0)
-        with pytest.raises(ValueError, match="must be bits"):
+        with pytest.raises(ValueError, match=r"^w2_bundle must be 0 or 1, got 2$"):
             lift_sign(sigma, space.zero, 2, 1)
-        with pytest.raises(ValueError, match="must be bits"):
+        with pytest.raises(ValueError, match=r"^w2_rho must be 0 or 1, got -1$"):
             lift_sign(sigma, space.zero, 0, -1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             lift_sign(sigma, SymplecticF2Space(1).zero, 0, 1)

@@ -191,9 +191,13 @@ VECTOR = F2Vector(1, 2)
         (lambda: HeisenbergElement(0, 5), "vectors are F2Vectors, got int 5"),
         (lambda: SymplecticF2Space(True), "genera are integers, got bool True"),
         (lambda: CertifiedInteger(1.0, 2, 5, 128), "certified values are integers, got float 1.0"),
+        # refused when built, not when its repr shifts a float column
+        (lambda: MonomialMatrix((1.0, 0), (0, 1)), "columns and phases are integers, got float 1.0"),
+        (lambda: MonomialMatrix((1, 0), (0, True)), "columns and phases are integers, got bool True"),
     ],
     ids=[
-        "bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector", "genus-bool", "certified"
+        "bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector", "genus-bool", "certified",
+        "monomial-column", "monomial-phase-bool",
     ],
 )
 def test_public_constructors_refuse_fields_of_another_type(build, message):
