@@ -21,10 +21,17 @@ def _labelled(label: tuple | None, message: str) -> str:
     return message if label is None else f"{label[0].format(*label[1:])}: {message}"
 
 
+def _require_record(value, cls: type | tuple[type, ...], kind: str, noun: str | None = None) -> None:
+    """The type rule: refuse a value that is not a ``cls``, or is a bool, with the TypeError ``<kind> are
+    <noun>, got <type> <value>``, the noun by default the plural of the class name (``vectors are F2Vectors``)."""
+    if value.__class__ is not cls and (not isinstance(value, cls) or isinstance(value, bool)):
+        raise TypeError(f"{kind} are {noun or cls.__name__ + 's'}, got {type(value).__name__} {value!r}")
+
+
 def _require_int(value, kind: str) -> None:
-    """Refuse with TypeError a value that is not an int, or is a bool: ``<kind> are integers, got ...``."""
-    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise TypeError(f"{kind} are integers, got {type(value).__name__} {value!r}")
+    """The type rule for an int: ``<kind> are integers, got ...``."""
+    if value.__class__ is not int:
+        _require_record(value, int, kind, "integers")
 
 
 def _require_bit(value, name: str, label: tuple | None = None) -> None:

@@ -12,8 +12,9 @@ passes when the values agree and the certificate pins one integer,
 A suite whose grid has no cell, a genus range below 1 and an empty list
 of genera or levels included, raises ValueError rather than pass
 vacuously, and so does a suite given a genus or level below the least it
-takes, before its first cell, a grid larger than ``MAX_RANGE_VALUES``, or
-an oracle level whose certified sum has more terms than that.
+takes, before its first cell, a grid larger than ``MAX_RANGE_VALUES``, an
+oracle level whose certified sum has more terms than that, or a grid whose
+largest cell's power-sum table is over ``fusion.TABLE_BUDGET_MB``.
 A suite is one function under ``@_suite(name)``, which registers it in
 ``SUITES`` and records in ``_OPTIONS`` the ``spinverlinde check`` option
 that sets each of its keyword arguments.  Each suite opens with
@@ -59,7 +60,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ._value import Value
 from .dimensions import IdentityViolationError, _graded_cell, _level_bases, dims_via_traces
 from .f2 import F2Vector, SymplecticF2Space
-from .fusion import MAX_RANGE_VALUES, CertificationError, CertifiedInteger, _require_terms, twisted_dim
+from .fusion import MAX_RANGE_VALUES, CertificationError, CertifiedInteger, _require_table, _require_terms, twisted_dim
 from .fusion import twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
 from .heisenberg import (
     HeisenbergElement,
@@ -184,7 +185,8 @@ def _grid(suite: str, **arguments) -> list:
     A genus range below 1 and a genus over the enumeration cap that the sweep
     would reach, an empty list, a genus or level below the least the suite
     takes, a level filter that keeps none, an oracle level whose certified sum
-    is too long and a grid larger than ``MAX_RANGE_VALUES`` all raise.
+    is too long, a grid larger than ``MAX_RANGE_VALUES`` and a largest cell
+    over the power-sum table budget all raise.
     """
     if suite == "integrality":
         max_genus, max_p = arguments["max_genus"], arguments["max_p"]
@@ -195,6 +197,7 @@ def _grid(suite: str, **arguments) -> list:
         cells = (max_genus - 1) * (max_p // 8)
         if cells > MAX_RANGE_VALUES:
             raise ValueError(f"check integrality: {cells} cells {grid}, more than {MAX_RANGE_VALUES}")
+        _require_table(max_genus - 1, max_p // 2, ("check integrality: cell (g={}, p={})", max_genus, max_p))
         return [max_genus, max_p]
     values = []
     for keyword, value in arguments.items():
@@ -236,6 +239,12 @@ def _grid(suite: str, **arguments) -> list:
     if suite == "traces":
         # after the level filter: each cell's trace route walks the 2^{2g} classes of its genus
         _require_enumerable(values[0])
+    if len(values) == 2:
+        # a genus x level grid, whose largest cell builds the largest power-sum
+        # table: at n = k + 2 for an SU2 level k, and at n = p/2 for a level p
+        g, level = max(values[0]), max(values[1])
+        name, n = ("k", level + 2) if suite == "verlinde" else ("p", level // 2)
+        _require_table(g - 1, n, ("check {}: cell (g={}, {}={})", suite, g, name, level))
     return values
 
 

@@ -12,9 +12,10 @@ raises SystemExit(2).  Every refusal of a well-formed value, a value of
 Every genus x level grid is evaluated level-major (``checks._level_major``),
 so that each level's cached tables serve every genus, and emitted
 genus-major, so output ordering is deterministic.  ``spin-dims`` reads each
-cell from ``dimensions._graded_cell``, as the graded check suites do, and
+cell from ``dimensions._graded_cell``, as the graded check suites do,
 ``verlinde`` refuses a level whose certified sum is longer than
-``MAX_RANGE_VALUES`` terms before its first cell.
+``MAX_RANGE_VALUES`` terms before its first cell, and both refuse a grid
+whose largest cell's power-sum table is over ``fusion.TABLE_BUDGET_MB``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 from ._value import _require_bit, _require_genus
 from .checks import SUITES, CheckResult, _level_major, _oracle_record, _refinement_record, _table_record, run_suite
 from .dimensions import _graded_cell, _level_p, _pairs
-from .fusion import MAX_RANGE_VALUES, _require_terms, verlinde_dim, verlinde_trig_oracle
+from .fusion import MAX_RANGE_VALUES, _require_table, _require_terms, verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
     LevelValue,
@@ -185,8 +186,11 @@ def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
 
 
 def _cmd_verlinde(args) -> int:
-    # the levels are sorted: the last has the longest certified sum, over j < k + 2
+    # the levels are sorted: the last has the longest certified sum, over j < k + 2,
+    # and with the last genus the largest power-sum table
     _require_terms(args.level[-1] + 2, ("verlinde: level k={}", args.level[-1]))
+    g, k = args.genus[-1], args.level[-1]
+    _require_table(g - 1, k + 2, ("verlinde: cell (g={}, k={})", g, k))
     cells = _level_major(args.genus, args.level, _verlinde_cell)
     rows, checks = [row for row, _ in cells], [check for _, check in cells]
     params = {"genus": args.genus, "level": args.level}
@@ -215,6 +219,8 @@ def _cmd_spin_dims(args) -> int:
             "spin-dims --genus 1: genus 1 sits outside the moduli-space derivation; "
             "pass --allow-genus-one to extrapolate"
         )
+    # the last genus and level are the largest, and so is their power-sum table, at n = p/2
+    _require_table(args.genus[-1] - 1, levels[-1] // 2, ("spin-dims: cell (g={}, p={})", args.genus[-1], levels[-1]))
 
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""

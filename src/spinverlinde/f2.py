@@ -9,9 +9,9 @@ mask-and-popcount operation, O(1) for any genus we will ever meet.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from ._value import Value, _new, _require_bit, _require_genus, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_genus, _require_int, _require_record, _setattr
 
 #: Largest genus for which brute-force enumeration of all 2^{2g} vectors
 #: is permitted (2^12 = 4096 vectors at the cap).
@@ -51,12 +51,10 @@ class F2Vector(Value):
         return vector
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
-        try:
-            other_dim = other.dim
-        except AttributeError:
+        if not isinstance(other, F2Vector):
             return NotImplemented
-        if self.dim != other_dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other_dim}")
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return F2Vector._trusted(self.bits ^ other.bits, self.dim)
 
     __xor__ = __add__
@@ -114,7 +112,7 @@ class SymplecticF2Space(Value):
 
     def vector(self, bits: int | Iterable[int]) -> F2Vector:
         """Build a vector from a bit mask or from an iterable of 2g coordinates."""
-        if isinstance(bits, int):
+        if not isinstance(bits, Iterable):  # a mask, which F2Vector refuses unless an int
             return F2Vector(bits, self.dimension)
         coords = list(bits)
         if len(coords) != self.dimension:
@@ -144,10 +142,10 @@ class SymplecticF2Space(Value):
         return tuple(F2Vector._trusted(1 << j, dim) for j in range(dim))
 
     def _check_member(self, v: F2Vector) -> None:
+        """The one membership check: an F2Vector (else TypeError) of the space's dimension (else ValueError)."""
+        _require_record(v, F2Vector, "vectors")
         if v.dim != 2 * self.genus:
-            raise ValueError(
-                f"dimension mismatch: vector has dimension {v.dim}, space has {self.dimension}"
-            )
+            raise ValueError(f"dimension mismatch: vector has dimension {v.dim}, space has {self.dimension}")
 
     def _dual_mask(self, bits: int) -> int:
         """dual_bits on a bare mask: pairing against basis vectors swaps each (a_i, b_i) pair of bits."""
@@ -161,7 +159,8 @@ class SymplecticF2Space(Value):
 
     def pair(self, v: F2Vector, w: F2Vector) -> int:
         """The symplectic pairing <v, w> in {0, 1}."""
-        if v.dim != 2 * self.genus or w.dim != 2 * self.genus:
+        # one class test for both, before the dimensions, which a value of another type may not have
+        if not v.__class__ is w.__class__ is F2Vector or v.dim != 2 * self.genus or w.dim != 2 * self.genus:
             self._check_member(v)
             self._check_member(w)
         return (v.bits & self._dual_mask(w.bits)).bit_count() & 1

@@ -19,7 +19,8 @@ products.  It runs in integers only, on one scale mu = n at every n: the
 coefficients F_r = n^r f_r have a closed form in binomials, and the sums
 P_i = n^i p_i(n) need no division.  One table per n holds them, grows on
 demand and is shared by every genus; the twisted sum reads the tables at
-n = p/2 and p/4.  The only exactness check is the final division by 2^m.
+n = p/2 and p/4; a cell whose table would take more than ``TABLE_BUDGET_MB``
+is refused first.  The only exactness check is the final division by 2^m.
 The same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
 the tests keep that trace, the rational hypergeometric recurrence and its
 integer form on the scale 2n at even n as oracles.
@@ -47,7 +48,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from ._value import Value, _labelled, _new, _require_genus, _require_int, _setattr
+from ._value import Value, _labelled, _require_genus, _require_int
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -55,6 +56,12 @@ DEFAULT_PRECISION_BITS = 128
 #: integer-range option of the CLI may list, the largest ``max_m`` and the
 #: most (g, p) cells of the integrality sweep; a larger request is a usage error.
 MAX_RANGE_VALUES = 100_000
+
+#: Most memory, in MB, that the power-sum table of one cell may take, by the
+#: estimate of ``_require_table``: 1490 MB at (g, k) = (50000, 14), whose
+#: table peaks at 1487 MB RSS, and 164 000 MB at (1000000, 1).  A cell over
+#: the budget is refused: at k = 14 from genus 58 619, at k = 1 from 111 681.
+TABLE_BUDGET_MB = 2048
 
 
 class CertificationError(ArithmeticError):
@@ -145,21 +152,40 @@ def _integral(numerator: int, shift: int, label: tuple) -> int:
     return numerator >> shift
 
 
-def _verlinde_terms(g: int, k: int) -> tuple[int, int]:
+def _require_table(m: int, n: int, label: tuple) -> None:
+    """A ValueError naming ``label`` if the power-sum table at n up to P_m
+    would take more than TABLE_BUDGET_MB, raised before the table grows.
+
+    By Jordan's bound (``_certified_sum``) |P_i| <= (n - 1) n^{3i} / 4^i, so
+    P_i has about i (3 log2 n - 2) bits and P_0..P_m about (3 log2 n - 2) m^2 / 2.
+    The coefficients F_r stop at r = (n - 1) // 2 and take no more.  An m
+    below 1 or an n below 2 passes, for its cell to refuse.
+    """
+    if m > 0 and n > 1:
+        # the largest m of the budget, compared as an int: m may exceed any float
+        most = math.isqrt(int(TABLE_BUDGET_MB * 2**24 / (3 * math.log2(n) - 2)))
+        if m > most:
+            message = f"the power-sum table at n={n} fits in {TABLE_BUDGET_MB} MB only up to genus {most + 1}"
+            raise ValueError(_labelled(label, message))
+
+
+def _verlinde_terms(g: int, k: int, label: tuple) -> tuple[int, int]:
     """(m, n) = (g - 1, k + 2), the power and the n of the genus-g sum at level k."""
     _require_genus(g)
     _require_int(k, "levels")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
+    _require_table(g - 1, k + 2, label)
     return g - 1, k + 2
 
 
-def _twisted_terms(g: int, p: int) -> tuple[int, int]:
+def _twisted_terms(g: int, p: int, label: tuple) -> tuple[int, int]:
     """(m, n) = (g - 1, p/2), the power and the n of the twisted genus-g sum at level p."""
     _require_genus(g)
     _require_int(p, "levels")
     if p % 2 or p < 4:
         raise ValueError(f"the twisted sum needs an even level p >= 4, got {p}")
+    _require_table(g - 1, p // 2, label)
     return g - 1, p // 2
 
 
@@ -168,9 +194,10 @@ def _twisted_terms(g: int, p: int) -> tuple[int, int]:
 @lru_cache(maxsize=None, typed=True)
 def verlinde_dim(g: int, k: int) -> int:
     """Genus-g dimension at level k, as ((k+2)/2)^{g-1} p_{g-1}(k+2)."""
-    m, n = _verlinde_terms(g, k)
+    label = "verlinde_dim(g={}, k={})", g, k
+    m, n = _verlinde_terms(g, k, label)
     # (n/2)^m p_m(n) = P_m(n) / 2^m
-    return _integral(_scaled_power_sum(m, n), m, ("verlinde_dim(g={}, k={})", g, k))
+    return _integral(_scaled_power_sum(m, n), m, label)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -181,13 +208,14 @@ def twisted_dim(g: int, p: int) -> int:
     even-j part.  For odd n the part is half the full sum (j -> n - j swaps
     the parities), so the value is 0.  For even n it is p_m(h), h = n/2.
     """
-    m, n = _twisted_terms(g, p)
+    label = "twisted_dim(g={}, p={})", g, p
+    m, n = _twisted_terms(g, p, label)
     if n % 2:
         return 0
     h = n // 2
     # (n/2)^m (p_m(n) - 2 p_m(h)) = (P_m(n) - 2^{m+1} P_m(h)) / 2^m, as n^m = 2^m h^m
     numerator = _scaled_power_sum(m, n) - (_scaled_power_sum(m, h) << m + 1)
-    return _integral(numerator, m, ("twisted_dim(g={}, p={})", g, p))
+    return _integral(numerator, m, label)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +240,6 @@ class CertifiedInteger(Value):
         if not -bound <= value <= bound:
             raise ValueError(f"certificate violated: {value} outside [-{bound}, {bound}]")
         self._store(value=value, bound=bound, modulus=modulus, precision_bits=precision_bits)
-
-    @classmethod
-    def _trusted(cls, value: int, bound: int, modulus: int, precision_bits: int) -> "CertifiedInteger":
-        """The certificate without validation, for a value checked against its bound by ``_certified_sum``."""
-        certificate = _new(cls)
-        _setattr(certificate, "value", value)
-        _setattr(certificate, "bound", bound)
-        _setattr(certificate, "modulus", modulus)
-        _setattr(certificate, "precision_bits", precision_bits)
-        return certificate
 
     def __int__(self) -> int:
         return self.value
@@ -361,13 +379,14 @@ def _certified_sum(m: int, n: int, alternating: bool, precision_bits: int, label
     if abs(value) > bound:
         # hexadecimal, which meets no limit on the decimal digits of an int
         raise CertificationError(_labelled(label, f"residue {value:#x} at {bits} bits exceeds the bound {bound:#x}"))
-    return CertifiedInteger._trusted(value, bound, modulus, bits)
+    return CertifiedInteger(value, bound, modulus, bits)
 
 
 def verlinde_trig_oracle(g: int, k: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
     """Certified evaluation of the genus-g trigonometric dimension sum at level k."""
-    m, n = _verlinde_terms(g, k)
-    return _certified_sum(m, n, False, precision_bits, ("verlinde(g={}, k={})", g, k))
+    label = "verlinde(g={}, k={})", g, k
+    m, n = _verlinde_terms(g, k, label)
+    return _certified_sum(m, n, False, precision_bits, label)
 
 
 def twisted_trig_oracle(g: int, p: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInteger:
@@ -379,5 +398,6 @@ def twisted_trig_oracle(g: int, p: int, precision_bits: int = DEFAULT_PRECISION_
     pair cancels and the sum is exactly 0, certified at ``precision_bits``
     with no table.
     """
-    m, n = _twisted_terms(g, p)
-    return _certified_sum(m, n, True, precision_bits, ("twisted(g={}, p={})", g, p))
+    label = "twisted(g={}, p={})", g, p
+    m, n = _twisted_terms(g, p, label)
+    return _certified_sum(m, n, True, precision_bits, label)

@@ -42,7 +42,7 @@ from functools import lru_cache
 from operator import add, itemgetter, mul, sub
 from typing import Iterator
 
-from ._value import Value, _new, _require_bit, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_int, _require_record, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 from .spin import QuadraticRefinement, _lift_sign
 
@@ -69,38 +69,41 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
     return values
 
 
-class TwistedAlgebraElement:
+class TwistedAlgebraElement(Value):
     """A rational combination of symbols [Z] over a reference spin structure.
 
     The coefficient of [Z] is numerators[Z.bits] / denominator, one positive
     denominator for all, in lowest terms so that equal elements store equal tuples.
     """
 
-    __slots__ = ("spin", "numerators", "denominator")
+    spin: QuadraticRefinement
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __init__(self, spin: QuadraticRefinement, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, spin: QuadraticRefinement, coeffs: dict[int, Fraction] | None = None) -> None:
+        _require_record(spin, QuadraticRefinement, "spin structures")
         spin.space._check_enumeration_cap()
         size = 1 << spin.space.dimension
         coeffs = coeffs or {}
         for mask, value in coeffs.items():
+            _require_int(mask, "support masks")
             if not 0 <= mask < size:
                 raise ValueError(f"support mask {mask} outside the {size} group elements")
-            if not isinstance(value, _Scalar):
-                raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+            _require_record(value, _Scalar, "coefficients", "exact rationals")
         # over the lcm of the reduced denominators the vector is already in lowest terms
         denominator = math.lcm(*(Fraction(value).denominator for value in coeffs.values()))
-        numerators = [0] * size
-        for mask, value in coeffs.items():
-            numerators[mask] = int(value * denominator)
-        self.spin, self.numerators, self.denominator = spin, tuple(numerators), denominator
+        numerators = tuple([int(coeffs.get(mask, 0) * denominator) for mask in range(size)])
+        self._store(spin=spin, numerators=numerators, denominator=denominator)
 
     @classmethod
     def _trusted(
         cls, spin: QuadraticRefinement, numerators: tuple[int, ...], denominator: int
     ) -> "TwistedAlgebraElement":
         """The element numerators / denominator, already in lowest terms, without validation."""
-        element = cls.__new__(cls)
-        element.spin, element.numerators, element.denominator = spin, numerators, denominator
+        element = _new(cls)
+        _setattr(element, "spin", spin)
+        _setattr(element, "numerators", numerators)
+        _setattr(element, "denominator", denominator)
         return element
 
     @classmethod
@@ -115,6 +118,7 @@ class TwistedAlgebraElement:
     @classmethod
     def symbol(cls, spin: QuadraticRefinement, z: F2Vector, coefficient=1) -> "TwistedAlgebraElement":
         """The single symbol coefficient * [Z]."""
+        _require_record(spin, QuadraticRefinement, "spin structures")
         spin.space._check_member(z)
         return cls(spin, {z.bits: coefficient})
 
@@ -143,12 +147,6 @@ class TwistedAlgebraElement:
         if self.spin != other.spin:
             raise ValueError("mismatched reference spin structures")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwistedAlgebraElement):
-            return NotImplemented
-        same_scale = self.spin == other.spin and self.denominator == other.denominator
-        return same_scale and self.numerators == other.numerators
-
     def __add__(self, other: "TwistedAlgebraElement") -> "TwistedAlgebraElement":
         if not isinstance(other, TwistedAlgebraElement):
             return NotImplemented
@@ -169,7 +167,8 @@ class TwistedAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, TwistedAlgebraElement):
             return self._convolve(other)
-        if isinstance(other, _Scalar):
+        # a bool is no scalar: True * x is a TypeError, not x
+        if isinstance(other, _Scalar) and other.__class__ is not bool:
             scalar = Fraction(other)
             numerators = [n * scalar.numerator for n in self.numerators]
             return self._reduced(self.spin, numerators, self.denominator * scalar.denominator)
@@ -235,6 +234,7 @@ def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
     the composition rule: the convolution square of the full sum carries
     a factor 2^{2g}, so a 1/2^g weight would not square to itself.
     """
+    _require_record(sigma, QuadraticRefinement, "spin structures")
     sigma.space._check_enumeration_cap()
     size = 1 << sigma.space.dimension
     # the numerators (1, ..., 1) over 2^{2g} are already in lowest terms
@@ -243,7 +243,9 @@ def projection(sigma: QuadraticRefinement) -> TwistedAlgebraElement:
 
 def orthogonality_check(sigma: QuadraticRefinement, ell: F2Vector) -> bool:
     """Whether P_{sigma + ell} . P_sigma vanishes identically, computed symbolically."""
-    if ell.is_zero:
+    _require_record(sigma, QuadraticRefinement, "spin structures")
+    # a value that is no vector of the space is refused by shift, below
+    if ell == sigma.space.zero:
         raise ValueError("ell must be a non-trivial class")
     return (projection(sigma.shift(ell)).rebase(ell) * projection(sigma)).is_zero
 
@@ -256,12 +258,18 @@ def trace_functional(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w
     of x's reference spin structure and w2 (see ``_lift_signs``), so a
     structure traced again, as by every (base, lambda) of ``tracedecomp``
     and every level of ``traces``, evaluates none of them again; the inputs
-    are checked on every call.  The table holds 64 vectors of 4^g small ints,
-    32.8 KB each at the enumeration cap (genus 6), so at most 2.1 MB.
+    are checked on every call, then ``_trace`` computes.  The table holds 64
+    vectors of 4^g small ints, 32.8 KB each at the enumeration cap, so 2.1 MB.
     """
+    _require_record(x, TwistedAlgebraElement, "twisted-algebra elements")
     _require_int(base_dim, "base dimensions")
     _require_int(lambda_rho, "lambda_rho values")
     _require_bit(w2, "w2")
+    return _trace(x, base_dim, lambda_rho, w2)
+
+
+def _trace(x: TwistedAlgebraElement, base_dim: int, lambda_rho: int, w2: int) -> Fraction:
+    """trace_functional of inputs already checked."""
     signed = sum(map(mul, x.numerators, _lift_signs(x.spin, w2)))
     weight = (lambda_rho + 1) ** (x.spin.space.genus - 1)
     return Fraction(x.numerators[0] * base_dim + signed * weight, x.denominator)
@@ -305,8 +313,7 @@ class HeisenbergElement(Value):
 
     def __init__(self, central: int, vector: F2Vector) -> None:
         _require_int(central, "central parts")
-        if not isinstance(vector, F2Vector):
-            raise TypeError(f"vectors are F2Vectors, got {type(vector).__name__} {vector!r}")
+        _require_record(vector, F2Vector, "vectors")
         if not 0 <= central < 4:
             raise ValueError(f"central part must be reduced mod 4, got {central}")
         self._store(central=central, vector=vector)
@@ -353,12 +360,14 @@ def _element(central: int, bits: int, dim: int) -> HeisenbergElement:
     return element
 
 
-class HeisenbergGroup:
+class HeisenbergGroup(Value):
     """The order-2^{2g+2} central extension attached to a genus-g surface."""
 
-    def __init__(self, genus: int):
-        self.space = SymplecticF2Space(genus)
-        self.genus = genus
+    genus: int
+
+    def __init__(self, genus: int) -> None:
+        # the space of the vector parts, which validates the genus; it is not a field
+        self._store(genus=genus, space=SymplecticF2Space(genus))
 
     def element(self, central: int, vector: F2Vector) -> HeisenbergElement:
         _require_int(central, "central parts")  # before central % 4 turns a bool into an int
@@ -493,13 +502,10 @@ def heisenberg_rep(h: HeisenbergElement) -> MonomialMatrix:
     assignment is an exact group homomorphism into monomial matrices with
     entries in {+/-1, +/-i}.
     """
-    if not isinstance(h, HeisenbergElement):
-        raise TypeError(f"heisenberg_rep needs a HeisenbergElement, got {type(h).__name__} {h!r}")
+    _require_record(h, HeisenbergElement, "Heisenberg elements")
     genus = h.vector.dim // 2
     if genus > DEFAULT_REPRESENTATION_CAP:
-        raise ValueError(
-            f"genus {genus} exceeds the representation cap {DEFAULT_REPRESENTATION_CAP}"
-        )
+        raise ValueError(f"genus {genus} exceeds the representation cap {DEFAULT_REPRESENTATION_CAP}")
     a_bits = _compressed_part(h.vector, 0)
     b_bits = _compressed_part(h.vector, 1)
     central = h.central

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Value, _require_int
+from ._value import Value, _require_int, _require_record
 
 
 class Lattice(Enum):
@@ -45,6 +45,7 @@ class LevelValue(Value):
     value: int
 
     def __init__(self, lattice: Lattice, value: int) -> None:
+        _require_record(lattice, Lattice, "lattices")
         _require_int(value, "levels")
         if lattice is Lattice.BM and not _is_bm_level(value):
             raise ValueError(f"BM levels are positive multiples of 8, got {value}")
@@ -53,12 +54,6 @@ class LevelValue(Value):
         if lattice in (Lattice.SO3, Lattice.SU2) and value < 0:
             raise ValueError(f"{lattice.name} levels are non-negative integers, got {value}")
         self._store(lattice=lattice, value=value)
-
-    def _require(self, lattice: Lattice, operation: str) -> None:
-        if self.lattice is not lattice:
-            raise LatticeMismatchError(
-                f"{operation} expects a {lattice.value} level, got {self.lattice.value}"
-            )
 
     def __add__(self, other: "LevelValue") -> "LevelValue":
         if not isinstance(other, LevelValue):
@@ -92,7 +87,8 @@ def bm_level(p: int) -> LevelValue:
 def _coerce(level: LevelValue | int, lattice: Lattice) -> LevelValue:
     if not isinstance(level, LevelValue):
         return LevelValue(lattice, level)
-    level._require(lattice, "conversion")
+    if level.lattice is not lattice:
+        raise LatticeMismatchError(f"conversion expects a {lattice.value} level, got {level.lattice.value}")
     return level
 
 
@@ -144,8 +140,7 @@ def so3_from_bm(level: LevelValue | int) -> LevelValue:
 
 def metaplectic_shift(level: LevelValue) -> LevelValue:
     """The half-form level shift: k -> k + 1 on SO3, k' -> k' + 2 on SU2."""
-    if not isinstance(level, LevelValue):
-        raise TypeError("metaplectic_shift needs a tagged LevelValue")
+    _require_record(level, LevelValue, "tagged levels")
     if level.lattice is Lattice.SO3:
         return so3_level(level.value + 1)
     if level.lattice is Lattice.SU2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._value import Value, _new, _require_bit, _require_genus, _require_int, _setattr
+from ._value import Value, _new, _require_bit, _require_genus, _require_int, _require_record, _setattr
 from .f2 import F2Vector, SymplecticF2Space
 
 
@@ -32,6 +32,7 @@ class QuadraticRefinement(Value):
     basis_values: int
 
     def __init__(self, space: SymplecticF2Space, basis_values: int) -> None:
+        _require_record(space, SymplecticF2Space, "spaces")
         _require_int(basis_values, "basis values")
         if not 0 <= basis_values < (1 << space.dimension):
             raise ValueError(
@@ -60,7 +61,7 @@ class QuadraticRefinement(Value):
 
     def evaluate(self, v: F2Vector) -> int:
         """q(v) in {0, 1}."""
-        if v.dim != 2 * self.space.genus:
+        if v.__class__ is not F2Vector or v.dim != 2 * self.space.genus:
             self.space._check_member(v)
         return self._value(v.bits)
 
@@ -103,6 +104,7 @@ class QuadraticRefinement(Value):
     @classmethod
     def all_refinements(cls, space: SymplecticF2Space) -> Iterator["QuadraticRefinement"]:
         """All 2^{2g} refinements of the pairing, in basis-mask order."""
+        _require_record(space, SymplecticF2Space, "spaces")
         for mask in range(1 << space.dimension):
             yield cls._trusted(space, mask)
 
@@ -138,6 +140,7 @@ def lift_sign(sigma: QuadraticRefinement, z: F2Vector, w2_bundle: int, w2_rho: i
     arf(sigma + <Z, .>) - arf(sigma) = sigma(Z), so the sign is
     (-1)^{w2_bundle + w2_rho * sigma(Z)}: one evaluation of the refinement.
     """
+    _require_record(sigma, QuadraticRefinement, "spin structures")
     _require_bit(w2_bundle, "w2_bundle")
     _require_bit(w2_rho, "w2_rho")
     sigma.space._check_member(z)

@@ -66,7 +66,7 @@ class TestCapBeforeWork:
         def no_trace(*args):
             raise AssertionError("traces ran the trace route before checking its genera")
 
-        monkeypatch.setattr(dimensions, "trace_functional", no_trace)
+        monkeypatch.setattr(dimensions, "_trace", no_trace)
         with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):
             checks.run_suite("traces", genus=[6, 7], p=[8, 16])
         with pytest.raises(EnumerationCapError, match="^genus 7 exceeds enumeration cap 6$"):

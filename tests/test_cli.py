@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -377,6 +379,47 @@ def test_integer_lists_parse_syntax_only(text):
     assert seen == INTEGER_LIST_OPTIONS
 
 
+# a genus whose power-sum table is past any budget, and whose 2^{2g} spin structures no int can count
+HUGE_GENUS = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verlinde", "--genus", HUGE_GENUS, "--level", "1"],
+            f"verlinde: cell (g={HUGE_GENUS}, k=1): the power-sum table at n=3 fits in 2048 MB only up to genus 111680",
+        ),
+        (
+            ["check", "verlinde", "--genus", HUGE_GENUS, "--level", "1"],
+            f"check verlinde: cell (g={HUGE_GENUS}, k=1): "
+            "the power-sum table at n=3 fits in 2048 MB only up to genus 111680",
+        ),
+        (
+            ["spin-dims", "--genus", "3000000", "--p", "8"],
+            "spin-dims: cell (g=3000000, p=8): the power-sum table at n=4 fits in 2048 MB only up to genus 92682",
+        ),
+        (
+            ["spin-dims", "--genus", HUGE_GENUS, "--p", "8"],
+            f"spin-dims: cell (g={HUGE_GENUS}, p=8): the power-sum table at n=4 fits in 2048 MB only up to genus 92682",
+        ),
+    ],
+    ids=["verlinde", "check-verlinde", "spin-dims", "spin-dims-huge"],
+)
+def test_a_cell_over_the_table_budget_is_a_usage_error(argv, message):
+    # each used to run until killed, or (spin-dims at the huge genus) exit 1
+    # with "too many digits in integer" from its Arf counts
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "spinverlinde.cli", *argv],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=2,
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 2.0, f"{argv} took {elapsed:.2f}s"
+
+
 class TestLevelMajorWalk:
     """Every genus x level grid reads a level's cached tables for every genus.
 
@@ -674,7 +717,7 @@ class TestCheckCommand:
     def test_trace_route_violation_is_a_failed_record(self, capsys, monkeypatch):
         # one more on the trace of P_sigma at (g, eps, w2) = (3, 1, 1), p = 16:
         # that record fails with the violation, and every other cell still runs
-        honest = dimensions.trace_functional
+        honest = dimensions._trace
         odd_base = fusion.twisted_dim(3, 16)
 
         def broken(x, base_dim, lambda_rho, w2):
@@ -682,7 +725,7 @@ class TestCheckCommand:
             broken_here = (x.spin.space.genus, x.spin.arf(), base_dim, lambda_rho, w2) == (3, 1, odd_base, 3, 1)
             return trace + broken_here
 
-        monkeypatch.setattr(dimensions, "trace_functional", broken)
+        monkeypatch.setattr(dimensions, "_trace", broken)
         code, payload, err = run_json(capsys, "check", "traces", "--genus", "2..3", "--p", "8,16")
         assert (code, err, len(payload["checks"])) == (1, "", 16)
         failed = [c for c in payload["checks"] if not c["passed"]]

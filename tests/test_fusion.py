@@ -594,6 +594,55 @@ class TestHighGenus:
         assert wide == verlinde_trig_oracle(2000, 6).value
 
 
+class TestTableBudget:
+    """One size check, in ``_verlinde_terms`` and ``_twisted_terms``, for the
+    exact path and the oracle alike: a cell whose power-sum table would take
+    more than ``TABLE_BUDGET_MB`` is a ValueError with the cell's label."""
+
+    def test_the_budget_admits_the_largest_named_cell_without_computing_it(self, cold_caches):
+        # (50000, 14) peaks at 1487 MB; the check reads no table and builds none
+        assert fusion._verlinde_terms(50000, 14, ("verlinde_dim(g={}, k={})", 50000, 14)) == (49999, 16)
+        assert fusion._twisted_terms(50000, 32, ("twisted_dim(g={}, p={})", 50000, 32)) == (49999, 16)
+        # check integrality --genus 50000 --p 16, at n = 8
+        from spinverlinde import checks
+
+        assert checks._grid("integrality", max_genus=50000, max_p=16) == [50000, 16]
+        assert fusion._power_sum_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n, largest", [(2, 185364), (3, 111680), (4, 92682), (8, 70061), (16, 58618)])
+    def test_the_largest_genus_of_each_n(self, n, largest):
+        fusion._require_table(largest - 1, n, ("cell",))
+        message = f"cell: the power-sum table at n={n} fits in 2048 MB only up to genus {largest}"
+        with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+            fusion._require_table(largest, n, ("cell",))
+
+    @pytest.mark.parametrize(
+        "compute, message",
+        [
+            (lambda: verlinde_dim(10**6, 1), "verlinde_dim(g=1000000, k=1): the power-sum table at n=3"),
+            (lambda: verlinde_trig_oracle(10**6, 1), "verlinde(g=1000000, k=1): the power-sum table at n=3"),
+            (lambda: twisted_dim(10**20, 8), f"twisted_dim(g={10**20}, p=8): the power-sum table at n=4"),
+            (lambda: twisted_trig_oracle(10**20, 8), f"twisted(g={10**20}, p=8): the power-sum table at n=4"),
+            (lambda: bm_even_dim(3 * 10**6, 8, 0), "verlinde_dim(g=3000000, k=2): the power-sum table at n=4"),
+        ],
+        ids=["exact", "oracle", "twisted", "twisted-oracle", "graded"],
+    )
+    def test_a_cell_over_the_budget_is_refused_at_once(self, compute, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"\A{re.escape(message)} fits in 2048 MB only up to genus \d+\Z"):
+            compute()
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_graded_cell_is_refused_before_its_arf_counts(self):
+        from spinverlinde.dimensions import _graded_cell, sum_over_spin
+
+        # the counts 2^{2g-1} +/- 2^{g-1} alone would take 2.5 * 10^19 bytes
+        message = f"graded cell (g={10**20}, p=8): the power-sum table at n=4 fits in 2048 MB only up to genus 92682"
+        for compute in (lambda: _graded_cell(10**20, 8), lambda: sum_over_spin(10**20, 8)):
+            with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+                compute()
+
+
 class TestTwistedDim:
     @pytest.mark.parametrize("gp,expected", sorted(TWISTED.items()))
     def test_values(self, gp, expected):

@@ -188,7 +188,7 @@ class TestAlgebraElements:
         with pytest.raises(TypeError):
             TwistedAlgebraElement(sigma, {0: 0.5})
         # a symbol too, which must not read 0.1 as 3602879701896397/36028797018963968
-        with pytest.raises(TypeError, match="^coefficients must be exact rationals, got float$"):
+        with pytest.raises(TypeError, match="^coefficients are exact rationals, got float 0.1$"):
             TwistedAlgebraElement.symbol(sigma, space.basis_a(1), 0.1)
 
     def test_support_outside_group_rejected(self, g1):
@@ -790,7 +790,8 @@ class TestHeisenbergRep:
 
     @pytest.mark.parametrize("value", [True, 3, None], ids=["bool", "int", "none"])
     def test_refuses_what_is_not_a_heisenberg_element(self, value):
-        with pytest.raises(TypeError, match=rf"^heisenberg_rep needs a HeisenbergElement, got {type(value).__name__} "):
+        message = rf"^Heisenberg elements are HeisenbergElements, got {type(value).__name__} {value!r}$"
+        with pytest.raises(TypeError, match=message):
             heisenberg_rep(value)
 
     def test_representation_cap(self):

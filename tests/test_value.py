@@ -9,6 +9,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,13 @@ from spinverlinde.checks import CheckResult
 from spinverlinde.dimensions import GradedDimension
 from spinverlinde.f2 import F2Vector, SymplecticF2Space
 from spinverlinde.fusion import CertifiedInteger
-from spinverlinde.heisenberg import HeisenbergElement, MonomialMatrix
+from spinverlinde.heisenberg import (
+    HeisenbergElement,
+    HeisenbergGroup,
+    MonomialMatrix,
+    TwistedAlgebraElement,
+    projection,
+)
 from spinverlinde.levels import (
     CorrespondenceTable,
     Lattice,
@@ -41,6 +48,12 @@ RECORDS = {
         lambda: HeisenbergElement(1, F2Vector(5, 4)),
         HeisenbergElement(3, F2Vector(5, 4)),
         ("central", "vector"),
+    ),
+    "HeisenbergGroup": (lambda: HeisenbergGroup(2), HeisenbergGroup(3), ("genus",)),
+    "TwistedAlgebraElement": (
+        lambda: TwistedAlgebraElement(QuadraticRefinement(SymplecticF2Space(1), 1), {0: Fraction(1, 2), 3: 1}),
+        TwistedAlgebraElement(QuadraticRefinement(SymplecticF2Space(1), 2), {0: Fraction(1, 2), 3: 1}),
+        ("spin", "numerators", "denominator"),
     ),
     "MonomialMatrix": (
         lambda: MonomialMatrix((1, 0), (0, 3)),
@@ -172,6 +185,22 @@ def test_repr_reads_as_the_constructor():
     assert vars(matrix) == {"images": (4, 3)}
 
 
+def test_the_twisted_algebra_and_the_heisenberg_group_are_records():
+    sigma = QuadraticRefinement(SymplecticF2Space(1), 0)
+    p = projection(sigma)
+    # immutable and hashable, so an element can key a dict
+    with pytest.raises(AttributeError, match="^cannot assign to field 'denominator'$"):
+        p.denominator = 5
+    assert {p: 1}[projection(sigma)] == 1
+    assert vars(p) == {"spin": sigma, "numerators": (1, 1, 1, 1), "denominator": 4}
+    # its own repr, as a sum of symbols, is kept
+    assert repr(TwistedAlgebraElement.symbol(sigma, F2Vector(1, 2), Fraction(1, 2))) == "1/2*[a1]"
+    # a group compares by its genus; its space is no field
+    assert HeisenbergGroup(1) == HeisenbergGroup(1) != HeisenbergGroup(2)
+    assert repr(HeisenbergGroup(1)) == "HeisenbergGroup(genus=1)"
+    assert HeisenbergGroup(1).space == SymplecticF2Space(1)
+
+
 def test_certified_integer_converts_to_its_value():
     assert int(CertifiedInteger(-7, 10, 21, 128)) == -7
 
@@ -189,6 +218,8 @@ VECTOR = F2Vector(1, 2)
         (lambda: HeisenbergElement(1.0, VECTOR), "central parts are integers, got float 1.0"),
         (lambda: HeisenbergElement(False, VECTOR), "central parts are integers, got bool False"),
         (lambda: HeisenbergElement(0, 5), "vectors are F2Vectors, got int 5"),
+        (lambda: LevelValue("so3", 1), "lattices are Lattices, got str 'so3'"),
+        (lambda: HeisenbergGroup(1.0), "genera are integers, got float 1.0"),
         (lambda: SymplecticF2Space(True), "genera are integers, got bool True"),
         (lambda: CertifiedInteger(1.0, 2, 5, 128), "certified values are integers, got float 1.0"),
         # refused when built, not when its repr shifts a float column
@@ -196,7 +227,8 @@ VECTOR = F2Vector(1, 2)
         (lambda: MonomialMatrix((1, 0), (0, True)), "columns and phases are integers, got bool True"),
     ],
     ids=[
-        "bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector", "genus-bool", "certified",
+        "bits", "bits-bool", "dim", "basis_values", "central", "central-bool", "vector", "lattice", "group-genus",
+        "genus-bool", "certified",
         "monomial-column", "monomial-phase-bool",
     ],
 )
