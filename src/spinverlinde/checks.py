@@ -14,12 +14,15 @@ of genera or levels included, raises ValueError rather than pass
 vacuously, and so does a suite given a genus or level below the least it
 takes, before its first cell, a grid larger than ``MAX_RANGE_VALUES``, an
 oracle level whose certified sum has more terms than that, or a grid whose
-largest cell's power-sum table is over ``fusion.TABLE_BUDGET_MB``.
-A suite is one function under ``@_suite(name)``, which registers it in
-``SUITES`` and records in ``_OPTIONS`` the ``spinverlinde check`` option
-that sets each of its keyword arguments.  Each suite opens with
-``_grid``, the one spelling of its preconditions, and ``run_suite`` calls
-the same ``_grid`` on every suite it will run before the first one runs.
+power-sum tables at its largest genus are over ``fusion.TABLE_BUDGET_MB``.
+A suite is one generator of its records under ``@_suite(name)``, which
+registers it in ``SUITES`` and records in ``_OPTIONS`` the ``spinverlinde
+check`` option that sets each of its keyword arguments.  What it registers
+binds a call's arguments over the suite's defaults, passes them to
+``_grid``, the one spelling of every suite's preconditions, before the
+suite starts, and returns the list of the records the suite yields on the
+values ``_grid`` keeps; ``run_suite`` calls the same ``_grid`` on every
+suite it will run before the first one runs.
 
 Every case still runs, in order, but a suite computes each sub-result that
 its cases share once.  ``pairing``, ``refinement`` and ``liftsign`` evaluate
@@ -29,9 +32,10 @@ pairing's bilinear and symmetric records read one table of <v, w> over
 ordered pairs, and ``_quadratic_law`` checks f(v + w) = f(v) + f(w) + <v, w>
 on the table of each refinement q and of each Arf difference.
 The projection products depend on the spin structure only through its
-label, so ``projs`` reuses the previous case's product while both factors'
-vectors repeat, and ``heisenberg`` keeps its representation matrices in a
-list indexed by element rather than a dict keyed by the elements.  Its
+label, so ``projs`` builds each P_sigma once per genus and reuses the
+previous case's product while both factors' vectors repeat, and
+``heisenberg`` keeps its representation matrices in a list indexed by
+element rather than a dict keyed by the elements.  Its
 homomorphism record compares the n basis images of each product
 rep(x) @ rep(y) with those of rep(x * y), which decides their equality
 without a call to ``MonomialMatrix.__eq__``.  Its commutator record reads
@@ -53,6 +57,7 @@ cap before its first cell, as the suites over a genus range do.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import eq
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -60,8 +65,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ._value import Value
 from .dimensions import IdentityViolationError, _graded_cell, _level_bases, dims_via_traces
 from .f2 import F2Vector, SymplecticF2Space
-from .fusion import MAX_RANGE_VALUES, CertificationError, CertifiedInteger, _require_table, _require_terms, twisted_dim
-from .fusion import twisted_trig_oracle, verlinde_dim, verlinde_trig_oracle
+from .fusion import MAX_RANGE_VALUES, CertificationError, CertifiedInteger, _is_twisted_level, _require_tables
+from .fusion import _require_terms, _twisted_tables, _verlinde_tables, twisted_dim, twisted_trig_oracle, verlinde_dim
+from .fusion import verlinde_trig_oracle
 from .heisenberg import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -71,6 +77,7 @@ from .heisenberg import (
     trace_functional,
 )
 from .levels import (
+    _is_bm_level,
     beta_pullback,
     bhmv_from_su2,
     bm_from_so3,
@@ -157,20 +164,34 @@ _DEFAULTS: dict[str, dict[str, Any]] = {}
 
 
 def _suite(name: str) -> Callable[[Callable], Callable]:
-    """Register the decorated suite as ``name``, in definition order, with the
-    ``check`` option of each of its keyword arguments; a keyword that no option
-    sets is a TypeError, and one with no default a ValueError, before anything
-    is registered."""
+    """Register the decorated suite, a generator of its records, as ``name``, in
+    definition order, with the ``check`` option of each of its keyword
+    arguments; a keyword that no option sets is a TypeError, and one with no
+    default a ValueError, before anything is registered.
 
-    def register(check: Callable) -> Callable:
-        code = check.__code__
+    What is registered, and returned, is a function of the suite's arguments
+    that binds them as the suite's own call does, so that a bad call raises
+    Python's TypeError, passes them to ``_grid`` before the suite starts, and
+    returns the list of the records the suite yields on the values ``_grid``
+    returns.
+    """
+
+    def register(body: Callable) -> Callable:
+        code = body.__code__
         keywords = code.co_varnames[: code.co_argcount]
         try:
             options = {_OPTION_OF[keyword]: keyword for keyword in keywords}
         except KeyError as exc:
             raise TypeError(f"check {name}: no check option sets the keyword {exc}") from None
         # every keyword has a default, which `check all` runs
-        defaults = dict(zip(keywords, check.__defaults__ or (), strict=True))
+        defaults = dict(zip(keywords, body.__defaults__ or (), strict=True))
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> list[CheckResult]:
+            # the call binds the arguments in a generator that has not started
+            bound = body(*args, **kwargs).gi_frame.f_locals
+            return list(body(*_grid(name, **{keyword: bound[keyword] for keyword in keywords})))
+
         SUITES[name], _OPTIONS[name], _DEFAULTS[name] = check, options, defaults
         return check
 
@@ -178,15 +199,15 @@ def _suite(name: str) -> Callable[[Callable], Callable]:
 
 
 def _grid(suite: str, **arguments) -> list:
-    """Raise what ``suite`` raises on its keyword ``arguments`` before its first
-    cell, and return their values in order, each list of genera or levels as the
-    list of those the suite keeps.
+    """Raise what the suite ``suite`` would raise on its keyword ``arguments``
+    before its first cell, and return their values in order, each list of
+    genera or levels as the list of those the suite keeps.
 
     A genus range below 1 and a genus over the enumeration cap that the sweep
     would reach, an empty list, a genus or level below the least the suite
     takes, a level filter that keeps none, an oracle level whose certified sum
-    is too long, a grid larger than ``MAX_RANGE_VALUES`` and a largest cell
-    over the power-sum table budget all raise.
+    is too long, a grid larger than ``MAX_RANGE_VALUES`` and a grid whose
+    power-sum tables at its largest genus are over the budget all raise.
     """
     if suite == "integrality":
         max_genus, max_p = arguments["max_genus"], arguments["max_p"]
@@ -197,7 +218,8 @@ def _grid(suite: str, **arguments) -> list:
         cells = (max_genus - 1) * (max_p // 8)
         if cells > MAX_RANGE_VALUES:
             raise ValueError(f"check integrality: {cells} cells {grid}, more than {MAX_RANGE_VALUES}")
-        _require_table(max_genus - 1, max_p // 2, ("check integrality: cell (g={}, p={})", max_genus, max_p))
+        tables = _twisted_tables(range(8, max_p + 1, 8))
+        _require_tables(max_genus - 1, tables, ("check integrality: cell (g={}, p={})", max_genus, max_p))
         return [max_genus, max_p]
     values = []
     for keyword, value in arguments.items():
@@ -215,36 +237,36 @@ def _grid(suite: str, **arguments) -> list:
         elif keyword == "su2_levels":
             value = list(value)
             if not value:
-                raise ValueError("check verlinde: no level given")
+                raise ValueError(f"check {suite}: no level given")
             if min(value) < 0:
-                raise ValueError(f"check verlinde: level must be >= 0, got {min(value)}")
+                raise ValueError(f"check {suite}: level must be >= 0, got {min(value)}")
             # the oracle sums over j < k + 2
-            _require_terms(max(value) + 2, ("check verlinde: level k={}", max(value)))
+            _require_terms(max(value) + 2, ("check {}: level k={}", suite, max(value)))
+            level, tables = "k", _verlinde_tables(value)
         elif keyword == "levels_p":
-            # twisted keeps the even levels from 4, the graded suites the multiples of 8
-            least, step = (4, 2) if suite == "twisted" else (8, 8)
-            value = [p for p in value if p >= least and p % step == 0]
+            # twisted keeps the levels of the twisted sum, the graded suites those of the spin theory
+            keeps, kind = (_is_twisted_level, "2 and >= 4") if suite == "twisted" else (_is_bm_level, "8 and >= 8")
+            value = list(filter(keeps, value))
             if not value:
-                raise ValueError(f"check {suite}: none of the levels p given is a multiple of {step} and >= {least}")
+                raise ValueError(f"check {suite}: none of the levels p given is a multiple of {kind}")
             if suite == "twisted":
                 # the oracle sums over j < p/2
-                _require_terms(max(value) // 2, ("check twisted: level p={}", max(value)))
+                _require_terms(max(value) // 2, ("check {}: level p={}", suite, max(value)))
+            level, tables = "p", _twisted_tables(value)
         elif keyword == "max_m":
             if value < 1:
-                raise ValueError(f"check levels: max_m must be >= 1, got {value}")
+                raise ValueError(f"check {suite}: max_m must be >= 1, got {value}")
             # the suite walks 1..max_m and 0..2 max_m - 1
             if value > MAX_RANGE_VALUES:
-                raise ValueError(f"check levels: --max-m {value} is more than {MAX_RANGE_VALUES}")
+                raise ValueError(f"check {suite}: --max-m {value} is more than {MAX_RANGE_VALUES}")
         values.append(value)
     if suite == "traces":
         # after the level filter: each cell's trace route walks the 2^{2g} classes of its genus
         _require_enumerable(values[0])
     if len(values) == 2:
-        # a genus x level grid, whose largest cell builds the largest power-sum
-        # table: at n = k + 2 for an SU2 level k, and at n = p/2 for a level p
-        g, level = max(values[0]), max(values[1])
-        name, n = ("k", level + 2) if suite == "verlinde" else ("p", level // 2)
-        _require_table(g - 1, n, ("check {}: cell (g={}, {}={})", suite, g, name, level))
+        # a genus x level grid, whose largest genus needs every level's power-sum tables
+        g = max(values[0])
+        _require_tables(g - 1, tables, ("check {}: cell (g={}, {}={})", suite, g, level, max(values[1])))
     return values
 
 
@@ -263,9 +285,7 @@ def _level_major(genera: Sequence[int], levels: Sequence[int], cell: Callable[[i
 
 
 @_suite("pairing")
-def check_pairing(max_genus: int = 4) -> list[CheckResult]:
-    _grid("pairing", max_genus=max_genus)
-    results = []
+def check_pairing(max_genus: int = 4) -> Iterator[CheckResult]:
     # full bilinearity sweeps are exhaustive only up to genus 3
     for g in range(1, min(max_genus, 3) + 1):
         space = SymplecticF2Space(g)
@@ -283,41 +303,33 @@ def check_pairing(max_genus: int = 4) -> list[CheckResult]:
                     for x in masks:
                         yield vw_at[x] == v_at[x] ^ w_at[x]
 
-        results.append(
-            _counted(
-                f"pairing bilinear g={g}",
-                itertools.product(vectors, vectors, basis),
-                bilinear(),
-                "triples (v, w, basis x)",
-                "(v, w, x) masks",
-            )
+        yield _counted(
+            f"pairing bilinear g={g}",
+            itertools.product(vectors, vectors, basis),
+            bilinear(),
+            "triples (v, w, basis x)",
+            "(v, w, x) masks",
         )
-        alternating = _counted(
+        yield _counted(
             f"pairing alternating g={g}", vectors, lambda v: pair(v, v) == 0, "vectors v", "v mask"
         )
-        results.append(alternating)
-        results.append(
-            _counted(
-                f"pairing symmetric g={g}",
-                itertools.product(vectors, vectors),
-                map(eq, itertools.chain(*table), itertools.chain(*zip(*table))),
-                "pairs (v, w)",
-                "(v, w) masks",
-            )
+        yield _counted(
+            f"pairing symmetric g={g}",
+            itertools.product(vectors, vectors),
+            map(eq, itertools.chain(*table), itertools.chain(*zip(*table))),
+            "pairs (v, w)",
+            "(v, w) masks",
         )
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         basis = space.basis()
-        results.append(
-            _counted(
-                f"pairing non-degenerate g={g}",
-                (v for v in space.vectors() if not v.is_zero),
-                lambda v: any(space.pair(v, w) for w in basis),
-                "non-zero vectors v",
-                "v mask",
-            )
+        yield _counted(
+            f"pairing non-degenerate g={g}",
+            (v for v in space.vectors() if not v.is_zero),
+            lambda v: any(space.pair(v, w) for w in basis),
+            "non-zero vectors v",
+            "v mask",
         )
-    return results
 
 
 def brute_character_sum(space: SymplecticF2Space, b: F2Vector) -> int:
@@ -326,34 +338,27 @@ def brute_character_sum(space: SymplecticF2Space, b: F2Vector) -> int:
 
 
 @_suite("charsum")
-def check_character_sums(max_genus: int = 3) -> list[CheckResult]:
-    _grid("charsum", max_genus=max_genus)
-    results = []
+def check_character_sums(max_genus: int = 3) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         # both records read the enumerated sums, so the dichotomy is checked
         # on them rather than on the closed form it restates
         vectors = list(space.vectors())
         sums = [brute_character_sum(space, b) for b in vectors]
-        results.append(
-            _counted(
-                f"character sum closed form = brute force g={g}",
-                vectors,
-                map(eq, map(space.character_sum, vectors), sums),
-                "vectors b",
-                "b mask",
-            )
+        yield _counted(
+            f"character sum closed form = brute force g={g}",
+            vectors,
+            map(eq, map(space.character_sum, vectors), sums),
+            "vectors b",
+            "b mask",
         )
-        results.append(
-            _counted(
-                f"character sum dichotomy g={g}",
-                vectors,
-                (total == ((1 << (2 * g)) if b.is_zero else 0) for b, total in zip(vectors, sums)),
-                "vectors b",
-                "b mask",
-            )
+        yield _counted(
+            f"character sum dichotomy g={g}",
+            vectors,
+            (total == ((1 << (2 * g)) if b.is_zero else 0) for b, total in zip(vectors, sums)),
+            "vectors b",
+            "b mask",
         )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +379,19 @@ def _quadratic_law(
 
 
 @_suite("refinement")
-def check_refinements(max_genus: int = 3) -> list[CheckResult]:
-    _grid("refinement", max_genus=max_genus)
-    results = []
+def check_refinements(max_genus: int = 3) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
         basis = space.basis()
         refinements = list(QuadraticRefinement.all_refinements(space))
         values = [list(map(q, vectors)) for q in refinements]
-        results.append(
-            _counted(
-                f"refinement law g={g}",
-                itertools.product(refinements, vectors, basis),
-                _quadratic_law(values, space, vectors, basis),
-                "triples (q, v, basis w)",
-                "(q, v, w) masks",
-            )
+        yield _counted(
+            f"refinement law g={g}",
+            itertools.product(refinements, vectors, basis),
+            _quadratic_law(values, space, vectors, basis),
+            "triples (q, v, basis w)",
+            "(q, v, w) masks",
         )
         base = QuadraticRefinement.canonical(space, 0)
         orbit = {base.shift(ell).basis_values for ell in vectors}
@@ -403,70 +404,54 @@ def check_refinements(max_genus: int = 3) -> list[CheckResult]:
             "double shifts (q, basis ell)",
             "(q, ell) masks",
         )
-        results.append(
-            CheckResult(
-                name,
-                transitive and involutive.passed,
-                f"orbit of {len(orbit)} of {len(refinements)} refinements; {involutive.details}",
-            )
+        yield CheckResult(
+            name,
+            transitive and involutive.passed,
+            f"orbit of {len(orbit)} of {len(refinements)} refinements; {involutive.details}",
         )
-        results.append(
-            _counted(
-                f"arf closed form = zero counting g={g}",
-                refinements,
-                lambda q: q.arf() == q.arf_by_counting(),
-                "refinements q",
-                "q mask",
-            )
+        yield _counted(
+            f"arf closed form = zero counting g={g}",
+            refinements,
+            lambda q: q.arf() == q.arf_by_counting(),
+            "refinements q",
+            "q mask",
         )
-    return results
 
 
 @_suite("arf")
-def check_arf(max_genus: int = 4) -> list[CheckResult]:
-    _grid("arf", max_genus=max_genus)
-    results = []
+def check_arf(max_genus: int = 4) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         counted = [0, 0]
         for q in QuadraticRefinement.all_refinements(space):
             counted[q.arf()] += 1
         expected = count_by_arf(g)
-        results.append(
-            CheckResult(
-                f"arf counts g={g}",
-                tuple(counted) == expected,
-                f"enumerated {tuple(counted)}, closed form {expected}",
-            )
+        yield CheckResult(
+            f"arf counts g={g}",
+            tuple(counted) == expected,
+            f"enumerated {tuple(counted)}, closed form {expected}",
         )
-        results.append(
-            CheckResult(
-                f"arf gauss sum g={g}",
-                arf_gauss_sum(g) == 2**g == counted[0] - counted[1],
-                f"sum {counted[0] - counted[1]}",
-            )
+        yield CheckResult(
+            f"arf gauss sum g={g}",
+            arf_gauss_sum(g) == 2**g == counted[0] - counted[1],
+            f"sum {counted[0] - counted[1]}",
         )
-    return results
 
 
 @_suite("liftsign")
-def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
-    _grid("liftsign", max_genus=max_genus)
-    results = []
+def check_lift_signs(max_genus: int = 3) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         vectors = list(space.vectors())
         refinements = list(QuadraticRefinement.all_refinements(space))
         for w2 in (0, 1):
-            results.append(
-                _counted(
-                    f"lift sign sum identity g={g} w2={w2}",
-                    refinements,
-                    lambda sigma: sum(lift_sign(sigma, z, w2, 1) for z in vectors)
-                    == (-1) ** (w2 + sigma.arf()) * 2**g,
-                    f"spin structures sigma, each summed over {len(vectors)} classes",
-                    "sigma mask",
-                )
+            yield _counted(
+                f"lift sign sum identity g={g} w2={w2}",
+                refinements,
+                lambda sigma: sum(lift_sign(sigma, z, w2, 1) for z in vectors)
+                == (-1) ** (w2 + sigma.arf()) * 2**g,
+                f"spin structures sigma, each summed over {len(vectors)} classes",
+                "sigma mask",
             )
         # the shift-then-Arf route, independent of lift_sign: the table of
         # d(z) = arf(sigma + z) - arf(sigma) over the masks of z, once per sigma
@@ -475,16 +460,13 @@ def check_lift_signs(max_genus: int = 3) -> list[CheckResult]:
             for sigma, arf in zip(refinements, map(QuadraticRefinement.arf, refinements))
         ]
         basis = space.basis()
-        results.append(
-            _counted(
-                f"arf difference is a quadratic refinement g={g}",
-                itertools.product(refinements, vectors, basis),
-                _quadratic_law(differences, space, vectors, basis),
-                "triples (sigma, z, basis w)",
-                "(sigma, z, w) masks",
-            )
+        yield _counted(
+            f"arf difference is a quadratic refinement g={g}",
+            itertools.product(refinements, vectors, basis),
+            _quadratic_law(differences, space, vectors, basis),
+            "triples (sigma, z, basis w)",
+            "(sigma, z, w) masks",
         )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -507,27 +489,23 @@ def _oracle_record(
 @_suite("verlinde")
 def check_verlinde(
     genera: Iterable[int] = range(1, 7), su2_levels: Iterable[int] = range(0, 17)
-) -> list[CheckResult]:
-    genera, su2_levels = _grid("verlinde", genera=genera, su2_levels=su2_levels)
-
+) -> Iterator[CheckResult]:
     def cell(g: int, k: int) -> CheckResult:
         name = f"verlinde trace = oracle (g={g}, k={k})"
         return _oracle_record(name, verlinde_dim(g, k), verlinde_trig_oracle, g, k)[0]
 
-    return _level_major(genera, su2_levels, cell)
+    yield from _level_major(genera, su2_levels, cell)
 
 
 @_suite("twisted")
 def check_twisted(
     genera: Iterable[int] = range(1, 7), levels_p: Iterable[int] = range(4, 37, 2)
-) -> list[CheckResult]:
-    genera, levels_p = _grid("twisted", genera=genera, levels_p=levels_p)
-
+) -> Iterator[CheckResult]:
     def cell(g: int, p: int) -> CheckResult:
         name = f"twisted trace = oracle (g={g}, p={p})"
         return _oracle_record(name, twisted_dim(g, p), twisted_trig_oracle, g, p)[0]
 
-    return _level_major(genera, levels_p, cell)
+    yield from _level_major(genera, levels_p, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -558,56 +536,48 @@ def _once_per_vector_pair(holds: Callable[[Any, Any], bool]) -> Callable[[Any, A
 
 
 @_suite("projs")
-def check_projections(max_genus: int = 3) -> list[CheckResult]:
+def check_projections(max_genus: int = 3) -> Iterator[CheckResult]:
     """Idempotence of every P_sigma and orthogonality of every P_(sigma+ell) P_sigma.
 
     Every P_sigma has the numerators (1, ..., 1) over 2^{2g}, and the signs
     that rebase(ell) puts on them depend on ell alone.  The cases therefore
-    run ell-major, each builds its own inputs, and a product is computed
-    only when a case's vectors differ from the previous case's: once per
-    ell, and once per genus for the squares.  The inputs are cheap to
-    build: ``projection`` skips the gcd of (1, ..., 1), which is 1, and
-    ``rebase`` reads its signs from a table keyed by ell's dual mask
-    (``heisenberg._signs``).
+    run ell-major, each shifts sigma by ell and rebases P_(sigma+ell), and a
+    product is computed only when a case's vectors differ from the previous
+    case's: once per ell, and once per genus for the squares.  Each P_sigma
+    is built once per genus, into a list indexed by the mask of sigma, the
+    order of ``all_refinements``; ``rebase`` reads its signs from a table
+    keyed by ell's dual mask (``heisenberg._signs``).
     """
-    _grid("projs", max_genus=max_genus)
-    results = []
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
+        projections = list(map(projection, refinements))
         squares = _once_per_vector_pair(lambda p, q: p * q == q)
-        results.append(
-            _counted(
-                f"projections idempotent g={g}",
-                refinements,
-                lambda sigma: squares(projection(sigma), projection(sigma)),
-                "squares P_sigma P_sigma",
-                "sigma mask",
-            )
+        yield _counted(
+            f"projections idempotent g={g}",
+            refinements,
+            map(squares, projections, projections),
+            "squares P_sigma P_sigma",
+            "sigma mask",
         )
         nonzero = [ell for ell in space.vectors() if not ell.is_zero]
         vanishes = _once_per_vector_pair(lambda left, right: (left * right).is_zero)
 
         def orthogonal(case):
             sigma, ell = case
-            return vanishes(projection(sigma.shift(ell)).rebase(ell), projection(sigma))
+            return vanishes(projections[sigma.shift(ell).basis_values].rebase(ell), projections[sigma.basis_values])
 
-        results.append(
-            _counted(
-                f"projections orthogonal g={g}",
-                ((sigma, ell) for ell in nonzero for sigma in refinements),
-                orthogonal,
-                "products P_(sigma+ell) P_sigma",
-                "(sigma mask, ell mask)",
-            )
+        yield _counted(
+            f"projections orthogonal g={g}",
+            ((sigma, ell) for ell in nonzero for sigma in refinements),
+            orthogonal,
+            "products P_(sigma+ell) P_sigma",
+            "(sigma mask, ell mask)",
         )
-    return results
 
 
 @_suite("tracedecomp")
-def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
-    _grid("tracedecomp", max_genus=max_genus)
-    results = []
+def check_trace_decomposition(max_genus: int = 3) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         space = SymplecticF2Space(g)
         refinements = list(QuadraticRefinement.all_refinements(space))
@@ -617,14 +587,11 @@ def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
             for base, lam in totals:
                 totals[base, lam] += trace_functional(projection(sigma), base, lam, 0)
         for (base, lam), total in totals.items():
-            results.append(
-                CheckResult(
-                    f"sum of projection traces g={g} base={base} lambda={lam}",
-                    total == base,
-                    f"total {total} over {len(refinements)} spin structures",
-                )
+            yield CheckResult(
+                f"sum of projection traces g={g} base={base} lambda={lam}",
+                total == base,
+                f"total {total} over {len(refinements)} spin structures",
             )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +601,9 @@ def check_trace_decomposition(max_genus: int = 3) -> list[CheckResult]:
 @_suite("traces")
 def check_traces(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
-) -> list[CheckResult]:
+) -> Iterator[CheckResult]:
     """The trace route of each graded part against the cell's closed form; a
     violation that ``dims_via_traces`` raises fails its record."""
-    genera, levels_p = _grid("traces", genera=genera, levels_p=levels_p)
 
     def cell(g: int, p: int) -> list[CheckResult]:
         dims = _graded_cell(g, p)[0]
@@ -655,7 +621,7 @@ def check_traces(
                 records.append(CheckResult(name, via_traces == closed, f"traces {via_traces}, closed {closed}"))
         return records
 
-    return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
+    yield from itertools.chain.from_iterable(_level_major(genera, levels_p, cell))
 
 
 def _refinement_record(name: str, g: int, p: int, refined: int) -> CheckResult:
@@ -670,9 +636,7 @@ def _refinement_record(name: str, g: int, p: int, refined: int) -> CheckResult:
 @_suite("decomp")
 def check_decomposition(
     genera: Iterable[int] = DEFAULT_GENERA, levels_p: Iterable[int] = DEFAULT_LEVELS_P
-) -> list[CheckResult]:
-    genera, levels_p = _grid("decomp", genera=genera, levels_p=levels_p)
-
+) -> Iterator[CheckResult]:
     def cell(g: int, p: int) -> tuple[CheckResult, CheckResult]:
         _, refined, odd_total = _graded_cell(g, p)
         refinement = _refinement_record("refinement identity", g, p, refined)
@@ -685,27 +649,24 @@ def check_decomposition(
         )
         return refinement, total
 
-    return list(itertools.chain.from_iterable(_level_major(genera, levels_p, cell)))
+    yield from itertools.chain.from_iterable(_level_major(genera, levels_p, cell))
 
 
 @_suite("integrality")
-def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
+def check_integrality(max_genus: int = 6, max_p: int = 64) -> Iterator[CheckResult]:
     """Sweep the full grid through ``_level_major``, keeping only the number of
     graded cells; the formulas themselves raise on a non-integral or negative value."""
-    _grid("integrality", max_genus=max_genus, max_p=max_p)
 
     def cell(g: int, p: int) -> int:
         _graded_cell(g, p)
         return 2
 
     cells = sum(_level_major(range(2, max_genus + 1), range(8, max_p + 1, 8), cell))
-    return [
-        CheckResult(
-            f"integrality sweep g<={max_genus} p<={max_p}",
-            True,
-            f"{cells} graded cells, all non-negative integers",
-        )
-    ]
+    yield CheckResult(
+        f"integrality sweep g<={max_genus} p<={max_p}",
+        True,
+        f"{cells} graded cells, all non-negative integers",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +674,7 @@ def check_integrality(max_genus: int = 6, max_p: int = 64) -> list[CheckResult]:
 
 
 @_suite("heisenberg")
-def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
-    _grid("heisenberg", max_genus=max_genus)
-    results = []
+def check_heisenberg(max_genus: int = 3) -> Iterator[CheckResult]:
     for g in range(1, max_genus + 1):
         group = HeisenbergGroup(g)
         elements = list(group.elements())
@@ -740,7 +699,7 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
             "pairs (x, y)",
             "(x, y) as (t, mask)",
         )
-        results.append(homomorphic)
+        yield homomorphic
         vector_elements = [el for el in elements if el.central == 0]
         pair = group.space.pair
 
@@ -757,43 +716,36 @@ def check_heisenberg(max_genus: int = 3) -> list[CheckResult]:
                     xy, yx = rx @ ry, ry @ rx
                 yield xy == (yx if pair(x.vector, y.vector) == 0 else -yx)
 
-        results.append(
-            _counted(
-                f"heisenberg commutator pairing g={g}",
-                itertools.product(vector_elements, vector_elements),
-                commutator(),
-                "pairs (x, y) of central part 0",
-                "(x, y) as (t, mask)",
-            )
+        yield _counted(
+            f"heisenberg commutator pairing g={g}",
+            itertools.product(vector_elements, vector_elements),
+            commutator(),
+            "pairs (x, y) of central part 0",
+            "(x, y) as (t, mask)",
         )
         center = (
             heisenberg_rep(group.central_generator)
             == MonomialMatrix.identity(n).times_i()
         )
-        results.append(CheckResult(f"central generator acts by i g={g}", center))
+        yield CheckResult(f"central generator acts by i g={g}", center)
         # i^t n on the center (t, 0), and 0 off it
         central_traces = [(n, 0), (0, n), (-n, 0), (0, -n)]
-        results.append(
-            _counted(
-                f"heisenberg traces g={g}",
-                elements,
-                (
-                    r.trace() == (central_traces[el.central] if el.vector.is_zero else (0, 0))
-                    for el, r in zip(elements, reps)
-                ),
-                "elements",
-                "element (t, mask)",
-            )
+        yield _counted(
+            f"heisenberg traces g={g}",
+            elements,
+            (
+                r.trace() == (central_traces[el.central] if el.vector.is_zero else (0, 0))
+                for el, r in zip(elements, reps)
+            ),
+            "elements",
+            "element (t, mask)",
         )
         distinct = len(set(reps))
-        results.append(
-            CheckResult(
-                f"heisenberg rep faithful g={g}",
-                distinct == len(elements),
-                f"{distinct} distinct matrices for {len(elements)} elements",
-            )
+        yield CheckResult(
+            f"heisenberg rep faithful g={g}",
+            distinct == len(elements),
+            f"{distinct} distinct matrices for {len(elements)} elements",
         )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -811,34 +763,31 @@ def _table_record(name: str) -> CheckResult:
 
 
 @_suite("levels")
-def check_levels(max_m: int = 50) -> list[CheckResult]:
-    _grid("levels", max_m=max_m)
-    return [
-        _counted(
-            f"bm/so3/su2/bhmv consistency m<={max_m}",
-            range(1, max_m + 1),
-            lambda m: bm_from_so3(2 * m - 1).value
-            == bhmv_from_su2(beta_pullback(2 * m - 1)).value,
-            "odd so3 levels 2m - 1",
-            "m",
-        ),
-        _counted(
-            "bhmv round trips",
-            range(0, 2 * max_m),
-            lambda k: su2_from_bhmv(bhmv_from_su2(k)).value == k,
-            "su2 levels k",
-            "k",
-        ),
-        _counted(
-            "metaplectic shift commutes with pullback",
-            range(0, 20),
-            lambda k: beta_pullback(metaplectic_shift(so3_level(k))).value
-            == metaplectic_shift(beta_pullback(k)).value,
-            "so3 levels k",
-            "k",
-        ),
-        _table_record("correspondence table validates"),
-    ]
+def check_levels(max_m: int = 50) -> Iterator[CheckResult]:
+    yield _counted(
+        f"bm/so3/su2/bhmv consistency m<={max_m}",
+        range(1, max_m + 1),
+        lambda m: bm_from_so3(2 * m - 1).value
+        == bhmv_from_su2(beta_pullback(2 * m - 1)).value,
+        "odd so3 levels 2m - 1",
+        "m",
+    )
+    yield _counted(
+        "bhmv round trips",
+        range(0, 2 * max_m),
+        lambda k: su2_from_bhmv(bhmv_from_su2(k)).value == k,
+        "su2 levels k",
+        "k",
+    )
+    yield _counted(
+        "metaplectic shift commutes with pullback",
+        range(0, 20),
+        lambda k: beta_pullback(metaplectic_shift(so3_level(k))).value
+        == metaplectic_shift(beta_pullback(k)).value,
+        "so3 levels k",
+        "k",
+    )
+    yield _table_record("correspondence table validates")
 
 
 def run_suite(name: str, **options) -> list[CheckResult]:
@@ -851,8 +800,8 @@ def run_suite(name: str, **options) -> list[CheckResult]:
     suite does not take are ValueErrors, and so is an empty list, before
     any ``max`` is taken, while 'all' passes each suite only the options it
     takes, each list read once.  Every suite's grid is checked before the
-    first suite runs, by the ``_grid`` that the suite opens with, on the
-    options given over the suite's defaults, its size included: a ``max_m`` above
+    first suite runs, by the ``_grid`` that ``_suite`` runs before the suite,
+    on the options given over the suite's defaults, its size included: a ``max_m`` above
     ``MAX_RANGE_VALUES`` and an integrality grid of more cells are
     ValueErrors, for a library caller as for the CLI, which reads its bound
     from here.

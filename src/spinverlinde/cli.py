@@ -15,7 +15,8 @@ genus-major, so output ordering is deterministic.  ``spin-dims`` reads each
 cell from ``dimensions._graded_cell``, as the graded check suites do,
 ``verlinde`` refuses a level whose certified sum is longer than
 ``MAX_RANGE_VALUES`` terms before its first cell, and both refuse a grid
-whose largest cell's power-sum table is over ``fusion.TABLE_BUDGET_MB``.
+whose power-sum tables at its largest genus are together over
+``fusion.TABLE_BUDGET_MB``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Callable
 from ._value import _require_bit, _require_genus
 from .checks import SUITES, CheckResult, _level_major, _oracle_record, _refinement_record, _table_record, run_suite
 from .dimensions import _graded_cell, _level_p, _pairs
-from .fusion import MAX_RANGE_VALUES, _require_table, _require_terms, verlinde_dim, verlinde_trig_oracle
+from .fusion import MAX_RANGE_VALUES, _require_tables, _require_terms, _twisted_tables, _verlinde_tables
+from .fusion import verlinde_dim, verlinde_trig_oracle
 from .levels import (
     Lattice,
     LevelValue,
@@ -187,10 +189,10 @@ def _verlinde_cell(g: int, k: int) -> tuple[dict, CheckResult]:
 
 def _cmd_verlinde(args) -> int:
     # the levels are sorted: the last has the longest certified sum, over j < k + 2,
-    # and with the last genus the largest power-sum table
+    # and the last genus the largest power-sum tables
     _require_terms(args.level[-1] + 2, ("verlinde: level k={}", args.level[-1]))
     g, k = args.genus[-1], args.level[-1]
-    _require_table(g - 1, k + 2, ("verlinde: cell (g={}, k={})", g, k))
+    _require_tables(g - 1, _verlinde_tables(args.level), ("verlinde: cell (g={}, k={})", g, k))
     cells = _level_major(args.genus, args.level, _verlinde_cell)
     rows, checks = [row for row, _ in cells], [check for _, check in cells]
     params = {"genus": args.genus, "level": args.level}
@@ -219,8 +221,9 @@ def _cmd_spin_dims(args) -> int:
             "spin-dims --genus 1: genus 1 sits outside the moduli-space derivation; "
             "pass --allow-genus-one to extrapolate"
         )
-    # the last genus and level are the largest, and so is their power-sum table, at n = p/2
-    _require_table(args.genus[-1] - 1, levels[-1] // 2, ("spin-dims: cell (g={}, p={})", args.genus[-1], levels[-1]))
+    # the last genus is the largest, and the one whose power-sum tables the budget counts
+    g = args.genus[-1]
+    _require_tables(g - 1, _twisted_tables(levels), ("spin-dims: cell (g={}, p={})", g, levels[-1]))
 
     def cell(g: int, p: int) -> tuple[list[dict], CheckResult]:
         """The rows and the checksum record of one (g, p) cell."""

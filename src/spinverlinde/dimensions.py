@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import _value
 from ._value import Value, _labelled, _require_int
 from .f2 import SymplecticF2Space
-from .fusion import _require_table, twisted_dim, verlinde_dim
+from .fusion import _require_tables, _twisted_tables, twisted_dim, verlinde_dim
 from .heisenberg import _trace, projection
 from .levels import _is_bm_level, _pairs_with_spin, bm_from_so3
 from .spin import QuadraticRefinement, _arf_counts
@@ -243,9 +243,9 @@ def _graded_cell(g: int, p: int) -> tuple[list[tuple[int, int]], int, int]:
     at Arf invariants 0 and 1, each evaluated once, and the even and odd totals
     over all 2^{2g} spin structures, each Arf value weighted by its number of
     structures; ``sum_over_spin``, ``spin-dims`` and the graded suites read them.
-    A cell whose power-sum table is over the budget is refused before the counts,
+    A cell whose power-sum tables are over the budget is refused before the counts,
     which are numbers of 2g bits."""
-    _require_table(g - 1, p // 2, ("graded cell (g={}, p={})", g, p))
+    _require_tables(g - 1, _twisted_tables((p,)), ("graded cell (g={}, p={})", g, p))
     n_even, n_odd = _arf_counts(g)
     dims = [(_graded_dim(g, p, eps, False), _graded_dim(g, p, eps, True)) for eps in (0, 1)]
     (even0, odd0), (even1, odd1) = dims

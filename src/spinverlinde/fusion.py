@@ -19,8 +19,9 @@ products.  It runs in integers only, on one scale mu = n at every n: the
 coefficients F_r = n^r f_r have a closed form in binomials, and the sums
 P_i = n^i p_i(n) need no division.  One table per n holds them, grows on
 demand and is shared by every genus; the twisted sum reads the tables at
-n = p/2 and p/4; a cell whose table would take more than ``TABLE_BUDGET_MB``
-is refused first.  The only exactness check is the final division by 2^m.
+n = p/2 and p/4; a cell or grid whose tables would take more than
+``TABLE_BUDGET_MB`` together is refused first.  The only exactness check is
+the final division by 2^m.
 The same numbers are the fusion-ring traces tr H^{g-1} and tr N_k H^{g-1};
 the tests keep that trace, the rational hypergeometric recurrence and its
 integer form on the scale 2n at even n as oracles.
@@ -47,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
+from typing import Iterable, Sequence
 
 from ._value import Value, _labelled, _require_genus, _require_int
 
@@ -57,10 +59,11 @@ DEFAULT_PRECISION_BITS = 128
 #: most (g, p) cells of the integrality sweep; a larger request is a usage error.
 MAX_RANGE_VALUES = 100_000
 
-#: Most memory, in MB, that the power-sum table of one cell may take, by the
-#: estimate of ``_require_table``: 1490 MB at (g, k) = (50000, 14), whose
-#: table peaks at 1487 MB RSS, and 164 000 MB at (1000000, 1).  A cell over
-#: the budget is refused: at k = 14 from genus 58 619, at k = 1 from 111 681.
+#: Most memory, in MB, that the power-sum tables of one cell or grid may take
+#: together, by the estimate of ``_require_tables``: 1490 MB at (g, k) =
+#: (50000, 14), whose table peaks at 1487 MB RSS, and 164 000 MB at
+#: (1000000, 1).  A cell over the budget is refused: at k = 14 from genus
+#: 58 619, at k = 1 from 111 681.
 TABLE_BUDGET_MB = 2048
 
 
@@ -152,21 +155,50 @@ def _integral(numerator: int, shift: int, label: tuple) -> int:
     return numerator >> shift
 
 
-def _require_table(m: int, n: int, label: tuple) -> None:
-    """A ValueError naming ``label`` if the power-sum table at n up to P_m
-    would take more than TABLE_BUDGET_MB, raised before the table grows.
+def _is_twisted_level(p: int) -> bool:
+    """Whether the twisted sum takes the level p: an even p >= 4."""
+    return p >= 4 and p % 2 == 0
+
+
+def _verlinde_tables(levels: Iterable[int]) -> list[int]:
+    """The n of the power-sum tables that the cells at the SU2 levels k read: k + 2."""
+    return [k + 2 for k in levels]
+
+
+def _twisted_tables(levels: Sequence[int]) -> list[int]:
+    """The n of the power-sum tables that the twisted cells at the levels p read:
+    p/2, and p/4 where p/2 is even (``twisted_dim``'s h).  The graded cells at
+    a level p read the same two, the first through verlinde_dim(g, p/2 - 2)."""
+    return [p // 2 for p in levels] + [p // 4 for p in levels if p % 4 == 0]
+
+
+def _require_tables(m: int, tables: Sequence[int], label: tuple) -> None:
+    """A ValueError naming ``label`` if the power-sum tables at the n of
+    ``tables`` up to P_m would together take more than TABLE_BUDGET_MB,
+    raised before any of them grows.
 
     By Jordan's bound (``_certified_sum``) |P_i| <= (n - 1) n^{3i} / 4^i, so
     P_i has about i (3 log2 n - 2) bits and P_0..P_m about (3 log2 n - 2) m^2 / 2.
-    The coefficients F_r stop at r = (n - 1) // 2 and take no more.  An m
+    The coefficients F_r stop at r = (n - 1) // 2 and take no more.  Only the
+    128 largest tables count, as ``_power_sum_table`` caches no more.  A table
+    at n = 2 has no root and keeps only zeros, so it counts only alone.  An m
     below 1 or an n below 2 passes, for its cell to refuse.
     """
-    if m > 0 and n > 1:
+    # 3 n.bit_length() > 3 log2 n - 2: a cheap bound over the estimate below, which admits most cells at once
+    if m < 1 or m * m * 3 * sum(n.bit_length() for n in tables) <= TABLE_BUDGET_MB * 2**24:
+        return
+    largest = sorted(set(tables), reverse=True)[:128]
+    counted = [n for n in largest if n > 2] or [n for n in largest if n == 2]
+    if counted:
         # the largest m of the budget, compared as an int: m may exceed any float
-        most = math.isqrt(int(TABLE_BUDGET_MB * 2**24 / (3 * math.log2(n) - 2)))
+        bits = 3 * sum(map(math.log2, counted)) - 2 * len(counted)
+        most = math.isqrt(int(TABLE_BUDGET_MB * 2**24 / bits))
         if m > most:
-            message = f"the power-sum table at n={n} fits in {TABLE_BUDGET_MB} MB only up to genus {most + 1}"
-            raise ValueError(_labelled(label, message))
+            if len(counted) == 1:
+                subject = f"the power-sum table at n={counted[0]} fits"
+            else:
+                subject = f"the {len(counted)} power-sum tables up to n={counted[0]} fit"
+            raise ValueError(_labelled(label, f"{subject} in {TABLE_BUDGET_MB} MB only up to genus {most + 1}"))
 
 
 def _verlinde_terms(g: int, k: int, label: tuple) -> tuple[int, int]:
@@ -175,7 +207,7 @@ def _verlinde_terms(g: int, k: int, label: tuple) -> tuple[int, int]:
     _require_int(k, "levels")
     if k < 0:
         raise ValueError(f"level must be a non-negative integer, got {k}")
-    _require_table(g - 1, k + 2, label)
+    _require_tables(g - 1, _verlinde_tables((k,)), label)
     return g - 1, k + 2
 
 
@@ -183,9 +215,9 @@ def _twisted_terms(g: int, p: int, label: tuple) -> tuple[int, int]:
     """(m, n) = (g - 1, p/2), the power and the n of the twisted genus-g sum at level p."""
     _require_genus(g)
     _require_int(p, "levels")
-    if p % 2 or p < 4:
+    if not _is_twisted_level(p):
         raise ValueError(f"the twisted sum needs an even level p >= 4, got {p}")
-    _require_table(g - 1, p // 2, label)
+    _require_tables(g - 1, _twisted_tables((p,)), label)
     return g - 1, p // 2
 
 

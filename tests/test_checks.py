@@ -424,6 +424,28 @@ class TestSharedSubResults:
         assert all(r.passed for r in getattr(checks, suite)(max_genus=3))
         assert calls == made
 
+    def test_projs_builds_each_projection_once_per_genus(self, monkeypatch):
+        # 4 + 16 + 64 spin structures at g <= 3, against 4284 orthogonality cases,
+        # each of which still shifts sigma by ell and rebases P_(sigma+ell)
+        from spinverlinde.heisenberg import TwistedAlgebraElement
+
+        calls = {"projection": 0, "shift": 0, "rebase": 0}
+
+        def counted(owner, name):
+            honest = getattr(owner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return honest(*args)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(checks, "projection")
+        counted(QuadraticRefinement, "shift")
+        counted(TwistedAlgebraElement, "rebase")
+        assert all(r.passed for r in checks.check_projections(max_genus=3))
+        assert calls == {"projection": 84, "shift": 4284, "rebase": 4284}
+
     def test_counted_reads_its_cases_lazily(self):
         # an endless stream of cases whose third fails, in either form of the verdicts
         predicate = checks._counted("endless", itertools.count(), lambda n: n != 2, "cases n", "n")
@@ -648,3 +670,92 @@ class TestParameters:
         # with no option given, the grid check passes and the suite runs at its defaults
         monkeypatch.setitem(checks.SUITES, suite, lambda **arguments: [arguments])
         assert checks.run_suite(suite) == [{}]
+
+
+class TestSuiteFrame:
+    """``@_suite`` binds a call, checks its grid before the suite starts, and lists what the suite yields."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        # a throwaway suite registers into copies, which the test drops
+        for name in ("SUITES", "_OPTIONS", "_DEFAULTS"):
+            monkeypatch.setattr(checks, name, dict(getattr(checks, name)))
+
+    def test_the_registered_suite_is_the_module_function_and_returns_a_list(self):
+        for name, suite in checks.SUITES.items():
+            assert getattr(checks, suite.__name__) is suite, name
+            # the body only yields its records
+            assert inspect.isgeneratorfunction(suite.__wrapped__), name
+        records = checks.check_levels(max_m=2)
+        assert type(records) is list and [r.passed for r in records] == [True] * 4
+
+    @pytest.mark.parametrize("call, message", [
+        (
+            lambda: checks.check_verlinde([2], [3], [4]),
+            "check_verlinde() takes from 0 to 2 positional arguments but 3 were given",
+        ),
+        (lambda: checks.check_pairing(genera=[2]), "check_pairing() got an unexpected keyword argument 'genera'"),
+        (lambda: checks.check_twisted([2], genera=[3]), "check_twisted() got multiple values for argument 'genera'"),
+    ], ids=["positional", "unknown", "twice"])
+    def test_a_bad_call_is_pythons_type_error_before_the_grid(self, call, message, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a bad call reached the grid check")
+
+        monkeypatch.setattr(checks, "_grid", no_grid)
+        with pytest.raises(TypeError, match=rf"\A{re.escape(message)}\Z"):
+            call()
+
+    def test_positional_and_keyword_calls_bind_over_the_defaults(self):
+        by_position = checks.check_verlinde([2], [3, 4])
+        assert [r.name for r in by_position] == [f"verlinde trace = oracle (g=2, k={k})" for k in (3, 4)]
+        assert checks.check_verlinde([2], su2_levels=[3, 4]) == by_position
+        assert checks.check_verlinde(su2_levels=iter([3, 4]), genera=(2,)) == by_position
+        # the grid check turns each list into the list of the levels the suite keeps
+        assert [r.name for r in checks.check_twisted([2], range(3, 9))] == [
+            f"twisted trace = oracle (g=2, p={p})" for p in (4, 6, 8)
+        ]
+
+    def test_a_refused_grid_never_enters_the_suite(self, registry):
+        entered = []
+
+        @checks._suite("colorings")
+        def check_colorings(genera=(2,), su2_levels=(1,)):
+            entered.append((genera, su2_levels))
+            yield checks.CheckResult("colorings", True)
+
+        with pytest.raises(ValueError, match=r"\Acheck colorings: level must be >= 0, got -1\Z"):
+            check_colorings([2], [-1])
+        assert entered == []
+        assert checks.run_suite("colorings", level=[1, 0]) == [checks.CheckResult("colorings", True)]
+        # the suite starts on the values the grid check returns
+        assert entered == [([2], [1, 0])]
+
+    def test_the_grid_check_names_the_suite_it_checks(self, registry):
+        @checks._suite("colorings")
+        def check_colorings(genera=(2,), su2_levels=(1,)):
+            yield from ()
+
+        @checks._suite("lens")
+        def check_lens(max_m=3):
+            yield from ()
+
+        refusals = [
+            (lambda: check_colorings(su2_levels=[]), "check colorings: no level given"),
+            (lambda: check_colorings(su2_levels=[-2, 3]), "check colorings: level must be >= 0, got -2"),
+            (
+                lambda: check_colorings(su2_levels=[100_000]),
+                "check colorings: level k=100000: the certified sum has 100001 terms, more than 100000",
+            ),
+            (
+                lambda: check_colorings([50000], range(15)),
+                "check colorings: cell (g=50000, k=14): "
+                "the 14 power-sum tables up to n=16 fit in 2048 MB only up to genus 18377",
+            ),
+            (lambda: check_lens(0), "check lens: max_m must be >= 1, got 0"),
+            (lambda: check_lens(100_001), "check lens: --max-m 100001 is more than 100000"),
+        ]
+        for call, message in refusals:
+            with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+                call()
+        with pytest.raises(ValueError, match=r"\Acheck lens: max_m must be >= 1, got 0\Z"):
+            checks.run_suite("lens", max_m=0)

@@ -403,10 +403,35 @@ HUGE_GENUS = "99999999999999999999"
             ["spin-dims", "--genus", HUGE_GENUS, "--p", "8"],
             f"spin-dims: cell (g={HUGE_GENUS}, p=8): the power-sum table at n=4 fits in 2048 MB only up to genus 92682",
         ),
+        # grids whose every table is under the budget alone, but not all of a grid's tables together
+        (
+            ["verlinde", "--genus", "50000", "--level", "0..14"],
+            "verlinde: cell (g=50000, k=14): the 14 power-sum tables up to n=16 fit in 2048 MB only up to genus 18377",
+        ),
+        (
+            ["check", "verlinde", "--genus", "50000", "--level", "0..14"],
+            "check verlinde: cell (g=50000, k=14): "
+            "the 14 power-sum tables up to n=16 fit in 2048 MB only up to genus 18377",
+        ),
+        (
+            ["check", "twisted", "--genus", "50000", "--p", "32"],
+            "check twisted: cell (g=50000, p=32): the 2 power-sum tables up to n=16 fit in 2048 MB only up to genus 44958",
+        ),
+        (
+            ["spin-dims", "--genus", "50000", "--p", "8..32"],
+            "spin-dims: cell (g=50000, p=32): the 5 power-sum tables up to n=16 fit in 2048 MB only up to genus 31107",
+        ),
+        (
+            ["check", "decomp", "--genus", "50000", "--p", "8..32"],
+            "check decomp: cell (g=50000, p=32): the 5 power-sum tables up to n=16 fit in 2048 MB only up to genus 31107",
+        ),
     ],
-    ids=["verlinde", "check-verlinde", "spin-dims", "spin-dims-huge"],
+    ids=[
+        "verlinde", "check-verlinde", "spin-dims", "spin-dims-huge",
+        "verlinde-grid", "check-verlinde-grid", "check-twisted-grid", "spin-dims-grid", "check-decomp-grid",
+    ],
 )
-def test_a_cell_over_the_table_budget_is_a_usage_error(argv, message):
+def test_a_cell_over_the_table_budget_is_a_usage_error(argv, message, capsys, cold_caches):
     # each used to run until killed, or (spin-dims at the huge genus) exit 1
     # with "too many digits in integer" from its Arf counts
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -418,6 +443,10 @@ def test_a_cell_over_the_table_budget_is_a_usage_error(argv, message):
     elapsed = time.perf_counter() - start
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
     assert elapsed < 2.0, f"{argv} took {elapsed:.2f}s"
+    # in process, the refusal builds no table
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert fusion._power_sum_table.cache_info().currsize == 0
 
 
 class TestLevelMajorWalk:

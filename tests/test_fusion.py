@@ -24,7 +24,7 @@ from mpmath.libmp.libmpi import (
 )
 
 from spinverlinde import fusion
-from spinverlinde.dimensions import bm_even_dim
+from spinverlinde.dimensions import bm_even_dim, bm_odd_dim
 from spinverlinde.fusion import (
     CertificationError,
     _modulus,
@@ -596,14 +596,13 @@ class TestHighGenus:
 
 class TestTableBudget:
     """One size check, in ``_verlinde_terms`` and ``_twisted_terms``, for the
-    exact path and the oracle alike: a cell whose power-sum table would take
-    more than ``TABLE_BUDGET_MB`` is a ValueError with the cell's label."""
+    exact path and the oracle alike: a cell whose power-sum tables would take
+    more than ``TABLE_BUDGET_MB`` together is a ValueError with the cell's label."""
 
     def test_the_budget_admits_the_largest_named_cell_without_computing_it(self, cold_caches):
         # (50000, 14) peaks at 1487 MB; the check reads no table and builds none
         assert fusion._verlinde_terms(50000, 14, ("verlinde_dim(g={}, k={})", 50000, 14)) == (49999, 16)
-        assert fusion._twisted_terms(50000, 32, ("twisted_dim(g={}, p={})", 50000, 32)) == (49999, 16)
-        # check integrality --genus 50000 --p 16, at n = 8
+        # check integrality --genus 50000 --p 16, at n = 8 and 4: 1639 MB
         from spinverlinde import checks
 
         assert checks._grid("integrality", max_genus=50000, max_p=16) == [50000, 16]
@@ -611,10 +610,54 @@ class TestTableBudget:
 
     @pytest.mark.parametrize("n, largest", [(2, 185364), (3, 111680), (4, 92682), (8, 70061), (16, 58618)])
     def test_the_largest_genus_of_each_n(self, n, largest):
-        fusion._require_table(largest - 1, n, ("cell",))
+        fusion._require_tables(largest - 1, [n], ("cell",))
         message = f"cell: the power-sum table at n={n} fits in 2048 MB only up to genus {largest}"
         with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
-            fusion._require_table(largest, n, ("cell",))
+            fusion._require_tables(largest, [n], ("cell",))
+
+    def test_the_tables_of_a_cell_or_grid_count_together(self):
+        # 10 + 7 bits a term at n = 16 and 8: 2533 MB at genus 50000
+        fusion._require_tables(44957, [16, 8], ("cell",))
+        message = "cell: the 2 power-sum tables up to n=16 fit in 2048 MB only up to genus 44958"
+        with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+            fusion._require_tables(44958, [8, 16, 8], ("cell",))
+
+    def test_a_table_at_n_2_counts_only_alone(self):
+        # it keeps only zeros: the p = 8 limit is that of n = 4 alone
+        fusion._require_tables(92681, [4, 2], ("cell",))
+        message = "cell: the power-sum table at n=4 fits in 2048 MB only up to genus 92682"
+        with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+            fusion._require_tables(92682, [4, 2], ("cell",))
+        # n = 1 (twisted_dim's h at p = 4) has no table to count
+        fusion._require_tables(185363, [2, 1], ("cell",))
+        with pytest.raises(ValueError, match="n=2 fits in 2048 MB only up to genus 185364"):
+            fusion._require_tables(185364, [2, 1], ("cell",))
+
+    def test_only_the_128_largest_tables_count(self):
+        # _power_sum_table caches 128 tables; a longer grid replaces the oldest
+        assert fusion._power_sum_table.cache_info().maxsize == 128
+        message = "grid: the 128 power-sum tables up to n=999 fit in 2048 MB only up to genus 3119"
+        for tables in (range(3, 1000), range(872, 1000)):
+            with pytest.raises(ValueError, match=rf"\A{re.escape(message)}\Z"):
+                fusion._require_tables(3119, tables, ("grid",))
+        fusion._require_tables(3118, range(3, 1000), ("grid",))
+
+    @pytest.mark.parametrize(
+        "compute, message",
+        [
+            (lambda: twisted_dim(50000, 32), "twisted_dim(g=50000, p=32): the 2 power-sum tables up to n=16"),
+            (lambda: twisted_trig_oracle(50000, 32), "twisted(g=50000, p=32): the 2 power-sum tables up to n=16"),
+            (lambda: bm_odd_dim(50000, 32, 0), "twisted_dim(g=50000, p=32): the 2 power-sum tables up to n=16"),
+        ],
+        ids=["twisted", "twisted-oracle", "graded"],
+    )
+    def test_a_twisted_cell_counts_its_tables_at_p_over_2_and_p_over_4(self, cold_caches, compute, message):
+        # each table alone is under the budget: 1490 MB at n = 16, 1043 MB at n = 8
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"\A{re.escape(message)} fit in 2048 MB only up to genus 44958\Z"):
+            compute()
+        assert time.perf_counter() - start < 2.0
+        assert fusion._power_sum_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "compute, message",
